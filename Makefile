@@ -22,12 +22,13 @@
 #   make serve   build and run the cdsfd scheduling service locally
 #   make smoke-sse  end-to-end smoke: a real cdsfd subprocess streams a
 #                seeded solve job's full event journal over SSE
-#   make smoke-cluster  end-to-end smoke: a coordinator and two worker
-#                subprocesses solve a seeded batch byte-identically to
-#                a single process and survive a worker kill -9
 #   make smoke-dag  end-to-end smoke: a real cdsfd subprocess solves a
 #                seeded fork-join DAG with heft and the result matches
 #                the direct library computation bit for bit
+#   make test-e2ebench  vet and test the end-to-end benchmark module
+#                (e2ebench/, a separate Go module that imports this
+#                one's internal packages, so the root build and test
+#                targets never compile it)
 
 GO ?= go
 
@@ -40,9 +41,9 @@ COVER_PKGS ?= ./internal/tracing ./internal/trace ./internal/api ./internal/serv
 # Listen address for `make serve`.
 SERVE_ADDR ?= 127.0.0.1:8080
 
-.PHONY: check build vet test race cover bench bench-pmf bench-cache fuzz serve smoke-sse smoke-cluster smoke-dag
+.PHONY: check build vet test race cover bench bench-pmf bench-cache fuzz serve smoke-sse smoke-dag test-e2ebench
 
-check: build vet test race cover smoke-cluster smoke-dag
+check: build vet test race cover test-e2ebench smoke-dag
 
 build:
 	$(GO) build ./...
@@ -93,8 +94,8 @@ serve:
 smoke-sse:
 	$(GO) test -run TestSmokeSSE -count=1 -v ./cmd/cdsfd
 
-smoke-cluster:
-	$(GO) test -run TestSmokeCluster -count=1 -v ./cmd/cdsfd
-
 smoke-dag:
 	$(GO) test -run TestSmokeDAG -count=1 -v ./cmd/cdsfd
+
+test-e2ebench:
+	cd e2ebench && $(GO) vet ./... && $(GO) test ./...

@@ -9,11 +9,6 @@
 //	cdsfd -store /var/lib/cdsfd    # WAL-backed: jobs survive kill -9
 //	cdsfd -metrics m.json -trace t.json -drain-timeout 1m
 //
-//	# a coordinator and two workers (any -store/-cache combination):
-//	cdsfd -addr :8080 -store /var/lib/cdsfd
-//	cdsfd -addr :8081 -worker w1 -coordinator http://127.0.0.1:8080
-//	cdsfd -addr :8082 -worker w2 -coordinator http://127.0.0.1:8080
-//
 // Submit work with POST /v1/solve, /v1/simulate, or /v1/scenario (202
 // plus a job envelope; 429 with Retry-After when the queue is full),
 // poll GET /v1/jobs/{id}, cancel with DELETE /v1/jobs/{id}, and list
@@ -22,11 +17,11 @@
 // /v1/jobs/{id}/events returns it as JSON, ?follow=1 streams it live
 // as Server-Sent Events (reconnect with Last-Event-ID to resume), and
 // GET /debug/events is the cross-job flight recorder. GET /v1/healthz
-// reports queue depth, inflight jobs, drain state, cache counters, the
-// job store's backend and replay stats, and per-worker liveness. With
-// -log, the service also writes structured JSON-lines logs. The debug
-// endpoints every CLI exposes behind -debug-addr (/metrics, /progress,
-// /trace, /debug/pprof/*) are mounted on the same address.
+// reports queue depth, inflight jobs, drain state, cache counters, and
+// the job store's backend and replay stats. With -log, the service
+// also writes structured JSON-lines logs. The debug endpoints every
+// CLI exposes behind -debug-addr (/metrics, /progress, /trace,
+// /debug/pprof/*) are mounted on the same address.
 //
 // With -store DIR the job lifecycle is journaled to an append-only WAL
 // under DIR: a 202 means the job is fsynced, and a restart replays the
@@ -34,14 +29,6 @@
 // re-enqueues the jobs a crash interrupted (seeded jobs re-run to the
 // same bytes — DESIGN.md §12). Without -store, jobs live in process
 // memory exactly as before.
-//
-// With -coordinator URL the process additionally registers itself as a
-// worker peer with that coordinator (re-registering every -heartbeat
-// as its liveness signal) and deregisters on shutdown. The coordinator
-// — any cdsfd with registered workers — places jobs on live workers by
-// consistent hashing and reassigns leases from dead ones; workers are
-// ordinary cdsfd servers and need no special flags beyond where to
-// register.
 //
 // SIGINT/SIGTERM (and -timeout) drain the service: admission stops
 // (503), queued jobs are cancelled, running jobs get -drain-timeout to
@@ -51,21 +38,16 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"net/url"
-	"strings"
 	"time"
 
 	"cdsf/internal/api"
 	"cdsf/internal/events"
-	"cdsf/internal/log"
 	"cdsf/internal/runner"
 	"cdsf/internal/server"
 	"cdsf/internal/store"
@@ -81,17 +63,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	executors := fs.Int("executors", 2, "number of jobs executed concurrently")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long running jobs may finish after a shutdown signal before their contexts are cancelled")
 	storeDir := fs.String("store", "", "journal the job lifecycle to an append-only WAL under this directory and recover interrupted jobs on restart (empty: jobs live in process memory)")
-	workerName := fs.String("worker", "", "worker name to register with -coordinator under (default worker-<port>); requires -coordinator")
-	coordinator := fs.String("coordinator", "", "coordinator base URL to register with as a worker peer (e.g. http://127.0.0.1:8080)")
-	advertise := fs.String("advertise", "", "base URL the coordinator should use to reach this worker (default http://127.0.0.1:<resolved port>)")
-	heartbeat := fs.Duration("heartbeat", 2*time.Second, "worker re-registration (heartbeat) interval")
-	heartbeatTimeout := fs.Duration("heartbeat-timeout", 10*time.Second, "how long a registered worker may stay silent before this coordinator skips it and reassigns its jobs")
 	rf := runner.RegisterWorkerFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *workerName != "" && *coordinator == "" {
-		return fmt.Errorf("-worker %q requires -coordinator", *workerName)
 	}
 	return rf.Run(ctx, "cdsfd", stderr, func(ctx context.Context, s *runner.Session) error {
 		var js store.JobStore
@@ -107,17 +81,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			js = w
 		}
 		srv := server.New(server.Options{
-			Queue:            *queue,
-			Executors:        *executors,
-			Workers:          rf.Workers,
-			PMFBackend:       rf.PMF,
-			Metrics:          s.Metrics,
-			Tracer:           s.Tracer,
-			Cache:            s.Cache,
-			Events:           events.NewLog(events.Options{Metrics: s.Metrics}),
-			Logger:           s.Log,
-			Store:            js,
-			HeartbeatTimeout: *heartbeatTimeout,
+			Queue:      *queue,
+			Executors:  *executors,
+			Workers:    rf.Workers,
+			PMFBackend: rf.PMF,
+			Metrics:    s.Metrics,
+			Tracer:     s.Tracer,
+			Cache:      s.Cache,
+			Events:     events.NewLog(events.Options{Metrics: s.Metrics}),
+			Logger:     s.Log,
+			Store:      js,
 		})
 		ln, err := net.Listen("tcp", *addr)
 		if err != nil {
@@ -128,28 +101,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		// The readiness line carries the resolved port (for -addr ...:0)
 		// and marks the point from which requests are accepted.
 		fmt.Fprintf(stderr, "cdsfd: serving the %s job API on http://%s/\n", api.Version, ln.Addr())
-
-		if *coordinator != "" {
-			coord := strings.TrimRight(*coordinator, "/")
-			host, port, err := net.SplitHostPort(ln.Addr().String())
-			if err != nil {
-				srv.Close()
-				return fmt.Errorf("resolving worker address: %w", err)
-			}
-			if ip := net.ParseIP(host); ip == nil || ip.IsUnspecified() {
-				host = "127.0.0.1"
-			}
-			name := *workerName
-			if name == "" {
-				name = "worker-" + port
-			}
-			adv := *advertise
-			if adv == "" {
-				adv = "http://" + net.JoinHostPort(host, port)
-			}
-			fmt.Fprintf(stderr, "cdsfd: worker %s registering with %s (advertising %s)\n", name, coord, adv)
-			go registerLoop(ctx, coord, name, adv, *heartbeat, s.Log)
-		}
 
 		serveErr := make(chan error, 1)
 		go func() { serveErr <- httpSrv.Serve(ln) }()
@@ -177,52 +128,4 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		// after runner.Run flushes -metrics and -trace.
 		return fmt.Errorf("serving interrupted: %w", context.Cause(ctx))
 	})
-}
-
-// registerLoop keeps this process registered as a worker peer: one
-// immediate registration, then one per heartbeat interval (the
-// coordinator's liveness signal), until ctx is cancelled — at which
-// point it deregisters so the coordinator reroutes new jobs right away
-// instead of waiting out the heartbeat timeout. Failures are logged
-// and retried on the next beat: a worker may legitimately start before
-// its coordinator.
-func registerLoop(ctx context.Context, coord, name, adv string, interval time.Duration, logger *log.Logger) {
-	client := &http.Client{Timeout: 5 * time.Second}
-	body, err := json.Marshal(api.WorkerRegistration{Name: name, Addr: adv})
-	if err != nil {
-		return
-	}
-	beat := func() {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, coord+"/v1/workers", bytes.NewReader(body))
-		if err != nil {
-			return
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := client.Do(req)
-		if err != nil {
-			logger.Warn("worker heartbeat failed", log.F("coordinator", coord), log.F("error", err.Error()))
-			return
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			logger.Warn("worker heartbeat rejected", log.F("coordinator", coord), log.F("status", resp.StatusCode))
-		}
-	}
-	beat()
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			req, err := http.NewRequest(http.MethodDelete, coord+"/v1/workers/"+url.PathEscape(name), nil)
-			if err == nil {
-				if resp, err := client.Do(req); err == nil {
-					resp.Body.Close()
-				}
-			}
-			return
-		case <-tick.C:
-			beat()
-		}
-	}
 }

@@ -22,8 +22,8 @@ import (
 // helperEnv re-executes this test binary as the real cdsfd daemon, so
 // the signal tests exercise the full runner.Exec path in a child
 // process. startDaemon/submitJob below are shared with the crash-
-// recovery and cluster tests in cluster_test.go, which kill -9 these
-// child daemons.
+// recovery test in recovery_test.go, which kills -9 these child
+// daemons.
 const helperEnv = "CDSFD_TEST_MAIN"
 
 func TestMain(m *testing.M) {

@@ -27,6 +27,7 @@ import (
 	"cdsf/internal/core"
 	"cdsf/internal/robustness"
 	"cdsf/internal/sysmodel"
+	"cdsf/internal/tracing"
 )
 
 // Version is the wire version every route in this package is mounted
@@ -77,21 +78,6 @@ const (
 	KindScenario JobKind = "scenario"
 )
 
-// Counts is one progress dimension's done/planned pair.
-type Counts struct {
-	Done    int64 `json:"done"`
-	Planned int64 `json:"planned"`
-}
-
-// Progress reports how far a running job has advanced. Solve jobs
-// finish in one indivisible search and report no progress; simulate
-// and scenario jobs report their Stage-II fan-out.
-type Progress struct {
-	Scenarios    Counts `json:"scenarios"`
-	Cases        Counts `json:"cases"`
-	Replications Counts `json:"replications"`
-}
-
 // CacheInfo is the envelope's cache block, present when the server
 // runs with a solve cache. Key is the job's content address (the
 // SHA-256 over the canonical instance plus every knob the result
@@ -110,22 +96,22 @@ type CacheInfo struct {
 // Job is the envelope every job endpoint returns. Result is the
 // kind-specific document (SolveResult, SimulateResult, ScenarioResult)
 // once State is done; Error is set for failed and cancelled jobs.
-// Cache is absent when the server runs without a solve cache, so
-// envelopes are unchanged for cacheless deployments.
+// Progress reports how far the job has advanced: solve jobs finish in
+// one indivisible search and report none, simulate and scenario jobs
+// report their Stage-II fan-out. Cache is absent when the server runs
+// without a solve cache, so envelopes are unchanged for cacheless
+// deployments.
 type Job struct {
-	ID       string          `json:"id"`
-	Kind     JobKind         `json:"kind"`
-	State    JobState        `json:"state"`
-	Created  time.Time       `json:"created"`
-	Started  *time.Time      `json:"started,omitempty"`
-	Finished *time.Time      `json:"finished,omitempty"`
-	Progress *Progress       `json:"progress,omitempty"`
-	Result   json.RawMessage `json:"result,omitempty"`
-	Error    string          `json:"error,omitempty"`
-	Cache    *CacheInfo      `json:"cache,omitempty"`
-	// Node is the worker peer the coordinator leased the job to;
-	// empty for jobs executed in-process.
-	Node string `json:"node,omitempty"`
+	ID       string                    `json:"id"`
+	Kind     JobKind                   `json:"kind"`
+	State    JobState                  `json:"state"`
+	Created  time.Time                 `json:"created"`
+	Started  *time.Time                `json:"started,omitempty"`
+	Finished *time.Time                `json:"finished,omitempty"`
+	Progress *tracing.ProgressSnapshot `json:"progress,omitempty"`
+	Result   json.RawMessage           `json:"result,omitempty"`
+	Error    string                    `json:"error,omitempty"`
+	Cache    *CacheInfo                `json:"cache,omitempty"`
 }
 
 // JobList is the GET /v1/jobs response, in submission order. The list
@@ -140,40 +126,6 @@ type JobList struct {
 	Next       string `json:"next,omitempty"`
 }
 
-// WorkerRegistration is the body of POST /v1/workers: a worker peer
-// announcing itself (and, periodically, re-announcing itself as a
-// heartbeat). Addr is the base URL the coordinator dispatches jobs
-// to.
-type WorkerRegistration struct {
-	Name string `json:"name"`
-	Addr string `json:"addr"`
-}
-
-// WorkerStatus is one registered worker peer as the coordinator sees
-// it: GET /v1/workers and the healthz workers block.
-type WorkerStatus struct {
-	Name string `json:"name"`
-	Addr string `json:"addr"`
-	// Alive is false once the worker has missed enough heartbeats to
-	// be considered dead; its leases are reassigned.
-	Alive bool `json:"alive"`
-	// LastHeartbeatSeconds is the silence since the worker's latest
-	// registration.
-	LastHeartbeatSeconds float64 `json:"last_heartbeat_seconds"`
-	// Leased is the number of jobs the worker currently holds;
-	// Dispatched and Completed are lifetime counts.
-	Leased     int   `json:"leased"`
-	Dispatched int64 `json:"dispatched"`
-	Completed  int64 `json:"completed"`
-}
-
-// WorkerList is the GET /v1/workers response (and the registration
-// acknowledgement, so a worker learns the cluster size from its own
-// heartbeat).
-type WorkerList struct {
-	Workers []WorkerStatus `json:"workers"`
-}
-
 // Error codes: the machine-readable classification of every non-2xx
 // response. Clients branch on the code; the message is for humans.
 const (
@@ -181,7 +133,7 @@ const (
 	// JSON, unknown names, invalid instance, bad DAG edges). Field
 	// carries the offending JSON path when one is known.
 	ErrBadRequest = "bad_request"
-	// ErrNotFound: the named job or worker does not exist.
+	// ErrNotFound: the named job does not exist.
 	ErrNotFound = "not_found"
 	// ErrQueueFull: admission rejected the job; retry after the
 	// Retry-After header's estimate.
@@ -231,9 +183,6 @@ type Health struct {
 	// Store describes the job-store backend: memory or WAL, journal
 	// size, and what the last startup replay recovered.
 	Store *HealthStore `json:"store,omitempty"`
-	// Workers lists the registered worker peers with liveness; absent
-	// when none ever registered.
-	Workers []WorkerStatus `json:"workers,omitempty"`
 }
 
 // HealthStore is the healthz view of the job store (mirrors

@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"cdsf/internal/metrics"
+	"cdsf/internal/tracing"
 )
 
 // Type names a job lifecycle event.
@@ -41,10 +42,6 @@ const (
 	TypeQueued Type = "queued"
 	// TypeStarted: an executor picked the job up.
 	TypeStarted Type = "started"
-	// TypeAssigned: the coordinator leased the job to a worker peer
-	// (Detail carries the worker name; an empty name releases the
-	// lease back to the local pool).
-	TypeAssigned Type = "assigned"
 	// TypeProgress: a sampled snapshot of the job's progress board.
 	TypeProgress Type = "progress"
 	// TypeCacheResultHit: the job was answered from the result tier of
@@ -74,33 +71,20 @@ func (t Type) Terminal() bool {
 	return false
 }
 
-// Counts is one progress dimension's done/planned pair.
-type Counts struct {
-	Done    int64 `json:"done"`
-	Planned int64 `json:"planned"`
-}
-
-// ProgressCounts is a sampled snapshot of a job's progress board.
-type ProgressCounts struct {
-	Scenarios    Counts `json:"scenarios"`
-	Cases        Counts `json:"cases"`
-	Replications Counts `json:"replications"`
-}
-
 // Event is one journal entry. Seq is monotonic per job starting at 1;
 // Time is the wall clock at Record (the Log's injectable clock, so
 // tests pin it). Detail carries the human fragment (error message,
-// cache key); Progress and the warm counters are set only on their
-// event types.
+// cache key); Progress (a sampled snapshot of the job's progress
+// board) and the warm counters are set only on their event types.
 type Event struct {
-	Seq        int64           `json:"seq"`
-	Time       time.Time       `json:"time"`
-	Job        string          `json:"job"`
-	Type       Type            `json:"type"`
-	Detail     string          `json:"detail,omitempty"`
-	Progress   *ProgressCounts `json:"progress,omitempty"`
-	WarmHits   int64           `json:"warm_hits,omitempty"`
-	WarmMisses int64           `json:"warm_misses,omitempty"`
+	Seq        int64                     `json:"seq"`
+	Time       time.Time                 `json:"time"`
+	Job        string                    `json:"job"`
+	Type       Type                      `json:"type"`
+	Detail     string                    `json:"detail,omitempty"`
+	Progress   *tracing.ProgressSnapshot `json:"progress,omitempty"`
+	WarmHits   int64                     `json:"warm_hits,omitempty"`
+	WarmMisses int64                     `json:"warm_misses,omitempty"`
 }
 
 // Options configures a Log.

@@ -22,21 +22,19 @@ import (
 // This file is the dispatch layer: it turns a validated request
 // document into a jobSpec — everything the executor needs to run the
 // job. It used to live inline in the HTTP handlers; it is a separate
-// layer now because two more callers need it: WAL crash recovery
-// (re-dispatching an interrupted job from its journaled request) and
-// the worker protocol (the retained request document is what the
-// coordinator forwards to a worker peer). All three paths validate
-// and build identically, so a replayed or remotely-run job is
-// bit-identical to a locally submitted one.
+// layer now because WAL crash recovery needs it too (re-dispatching an
+// interrupted job from its journaled request). Both paths validate and
+// build identically, so a replayed job is bit-identical to a freshly
+// submitted one.
 
-// jobSpec is a fully validated, ready-to-run job: the run closure for
-// local execution, the raw request document for remote dispatch and
-// durable storage, and the job's cache identity.
+// jobSpec is a fully validated, ready-to-run job: the run closure, the
+// raw request document for durable storage, and the job's cache
+// identity.
 type jobSpec struct {
 	kind         api.JobKind
 	withProgress bool
 	// request is the canonical re-marshaling of the validated request,
-	// journaled by the store and forwarded verbatim to worker peers.
+	// journaled by the store.
 	request json.RawMessage
 	// key/info carry the cache identity (zero/nil when caching is off);
 	// cached is the result-tier document when the request was already
@@ -74,7 +72,7 @@ func (s *Server) prepare(kind api.JobKind, raw json.RawMessage) (*jobSpec, error
 }
 
 // rawRequest re-marshals a validated request into the canonical bytes
-// the store journals and the coordinator forwards to workers.
+// the store journals.
 func rawRequest(req any) (json.RawMessage, error) {
 	raw, err := json.Marshal(req)
 	if err != nil {

@@ -5,10 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
-	"time"
 
 	"cdsf/internal/api"
 	"cdsf/internal/sysmodel"
@@ -35,16 +33,14 @@ const maxRequestBytes = 16 << 20
 //	                             Last-Event-ID resume)
 //	GET    /v1/healthz           liveness: queue depth, inflight,
 //	                             drain state, cache counters, job
-//	                             store stats, worker liveness
-//	POST   /v1/workers           register a worker peer (repeat as
-//	                             heartbeat)
-//	GET    /v1/workers           list worker peers and liveness
-//	DELETE /v1/workers/{name}    deregister a worker peer
+//	                             store stats
 //
 // plus the debug endpoints every CLI exposes behind -debug-addr
 // (/metrics, /progress, /trace, /debug/pprof/*) and the cross-job
 // event ring (/debug/events), mounted on the same mux with the
-// server's registry and the aggregate of every job's progress board.
+// server's registry. /progress sums the progress boards of the queued
+// and running jobs only: a job's board leaves the sum when the job
+// reaches a terminal state.
 //
 // Every route above is wrapped in the RED middleware (middleware.go):
 // per-route/status counters, latency histograms, and inflight gauges
@@ -59,9 +55,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.instrument("cancel", s.handleCancel))
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.instrument("job_events", s.handleJobEvents))
 	mux.HandleFunc("GET /v1/healthz", s.instrument("healthz", s.handleHealth))
-	mux.HandleFunc("POST /v1/workers", s.instrument("worker_register", s.handleWorkerRegister))
-	mux.HandleFunc("GET /v1/workers", s.instrument("workers", s.handleWorkers))
-	mux.HandleFunc("DELETE /v1/workers/{name}", s.instrument("worker_deregister", s.handleWorkerDeregister))
 	mux.HandleFunc("GET /debug/events", s.instrument("debug_events", s.handleDebugEvents))
 	tracing.Mount(mux, s.opts.Metrics, s.progressSnapshot, s.opts.Tracer)
 	return mux
@@ -257,57 +250,12 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, env)
 }
 
-// handleWorkerRegister registers (or heartbeats) a worker peer: a
-// cdsfd process running with -coordinator pointed here. Re-posting the
-// same registration is the heartbeat; a changed address re-routes the
-// peer's ring slots. The response lists every registered peer, so a
-// worker sees its cohort.
-func (s *Server) handleWorkerRegister(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, api.ErrDraining, errDraining.Error())
-		return
-	}
-	reg, ok := decode[api.WorkerRegistration](w, r)
-	if !ok {
-		return
-	}
-	if reg.Name == "" {
-		writeJSON(w, http.StatusBadRequest, api.Error{Code: api.ErrBadRequest, Message: "worker name is required", Field: "name"})
-		return
-	}
-	u, err := url.Parse(reg.Addr)
-	if err != nil || u.Host == "" || (u.Scheme != "http" && u.Scheme != "https") {
-		writeJSON(w, http.StatusBadRequest, api.Error{Code: api.ErrBadRequest, Message: fmt.Sprintf("worker addr must be an http(s) base URL, got %q", reg.Addr), Field: "addr"})
-		return
-	}
-	s.peers.register(reg.Name, strings.TrimRight(reg.Addr, "/"))
-	writeJSON(w, http.StatusOK, api.WorkerList{Workers: s.peers.statuses(time.Now())})
-}
-
-// handleWorkers lists the registered worker peers with liveness and
-// lease counts.
-func (s *Server) handleWorkers(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, api.WorkerList{Workers: s.peers.statuses(time.Now())})
-}
-
-// handleWorkerDeregister removes a worker peer from the registry. Jobs
-// it still holds are reassigned by the executors exactly as if the
-// worker had died.
-func (s *Server) handleWorkerDeregister(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	if !s.peers.remove(name) {
-		writeError(w, http.StatusNotFound, api.ErrNotFound, fmt.Sprintf("no worker %q", name))
-		return
-	}
-	writeJSON(w, http.StatusOK, api.WorkerList{Workers: s.peers.statuses(time.Now())})
-}
-
 // handleHealth reports liveness as a structured document: drain state,
 // queue and executor saturation, lifetime job counts, the job store's
 // backend and journal/replay stats, and — when present — the cache
-// counters and per-worker liveness. "ok" flips to "draining" once
-// admission has stopped, so a load balancer keying on the status
-// string stops routing during shutdown.
+// counters. "ok" flips to "draining" once admission has stopped, so a
+// load balancer keying on the status string stops routing during
+// shutdown.
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	reg := s.opts.Metrics
 	h := api.Health{
@@ -349,9 +297,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 			TableHits:    reg.Counter("cache.table_hits").Value(),
 			TableMisses:  reg.Counter("cache.table_misses").Value(),
 		}
-	}
-	if ws := s.peers.statuses(time.Now()); len(ws) > 0 {
-		h.Workers = ws
 	}
 	writeJSON(w, http.StatusOK, h)
 }

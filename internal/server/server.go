@@ -21,12 +21,6 @@
 // the process); the WAL store journals each transition durably, and New
 // replays interrupted jobs from the journal after a crash — seeded jobs
 // re-run to bit-identical result bytes (DESIGN.md §12).
-//
-// When worker peers register (POST /v1/workers), the executor pool
-// additionally acts as a coordinator: jobs are placed on live workers
-// by consistent hashing over their request bytes and run remotely over
-// the same v1 API, with leases reassigned when a worker dies
-// (worker.go).
 package server
 
 import (
@@ -111,19 +105,14 @@ type Options struct {
 	// re-enqueues before the executor pool starts. The server owns the
 	// store from here on and closes it at the end of Drain.
 	Store store.JobStore
-	// HeartbeatTimeout is how long a registered worker peer may stay
-	// silent before it is considered dead: placement skips it and its
-	// leased jobs are reassigned. Non-positive means 10s.
-	HeartbeatTimeout time.Duration
 }
 
-// Server owns the job queue, the executor pool, and the worker-peer
-// registry; job state lives in the store. Create one with New and
-// expose it with Handler; stop it with Drain.
+// Server owns the job queue and the executor pool; job state lives in
+// the store. Create one with New and expose it with Handler; stop it
+// with Drain.
 type Server struct {
 	opts  Options
 	store store.JobStore
-	peers *peerSet
 
 	queue    chan *job
 	stop     chan struct{}
@@ -156,7 +145,10 @@ type Server struct {
 
 	// mu guards the runtime job map and serializes lifecycle decisions
 	// (the check-then-append sequences); the store serializes its own
-	// state internally.
+	// state internally. The map holds only queued and running jobs: an
+	// entry is deleted when its job reaches a terminal state, so a
+	// finished job's run closure (and the problem it captured) does not
+	// outlive it.
 	mu   sync.Mutex
 	jobs map[string]*job
 
@@ -178,7 +170,6 @@ const wallWindow = 32
 type job struct {
 	id       string
 	kind     api.JobKind
-	request  json.RawMessage
 	progress *tracing.Progress
 	journal  *events.Journal
 	run      func(ctx context.Context, prog *tracing.Progress) (any, error)
@@ -223,9 +214,6 @@ func New(opts Options) *Server {
 	if opts.Store == nil {
 		opts.Store = store.NewMemory()
 	}
-	if opts.HeartbeatTimeout <= 0 {
-		opts.HeartbeatTimeout = 10 * time.Second
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	interrupted := opts.Store.Interrupted()
 	s := &Server{
@@ -241,7 +229,6 @@ func New(opts Options) *Server {
 		queueDepth: opts.Metrics.Gauge("server.queue_depth"),
 		inflightG:  opts.Metrics.Gauge("server.jobs_inflight"),
 	}
-	s.peers = newPeerSet(opts.HeartbeatTimeout, opts.Metrics, opts.Logger)
 	for _, rec := range interrupted {
 		s.recoverJob(rec)
 	}
@@ -270,7 +257,7 @@ func (s *Server) recoverJob(rec store.Job) {
 			log.F("job", id), log.F("error", err.Error()))
 		return
 	}
-	j := &job{id: id, kind: spec.kind, request: rec.Request,
+	j := &job{id: id, kind: spec.kind,
 		run: spec.run, cacheKey: spec.key, cacheInfo: spec.info}
 	if spec.withProgress {
 		j.progress = tracing.NewProgress()
@@ -307,7 +294,7 @@ func (s *Server) enqueue(spec *jobSpec) (api.Job, error) {
 		return api.Job{}, errDraining
 	}
 	id := s.store.NextID()
-	j := &job{id: id, kind: spec.kind, request: spec.request,
+	j := &job{id: id, kind: spec.kind,
 		run: spec.run, cacheKey: spec.key, cacheInfo: spec.info}
 	if spec.withProgress {
 		j.progress = tracing.NewProgress()
@@ -401,9 +388,7 @@ func (s *Server) executor() {
 	}
 }
 
-// runJob drives one job through running to a terminal state, executing
-// locally or — when live worker peers are registered — remotely on the
-// peer the job's request hashes to.
+// runJob drives one job through running to a terminal state.
 func (s *Server) runJob(j *job) {
 	s.mu.Lock()
 	if rec, ok := s.store.Get(j.id); !ok || rec.Env.State != api.JobQueued {
@@ -424,15 +409,12 @@ func (s *Server) runJob(j *job) {
 	s.opts.Logger.Info("job started", log.F("job", j.id), log.F("kind", string(j.kind)))
 	stopSampler := s.startProgressSampler(j)
 
-	raw, node, ran, err := s.runRemote(ctx, j)
-	if !ran {
-		var res any
-		res, err = j.run(ctx, j.progress)
-		if err == nil {
-			raw, err = json.Marshal(res)
-			if err != nil {
-				err = fmt.Errorf("encoding result: %v", err)
-			}
+	var raw []byte
+	res, err := j.run(ctx, j.progress)
+	if err == nil {
+		raw, err = json.Marshal(res)
+		if err != nil {
+			err = fmt.Errorf("encoding result: %v", err)
 		}
 	}
 	cancel()
@@ -450,10 +432,8 @@ func (s *Server) runJob(j *job) {
 	wall := done.Sub(started)
 	jl := s.opts.Logger.With(log.F("job", j.id), log.F("kind", string(j.kind)),
 		log.F("wall_seconds", wall.Seconds()))
-	if node != "" {
-		jl = jl.With(log.F("node", node))
-	}
 	defer j.journal.Close()
+	delete(s.jobs, j.id)
 	switch {
 	case err == nil:
 		rec := store.Record{Job: j.id, Type: events.TypeDone, Result: raw, Time: done}
@@ -510,26 +490,15 @@ func (s *Server) startProgressSampler(j *job) (stop func()) {
 		defer close(done)
 		tick := time.NewTicker(s.opts.ProgressInterval)
 		defer tick.Stop()
-		var last events.ProgressCounts
+		var last tracing.ProgressSnapshot
 		emit := func() {
-			p := j.progress.Snapshot()
-			cur := events.ProgressCounts{
-				Scenarios:    events.Counts(p.Scenarios),
-				Cases:        events.Counts(p.Cases),
-				Replications: events.Counts(p.Replications),
-			}
+			cur := j.progress.Snapshot()
 			if cur == last {
 				return
 			}
 			last = cur
-			snap := cur
-			j.journal.Record(events.Event{Type: events.TypeProgress, Progress: &snap})
-			_ = s.store.Append(store.Record{Job: j.id, Type: events.TypeProgress,
-				Progress: &api.Progress{
-					Scenarios:    api.Counts(p.Scenarios),
-					Cases:        api.Counts(p.Cases),
-					Replications: api.Counts(p.Replications),
-				}})
+			j.journal.Record(events.Event{Type: events.TypeProgress, Progress: &cur})
+			_ = s.store.Append(store.Record{Job: j.id, Type: events.TypeProgress, Progress: &cur})
 		}
 		for {
 			select {
@@ -601,18 +570,16 @@ func (s *Server) snapshot(id string) api.Job {
 
 // decorate overlays the live progress counts onto a stored envelope:
 // the board is sampled into the store only periodically, so the
-// in-process counts are fresher whenever the job is local.
+// in-process counts are fresher while the job is queued or running.
+// A terminal job's envelope is the store's as is: the sampler stored
+// its final snapshot before the terminal record.
 func (s *Server) decorate(env api.Job) api.Job {
 	s.mu.Lock()
 	j := s.jobs[env.ID]
 	s.mu.Unlock()
 	if j != nil && j.progress != nil {
 		p := j.progress.Snapshot()
-		env.Progress = &api.Progress{
-			Scenarios:    api.Counts(p.Scenarios),
-			Cases:        api.Counts(p.Cases),
-			Replications: api.Counts(p.Replications),
-		}
+		env.Progress = &p
 	}
 	return env
 }
@@ -680,7 +647,8 @@ func (s *Server) cancelJob(id string) (api.Job, bool) {
 	rec, _ = s.store.Get(id)
 	switch {
 	case j == nil:
-		// Terminal on arrival (cache-answered): nothing to cancel.
+		// Terminal (finished, or cache-answered on arrival): nothing to
+		// cancel.
 	case rec.Env.State == api.JobQueued:
 		s.finalizeCancelledLocked(j, "cancelled while queued", events.TypeCancelled)
 	case rec.Env.State == api.JobRunning:
@@ -699,6 +667,7 @@ func (s *Server) cancelJob(id string) (api.Job, bool) {
 // shutdown) as the terminal transition. Callers hold s.mu.
 func (s *Server) finalizeCancelledLocked(j *job, why string, typ events.Type) {
 	_ = s.store.Append(store.Record{Job: j.id, Type: typ, Detail: why})
+	delete(s.jobs, j.id)
 	s.opts.Metrics.Counter("server.jobs_cancelled").Inc()
 	j.journal.Record(events.Event{Type: typ, Detail: why})
 	j.journal.Close()
@@ -770,8 +739,9 @@ func (s *Server) drainQueued() {
 	}
 }
 
-// progressSnapshot aggregates every job's progress board — the
-// /progress debug endpoint's view of the whole server.
+// progressSnapshot aggregates the progress boards of the queued and
+// running jobs — the /progress debug endpoint's view of the server's
+// outstanding work.
 func (s *Server) progressSnapshot() tracing.ProgressSnapshot {
 	s.mu.Lock()
 	boards := make([]*tracing.Progress, 0, len(s.jobs))

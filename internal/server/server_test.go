@@ -403,6 +403,55 @@ func TestCancelQueuedJob(t *testing.T) {
 	}
 }
 
+// TestTerminalJobsLeaveRuntimeMap pins the bound on the runtime job
+// map: a finished or cancelled job's entry (and with it the run closure
+// holding its parsed problem) is dropped, while its envelope, final
+// progress included, is still served from the store.
+func TestTerminalJobsLeaveRuntimeMap(t *testing.T) {
+	s, ts := newTestServer(t, Options{Queue: 4, Executors: 1})
+	runtimeJobs := func() int {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.jobs)
+	}
+
+	req := api.SimulateRequest{
+		Allocation: []api.Assignment{{Type: 0, Procs: 4}, {Type: 1, Procs: 4}, {Type: 1, Procs: 4}},
+		Techniques: []string{"STATIC"},
+		Reps:       3,
+		Seed:       42,
+	}
+	var j api.Job
+	post(t, ts.URL+"/v1/simulate", req, &j)
+	done := waitState(t, ts.URL, j.ID, api.JobDone)
+	if done.Progress == nil || done.Progress.Replications.Done != 9 {
+		t.Errorf("finished job progress %+v, want 9 replications done", done.Progress)
+	}
+	if n := runtimeJobs(); n != 0 {
+		t.Errorf("%d runtime entries after the job finished, want 0", n)
+	}
+	if p := s.progressSnapshot(); p != (tracing.ProgressSnapshot{}) {
+		t.Errorf("/progress still counts a finished job: %+v", p)
+	}
+
+	var running, queued api.Job
+	post(t, ts.URL+"/v1/simulate", longSimulate(), &running)
+	waitState(t, ts.URL, running.ID, api.JobRunning)
+	post(t, ts.URL+"/v1/simulate", longSimulate(), &queued)
+	if n := runtimeJobs(); n != 2 {
+		t.Fatalf("%d runtime entries with one job running and one queued, want 2", n)
+	}
+	del, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+queued.ID, nil)
+	resp, err := http.DefaultClient.Do(del)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if n := runtimeJobs(); n != 1 {
+		t.Errorf("%d runtime entries after cancelling the queued job, want 1", n)
+	}
+}
+
 func TestListJobsAndFilters(t *testing.T) {
 	_, ts := newTestServer(t, Options{Queue: 4, Executors: 1})
 	var a, b api.Job
@@ -590,6 +639,9 @@ func TestHealthz(t *testing.T) {
 	}
 	if h.Cache == nil {
 		t.Fatal("healthz: no cache block despite a configured cache")
+	}
+	if h.Store == nil || h.Store.Backend != "memory" {
+		t.Errorf("healthz store: %+v", h.Store)
 	}
 
 	// Run the same solve twice: the second replays from cache, and the

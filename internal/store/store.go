@@ -18,13 +18,16 @@
 //
 // The record schema is grown out of the internal/events lifecycle
 // types: a Record is an events-style transition (accepted, queued,
-// started, assigned, progress, done, failed, cancelled, drained) plus
-// the payloads the store must retain — the original request document
-// (so an interrupted job can be re-dispatched after a crash), the
-// result document, and the worker node holding the job's lease.
+// started, progress, done, failed, cancelled, drained) plus the
+// payloads the store must retain — the original request document (so
+// an interrupted job can be re-dispatched after a crash) and the
+// result document.
 //
 // Both stores materialize records into the same Job state machine
 // (apply), so WAL replay and live appends go through one code path.
+// apply ignores a record type it does not know, so a journal holding
+// frames of a retired type (such as the assigned leases of the removed
+// coordinator/worker mode) still replays.
 package store
 
 import (
@@ -37,6 +40,7 @@ import (
 
 	"cdsf/internal/api"
 	"cdsf/internal/events"
+	"cdsf/internal/tracing"
 )
 
 // Record is one lifecycle transition, the unit both stores append and
@@ -59,19 +63,16 @@ type Record struct {
 	// cancelled, the recovery note on a replayed re-queue.
 	Detail string `json:"detail,omitempty"`
 	// Request is the original request document, set on accepted. It is
-	// what makes crash recovery and remote dispatch possible: the job
-	// can be re-validated and re-run from its own record.
+	// what makes crash recovery possible: the job can be re-validated
+	// and re-run from its own record.
 	Request json.RawMessage `json:"request,omitempty"`
 	// Result is the finished result document, set on done.
 	Result json.RawMessage `json:"result,omitempty"`
-	// Node is the worker peer holding the job's lease, set on assigned
-	// ("" releases the lease back to the local executor pool).
-	Node string `json:"node,omitempty"`
 	// Cache is the envelope cache block, set on done when the server
 	// runs with a solve cache.
 	Cache *api.CacheInfo `json:"cache,omitempty"`
 	// Progress is a sampled progress snapshot, set on progress.
-	Progress *api.Progress `json:"progress,omitempty"`
+	Progress *tracing.ProgressSnapshot `json:"progress,omitempty"`
 }
 
 // Job is the materialized state of one job: the wire envelope plus the
@@ -122,8 +123,7 @@ type JobStore interface {
 	// Append applies one transition to the materialized state and, for
 	// durable backends, journals it. Accepted and terminal transitions
 	// do not return until the record is durable (fsynced); queued,
-	// started, assigned, and progress records are journaled
-	// asynchronously.
+	// started, and progress records are journaled asynchronously.
 	Append(rec Record) error
 	// Get returns the materialized job.
 	Get(id string) (Job, bool)
@@ -199,20 +199,16 @@ func (t *table) apply(rec Record) {
 		j.Env = api.Job{ID: rec.Job, Kind: rec.Kind, State: api.JobQueued, Created: when}
 		j.Request = rec.Request
 	case events.TypeQueued:
-		// Initial queueing, or a re-queue (crash recovery, lease
-		// reassignment): the job becomes runnable again with a clean
-		// slate.
+		// Initial queueing, or a re-queue (crash recovery): the job
+		// becomes runnable again with a clean slate.
 		j.Env.State = api.JobQueued
 		j.Env.Started = nil
 		j.Env.Finished = nil
 		j.Env.Result = nil
 		j.Env.Error = ""
-		j.Env.Node = ""
 	case events.TypeStarted:
 		j.Env.State = api.JobRunning
 		j.Env.Started = &when
-	case events.TypeAssigned:
-		j.Env.Node = rec.Node
 	case events.TypeProgress:
 		j.Env.Progress = rec.Progress
 	case events.TypeDone:

@@ -1,7 +1,9 @@
 package store
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,6 +11,7 @@ import (
 
 	"cdsf/internal/api"
 	"cdsf/internal/events"
+	"cdsf/internal/tracing"
 )
 
 // openAppend opens the journal file directly, for tests that corrupt
@@ -83,20 +86,19 @@ func TestApplyTransitions(t *testing.T) {
 	}
 	_ = m.Append(Record{Job: id, Type: events.TypeAccepted, Kind: api.KindSimulate})
 	_ = m.Append(Record{Job: id, Type: events.TypeStarted})
-	_ = m.Append(Record{Job: id, Type: events.TypeAssigned, Node: "w1"})
 	_ = m.Append(Record{Job: id, Type: events.TypeProgress,
-		Progress: &api.Progress{Replications: api.Counts{Done: 3, Planned: 9}}})
+		Progress: &tracing.ProgressSnapshot{Replications: tracing.Counts{Done: 3, Planned: 9}}})
 	j, _ := m.Get(id)
-	if j.Env.State != api.JobRunning || j.Env.Node != "w1" {
+	if j.Env.State != api.JobRunning {
 		t.Fatalf("running job %+v", j.Env)
 	}
 	if j.Env.Progress == nil || j.Env.Progress.Replications.Done != 3 {
 		t.Errorf("progress %+v", j.Env.Progress)
 	}
-	// A re-queue (recovery, lease reassignment) resets the slate.
+	// A re-queue (crash recovery) resets the slate.
 	_ = m.Append(Record{Job: id, Type: events.TypeQueued, Detail: "recovered"})
 	j, _ = m.Get(id)
-	if j.Env.State != api.JobQueued || j.Env.Node != "" || j.Env.Started != nil {
+	if j.Env.State != api.JobQueued || j.Env.Started != nil {
 		t.Fatalf("requeued job %+v", j.Env)
 	}
 	// Failure carries the message.
@@ -206,6 +208,51 @@ func TestWALTornTailTruncated(t *testing.T) {
 	}
 }
 
+// TestWALReplaysRetiredAssignedFrames pins the upgrade path from the
+// removed coordinator/worker mode: a journal written by a coordinator
+// holds assigned frames (a lease with the worker's name in "node"),
+// and replay must read them in full, ignore them, and recover the job.
+func TestWALReplaysRetiredAssignedFrames(t *testing.T) {
+	dir := t.TempDir()
+	f, err := openAppend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal := []byte(walMagic)
+	for _, payload := range []string{
+		`{"seq":1,"time":"2026-01-01T00:00:00Z","job":"job-000001","type":"accepted","kind":"solve","request":{"heuristic":"greedy","seed":5}}`,
+		`{"seq":2,"time":"2026-01-01T00:00:00Z","job":"job-000001","type":"queued"}`,
+		`{"seq":3,"time":"2026-01-01T00:00:01Z","job":"job-000001","type":"started"}`,
+		`{"seq":4,"time":"2026-01-01T00:00:01Z","job":"job-000001","type":"assigned","node":"w1"}`,
+	} {
+		var head [8]byte
+		binary.LittleEndian.PutUint32(head[0:4], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(head[4:8], crc32.Checksum([]byte(payload), castagnoli))
+		journal = append(append(journal, head[:]...), payload...)
+	}
+	if _, err := f.Write(journal); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	w, err := OpenWAL(dir, WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	st := w.Stats()
+	if st.TruncatedBytes != 0 || st.ReplayedRecords != 4 {
+		t.Errorf("replay stats %+v, want 4 records and no truncation", st)
+	}
+	inter := w.Interrupted()
+	if len(inter) != 1 || inter[0].Env.ID != "job-000001" || inter[0].Env.State != api.JobRunning {
+		t.Fatalf("interrupted %+v, want job-000001 running", inter)
+	}
+	if string(inter[0].Request) != `{"heuristic":"greedy","seed":5}` {
+		t.Errorf("interrupted request %s", inter[0].Request)
+	}
+}
+
 func TestWALRejectsForeignFile(t *testing.T) {
 	dir := t.TempDir()
 	f, err := openAppend(dir)
@@ -265,7 +312,7 @@ func TestRecordJSONOmitsEmptyPayloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, field := range []string{"request", "result", "node", "cache", "progress", "kind", "detail"} {
+	for _, field := range []string{"request", "result", "cache", "progress", "kind", "detail"} {
 		if contains(data, field) {
 			t.Errorf("empty %s serialized: %s", field, data)
 		}

@@ -26,8 +26,8 @@ import (
 // Durability contract: Append does not return for accepted and
 // terminal records (done, failed, cancelled, drained) until the frame
 // is fsynced — so a 202 response means the job survives kill -9, and
-// a done response means its result bytes do. Queued, started,
-// assigned, and progress records are written without waiting; losing
+// a done response means its result bytes do. Queued, started, and
+// progress records are written without waiting; losing
 // the tail of those to a crash only makes replay re-run slightly more
 // work, never lose a job. Fsyncs are group-committed: while one fsync
 // is in flight, every appender that arrives queues behind it and is
