@@ -14,7 +14,9 @@
 #                internal/robustness)
 #   make bench   run the benchmark suite with allocation stats
 #   make bench-pmf  refresh the PMF backend comparison behind
-#                BENCH_PMF2.json (sparse vs grid kernels, solve)
+#                BENCH_PMF2.json (sparse vs grid kernels, solve) and
+#                the DAG drill-downs (sparse composition, warm grid
+#                table bytes per instance)
 #   make bench-cache  refresh the solve-cache comparison behind
 #                BENCH_CACHE.json (result-tier replay, warm tables,
 #                delta-solve)
@@ -71,9 +73,12 @@ bench:
 
 # The raw numbers feeding BENCH_PMF2.json: the sparse reference kernels
 # (PMFOps), the sparse-vs-grid backend comparison on Stage-I-shaped
-# workloads (PMFBackends), and the end-to-end solve under each backend.
+# workloads (PMFBackends), and the end-to-end solve under each backend;
+# plus the DAG drill-downs: the sparse composition of one DAG-service
+# instance (ComposeDAG) and the warm-tier bytes its grid table leaves
+# in the cache (WarmGridTable, reported as warm_KiB/instance).
 bench-pmf:
-	$(GO) test -run=xxx -bench 'BenchmarkPMFOps|BenchmarkPMFBackends|BenchmarkSolveBackends|BenchmarkEvalTableBuild' -benchmem .
+	$(GO) test -run=xxx -bench 'BenchmarkPMFOps|BenchmarkPMFBackends|BenchmarkSolveBackends|BenchmarkEvalTableBuild|BenchmarkComposeDAG|BenchmarkWarmGridTable' -benchmem .
 
 # The raw numbers feeding BENCH_CACHE.json: result-tier replay at the
 # service layer (cold solve vs byte-identical repeat), warm evaluation
@@ -84,6 +89,7 @@ bench-cache:
 fuzz:
 	$(GO) test -run=xxx -fuzz=FuzzNew -fuzztime=10s ./internal/pmf
 	$(GO) test -run=xxx -fuzz=FuzzCombineMerge -fuzztime=10s ./internal/pmf
+	$(GO) test -run=xxx -fuzz=FuzzCombineOrder -fuzztime=10s ./internal/pmf
 	$(GO) test -run=xxx -fuzz=FuzzRebin -fuzztime=10s ./internal/pmf
 	$(GO) test -run=xxx -fuzz=FuzzGridSparse -fuzztime=10s ./internal/pmf
 	$(GO) test -run=xxx -fuzz=FuzzDAGValidate -fuzztime=10s ./internal/sysmodel

@@ -13,6 +13,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -28,10 +29,12 @@ import (
 	"cdsf/internal/experiments"
 	"cdsf/internal/pmf"
 	"cdsf/internal/ra"
+	"cdsf/internal/rng"
 	"cdsf/internal/robustness"
 	"cdsf/internal/server"
 	"cdsf/internal/sim"
 	"cdsf/internal/stats"
+	"cdsf/internal/sysmodel"
 )
 
 // ---------------------------------------------------------------------
@@ -768,4 +771,101 @@ func BenchmarkSolveBackends(b *testing.B) {
 			}
 		})
 	}
+}
+
+// ---------------------------------------------------------------------
+// DAG composition on the cdsfd DAG service shape (DESIGN.md section 13,
+// make bench-pmf): the sparse composition behind every DAG solve's
+// final EvaluateStageIDAG, and the warm-tier bytes a grid-backend DAG
+// instance leaves in the solve cache.
+
+// benchDAGInstance draws one instance of the DAG service shape: the
+// BENCH_CACHE family at eight applications and 50 pulses with every
+// mean jittered by up to +-20%, a three-layer random DAG at edge
+// density 0.5, and a deadline at a seeded 0.8-1.1 of the critical path
+// of expected times on four type-3 processors, so phi_1 lands inside
+// (0, 1).
+func benchDAGInstance(tb testing.TB, seed uint64) (*sysmodel.System, sysmodel.Batch, []sysmodel.Edge, float64) {
+	tb.Helper()
+	const apps = 8
+	r := rng.New(seed)
+	inst := benchCacheInstance(apps, 50)
+	for i := range inst.Applications {
+		for j := range inst.Applications[i].ExecTimes {
+			e := &inst.Applications[i].ExecTimes[j]
+			e.Mean = math.Round(e.Mean * (0.8 + 0.4*r.Float64()))
+		}
+	}
+	sys, bat, _, err := config.Build(inst)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	edges := experiments.LayeredEdges(seed, apps, 3, 0.5)
+	finish := make([]float64, apps)
+	cp := 0.0
+	for i, a := range inst.Applications {
+		total := float64(a.SerialIters + a.ParallelIters)
+		est := a.ExecTimes[2].Mean * (float64(a.SerialIters)/total + float64(a.ParallelIters)/total/4) / 0.6875
+		ready := 0.0
+		for _, e := range edges {
+			if e.To == i {
+				ready = math.Max(ready, finish[e.From])
+			}
+		}
+		finish[i] = ready + est
+		cp = math.Max(cp, finish[i])
+	}
+	return sys, bat, edges, math.Round(cp * (0.8 + 0.3*r.Float64()))
+}
+
+// benchDAGAllocation is a fixed feasible allocation of the eight
+// applications: two on T1, two on T2 and four on T3.
+var benchDAGAllocation = sysmodel.Allocation{
+	{Type: 0, Procs: 2}, {Type: 0, Procs: 2},
+	{Type: 1, Procs: 4}, {Type: 1, Procs: 4},
+	{Type: 2, Procs: 4}, {Type: 2, Procs: 4}, {Type: 2, Procs: 4}, {Type: 2, Procs: 4},
+}
+
+// BenchmarkComposeDAG measures the sparse DAG composition of one
+// DAG-service-shaped instance: the ~1800-pulse ready times of the third
+// layer are added to ~100-pulse completion PMFs, which is where the
+// sparse Combine's many-row merge runs.
+func BenchmarkComposeDAG(b *testing.B) {
+	sys, bat, edges, _ := benchDAGInstance(b, 12)
+	dists := make([]pmf.PMF, len(bat))
+	for i, as := range benchDAGAllocation {
+		dists[i] = bat[i].CompletionPMF(as.Type, as.Procs, sys.Types[as.Type].Avail)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		comp, err := sysmodel.ComposeDAG(dists, edges, sysmodel.DAGMaxPulses)
+		if err != nil {
+			b.Fatal(err)
+		}
+		composeSink = comp
+	}
+}
+
+// composeSink keeps BenchmarkComposeDAG's result live.
+var composeSink []pmf.PMF
+
+// BenchmarkWarmGridTable builds the grid-backend evaluation table of
+// one DAG-service-shaped instance into a fresh cache per iteration and
+// reports the warm-tier bytes the instance leaves behind, as counted by
+// the cache's LRU accounting (cache.Stats().Bytes).
+func BenchmarkWarmGridTable(b *testing.B) {
+	sys, bat, edges, deadline := benchDAGInstance(b, 12)
+	var bytes int64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c := cache.New(cache.Options{})
+		prob := &ra.Problem{Sys: sys, Batch: bat, Deadline: deadline, Edges: edges,
+			Backend: pmf.BackendGrid, Cache: c}
+		if err := prob.Precompute(1); err != nil {
+			b.Fatal(err)
+		}
+		bytes = c.Stats().Bytes
+	}
+	b.ReportMetric(float64(bytes)/1024, "warm_KiB/instance")
 }

@@ -141,9 +141,9 @@ func (h *Hasher) Sum() Key {
 // distributions of a Stage-I evaluation table, indexed exactly like
 // ra's cell array — (app*Types + type)*Logs + log2(procs) — with nil
 // in the slots whose power-of-2 count exceeds the type's capacity.
-// Cells must be immutable and pool-detached (grid distributions must
-// be Clone()s, never grids whose buffers may return to the sync.Pool);
-// a Table is shared by every goroutine that hits it.
+// Cells must be immutable and pool-detached (grid distributions are
+// stored as *pmf.PackedGrid, never as grids whose buffers may return
+// to the sync.Pool); a Table is shared by every goroutine that hits it.
 type Table struct {
 	Types int
 	Logs  int
@@ -162,15 +162,19 @@ func (t *Table) footprint() int64 {
 
 // distFootprint estimates the resident bytes of one distribution.
 func distFootprint(d pmf.Dist) int64 {
-	switch d.(type) {
+	switch x := d.(type) {
 	case nil:
 		return 0
 	case pmf.PMF:
 		// 16 bytes per pulse plus the cached CDF.
-		return int64(24*d.Len()) + 48
+		return int64(24*x.Len()) + 48
+	case *pmf.PackedGrid:
+		// An int32 offset, the mass and the CDF per occupied bin, plus
+		// the struct (three slice headers and the lattice fields).
+		return int64(20*x.Occupied()) + 96
 	case *pmf.Grid:
 		// Dense mass plus dense CDF.
-		return int64(16*d.Len()) + 64
+		return int64(16*x.Len()) + 64
 	default:
 		return 64
 	}

@@ -399,8 +399,20 @@ func TestDistFootprint(t *testing.T) {
 	}
 	g := p.ToGrid(1)
 	defer g.Release()
-	if distFootprint(g.Clone()) <= 0 {
+	if distFootprint(g) <= 0 {
 		t.Error("grid footprint")
+	}
+	// A packed grid counts its real bytes: a 4-byte offset, mass and
+	// CDF per occupied bin plus the struct, however wide the span.
+	wide := pmf.MustNew([]pmf.Pulse{{Value: 1, Prob: 0.25}, {Value: 500, Prob: 0.5}, {Value: 1000, Prob: 0.25}})
+	wg := wide.ToGrid(1)
+	defer wg.Release()
+	packed := wg.Pack()
+	if got, want := distFootprint(packed), int64(3*20+96); got != want {
+		t.Errorf("packed footprint = %d, want %d", got, want)
+	}
+	if packed.Len() != 1000 || distFootprint(packed)*100 > distFootprint(wg) {
+		t.Errorf("packed %d-bin span counted %d bytes against the dense %d", packed.Len(), distFootprint(packed), distFootprint(wg))
 	}
 	tbl := &Table{Types: 1, Logs: 1, Cells: []pmf.Dist{p, nil}}
 	if tbl.footprint() <= 0 {

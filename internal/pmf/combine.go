@@ -1,9 +1,9 @@
 package pmf
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 )
@@ -32,12 +32,12 @@ func getScratch(n int) *[]Pulse {
 }
 
 // smallCombinePulses is the output size below which Combine prefers
-// the direct product loop of combineSmall over the k-way merge: for a
+// the direct product loop of combineSmall over the row merge: for a
 // handful of rows of a few dozen pulses, sorting the cross product
-// outright is cheaper than the merge's per-output cursor scans. The
-// threshold is deliberately below the ~750-pulse completion-time
-// divisions of the paper instance, which stay on the merge path (and
-// therefore keep their exact historical bit patterns).
+// outright is cheaper than orienting and merging rows. The threshold
+// is deliberately below the ~750-pulse completion-time divisions of
+// the paper instance, which stay on the merge path (and therefore keep
+// their exact historical bit patterns).
 const smallCombinePulses = 256
 
 // combineSmall is the naive cross product with the defensive copy of
@@ -70,42 +70,20 @@ func combineSmall(p, q PMF, f func(x, y float64) float64) (PMF, bool) {
 	return out, true
 }
 
-// rowHeap is a min-heap of row cursors ordered by the current head value
-// of each row, with the row index as a deterministic tie-break.
-type rowHeap struct {
-	flat []Pulse // n rows of m pulses each, each row ascending
-	m    int
-	rows []int // heap of row indices
-	pos  []int // pos[r] = cursor into row r
-}
-
-func (h *rowHeap) Len() int { return len(h.rows) }
-func (h *rowHeap) Less(i, j int) bool {
-	ri, rj := h.rows[i], h.rows[j]
-	vi := h.flat[ri*h.m+h.pos[ri]].Value
-	vj := h.flat[rj*h.m+h.pos[rj]].Value
-	if vi != vj {
-		return vi < vj
-	}
-	return ri < rj
-}
-func (h *rowHeap) Swap(i, j int) { h.rows[i], h.rows[j] = h.rows[j], h.rows[i] }
-func (h *rowHeap) Push(x any)    { h.rows = append(h.rows, x.(int)) }
-func (h *rowHeap) Pop() any {
-	old := h.rows
-	n := len(old)
-	x := old[n-1]
-	h.rows = old[:n-1]
-	return x
-}
-
 // combineMerge is the fast path of Combine: it lays the cross product
 // out as k sorted rows (k = the smaller of the two pulse counts, so the
 // merge degree is minimal), checks that every row is monotone, orients
-// each row ascending, and k-way-merges the rows so pulses are emitted in
+// each row ascending, and merges the rows so pulses are emitted in
 // globally sorted order. ok is false when a row is non-monotone or
 // contains a non-finite value, in which case the caller must use the
 // naive path (whose constructor reports the error).
+//
+// The emission order is the order contract that keeps every result's
+// bits fixed: ascending value, ties broken by row, then by position
+// within the oriented row. That is exactly a stable sort of the
+// row-major cross product by value, so the pulse sequence finishSorted
+// sees — and with it the order in which tied and close values are
+// summed — never depends on which merge strategy produced it.
 func combineMerge(p, q PMF, f func(x, y float64) float64) (PMF, bool) {
 	outer, inner := p.pulses, q.pulses
 	swapped := false
@@ -168,8 +146,9 @@ func combineMerge(p, q PMF, f func(x, y float64) float64) (PMF, bool) {
 		out = append(out, flat...)
 	case k <= 6:
 		// Low merge degree (the common case: availability PMFs have a
-		// handful of pulses): a straight multi-cursor scan beats the
-		// interface-dispatched heap.
+		// handful of pulses): a single multi-cursor scan beats
+		// log2(k) merge passes. Taking the lowest row among equal
+		// heads emits the same order as mergeRows.
 		pos := make([]int, k)
 		for len(out) < k*m {
 			best := -1
@@ -187,27 +166,60 @@ func combineMerge(p, q PMF, f func(x, y float64) float64) (PMF, bool) {
 			pos[best]++
 		}
 	default:
-		h := &rowHeap{flat: flat, m: m, rows: make([]int, k), pos: make([]int, k)}
-		for i := range h.rows {
-			h.rows[i] = i
-		}
-		heap.Init(h)
-		for h.Len() > 0 {
-			r := h.rows[0]
-			out = append(out, flat[r*m+h.pos[r]])
-			h.pos[r]++
-			if h.pos[r] == m {
-				heap.Pop(h)
-			} else {
-				heap.Fix(h, 0)
-			}
-		}
+		out = out[:k*m]
+		mergeRows(out, flat, m)
 	}
 	pm, err := finishSorted(out, total)
 	if err != nil {
 		return PMF{}, false
 	}
 	return pm, true
+}
+
+// mergeRows stably merges the ascending runs of length m in src into
+// dst (len(dst) == len(src)), bottom up: each pass merges adjacent
+// pairs of runs, doubling the run length, so k rows take ceil(log2 k)
+// sequential passes and O(n log k) comparisons on every input — no
+// value distribution can degrade it. Taking the left run on ties keeps
+// the merge stable, so the output is the (value, row, position) order
+// of combineMerge's contract. Passes alternate between the two
+// buffers, so src is overwritten.
+func mergeRows(dst, src []Pulse, m int) {
+	n := len(src)
+	if bits.Len(uint(n/m-1))%2 == 0 {
+		// An even pass count would end in src: start from a copy in dst.
+		copy(dst, src)
+		src, dst = dst, src
+	}
+	for run := m; run < n; run *= 2 {
+		for lo := 0; lo < n; lo += 2 * run {
+			mid, hi := min(lo+run, n), min(lo+2*run, n)
+			mergeTwo(dst[lo:hi], src[lo:mid], src[mid:hi])
+		}
+		src, dst = dst, src
+	}
+}
+
+// mergeTwo merges the ascending runs x and y into dst (len(dst) ==
+// len(x)+len(y)), taking from x on ties.
+func mergeTwo(dst, x, y []Pulse) {
+	if len(y) == 0 || x[len(x)-1].Value <= y[0].Value {
+		copy(dst[copy(dst, x):], y)
+		return
+	}
+	i, j, d := 0, 0, 0
+	for i < len(x) && j < len(y) {
+		if y[j].Value < x[i].Value {
+			dst[d] = y[j]
+			j++
+		} else {
+			dst[d] = x[i]
+			i++
+		}
+		d++
+	}
+	d += copy(dst[d:], x[i:])
+	copy(dst[d:], y[j:])
 }
 
 // CombineOption configures CombineMany.

@@ -2,6 +2,9 @@ package pmf
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -82,6 +85,147 @@ func FuzzCombineMerge(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzCombineOrder pins the order contract of the sparse Combine on
+// the many-row merge path (at least seven rows, more than
+// smallCombinePulses products): Add, Sub, Mul and Div must equal, bit
+// for bit in every value, probability and cached CDF entry,
+// stableCombineRef — the oriented row-major cross product put in order
+// by a stable sort on value. Pulse values are small integers times a
+// scale, so the cross product is full of exact ties (and of -0/+0
+// pairs, which compare equal but keep their sign); negative values give
+// descending rows for Sub and Mul; scales near 1e98 put the spans near
+// +-1e100.
+func FuzzCombineOrder(f *testing.F) {
+	f.Add(uint64(1), uint8(0), uint8(0), uint8(0), 1.0, uint8(0))
+	f.Add(uint64(2), uint8(9), uint8(40), uint8(1), 1.0, uint8(1))
+	f.Add(uint64(3), uint8(30), uint8(3), uint8(2), -0.5, uint8(3))
+	f.Add(uint64(4), uint8(5), uint8(17), uint8(3), 1.0, uint8(4))
+	f.Add(uint64(5), uint8(12), uint8(50), uint8(0), 1e98, uint8(2))
+	f.Add(uint64(6), uint8(7), uint8(11), uint8(2), -1e98, uint8(1))
+	f.Add(uint64(7), uint8(2), uint8(29), uint8(3), 0.25, uint8(6))
+	f.Fuzz(func(t *testing.T, seed uint64, np, nq, op uint8, scale float64, shape uint8) {
+		if scale == 0 || math.IsNaN(scale) || math.Abs(scale) > 1e98 || math.Abs(scale) < 1e-100 {
+			return
+		}
+		r := rand.New(rand.NewSource(int64(seed)))
+		sp, sq := 7+int(np)%16, 7+int(nq)%56
+		if sp*sq <= smallCombinePulses {
+			sq = smallCombinePulses/sp + 1
+		}
+		op %= 4
+		// draw returns n distinct integer-valued pulses times scale.
+		// shape&1 keeps 0 in the support (as -0 with shape&2); a Div
+		// divisor has no zero and one sign (negative with shape&4), so
+		// its rows stay monotone.
+		draw := func(n int, divisor bool) PMF {
+			w := n + 8
+			vals := r.Perm(2*w + 1)
+			ps := make([]Pulse, 0, n)
+			for _, v := range vals {
+				x := float64(v - w)
+				switch {
+				case divisor:
+					x = float64(v + 1)
+					if shape&4 != 0 {
+						x = -x
+					}
+				case x == 0 && shape&1 == 0:
+					continue
+				case x == 0 && shape&2 != 0:
+					x = math.Copysign(0, -1)
+				}
+				ps = append(ps, Pulse{Value: x * scale, Prob: float64(1 + r.Intn(4))})
+				if len(ps) == n {
+					break
+				}
+			}
+			return MustNew(ps)
+		}
+		p, q := draw(sp, false), draw(sq, op == 3)
+		if p.Len() != sp || q.Len() != sq {
+			t.Fatalf("drew %d and %d pulses, want %d and %d", p.Len(), q.Len(), sp, sq)
+		}
+		fns := []func(x, y float64) float64{
+			func(x, y float64) float64 { return x + y },
+			func(x, y float64) float64 { return x - y },
+			func(x, y float64) float64 { return x * y },
+			func(x, y float64) float64 { return x / y },
+		}
+		want, ok := stableCombineRef(p, q, fns[op])
+		if !ok {
+			return // not a merge-path input
+		}
+		var got PMF
+		switch op {
+		case 0:
+			got = Add(p, q)
+		case 1:
+			got = Sub(p, q)
+		case 2:
+			got = Mul(p, q)
+		default:
+			got = Div(p, q)
+		}
+		if got.Len() != want.Len() {
+			t.Fatalf("op %d: %d pulses, reference %d", op, got.Len(), want.Len())
+		}
+		for i := range got.pulses {
+			g, w := got.pulses[i], want.pulses[i]
+			if math.Float64bits(g.Value) != math.Float64bits(w.Value) ||
+				math.Float64bits(g.Prob) != math.Float64bits(w.Prob) ||
+				math.Float64bits(got.cdf[i]) != math.Float64bits(want.cdf[i]) {
+				t.Fatalf("op %d: pulse %d = %x:%x (cdf %x), reference %x:%x (cdf %x)",
+					op, i, g.Value, g.Prob, got.cdf[i], w.Value, w.Prob, want.cdf[i])
+			}
+		}
+	})
+}
+
+// stableCombineRef is the specification of the sparse Combine's merge
+// path: the cross product laid out row-major with the smaller PMF as
+// the rows, each row oriented ascending, the total mass summed in
+// layout order before orientation, and the whole sorted by value with
+// a stable sort — ties in (row, position) order. ok is false when the
+// merge path would decline the input (a non-monotone row or a
+// non-finite value).
+func stableCombineRef(p, q PMF, f func(x, y float64) float64) (PMF, bool) {
+	outer, inner, swapped := p.pulses, q.pulses, false
+	if len(outer) > len(inner) {
+		outer, inner, swapped = inner, outer, true
+	}
+	all := make([]Pulse, 0, len(outer)*len(inner))
+	total := 0.0
+	for _, a := range outer {
+		row := make([]Pulse, 0, len(inner))
+		for _, b := range inner {
+			v := f(a.Value, b.Value)
+			if swapped {
+				v = f(b.Value, a.Value)
+			}
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return PMF{}, false
+			}
+			row = append(row, Pulse{Value: v, Prob: a.Prob * b.Prob})
+			total += a.Prob * b.Prob
+		}
+		up, down := false, false
+		for j := 1; j < len(row); j++ {
+			up = up || row[j].Value > row[j-1].Value
+			down = down || row[j].Value < row[j-1].Value
+		}
+		if up && down {
+			return PMF{}, false
+		}
+		if down {
+			slices.Reverse(row)
+		}
+		all = append(all, row...)
+	}
+	sort.SliceStable(all, func(i, j int) bool { return all[i].Value < all[j].Value })
+	out, err := finishSorted(all, total)
+	return out, err == nil
 }
 
 // FuzzGridSparse checks the grid backend against the sparse reference

@@ -170,21 +170,6 @@ func (g *Grid) check() {
 	}
 }
 
-// Clone returns a deep copy detached from the buffer pool: the copy
-// owns plain heap slices, so it remains valid after the receiver is
-// Released and may be retained indefinitely (the solve cache's warm
-// tier stores clones). Releasing a clone only poisons it; nothing goes
-// back to the pool.
-func (g *Grid) Clone() *Grid {
-	g.check()
-	return &Grid{
-		step:  g.step,
-		first: g.first,
-		mass:  append([]float64(nil), g.mass...),
-		cdf:   append([]float64(nil), g.cdf...),
-	}
-}
-
 // ToGrid quantizes the PMF onto the lattice of the given step: each
 // pulse's mass lands in the bin its value rounds to. This is the one
 // lossy conversion of the backend — every support point moves by at

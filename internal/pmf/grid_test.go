@@ -289,33 +289,6 @@ func TestGridReleasePoisoning(t *testing.T) {
 	mustPanicWith("Add with released operand", "use of a released Grid", func() { live.Add(h) })
 }
 
-// TestGridCloneSurvivesRelease pins the cache-retention contract:
-// Clone detaches from the pool, so releasing the original leaves the
-// clone fully usable and releasing the clone returns nothing to the
-// pool.
-func TestGridCloneSurvivesRelease(t *testing.T) {
-	p := latticePMF(t, 1, []int64{1, 2, 3}, []float64{0.25, 0.5, 0.25})
-	g := p.ToGrid(1)
-	c := g.Clone()
-	g.Release()
-	if !almostEqual(c.Mean(), p.Mean(), 1e-9) {
-		t.Fatalf("clone mean after original released: %v, want %v", c.Mean(), p.Mean())
-	}
-	for _, x := range []float64{0, 1, 2, 3, 4} {
-		if got, want := c.PrLE(x), p.PrLE(x); got != want {
-			t.Fatalf("clone PrLE(%v) = %v, want %v", x, got, want)
-		}
-	}
-	// Releasing the clone poisons it but must not feed the pool a
-	// buffer the pool never owned.
-	c.Release()
-	fresh := p.ToGrid(1)
-	defer fresh.Release()
-	if err := fresh.Validate(); err != nil {
-		t.Fatalf("grid built after clone release: %v", err)
-	}
-}
-
 func TestGridString(t *testing.T) {
 	p := latticePMF(t, 1, []int64{1, 3}, []float64{0.5, 0.5})
 	g := p.ToGrid(1)

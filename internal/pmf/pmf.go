@@ -274,10 +274,11 @@ func (p PMF) Shift(c float64) PMF {
 //
 // When f is monotone in y over q's support for every fixed pulse of p
 // (true for all the named operators on their valid inputs), the cross
-// product is generated as a k-way merge of pre-sorted rows, so the
-// result is built in sorted order and the O(nm log nm) sort inside New
-// is skipped. Operators that are not row-monotone fall back to the
-// naive cross product transparently; both paths produce the same PMF.
+// product is laid out as pre-sorted rows and merged in
+// (value, row, position) order, so the result is built in sorted order
+// and the O(nm log nm) sort inside New is skipped. Operators that are
+// not row-monotone fall back to the naive cross product transparently;
+// both paths produce the same PMF.
 //
 // Below smallCombinePulses output pulses the merge bookkeeping (row
 // orientation, monotonicity checks, cursor scans) costs more than just

@@ -1,10 +1,14 @@
 package ra
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"cdsf/internal/cache"
 	"cdsf/internal/pmf"
+	"cdsf/internal/stats"
+	"cdsf/internal/sysmodel"
 )
 
 // cloneProblem returns a fresh un-precomputed Problem over the same
@@ -73,6 +77,125 @@ func TestCacheBitIdenticalCells(t *testing.T) {
 				t.Errorf("allocations diverge: %s vs %s", alPlain, alWarm)
 			}
 		})
+	}
+}
+
+// dagServiceProblem builds a DAG instance of the cdsfd DAG service
+// shape: eight applications over three processor types (4, 8 and 16
+// processors) at 50 pulses, in three layers [0,2), [2,5), [5,8) with
+// every later-layer application fed by one to two predecessors.
+func dagServiceProblem() *Problem {
+	avail := func(vs ...float64) pmf.PMF {
+		ps := make([]pmf.Pulse, 0, len(vs)/2)
+		for i := 0; i < len(vs); i += 2 {
+			ps = append(ps, pmf.Pulse{Value: vs[i], Prob: vs[i+1]})
+		}
+		return pmf.MustNew(ps)
+	}
+	sys := &sysmodel.System{Types: []sysmodel.ProcType{
+		{Name: "T1", Count: 4, Avail: avail(0.75, 0.5, 1, 0.5)},
+		{Name: "T2", Count: 8, Avail: avail(0.25, 0.25, 0.5, 0.25, 1, 0.5)},
+		{Name: "T3", Count: 16, Avail: avail(0.5, 0.5, 1, 0.5)},
+	}}
+	b := make(sysmodel.Batch, 8)
+	for i := range b {
+		fi := float64(i)
+		exec := make([]pmf.PMF, 3)
+		for j, mu := range []float64{1500 + 300*fi, 3000 + 500*fi, 2000 + 400*fi} {
+			exec[j] = pmf.Discretize(stats.NewNormal(mu, mu/10), 50)
+		}
+		b[i] = sysmodel.Application{Name: fmt.Sprintf("App %d", i+1),
+			SerialIters: 200 + 50*i, ParallelIters: 1024 + 512*i, ExecTime: exec}
+	}
+	return &Problem{Sys: sys, Batch: b, Deadline: 7000, Backend: pmf.BackendGrid,
+		Edges: []sysmodel.Edge{{From: 0, To: 2}, {From: 1, To: 2}, {From: 0, To: 3}, {From: 1, To: 4},
+			{From: 2, To: 5}, {From: 3, To: 5}, {From: 3, To: 6}, {From: 2, To: 7}, {From: 4, To: 7}}}
+}
+
+// TestCacheBitIdenticalDAGGrid extends the cache contract to the path
+// from warm-tier grid cells into DAG composition: on the grid backend
+// the DAG objective is bit-identical with the cache absent, cold and
+// warm, and equals sysmodel.ComposeDAGGrid over freshly computed
+// CompletionGrids. It also bounds what the instance leaves in the warm
+// tier: packed cells count at most a quarter of the dense grids' bytes.
+func TestCacheBitIdenticalDAGGrid(t *testing.T) {
+	base := dagServiceProblem()
+	fresh := func(c *cache.Cache) *Problem {
+		p := cloneProblem(base)
+		p.Edges, p.Cache = base.Edges, c
+		if err := p.Precompute(2); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	c := cache.New(cache.Options{})
+	plain, cold, warm := fresh(nil), fresh(c), fresh(c)
+	if h, m := cold.CacheCounts(); h != 0 || m == 0 {
+		t.Fatalf("cold build counts = (%d, %d), want (0, >0)", h, m)
+	}
+	if h, m := warm.CacheCounts(); h == 0 || m != 0 {
+		t.Fatalf("warm build counts = (%d, %d), want (>0, 0)", h, m)
+	}
+
+	as := func(ts, ps []int) sysmodel.Allocation {
+		al := make(sysmodel.Allocation, len(ts))
+		for i := range ts {
+			al[i] = sysmodel.Assignment{Type: ts[i], Procs: ps[i]}
+		}
+		return al
+	}
+	allocs := []sysmodel.Allocation{
+		as([]int{0, 0, 1, 1, 2, 2, 2, 2}, []int{2, 2, 4, 4, 4, 4, 4, 4}),
+		as([]int{2, 2, 2, 2, 2, 2, 2, 2}, []int{2, 2, 2, 2, 2, 2, 2, 2}),
+		as([]int{1, 0, 2, 1, 2, 0, 2, 1}, []int{4, 1, 8, 2, 4, 2, 4, 2}),
+		// Non-power-of-2 counts miss the table and are computed directly.
+		as([]int{0, 0, 1, 1, 2, 2, 2, 2}, []int{3, 1, 5, 3, 6, 3, 3, 4}),
+	}
+	step := base.gridStep()
+	for n, al := range allocs {
+		want := 0.0
+		for k, p := range []*Problem{plain, cold, warm} {
+			got, err := p.Objective(al)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if k == 0 {
+				want = got
+			} else if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("allocation %d: objective %x with cache state %d, cacheless %x", n, got, k, want)
+			}
+		}
+		grids := make([]*pmf.Grid, len(base.Batch))
+		for i, a := range al {
+			grids[i] = base.Batch[i].CompletionGrid(a.Type, a.Procs, base.Sys.Types[a.Type].Avail, step)
+		}
+		comp, err := sysmodel.ComposeDAGGrid(grids, base.Edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		phi := 1.0
+		for _, s := range sysmodel.Sinks(base.Edges, len(base.Batch)) {
+			phi *= comp[s].PrLE(base.Deadline)
+		}
+		sysmodel.ReleaseGrids(comp)
+		if math.Float64bits(phi) != math.Float64bits(want) {
+			t.Fatalf("allocation %d: objective %x, direct composition %x", n, want, phi)
+		}
+		if want <= 0 || want >= 1 {
+			t.Errorf("allocation %d: objective %v outside (0, 1) pins nothing", n, want)
+		}
+	}
+
+	dense := int64(0)
+	for _, d := range cold.table.dists {
+		if d != nil {
+			dense += int64(16*d.Len()) + 64
+		}
+	}
+	got := c.Stats().Bytes
+	t.Logf("warm tier: %d bytes packed, %d bytes as dense grids", got, dense)
+	if got*4 > dense {
+		t.Errorf("warm tier holds %d bytes for the instance, more than a quarter of the dense grids' %d", got, dense)
 	}
 }
 

@@ -10,7 +10,8 @@ package ra
 // uses pmf.Max/pmf.Add with compaction, the grid backend uses the
 // CDF-product MaxWith and index-shifted Add on the table's lattice —
 // and the per-cell distributions retained by Precompute make each
-// composition start from O(1) table reads.
+// composition start from table reads (sparse PMFs directly, packed
+// grid cells through one Unpack each).
 
 import (
 	"cdsf/internal/pmf"
@@ -44,12 +45,15 @@ func (p *Problem) dagPhi(al sysmodel.Allocation) float64 {
 	n := len(p.Batch)
 	sinks := sysmodel.Sinks(p.Edges, n)
 	if p.Backend.IsGrid() {
+		// Cells are stored packed; composition runs on pooled dense
+		// copies, which ComposeDAGGrid consumes.
 		dists := make([]*pmf.Grid, n)
 		for i := 0; i < n; i++ {
-			dists[i] = p.distFor(i, al[i]).(*pmf.Grid)
+			dists[i] = p.distFor(i, al[i]).(*pmf.PackedGrid).Unpack()
 		}
 		comp, err := sysmodel.ComposeDAGGrid(dists, p.Edges)
 		if err != nil {
+			sysmodel.ReleaseGrids(dists)
 			return 0
 		}
 		phi := 1.0

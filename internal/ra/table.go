@@ -229,12 +229,14 @@ func (p *Problem) computeCell(i int, as sysmodel.Assignment) memoVal {
 
 // computeDist evaluates one cell's full completion-time distribution —
 // the cacheable, deadline-invariant object behind computeCell. The
-// grid path clones off the pooled buffers so the returned distribution
-// may be retained indefinitely.
+// grid path packs the grid off the pooled buffers (only its occupied
+// bins are kept), so the returned distribution is small and may be
+// retained indefinitely; it answers PrLE and Mean with the dense
+// grid's bits.
 func (p *Problem) computeDist(i int, as sysmodel.Assignment) pmf.Dist {
 	if p.Backend.IsGrid() {
 		g := p.Batch[i].CompletionGrid(as.Type, as.Procs, p.Sys.Types[as.Type].Avail, p.gridStep())
-		c := g.Clone()
+		c := g.Pack()
 		g.Release()
 		return c
 	}

@@ -238,9 +238,11 @@ func ComposeDAG(dists []pmf.PMF, edges []Edge, maxPulses int) ([]pmf.PMF, error)
 // ComposeDAGGrid is ComposeDAG on the dense grid backend: all inputs
 // must share one lattice step, Max is the CDF-product MaxWith and Add
 // the exact index-shifted convolution, so no compaction is needed —
-// the lattice itself bounds resolution. Every returned grid is owned
-// by the caller and must be Released (source applications are
-// cloned); the input grids are never released here.
+// the lattice itself bounds resolution. It consumes the input grids:
+// as in ComposeDAG, a source application's grid is returned unchanged
+// as its own output, and every other input is Released once it has
+// been added. Every returned grid is owned by the caller and must be
+// Released. On error the inputs are untouched and stay the caller's.
 func ComposeDAGGrid(dists []*pmf.Grid, edges []Edge) ([]*pmf.Grid, error) {
 	order, err := TopoOrder(edges, len(dists))
 	if err != nil {
@@ -250,7 +252,7 @@ func ComposeDAGGrid(dists []*pmf.Grid, edges []Edge) ([]*pmf.Grid, error) {
 	out := make([]*pmf.Grid, len(dists))
 	for _, i := range order {
 		if len(preds[i]) == 0 {
-			out[i] = dists[i].Clone()
+			out[i] = dists[i]
 			continue
 		}
 		ready := out[preds[i][0]]
@@ -263,6 +265,7 @@ func ComposeDAGGrid(dists []*pmf.Grid, edges []Edge) ([]*pmf.Grid, error) {
 			ready, owned = next, true
 		}
 		out[i] = ready.Add(dists[i])
+		dists[i].Release()
 		if owned {
 			ready.Release()
 		}

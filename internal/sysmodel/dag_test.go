@@ -182,7 +182,6 @@ func TestComposeDAGGridAgreesSparse(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ReleaseGrids(composed)
-	defer ReleaseGrids(grids)
 	for i := range dists {
 		for _, x := range []float64{2, 3, 4, 5, 6, 7} {
 			if got, want := composed[i].PrLE(x), sparse[i].PrLE(x); math.Abs(got-want) > 1e-12 {
