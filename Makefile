@@ -20,10 +20,12 @@
 #   make bench-cache  refresh the solve-cache comparison behind
 #                BENCH_CACHE.json (result-tier replay, warm tables,
 #                delta-solve)
-#   make fuzz    run each pmf fuzz target briefly
+#   make fuzz    run each fuzz target briefly (pmf kernels, DAG
+#                validation, WAL replay)
 #   make serve   build and run the cdsfd scheduling service locally
 #   make smoke-sse  end-to-end smoke: a real cdsfd subprocess streams a
-#                seeded solve job's full event journal over SSE
+#                seeded solve job's full event log (derived from its
+#                store records) over SSE
 #   make smoke-dag  end-to-end smoke: a real cdsfd subprocess solves a
 #                seeded fork-join DAG with heft and the result matches
 #                the direct library computation bit for bit
@@ -93,6 +95,7 @@ fuzz:
 	$(GO) test -run=xxx -fuzz=FuzzRebin -fuzztime=10s ./internal/pmf
 	$(GO) test -run=xxx -fuzz=FuzzGridSparse -fuzztime=10s ./internal/pmf
 	$(GO) test -run=xxx -fuzz=FuzzDAGValidate -fuzztime=10s ./internal/sysmodel
+	$(GO) test -run=xxx -fuzz=FuzzWALReplay -fuzztime=10s ./internal/store
 
 serve:
 	$(GO) run ./cmd/cdsfd -addr $(SERVE_ADDR)

@@ -13,22 +13,22 @@
 // plus a job envelope; 429 with Retry-After when the queue is full),
 // poll GET /v1/jobs/{id}, cancel with DELETE /v1/jobs/{id}, and list
 // with GET /v1/jobs?state=queued,running (&limit=N&after=ID paginates).
-// Every job keeps an append-only event journal: GET
-// /v1/jobs/{id}/events returns it as JSON, ?follow=1 streams it live
-// as Server-Sent Events (reconnect with Last-Event-ID to resume), and
-// GET /debug/events is the cross-job flight recorder. GET /v1/healthz
-// reports queue depth, inflight jobs, drain state, cache counters, and
-// the job store's backend and replay stats. With -log, the service
-// also writes structured JSON-lines logs. The debug endpoints every
-// CLI exposes behind -debug-addr (/metrics, /progress, /trace,
-// /debug/pprof/*) are mounted on the same address.
+// Every job keeps an event log derived from its lifecycle records in
+// the job store: GET /v1/jobs/{id}/events returns it as JSON, and
+// ?follow=1 streams it live as Server-Sent Events (reconnect with
+// Last-Event-ID to resume). GET /v1/healthz reports queue depth,
+// inflight jobs, drain or degraded state, cache counters, and the job
+// store's backend and replay stats. With -log, the service also writes
+// structured JSON-lines logs, one line per transition of every job.
+// The debug endpoints every CLI exposes behind -debug-addr (/metrics,
+// /progress, /trace, /debug/pprof/*) are mounted on the same address.
 //
 // With -store DIR the job lifecycle is journaled to an append-only WAL
 // under DIR: a 202 means the job is fsynced, and a restart replays the
-// journal, re-serves every finished result bit-identically, and
-// re-enqueues the jobs a crash interrupted (seeded jobs re-run to the
-// same bytes — DESIGN.md §12). Without -store, jobs live in process
-// memory exactly as before.
+// journal, re-serves every finished result bit-identically together
+// with its event history, and re-enqueues the jobs a crash interrupted
+// (seeded jobs re-run to the same bytes — DESIGN.md §12). Without
+// -store, jobs live in process memory exactly as before.
 //
 // SIGINT/SIGTERM (and -timeout) drain the service: admission stops
 // (503), queued jobs are cancelled, running jobs get -drain-timeout to
@@ -47,7 +47,6 @@ import (
 	"time"
 
 	"cdsf/internal/api"
-	"cdsf/internal/events"
 	"cdsf/internal/runner"
 	"cdsf/internal/server"
 	"cdsf/internal/store"
@@ -88,7 +87,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			Metrics:    s.Metrics,
 			Tracer:     s.Tracer,
 			Cache:      s.Cache,
-			Events:     events.NewLog(events.Options{Metrics: s.Metrics}),
 			Logger:     s.Log,
 			Store:      js,
 		})

@@ -226,7 +226,7 @@ func TestSigtermDrainsAndFlushesMetrics(t *testing.T) {
 	}
 }
 
-// TestSmokeSSE is the end-to-end smoke for the event journal: a real
+// TestSmokeSSE is the end-to-end smoke for the event log: a real
 // daemon subprocess (with -log) serves a seeded solve job's complete
 // lifecycle as an SSE stream, with ascending sequence ids ending at
 // the terminal event. Run on its own with `make smoke-sse`.
@@ -238,7 +238,7 @@ func TestSmokeSSE(t *testing.T) {
 	id := submitJob(t, base, "/v1/solve", api.SolveRequest{Heuristic: "greedy"})
 
 	// Follow from the start: replay whatever already happened, then
-	// stream live until the journal closes at the terminal event.
+	// stream live until the log ends at the terminal event.
 	resp, err := http.Get(base + "/v1/jobs/" + id + "/events?follow=1")
 	if err != nil {
 		t.Fatal(err)

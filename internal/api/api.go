@@ -160,8 +160,11 @@ type Error struct {
 // document instead of a bare OK, so orchestrators and load balancers
 // can key on saturation and drain state without scraping /metrics.
 type Health struct {
-	// Status is "ok" while admitting and "draining" once shutdown has
-	// begun (Draining carries the same fact as a bool).
+	// Status is "ok" while admitting, "degraded" once an append to the
+	// job store has failed (a lifecycle transition may be missing from
+	// the journal; the error is logged and counted in
+	// server.store_errors), and "draining" once shutdown has begun,
+	// which takes precedence (Draining carries that fact as a bool).
 	Status  string `json:"status"`
 	Version string `json:"version"`
 	// APIVersion reports the wire schema revision (MinorVersion);

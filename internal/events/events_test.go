@@ -4,235 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
-	"sync"
 	"testing"
 	"time"
-
-	"cdsf/internal/metrics"
 )
 
-// fixedClock steps one second per call from a fixed origin.
-func fixedClock() func() time.Time {
-	t := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
-	var mu sync.Mutex
-	return func() time.Time {
-		mu.Lock()
-		defer mu.Unlock()
-		t = t.Add(time.Second)
-		return t
-	}
-}
-
-func TestJournalSequencesAndSnapshot(t *testing.T) {
-	l := NewLog(Options{Clock: fixedClock()})
-	j := l.Journal("job-1")
-	if got := j.Record(Event{Type: TypeAccepted}); got != 1 {
-		t.Errorf("first seq %d, want 1", got)
-	}
-	j.Record(Event{Type: TypeQueued})
-	j.Record(Event{Type: TypeStarted})
-	j.Record(Event{Type: TypeDone})
-
-	snap := j.Snapshot()
-	if len(snap) != 4 {
-		t.Fatalf("snapshot has %d events, want 4", len(snap))
-	}
-	wantTypes := []Type{TypeAccepted, TypeQueued, TypeStarted, TypeDone}
-	for i, ev := range snap {
-		if ev.Seq != int64(i+1) || ev.Type != wantTypes[i] || ev.Job != "job-1" {
-			t.Errorf("event %d = %+v, want seq %d type %s", i, ev, i+1, wantTypes[i])
-		}
-		if ev.Time.IsZero() {
-			t.Errorf("event %d has no timestamp", i)
-		}
-	}
-	if got := j.Since(2); len(got) != 2 || got[0].Seq != 3 {
-		t.Errorf("Since(2) = %+v, want seqs 3,4", got)
-	}
-	if j.FirstSeq() != 1 || j.LastSeq() != 4 {
-		t.Errorf("bounds %d..%d, want 1..4", j.FirstSeq(), j.LastSeq())
-	}
-	// Same journal handle for the same job; distinct jobs are distinct.
-	if l.Journal("job-1") != j {
-		t.Error("Journal not idempotent per job")
-	}
-	if l.Lookup("job-2") != nil {
-		t.Error("Lookup created a journal")
-	}
-	if l.Journal("job-2") == j {
-		t.Error("distinct jobs share a journal")
-	}
-}
-
-func TestJournalBoundTrimsOldest(t *testing.T) {
-	reg := metrics.NewRegistry()
-	l := NewLog(Options{JournalBound: 4, Metrics: reg})
-	j := l.Journal("job-1")
-	for i := 0; i < 10; i++ {
-		j.Record(Event{Type: TypeProgress})
-	}
-	snap := j.Snapshot()
-	if len(snap) != 4 {
-		t.Fatalf("retained %d events with bound 4", len(snap))
-	}
-	if snap[0].Seq != 7 || snap[3].Seq != 10 {
-		t.Errorf("retained seqs %d..%d, want 7..10", snap[0].Seq, snap[3].Seq)
-	}
-	if j.FirstSeq() != 7 {
-		t.Errorf("FirstSeq %d, want 7", j.FirstSeq())
-	}
-	if got := reg.Counter("events.trimmed").Value(); got != 6 {
-		t.Errorf("events.trimmed = %d, want 6", got)
-	}
-	// A resume from before the trim point replays only what is
-	// retained: the caller sees the gap in Seq.
-	if got := j.Since(1); len(got) != 4 || got[0].Seq != 7 {
-		t.Errorf("Since(1) across trimmed gap = %+v, want seqs 7..10", got)
-	}
-}
-
-func TestSubscribeReplayThenLive(t *testing.T) {
-	l := NewLog(Options{})
-	j := l.Journal("job-1")
-	j.Record(Event{Type: TypeAccepted})
-	j.Record(Event{Type: TypeQueued})
-
-	replay, sub := j.Subscribe(1)
-	defer j.Unsubscribe(sub)
-	if len(replay) != 1 || replay[0].Seq != 2 {
-		t.Fatalf("replay after seq 1 = %+v", replay)
-	}
-	j.Record(Event{Type: TypeStarted})
-	select {
-	case ev := <-sub.C:
-		if ev.Seq != 3 || ev.Type != TypeStarted {
-			t.Errorf("live event %+v, want seq 3 started", ev)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("live event never arrived")
-	}
-	j.Record(Event{Type: TypeDone})
-	j.Close()
-	// The buffered terminal event drains, then the channel closes.
-	if ev, ok := <-sub.C; !ok || ev.Type != TypeDone {
-		t.Errorf("terminal event %+v ok=%v", ev, ok)
-	}
-	if _, ok := <-sub.C; ok {
-		t.Error("channel still open after Close")
-	}
-	// Subscribing to a closed journal replays and comes pre-closed.
-	replay, sub2 := j.Subscribe(0)
-	if len(replay) != 4 {
-		t.Errorf("closed-journal replay has %d events, want 4", len(replay))
-	}
-	if _, ok := <-sub2.C; ok {
-		t.Error("closed-journal subscription delivered a live event")
-	}
-	if j.Record(Event{Type: TypeProgress}) != 0 {
-		t.Error("Record after Close assigned a sequence")
-	}
-	if !j.Closed() {
-		t.Error("Closed() false after Close")
-	}
-	j.Close() // idempotent
-}
-
-// TestSlowSubscriberDrops is the stalled-reader satellite: a
-// subscriber that never drains its buffer loses events (counted in
-// events.dropped and Subscription.Dropped) while Record never blocks,
-// and the journal itself retains everything for backfill.
-func TestSlowSubscriberDrops(t *testing.T) {
-	reg := metrics.NewRegistry()
-	l := NewLog(Options{SubscriberBuffer: 2, Metrics: reg})
-	j := l.Journal("job-1")
-	_, sub := j.Subscribe(0)
-	defer j.Unsubscribe(sub)
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 10; i++ {
-			j.Record(Event{Type: TypeProgress})
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Record blocked on a stalled subscriber")
-	}
-	if got := sub.Dropped(); got != 8 {
-		t.Errorf("Subscription.Dropped = %d, want 8 (buffer 2, 10 events)", got)
-	}
-	if got := reg.Counter("events.dropped").Value(); got != 8 {
-		t.Errorf("events.dropped counter = %d, want 8", got)
-	}
-	// The journal is intact: the reader fills its gap from Since.
-	first := <-sub.C
-	second := <-sub.C
-	if first.Seq != 1 || second.Seq != 2 {
-		t.Fatalf("buffered seqs %d,%d, want 1,2", first.Seq, second.Seq)
-	}
-	if backfill := j.Since(second.Seq); len(backfill) != 8 || backfill[0].Seq != 3 {
-		t.Errorf("backfill after drop = %d events from seq %d, want 8 from 3",
-			len(backfill), backfill[0].Seq)
-	}
-	if got := reg.Counter("events.recorded").Value(); got != 10 {
-		t.Errorf("events.recorded = %d, want 10", got)
-	}
-}
-
-func TestRingAcrossJobs(t *testing.T) {
-	l := NewLog(Options{RingBound: 4})
-	l.Journal("a").Record(Event{Type: TypeAccepted})
-	l.Journal("b").Record(Event{Type: TypeAccepted})
-	ring := l.Ring()
-	if len(ring) != 2 || ring[0].Job != "a" || ring[1].Job != "b" {
-		t.Fatalf("partial ring %+v", ring)
-	}
-	for i := 0; i < 5; i++ {
-		l.Journal("c").Record(Event{Type: TypeProgress})
-	}
-	ring = l.Ring()
-	if len(ring) != 4 {
-		t.Fatalf("full ring has %d events, want 4", len(ring))
-	}
-	// Oldest-first: the two oldest surviving events are c's 2nd and 3rd.
-	if ring[0].Job != "c" || ring[0].Seq != 2 || ring[3].Seq != 5 {
-		t.Errorf("ring order wrong: %+v", ring)
-	}
-}
-
-func TestNilLogAndJournalAreNoOps(t *testing.T) {
-	var l *Log
-	j := l.Journal("x")
-	if j != nil {
-		t.Fatal("nil log produced a journal")
-	}
-	if l.Lookup("x") != nil || l.Ring() != nil {
-		t.Error("nil log lookup/ring not nil")
-	}
-	if j.Record(Event{Type: TypeDone}) != 0 || j.Snapshot() != nil || j.Since(0) != nil {
-		t.Error("nil journal not a no-op")
-	}
-	if j.FirstSeq() != 0 || j.LastSeq() != 0 || j.Closed() {
-		t.Error("nil journal reports state")
-	}
-	replay, sub := j.Subscribe(0)
-	if replay != nil {
-		t.Error("nil journal replayed events")
-	}
-	if _, ok := <-sub.C; ok {
-		t.Error("nil journal subscription not pre-closed")
-	}
-	j.Unsubscribe(sub)
-	j.Close()
-}
-
 func TestWriteSSEFrame(t *testing.T) {
-	l := NewLog(Options{Clock: fixedClock()})
-	j := l.Journal("job-9")
-	j.Record(Event{Type: TypeStarted, Detail: "kind=solve"})
-	ev := j.Snapshot()[0]
+	ev := Event{Seq: 1, Time: time.Date(2026, 1, 2, 3, 4, 6, 0, time.UTC),
+		Job: "job-9", Type: TypeStarted, Detail: "kind=solve"}
 
 	var buf bytes.Buffer
 	if err := WriteSSE(&buf, ev); err != nil {
@@ -271,47 +49,6 @@ func TestTerminalTypes(t *testing.T) {
 	for _, tt := range []Type{TypeAccepted, TypeQueued, TypeStarted, TypeProgress, TypeCacheResultHit, TypeCacheWarm} {
 		if tt.Terminal() {
 			t.Errorf("%s terminal", tt)
-		}
-	}
-}
-
-func TestConcurrentRecordAndSubscribe(t *testing.T) {
-	l := NewLog(Options{SubscriberBuffer: 4})
-	j := l.Journal("job-1")
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				j.Record(Event{Type: TypeProgress})
-			}
-		}()
-	}
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			replay, sub := j.Subscribe(0)
-			defer j.Unsubscribe(sub)
-			_ = replay
-			for i := 0; i < 20; i++ {
-				select {
-				case <-sub.C:
-				case <-time.After(10 * time.Millisecond):
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if got := j.LastSeq(); got != 400 {
-		t.Errorf("LastSeq %d, want 400", got)
-	}
-	// Seqs in the journal are strictly ascending with no duplicates.
-	snap := j.Snapshot()
-	for i := 1; i < len(snap); i++ {
-		if snap[i].Seq != snap[i-1].Seq+1 {
-			t.Fatalf("non-monotonic seqs at %d: %d then %d", i, snap[i-1].Seq, snap[i].Seq)
 		}
 	}
 }

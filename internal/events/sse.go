@@ -8,8 +8,8 @@ import (
 	"strings"
 )
 
-// This file implements the Server-Sent Events wire encoding of a
-// journal (RFC-less but standardized in WHATWG HTML "server-sent
+// This file implements the Server-Sent Events wire encoding of a job's
+// event log (RFC-less but standardized in WHATWG HTML "server-sent
 // events"). Each event is one frame:
 //
 //	id: <seq>
@@ -17,12 +17,12 @@ import (
 //	data: <event JSON>
 //	<blank line>
 //
-// The id line carries the journal sequence number, so a client (or
+// The id line carries the event's sequence number, so a client (or
 // curl -N | a reconnect loop) that reconnects with the standard
 // Last-Event-ID request header resumes exactly where it dropped: the
-// server replays the journal past that sequence number and then goes
-// live. The data payload is the same Event JSON the non-streaming
-// endpoint returns, so the two views of a journal are interchangeable.
+// server replays the log past that sequence number and then goes live.
+// The data payload is the same Event JSON the non-streaming endpoint
+// returns, so the two views of a log are interchangeable.
 
 // WriteSSE writes one event as an SSE frame. Event JSON never contains
 // a raw newline (encoding/json escapes them), so the frame is always a
@@ -39,7 +39,7 @@ func WriteSSE(w io.Writer, ev Event) error {
 // ParseLastEventID parses a Last-Event-ID header (or ?after= query)
 // value into a sequence number. Empty or malformed values mean 0 —
 // stream from the beginning — because a resuming client with a
-// corrupt cursor is better served the full journal than an error.
+// corrupt cursor is better served the full log than an error.
 func ParseLastEventID(s string) int64 {
 	s = strings.TrimSpace(s)
 	if s == "" {

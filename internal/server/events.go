@@ -8,62 +8,50 @@ import (
 	"cdsf/internal/events"
 )
 
-// This file serves the job-event journal over HTTP:
+// This file serves each job's event log, which the store derives from
+// the job's lifecycle records:
 //
-//	GET /v1/jobs/{id}/events           the journal as a JSON array
+//	GET /v1/jobs/{id}/events           the log as a JSON array
 //	GET /v1/jobs/{id}/events?follow=1  Server-Sent Events: replay then
 //	                                   live, id: = sequence number,
 //	                                   Last-Event-ID resumes
-//	GET /debug/events                  the cross-job flight-recorder
-//	                                   ring, newest RingBound events
 //
-// The SSE resume contract: every frame carries the journal sequence
+// The SSE resume contract: every frame carries the event's sequence
 // number as its SSE id, so a client that reconnects with the standard
 // Last-Event-ID header (what EventSource does automatically, and what
-// a curl loop can pass by hand) first replays the retained journal
-// past that sequence and then goes live. If the bounded journal
-// trimmed past the client's cursor, the replay starts at the oldest
-// retained event and the client observes the gap in the seq numbers —
-// bounded memory is chosen over unbounded replay. The stream ends when
-// the job's journal closes (the job reached a terminal state, whose
-// event is always the last frame).
+// a curl loop can pass by hand) first replays the retained log past
+// that sequence and then goes live. If the bounded log trimmed past the
+// client's cursor, the replay starts at the oldest retained event and
+// the client observes the gap in the seq numbers — bounded memory is
+// chosen over unbounded replay. The stream ends at the job's terminal
+// event, which is always the last frame.
 
-// handleJobEvents serves one job's journal, as JSON or as SSE.
+// handleJobEvents serves one job's event log, as JSON or as SSE.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if _, ok := s.lookup(id); !ok {
 		writeError(w, http.StatusNotFound, api.ErrNotFound, fmt.Sprintf("no job %q", id))
 		return
 	}
-	if s.opts.Events == nil {
-		writeError(w, http.StatusNotFound, api.ErrNotFound, "event journal disabled on this server")
-		return
-	}
-	// The journal exists for every registered job when events are on;
-	// Lookup (not Journal) so a disabled-then-enabled server can never
-	// invent an empty journal for a pre-enablement job.
-	journal := s.opts.Events.Lookup(id)
-	if journal == nil {
-		writeError(w, http.StatusNotFound, api.ErrNotFound, fmt.Sprintf("no event journal for job %q", id))
-		return
-	}
 	switch q := r.URL.Query().Get("follow"); q {
 	case "", "0", "false":
-		evs := journal.Snapshot()
+		evs, _, _ := s.store.Events(id, 0)
 		if evs == nil {
 			evs = []events.Event{}
 		}
 		writeJSON(w, http.StatusOK, evs)
 	case "1", "true":
-		s.followJournal(w, r, journal)
+		s.follow(w, r, id)
 	default:
 		writeError(w, http.StatusBadRequest, api.ErrBadRequest, fmt.Sprintf("follow=%q (want 0 or 1)", q))
 	}
 }
 
-// followJournal streams a journal as SSE until the journal closes or
-// the client disconnects.
-func (s *Server) followJournal(w http.ResponseWriter, r *http.Request, journal *events.Journal) {
+// follow streams a job's event log as SSE until its terminal event or
+// until the client disconnects. Each pass writes the events past the
+// cursor and then waits for the store's wake channel; no store lock is
+// held while writing, so a stalled client never delays the job.
+func (s *Server) follow(w http.ResponseWriter, r *http.Request, id string) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, http.StatusNotImplemented, api.ErrInternal, "streaming unsupported by this connection")
@@ -72,80 +60,31 @@ func (s *Server) followJournal(w http.ResponseWriter, r *http.Request, journal *
 	// Resume cursor: the standard Last-Event-ID header (sent by
 	// EventSource on reconnect) wins; ?after= is the curl-friendly
 	// spelling of the same thing.
-	after := events.ParseLastEventID(r.Header.Get("Last-Event-ID"))
-	if after == 0 {
-		after = events.ParseLastEventID(r.URL.Query().Get("after"))
+	last := events.ParseLastEventID(r.Header.Get("Last-Event-ID"))
+	if last == 0 {
+		last = events.ParseLastEventID(r.URL.Query().Get("after"))
 	}
 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 
-	// Snapshot-then-subscribe is atomic in the journal, so nothing
-	// recorded between replay and live delivery is lost or duplicated.
-	replay, sub := journal.Subscribe(after)
-	defer journal.Unsubscribe(sub)
-
-	last := after
-	send := func(ev events.Event) bool {
-		if err := events.WriteSSE(w, ev); err != nil {
-			return false
-		}
-		fl.Flush()
-		last = ev.Seq
-		return true
-	}
-	for _, ev := range replay {
-		if !send(ev) {
-			return
-		}
-	}
-	ctx := r.Context()
 	for {
-		select {
-		case <-ctx.Done():
-			return
-		case ev, ok := <-sub.C:
-			if !ok {
-				// Journal closed. Backfill whatever the buffer missed at
-				// the end (the terminal event is always retained), then
-				// finish the stream.
-				for _, e := range journal.Since(last) {
-					if !send(e) {
-						return
-					}
-				}
+		evs, wake, _ := s.store.Events(id, last)
+		for _, ev := range evs {
+			if err := events.WriteSSE(w, ev); err != nil {
 				return
 			}
-			switch {
-			case ev.Seq <= last:
-				// Already sent during replay.
-			case ev.Seq == last+1:
-				if !send(ev) {
-					return
-				}
-			default:
-				// The subscription dropped events (stalled reader):
-				// backfill the gap from the journal, which includes ev.
-				for _, e := range journal.Since(last) {
-					if !send(e) {
-						return
-					}
-				}
-			}
+			last = ev.Seq
+		}
+		fl.Flush()
+		if wake == nil {
+			return
+		}
+		select {
+		case <-r.Context().Done():
+			return
+		case <-wake:
 		}
 	}
-}
-
-// handleDebugEvents serves the cross-job flight recorder.
-func (s *Server) handleDebugEvents(w http.ResponseWriter, _ *http.Request) {
-	if s.opts.Events == nil {
-		writeError(w, http.StatusNotFound, api.ErrNotFound, "event journal disabled on this server")
-		return
-	}
-	ring := s.opts.Events.Ring()
-	if ring == nil {
-		ring = []events.Event{}
-	}
-	writeJSON(w, http.StatusOK, ring)
 }

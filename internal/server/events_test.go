@@ -6,16 +6,19 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"cdsf/internal/api"
 	"cdsf/internal/cache"
 	"cdsf/internal/events"
 	"cdsf/internal/log"
 	"cdsf/internal/metrics"
+	"cdsf/internal/store"
 )
 
 // The helpers below keep the SSE tests readable: a frame is one
@@ -27,7 +30,7 @@ type sseFrame struct {
 	Data  events.Event
 }
 
-// readFrames reads SSE frames from r until EOF (journal closed) or n
+// readFrames reads SSE frames from r until EOF (log ended) or n
 // frames have been read (n <= 0: until EOF).
 func readFrames(t *testing.T, r *bufio.Reader, n int) []sseFrame {
 	t.Helper()
@@ -80,7 +83,7 @@ func eventTypes(evs []events.Event) []events.Type {
 }
 
 func TestJobEventsLifecycleJSON(t *testing.T) {
-	_, ts := newTestServer(t, Options{Events: events.NewLog(events.Options{})})
+	_, ts := newTestServer(t, Options{})
 	var j api.Job
 	post(t, ts.URL+"/v1/solve", api.SolveRequest{Heuristic: "greedy"}, &j)
 	waitState(t, ts.URL, j.ID, api.JobDone)
@@ -115,28 +118,6 @@ func TestJobEventsLifecycleJSON(t *testing.T) {
 	if resp := getInto(t, ts.URL+"/v1/jobs/job-999999/events", nil); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job events status %d, want 404", resp.StatusCode)
 	}
-
-	// The flight recorder holds the same events, tagged per job.
-	var ring []events.Event
-	if resp := getInto(t, ts.URL+"/debug/events", &ring); resp.StatusCode != http.StatusOK {
-		t.Fatalf("/debug/events status %d", resp.StatusCode)
-	}
-	if len(ring) != len(evs) {
-		t.Errorf("ring has %d events, journal %d", len(ring), len(evs))
-	}
-}
-
-func TestJobEventsDisabledByDefault(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
-	var j api.Job
-	post(t, ts.URL+"/v1/solve", api.SolveRequest{Heuristic: "greedy"}, &j)
-	waitState(t, ts.URL, j.ID, api.JobDone)
-	for _, path := range []string{"/v1/jobs/" + j.ID + "/events", "/debug/events"} {
-		resp := getInto(t, ts.URL+path, nil)
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("GET %s without events: status %d, want 404", path, resp.StatusCode)
-		}
-	}
 }
 
 func TestJobEventsCachedReplay(t *testing.T) {
@@ -144,7 +125,6 @@ func TestJobEventsCachedReplay(t *testing.T) {
 	_, ts := newTestServer(t, Options{
 		Metrics: reg,
 		Cache:   cache.New(cache.Options{Metrics: reg}),
-		Events:  events.NewLog(events.Options{Metrics: reg}),
 	})
 	var a, b api.Job
 	post(t, ts.URL+"/v1/solve", api.SolveRequest{Heuristic: "greedy"}, &a)
@@ -165,12 +145,12 @@ func TestJobEventsCachedReplay(t *testing.T) {
 }
 
 func TestJobEventsSSETermination(t *testing.T) {
-	_, ts := newTestServer(t, Options{Events: events.NewLog(events.Options{})})
+	_, ts := newTestServer(t, Options{})
 	var j api.Job
 	post(t, ts.URL+"/v1/solve", api.SolveRequest{Heuristic: "greedy"}, &j)
 	waitState(t, ts.URL, j.ID, api.JobDone)
 
-	// The job is terminal, so its journal is closed: a follow stream
+	// The job is terminal, so its log has ended: a follow stream
 	// replays everything and then ends on its own.
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + j.ID + "/events?follow=1")
 	if err != nil {
@@ -197,7 +177,7 @@ func TestJobEventsSSETermination(t *testing.T) {
 }
 
 func TestJobEventsSSEResume(t *testing.T) {
-	s, ts := newTestServer(t, Options{Queue: 4, Executors: 1, Events: events.NewLog(events.Options{})})
+	s, ts := newTestServer(t, Options{Queue: 4, Executors: 1})
 	var j api.Job
 	post(t, ts.URL+"/v1/simulate", longSimulate(), &j)
 	waitState(t, ts.URL, j.ID, api.JobRunning)
@@ -327,8 +307,8 @@ func TestRequestMetricsMiddleware(t *testing.T) {
 }
 
 // TestEventsDeterminism pins the central observability guarantee: the
-// seeded solve result document is byte-identical whether the event
-// journal and structured logging are on or off.
+// seeded solve result document is byte-identical whether structured
+// logging is on or off (the event log is always on).
 func TestEventsDeterminism(t *testing.T) {
 	var logBuf syncBuffer
 	run := func(opts Options) json.RawMessage {
@@ -339,7 +319,6 @@ func TestEventsDeterminism(t *testing.T) {
 	}
 	plain := run(Options{})
 	observed := run(Options{
-		Events: events.NewLog(events.Options{}),
 		Logger: log.New(&logBuf, log.Options{Level: log.LevelDebug}),
 	})
 	if !bytes.Equal(plain, observed) {
@@ -374,4 +353,208 @@ func (b *syncBuffer) String() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.buf.String()
+}
+
+// sameEvents fails the test unless got replays want: the same seq,
+// type, detail and time, event for event.
+func sameEvents(t *testing.T, got, want []events.Event) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("log has %d events %v, want %d %v", len(got), eventTypes(got), len(want), eventTypes(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.Seq != w.Seq || g.Type != w.Type || g.Detail != w.Detail || !g.Time.Equal(w.Time) {
+			t.Errorf("event %d = %d %s %q %v, want %d %s %q %v",
+				i, g.Seq, g.Type, g.Detail, g.Time, w.Seq, w.Type, w.Detail, w.Time)
+		}
+	}
+}
+
+// followAll reads a job's whole SSE stream, which must end on its own.
+func followAll(t *testing.T, base, id string) []sseFrame {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/jobs/" + id + "/events?follow=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("follow %s: status %d", id, resp.StatusCode)
+	}
+	return readFrames(t, bufio.NewReader(resp.Body), 0)
+}
+
+// TestJobEventsSurviveRestart pins the WAL-backed event history: a
+// finished job's log is rebuilt from the journal, so a restarted
+// server serves the same events, as JSON and as a stream that ends.
+func TestJobEventsSurviveRestart(t *testing.T) {
+	dir := t.TempDir()
+	w, err := store.OpenWAL(dir, store.WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Options{Store: w})
+	ts := httptest.NewServer(s.Handler())
+	j := submitSolve(t, ts.URL, api.SolveRequest{Heuristic: "greedy", Seed: 3})
+	waitState(t, ts.URL, j.ID, api.JobDone)
+	before := getEvents(t, ts.URL, j.ID)
+	s.Drain(time.Second) // closes the WAL
+	ts.Close()
+
+	w2, err := store.OpenWAL(dir, store.WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts2 := newTestServer(t, Options{Store: w2})
+	sameEvents(t, getEvents(t, ts2.URL, j.ID), before)
+
+	frames := followAll(t, ts2.URL, j.ID)
+	if len(frames) != len(before) {
+		t.Fatalf("restarted stream replayed %d frames, log has %d", len(frames), len(before))
+	}
+	for i, f := range frames {
+		if f.ID != before[i].Seq || f.Event != string(before[i].Type) || f.Data.Detail != before[i].Detail {
+			t.Errorf("frame %d = id %d %s %q, want seq %d %s %q", i, f.ID, f.Event, f.Data.Detail,
+				before[i].Seq, before[i].Type, before[i].Detail)
+		}
+	}
+}
+
+// TestRecoveredJobEventsContinue follows a job a crash interrupted:
+// its log keeps the pre-crash events, continues with the recovery
+// re-queue under the next seq, and ends at done.
+func TestRecoveredJobEventsContinue(t *testing.T) {
+	raw, err := json.Marshal(api.SolveRequest{Heuristic: "genetic", Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	w, err := store.OpenWAL(dir, store.WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := w.NextID()
+	for _, rec := range []store.Record{
+		{Job: id, Type: events.TypeAccepted, Kind: api.KindSolve, Request: raw},
+		{Job: id, Type: events.TypeQueued},
+		{Job: id, Type: events.TypeStarted},
+	} {
+		if err := w.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	crashed, _, _ := w.Events(id, 0)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	w2, err := store.OpenWAL(dir, store.WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Options{Store: w2})
+	frames := followAll(t, ts.URL, id)
+	evs := getEvents(t, ts.URL, id)
+	if len(evs) < len(crashed)+3 {
+		t.Fatalf("recovered log %v, want the pre-crash events then queued/started/done", eventTypes(evs))
+	}
+	sameEvents(t, evs[:len(crashed)], crashed)
+	if re := evs[len(crashed)]; re.Seq != int64(len(crashed))+1 || re.Type != events.TypeQueued || re.Detail != "recovered after restart" {
+		t.Errorf("first event after the crash = %d %s %q, want %d queued \"recovered after restart\"",
+			re.Seq, re.Type, re.Detail, len(crashed)+1)
+	}
+	for i, ev := range evs {
+		if ev.Seq != int64(i)+1 {
+			t.Fatalf("recovered log seqs %v are not 1..%d", evs, len(evs))
+		}
+	}
+	if last := evs[len(evs)-1]; last.Type != events.TypeDone {
+		t.Errorf("recovered log ends with %s, want done", last.Type)
+	}
+	if len(frames) != len(evs) || frames[len(frames)-1].Event != string(events.TypeDone) {
+		t.Errorf("recovered stream had %d frames, log %d events ending %s", len(frames), len(evs), evs[len(evs)-1].Type)
+	}
+}
+
+// stallWriter is a streaming ResponseWriter whose Write blocks until
+// release is closed, standing in for a client that stopped reading.
+type stallWriter struct {
+	header  http.Header
+	stalled chan struct{} // closed when the first Write blocks
+	release chan struct{}
+	once    sync.Once
+	mu      sync.Mutex
+	buf     bytes.Buffer
+}
+
+func (w *stallWriter) Header() http.Header { return w.header }
+func (w *stallWriter) WriteHeader(int)     {}
+func (w *stallWriter) Flush()              {}
+
+func (w *stallWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() { close(w.stalled) })
+	<-w.release
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.buf.Write(p)
+}
+
+// TestStalledFollowerNeverDelaysJob follows a job with a client that
+// stops reading at its first frame: the job's store appends still
+// return and it reaches done, and the stream catches up and ends once
+// the client reads again.
+func TestStalledFollowerNeverDelaysJob(t *testing.T) {
+	fs := newFaultStore()
+	s, ts := newTestServer(t, Options{Queue: 4, Executors: 1, Store: fs})
+	// Occupy the only executor so the followed job is still queued when
+	// its follower stalls.
+	var blocker, j api.Job
+	post(t, ts.URL+"/v1/simulate", longSimulate(), &blocker)
+	waitState(t, ts.URL, blocker.ID, api.JobRunning)
+	post(t, ts.URL+"/v1/solve", api.SolveRequest{Heuristic: "greedy"}, &j)
+
+	sw := &stallWriter{header: http.Header{}, stalled: make(chan struct{}), release: make(chan struct{})}
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(sw.release) }) }
+	defer release() // unblocks the handler if the test fails early
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		s.Handler().ServeHTTP(sw, httptest.NewRequest("GET", "/v1/jobs/"+j.ID+"/events?follow=1", nil))
+	}()
+	select {
+	case <-sw.stalled:
+	case <-time.After(10 * time.Second):
+		t.Fatal("follower never wrote")
+	}
+
+	cancelJob(t, ts.URL, blocker.ID)
+	waitState(t, ts.URL, j.ID, api.JobDone)
+	deadline := time.Now().Add(10 * time.Second)
+	for !fs.returned(j.ID, events.TypeDone) {
+		if time.Now().After(deadline) {
+			t.Fatal("the done append never returned while the follower stalled")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	release()
+	select {
+	case <-served:
+	case <-time.After(10 * time.Second):
+		t.Fatal("stream did not end after the client resumed")
+	}
+	sw.mu.Lock()
+	frames := readFrames(t, bufio.NewReader(bytes.NewReader(sw.buf.Bytes())), 0)
+	sw.mu.Unlock()
+	evs := getEvents(t, ts.URL, j.ID)
+	if len(frames) != len(evs) || frames[len(frames)-1].Event != string(events.TypeDone) {
+		t.Fatalf("stalled stream delivered %d frames, log has %d events", len(frames), len(evs))
+	}
+	for i, f := range frames {
+		if f.ID != int64(i)+1 {
+			t.Fatalf("stalled stream frame %d has seq %d", i, f.ID)
+		}
+	}
 }

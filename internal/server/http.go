@@ -28,19 +28,18 @@ const maxRequestBytes = 16 << 20
 //	                             ?limit=n&after=id paginates)
 //	GET    /v1/jobs/{id}         poll one job
 //	DELETE /v1/jobs/{id}         cancel one job
-//	GET    /v1/jobs/{id}/events  the job's event journal (JSON;
+//	GET    /v1/jobs/{id}/events  the job's event log (JSON;
 //	                             ?follow=1 streams SSE with
 //	                             Last-Event-ID resume)
 //	GET    /v1/healthz           liveness: queue depth, inflight,
-//	                             drain state, cache counters, job
-//	                             store stats
+//	                             drain or degraded state, cache
+//	                             counters, job store stats
 //
 // plus the debug endpoints every CLI exposes behind -debug-addr
-// (/metrics, /progress, /trace, /debug/pprof/*) and the cross-job
-// event ring (/debug/events), mounted on the same mux with the
-// server's registry. /progress sums the progress boards of the queued
-// and running jobs only: a job's board leaves the sum when the job
-// reaches a terminal state.
+// (/metrics, /progress, /trace, /debug/pprof/*), mounted on the same
+// mux with the server's registry. /progress sums the progress boards of
+// the queued and running jobs only: a job's board leaves the sum when
+// the job reaches a terminal state.
 //
 // Every route above is wrapped in the RED middleware (middleware.go):
 // per-route/status counters, latency histograms, and inflight gauges
@@ -55,7 +54,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.instrument("cancel", s.handleCancel))
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.instrument("job_events", s.handleJobEvents))
 	mux.HandleFunc("GET /v1/healthz", s.instrument("healthz", s.handleHealth))
-	mux.HandleFunc("GET /debug/events", s.instrument("debug_events", s.handleDebugEvents))
 	tracing.Mount(mux, s.opts.Metrics, s.progressSnapshot, s.opts.Tracer)
 	return mux
 }
@@ -253,9 +251,11 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // handleHealth reports liveness as a structured document: drain state,
 // queue and executor saturation, lifetime job counts, the job store's
 // backend and journal/replay stats, and — when present — the cache
-// counters. "ok" flips to "draining" once admission has stopped, so a
-// load balancer keying on the status string stops routing during
-// shutdown.
+// counters. "ok" flips to "degraded" once a store append has failed
+// (server.store_errors is non-zero: a transition may be missing from
+// the journal) and to "draining" once admission has stopped, which
+// takes precedence; a load balancer keying on the status string stops
+// routing during shutdown.
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	reg := s.opts.Metrics
 	h := api.Health{
@@ -275,8 +275,11 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 			Rejected:  reg.Counter("server.jobs_rejected").Value(),
 		},
 	}
-	if h.Draining {
+	switch {
+	case h.Draining:
 		h.Status = "draining"
+	case s.storeErrors.Value() > 0:
+		h.Status = "degraded"
 	}
 	st := s.store.Stats()
 	h.Store = &api.HealthStore{

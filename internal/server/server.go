@@ -15,12 +15,13 @@
 // the server maps to the cancelled state.
 //
 // Job state lives in a pluggable store.JobStore: every lifecycle
-// transition is expressed as a store record, and the envelopes the API
-// serves are materialized from those records. The default memory store
-// reproduces the original in-process behaviour exactly (jobs die with
-// the process); the WAL store journals each transition durably, and New
-// replays interrupted jobs from the journal after a crash — seeded jobs
-// re-run to bit-identical result bytes (DESIGN.md §12).
+// transition is one store record, and both the envelopes the API serves
+// and each job's event log are materialized from those records. The
+// default memory store reproduces the original in-process behaviour
+// exactly (jobs die with the process); the WAL store journals each
+// transition durably, and New replays interrupted jobs from the journal
+// after a crash — seeded jobs re-run to bit-identical result bytes
+// (DESIGN.md §12).
 package server
 
 import (
@@ -80,22 +81,13 @@ type Options struct {
 	// "cache" block with the job's key and hit counts. Nil disables
 	// caching; envelopes and behaviour are then unchanged.
 	Cache *cache.Cache
-	// Events is the job-event journal: every job records its lifecycle
-	// (accepted, queued, started, sampled progress, cache hits,
-	// terminal state) into a per-job journal served by
-	// GET /v1/jobs/{id}/events (JSON and SSE) and a cross-job ring on
-	// /debug/events. Nil disables event recording (the nil-no-op
-	// default; the event endpoints then answer 404) — cdsfd wires one
-	// in unconditionally, since journals are bounded in-memory state
-	// that never touches result documents.
-	Events *events.Log
 	// Logger emits structured JSON-lines service logs: job lifecycle
 	// transitions at info, per-request lines at debug, failures at
 	// warn/error. Nil disables logging; results and response bodies are
 	// byte-identical either way.
 	Logger *log.Logger
 	// ProgressInterval is how often a running job's progress board is
-	// sampled into its event journal (only when Events is set and the
+	// sampled into the store, and so into its event log (only when the
 	// job tracks progress). Non-positive means 250ms.
 	ProgressInterval time.Duration
 	// Store is the job store behind the lifecycle: every transition is
@@ -138,6 +130,10 @@ type Server struct {
 	queueDepth   *metrics.Gauge
 	inflightG    *metrics.Gauge
 
+	// storeErrors counts failed store appends; while it is non-zero
+	// /v1/healthz reports "degraded".
+	storeErrors *metrics.Counter
+
 	// admitMu serializes admissions: the queue-capacity check, the
 	// durable accepted append, and the queue push happen as one unit,
 	// so a 202 means the job is journaled AND has a queue slot.
@@ -171,7 +167,6 @@ type job struct {
 	id       string
 	kind     api.JobKind
 	progress *tracing.Progress
-	journal  *events.Journal
 	run      func(ctx context.Context, prog *tracing.Progress) (any, error)
 	cancel   context.CancelFunc
 
@@ -221,13 +216,14 @@ func New(opts Options) *Server {
 		store: opts.Store,
 		// The queue is oversized by the recovery backlog so replayed
 		// jobs always fit; admission still enforces opts.Queue.
-		queue:      make(chan *job, opts.Queue+len(interrupted)),
-		stop:       make(chan struct{}),
-		baseCtx:    ctx,
-		baseCancel: cancel,
-		jobs:       map[string]*job{},
-		queueDepth: opts.Metrics.Gauge("server.queue_depth"),
-		inflightG:  opts.Metrics.Gauge("server.jobs_inflight"),
+		queue:       make(chan *job, opts.Queue+len(interrupted)),
+		stop:        make(chan struct{}),
+		baseCtx:     ctx,
+		baseCancel:  cancel,
+		jobs:        map[string]*job{},
+		queueDepth:  opts.Metrics.Gauge("server.queue_depth"),
+		inflightG:   opts.Metrics.Gauge("server.jobs_inflight"),
+		storeErrors: opts.Metrics.Counter("server.store_errors"),
 	}
 	for _, rec := range interrupted {
 		s.recoverJob(rec)
@@ -250,11 +246,18 @@ func (s *Server) recoverJob(rec store.Job) {
 	id := rec.Env.ID
 	spec, err := s.prepare(rec.Env.Kind, rec.Request)
 	if err != nil {
-		_ = s.store.Append(store.Record{Job: id, Type: events.TypeFailed,
+		s.record(store.Record{Job: id, Type: events.TypeFailed,
 			Detail: fmt.Sprintf("recovery: %v", err)})
 		s.opts.Metrics.Counter("server.jobs_failed").Inc()
 		s.opts.Logger.Error("recovered job failed re-validation",
 			log.F("job", id), log.F("error", err.Error()))
+		return
+	}
+	if spec.cached != nil {
+		// The result tier already holds this job's bytes (an identical
+		// job finished before the crash): complete it at recovery.
+		s.record(cachedDone(id, spec))
+		s.opts.Metrics.Counter("server.jobs_done").Inc()
 		return
 	}
 	j := &job{id: id, kind: spec.kind,
@@ -262,21 +265,7 @@ func (s *Server) recoverJob(rec store.Job) {
 	if spec.withProgress {
 		j.progress = tracing.NewProgress()
 	}
-	j.journal = s.opts.Events.Journal(id)
-	j.journal.Record(events.Event{Type: events.TypeAccepted, Detail: string(spec.kind)})
-	if spec.cached != nil {
-		// The result tier already holds this job's bytes (an identical
-		// job finished before the crash): complete it at recovery.
-		_ = s.store.Append(store.Record{Job: id, Type: events.TypeDone, Result: spec.cached,
-			Cache: &api.CacheInfo{Key: spec.key.String(), ResultHit: true}})
-		j.journal.Record(events.Event{Type: events.TypeCacheResultHit, Detail: spec.key.String()})
-		j.journal.Record(events.Event{Type: events.TypeDone, Detail: "replayed from cache"})
-		j.journal.Close()
-		s.opts.Metrics.Counter("server.jobs_done").Inc()
-		return
-	}
-	_ = s.store.Append(store.Record{Job: id, Type: events.TypeQueued, Detail: "recovered after restart"})
-	j.journal.Record(events.Event{Type: events.TypeQueued, Detail: "recovered after restart"})
+	s.record(store.Record{Job: id, Type: events.TypeQueued, Detail: "recovered after restart"})
 	s.mu.Lock()
 	s.jobs[id] = j
 	s.mu.Unlock()
@@ -310,16 +299,11 @@ func (s *Server) enqueue(spec *jobSpec) (api.Job, error) {
 			log.F("kind", string(spec.kind)), log.F("queue_depth", len(s.queue)))
 		return api.Job{}, errQueueFull
 	}
-	if err := s.store.Append(store.Record{Job: id, Type: events.TypeAccepted,
-		Kind: spec.kind, Request: spec.request}); err != nil {
+	if err := s.accepted(id, spec); err != nil {
 		s.admitMu.Unlock()
-		s.opts.Logger.Error("job store append failed", log.F("job", id), log.F("error", err.Error()))
-		return api.Job{}, fmt.Errorf("job store: %w", err)
+		return api.Job{}, err
 	}
-	_ = s.store.Append(store.Record{Job: id, Type: events.TypeQueued})
-	j.journal = s.opts.Events.Journal(id)
-	j.journal.Record(events.Event{Type: events.TypeAccepted, Detail: string(spec.kind)})
-	j.journal.Record(events.Event{Type: events.TypeQueued})
+	s.record(store.Record{Job: id, Type: events.TypeQueued})
 	s.mu.Lock()
 	s.jobs[id] = j
 	s.mu.Unlock()
@@ -347,30 +331,59 @@ func (s *Server) admitCached(spec *jobSpec) (api.Job, error) {
 	}
 	id := s.store.NextID()
 	s.admitMu.Lock()
-	err := s.store.Append(store.Record{Job: id, Type: events.TypeAccepted,
-		Kind: spec.kind, Request: spec.request})
+	err := s.accepted(id, spec)
 	if err == nil {
-		err = s.store.Append(store.Record{Job: id, Type: events.TypeDone, Result: spec.cached,
-			Cache: &api.CacheInfo{Key: spec.key.String(), ResultHit: true}})
+		// The whole lifecycle collapses into one admission. A failed
+		// done append still leaves a durably accepted job: it is served
+		// done now and recovered after a restart.
+		s.record(cachedDone(id, spec))
 	}
 	s.admitMu.Unlock()
 	if err != nil {
-		s.opts.Logger.Error("job store append failed", log.F("job", id), log.F("error", err.Error()))
-		return api.Job{}, fmt.Errorf("job store: %w", err)
+		return api.Job{}, err
 	}
-	// The whole lifecycle collapses into one admission: the journal
-	// still tells the full story, including where the result came from.
-	journal := s.opts.Events.Journal(id)
-	journal.Record(events.Event{Type: events.TypeAccepted, Detail: string(spec.kind)})
-	journal.Record(events.Event{Type: events.TypeCacheResultHit, Detail: spec.key.String()})
-	journal.Record(events.Event{Type: events.TypeDone, Detail: "replayed from cache"})
-	journal.Close()
 	s.opts.Metrics.Counter("server.jobs_submitted").Inc()
 	s.opts.Metrics.Counter("server.jobs_cached").Inc()
 	s.opts.Metrics.Counter("server.jobs_done").Inc()
 	s.opts.Logger.Info("job answered from cache", log.F("job", id),
 		log.F("kind", string(spec.kind)), log.F("key", spec.key.String()))
 	return s.snapshot(id), nil
+}
+
+// accepted appends a job's accepted record. When the append fails the
+// client is answered 500 and the job never runs, so it is recorded as
+// failed with the store error instead of lingering as queued.
+func (s *Server) accepted(id string, spec *jobSpec) error {
+	err := s.record(store.Record{Job: id, Type: events.TypeAccepted,
+		Kind: spec.kind, Request: spec.request})
+	if err == nil {
+		return nil
+	}
+	err = fmt.Errorf("job store: %w", err)
+	s.record(store.Record{Job: id, Type: events.TypeFailed, Detail: err.Error()})
+	s.opts.Metrics.Counter("server.jobs_failed").Inc()
+	return err
+}
+
+// cachedDone is the done record of a job answered from the result tier
+// of the solve cache.
+func cachedDone(id string, spec *jobSpec) store.Record {
+	return store.Record{Job: id, Type: events.TypeDone, Result: spec.cached,
+		Cache: &api.CacheInfo{Key: spec.key.String(), ResultHit: true}}
+}
+
+// record appends one lifecycle record to the store. A failed append is
+// logged and counted (server.store_errors, which turns /v1/healthz
+// degraded) and returned; the store applies the record whatever the
+// outcome, so the job's served state still advances.
+func (s *Server) record(rec store.Record) error {
+	err := s.store.Append(rec)
+	if err != nil {
+		s.storeErrors.Inc()
+		s.opts.Logger.Error("job store append failed", log.F("job", rec.Job),
+			log.F("type", string(rec.Type)), log.F("error", err.Error()))
+	}
+	return err
 }
 
 // executor pulls jobs off the queue until the server stops. A closed
@@ -399,13 +412,12 @@ func (s *Server) runJob(j *job) {
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	j.cancel = cancel
 	started := time.Now().UTC()
-	_ = s.store.Append(store.Record{Job: j.id, Type: events.TypeStarted, Time: started})
+	s.record(store.Record{Job: j.id, Type: events.TypeStarted, Time: started})
 	s.mu.Unlock()
 
 	s.inflight.Add(1)
 	s.inflightG.Set(float64(s.inflight.Load()))
 	s.queueDepth.Set(float64(len(s.queue)))
-	j.journal.Record(events.Event{Type: events.TypeStarted})
 	s.opts.Logger.Info("job started", log.F("job", j.id), log.F("kind", string(j.kind)))
 	stopSampler := s.startProgressSampler(j)
 
@@ -418,8 +430,8 @@ func (s *Server) runJob(j *job) {
 		}
 	}
 	cancel()
-	// Stop sampling before the terminal event so progress ticks never
-	// follow it in the journal.
+	// Stop sampling before the terminal record so progress ticks never
+	// follow it in the event log.
 	stopSampler()
 	defer func() {
 		s.inflight.Add(-1)
@@ -432,7 +444,6 @@ func (s *Server) runJob(j *job) {
 	wall := done.Sub(started)
 	jl := s.opts.Logger.With(log.F("job", j.id), log.F("kind", string(j.kind)),
 		log.F("wall_seconds", wall.Seconds()))
-	defer j.journal.Close()
 	delete(s.jobs, j.id)
 	switch {
 	case err == nil:
@@ -443,38 +454,31 @@ func (s *Server) runJob(j *job) {
 			// closure filled its warm counts before returning).
 			s.opts.Cache.PutResult(j.cacheKey, raw)
 			rec.Cache = j.cacheInfo
-			if j.cacheInfo.WarmHits > 0 || j.cacheInfo.WarmMisses > 0 {
-				j.journal.Record(events.Event{Type: events.TypeCacheWarm,
-					WarmHits: j.cacheInfo.WarmHits, WarmMisses: j.cacheInfo.WarmMisses})
-			}
 		}
-		_ = s.store.Append(rec)
+		s.record(rec)
 		s.recordWall(wall)
 		s.opts.Metrics.Counter("server.jobs_done").Inc()
-		j.journal.Record(events.Event{Type: events.TypeDone})
 		jl.Info("job done")
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		// Distinguish a drain (server shutdown) from a client cancel in
-		// the journal: clients watching the stream learn whether to
+		// the event log: clients watching the stream learn whether to
 		// resubmit elsewhere or accept the DELETE they asked for.
 		typ := events.TypeCancelled
 		if s.draining.Load() {
 			typ = events.TypeDrained
 		}
-		_ = s.store.Append(store.Record{Job: j.id, Type: typ, Detail: err.Error(), Time: done})
+		s.record(store.Record{Job: j.id, Type: typ, Detail: err.Error(), Time: done})
 		s.opts.Metrics.Counter("server.jobs_cancelled").Inc()
-		j.journal.Record(events.Event{Type: typ, Detail: err.Error()})
 		jl.Info("job cancelled", log.F("error", err.Error()), log.F("draining", s.draining.Load()))
 	default:
-		_ = s.store.Append(store.Record{Job: j.id, Type: events.TypeFailed, Detail: err.Error(), Time: done})
+		s.record(store.Record{Job: j.id, Type: events.TypeFailed, Detail: err.Error(), Time: done})
 		s.opts.Metrics.Counter("server.jobs_failed").Inc()
-		j.journal.Record(events.Event{Type: events.TypeFailed, Detail: err.Error()})
 		jl.Error("job failed", log.F("error", err.Error()))
 	}
 }
 
 // startProgressSampler launches a goroutine mirroring the job's
-// progress board into its event journal and the store every
+// progress board into the store (and so its event log) every
 // ProgressInterval (only when a snapshot changed). The returned stop
 // function halts sampling, records one final changed snapshot, and
 // only then returns — so the terminal event always follows the last
@@ -497,8 +501,7 @@ func (s *Server) startProgressSampler(j *job) (stop func()) {
 				return
 			}
 			last = cur
-			j.journal.Record(events.Event{Type: events.TypeProgress, Progress: &cur})
-			_ = s.store.Append(store.Record{Job: j.id, Type: events.TypeProgress, Progress: &cur})
+			s.record(store.Record{Job: j.id, Type: events.TypeProgress, Progress: &cur})
 		}
 		for {
 			select {
@@ -666,11 +669,9 @@ func (s *Server) cancelJob(id string) (api.Job, bool) {
 // cancelled, recording typ (cancelled for client DELETEs, drained for
 // shutdown) as the terminal transition. Callers hold s.mu.
 func (s *Server) finalizeCancelledLocked(j *job, why string, typ events.Type) {
-	_ = s.store.Append(store.Record{Job: j.id, Type: typ, Detail: why})
+	s.record(store.Record{Job: j.id, Type: typ, Detail: why})
 	delete(s.jobs, j.id)
 	s.opts.Metrics.Counter("server.jobs_cancelled").Inc()
-	j.journal.Record(events.Event{Type: typ, Detail: why})
-	j.journal.Close()
 	s.opts.Logger.Info("job cancelled before start", log.F("job", j.id), log.F("error", why))
 }
 

@@ -2,14 +2,19 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"cdsf/internal/api"
+	"cdsf/internal/cache"
 	"cdsf/internal/events"
+	"cdsf/internal/log"
 	"cdsf/internal/metrics"
 	"cdsf/internal/store"
 )
@@ -193,5 +198,133 @@ func TestWALServerServesReplayedResults(t *testing.T) {
 	}
 	if h.Store.ReplayedJobs != 1 || h.Store.RecoveredJobs != 0 || h.Store.ReplayedRecords == 0 {
 		t.Errorf("healthz replay stats: %+v", *h.Store)
+	}
+}
+
+// errInjected is the failure a faultStore returns.
+var errInjected = errors.New("injected store failure")
+
+// faultStore is a memory store that applies every record, as a durable
+// store does whatever the journaling outcome, and then returns
+// errInjected for the record types it is told to fail. It also notes
+// which appends have returned.
+type faultStore struct {
+	*store.Memory
+	mu   sync.Mutex
+	fail map[events.Type]bool
+	done map[string][]events.Type
+}
+
+func newFaultStore(fail ...events.Type) *faultStore {
+	f := &faultStore{Memory: store.NewMemory(), done: map[string][]events.Type{}}
+	f.failOn(fail...)
+	return f
+}
+
+// failOn replaces the set of record types whose append fails.
+func (f *faultStore) failOn(types ...events.Type) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.fail = map[events.Type]bool{}
+	for _, typ := range types {
+		f.fail[typ] = true
+	}
+}
+
+func (f *faultStore) Append(rec store.Record) error {
+	err := f.Memory.Append(rec)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.fail[rec.Type] {
+		err = errInjected
+	}
+	f.done[rec.Job] = append(f.done[rec.Job], rec.Type)
+	return err
+}
+
+// returned reports whether an append of typ for the job has returned.
+func (f *faultStore) returned(job string, typ events.Type) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, got := range f.done[job] {
+		if got == typ {
+			return true
+		}
+	}
+	return false
+}
+
+func TestStoreAppendFailureDegradesHealth(t *testing.T) {
+	var logBuf syncBuffer
+	reg := metrics.NewRegistry()
+	fs := newFaultStore(events.TypeDone)
+	s, ts := newTestServer(t, Options{Store: fs, Metrics: reg, Logger: log.New(&logBuf, log.Options{})})
+	var h api.Health
+	if getInto(t, ts.URL+"/v1/healthz", &h); h.Status != "ok" {
+		t.Fatalf("healthz before any failure: %q", h.Status)
+	}
+
+	// The done append fails: the job is still served done.
+	j := submitSolve(t, ts.URL, api.SolveRequest{Heuristic: "greedy"})
+	if got := waitState(t, ts.URL, j.ID, api.JobDone); got.State != api.JobDone || got.Result == nil {
+		t.Fatalf("job after a failed done append: %+v", got)
+	}
+	if n := reg.Counter("server.store_errors").Value(); n != 1 {
+		t.Errorf("server.store_errors = %d, want 1", n)
+	}
+	if getInto(t, ts.URL+"/v1/healthz", &h); h.Status != "degraded" || h.Draining {
+		t.Errorf("healthz after a failed append: status %q draining %v, want degraded", h.Status, h.Draining)
+	}
+	var line map[string]any
+	for _, l := range strings.Split(strings.TrimSpace(logBuf.String()), "\n") {
+		if strings.Contains(l, "job store append failed") {
+			if err := json.Unmarshal([]byte(l), &line); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if line["level"] != "error" || line["job"] != j.ID || line["type"] != "done" || line["error"] != errInjected.Error() {
+		t.Errorf("store failure log line %v, want level error with job, type and error", line)
+	}
+
+	// Draining takes precedence over degraded.
+	s.Drain(0)
+	if getInto(t, ts.URL+"/v1/healthz", &h); h.Status != "draining" {
+		t.Errorf("healthz while draining and degraded: %q", h.Status)
+	}
+}
+
+// TestAcceptedAppendFailureFailsJob pins the phantom-job fix: a job
+// whose accepted append fails is answered 500 and listed as failed,
+// never as queued, on both the queue and the cache admission paths.
+func TestAcceptedAppendFailureFailsJob(t *testing.T) {
+	reg := metrics.NewRegistry()
+	fs := newFaultStore()
+	_, ts := newTestServer(t, Options{Store: fs, Metrics: reg, Cache: cache.New(cache.Options{Metrics: reg})})
+	req := api.SolveRequest{Heuristic: "greedy"}
+	first := submitSolve(t, ts.URL, req)
+	waitState(t, ts.URL, first.ID, api.JobDone)
+
+	fs.failOn(events.TypeAccepted)
+	// A different request takes the queue path; a repeat of the first
+	// one is answered from the cache.
+	for _, body := range []api.SolveRequest{{Heuristic: "twophase"}, req} {
+		if resp := post(t, ts.URL+"/v1/solve", body, nil); resp.StatusCode != http.StatusInternalServerError {
+			t.Errorf("%s with a failing accepted append: status %d, want 500", body.Heuristic, resp.StatusCode)
+		}
+	}
+	var l api.JobList
+	getInto(t, ts.URL+"/v1/jobs", &l)
+	if l.Total != 3 {
+		t.Fatalf("listed %d jobs, want 3", l.Total)
+	}
+	for _, j := range l.Jobs[1:] {
+		if j.State != api.JobFailed || !strings.Contains(j.Error, errInjected.Error()) {
+			t.Errorf("job %s after a failed accepted append: state %s error %q, want failed with the store error",
+				j.ID, j.State, j.Error)
+		}
+	}
+	if n := reg.Counter("server.store_errors").Value(); n != 2 {
+		t.Errorf("server.store_errors = %d, want 2", n)
 	}
 }

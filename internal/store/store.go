@@ -16,18 +16,20 @@
 //     survive kill -9. Seeded jobs are bit-identical, so a replayed
 //     job re-runs to exactly the first run's result bytes.
 //
-// The record schema is grown out of the internal/events lifecycle
-// types: a Record is an events-style transition (accepted, queued,
-// started, progress, done, failed, cancelled, drained) plus the
-// payloads the store must retain — the original request document (so
-// an interrupted job can be re-dispatched after a crash) and the
-// result document.
+// The record schema is the internal/events lifecycle vocabulary: a
+// Record is a transition (accepted, queued, started, progress, done,
+// failed, cancelled, drained) plus the payloads the store must retain
+// — the original request document (so an interrupted job can be
+// re-dispatched after a crash) and the result document.
 //
 // Both stores materialize records into the same Job state machine
 // (apply), so WAL replay and live appends go through one code path.
-// apply ignores a record type it does not know, so a journal holding
-// frames of a retired type (such as the assigned leases of the removed
-// coordinator/worker mode) still replays.
+// apply also derives each record's events into the job's event log,
+// which Events serves: the record stream is the only lifecycle log, and
+// on the WAL it survives a restart. apply ignores a record type it does
+// not know, so a journal holding frames of a retired type (such as the
+// assigned leases of the removed coordinator/worker mode) still
+// replays.
 package store
 
 import (
@@ -120,13 +122,22 @@ type JobStore interface {
 	// NextID allocates the next job id (ids survive restarts: the WAL
 	// store continues past the highest replayed id).
 	NextID() string
-	// Append applies one transition to the materialized state and, for
-	// durable backends, journals it. Accepted and terminal transitions
-	// do not return until the record is durable (fsynced); queued,
-	// started, and progress records are journaled asynchronously.
+	// Append applies one transition to the materialized state and the
+	// job's event log and, for durable backends, journals it. Accepted
+	// and terminal transitions do not return until the record is
+	// durable (fsynced); queued, started, and progress records are
+	// journaled asynchronously. A durable backend applies the record
+	// only once it is as durable as its class promises, and applies it
+	// even when journaling fails (the error is returned), so job state
+	// still advances.
 	Append(rec Record) error
 	// Get returns the materialized job.
 	Get(id string) (Job, bool)
+	// Events returns the job's events with Seq > after (every retained
+	// event when after precedes the retained window), a channel that
+	// closes at the job's next event — nil once the log has ended at a
+	// terminal event — and whether the job exists.
+	Events(id string, after int64) ([]events.Event, <-chan struct{}, bool)
 	// List returns every materialized job in submission order.
 	List() []Job
 	// Interrupted returns the jobs that were non-terminal when the
@@ -139,19 +150,46 @@ type JobStore interface {
 	Close() error
 }
 
+// eventBound caps one job's event log: beyond it the oldest events are
+// trimmed, and a reader whose cursor precedes the retained window sees
+// the gap in the seq numbering.
+const eventBound = 4096
+
 // table is the shared materialized state: jobs by id plus submission
 // order and the id sequence. Memory embeds it directly; WAL drives it
 // from replayed and live records.
 type table struct {
 	mu       sync.Mutex
-	jobs     map[string]*Job
+	jobs     map[string]*entry
 	order    []string
 	seq      int
 	appended int64
 }
 
+// entry is one job in the table: its materialized state and its event
+// log, the newest eventBound events derived from its records.
+type entry struct {
+	job  Job
+	evs  []events.Event
+	last int64         // seq of the newest event; seqs start at 1
+	wake chan struct{} // closed at the next event; nil until a reader waits
+}
+
 func newTable() *table {
-	return &table{jobs: map[string]*Job{}}
+	return &table{jobs: map[string]*entry{}}
+}
+
+// stamp fills a record's store-assigned fields: the store-wide append
+// sequence and, when the caller left it zero, the time.
+func (t *table) stamp(rec Record) Record {
+	if rec.Time.IsZero() {
+		rec.Time = time.Now().UTC()
+	}
+	t.mu.Lock()
+	t.appended++
+	rec.Seq = t.appended
+	t.mu.Unlock()
+	return rec
 }
 
 // nextID allocates the next job id in the service's historical format.
@@ -176,12 +214,13 @@ func (t *table) bumpSeq(id string) {
 	t.mu.Unlock()
 }
 
-// apply folds one record into the materialized state — the single
-// lifecycle state machine behind live appends and WAL replay.
+// apply folds one record into the materialized state and derives its
+// events into the job's log — the single lifecycle state machine behind
+// live appends and WAL replay.
 func (t *table) apply(rec Record) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	j, ok := t.jobs[rec.Job]
+	e, ok := t.jobs[rec.Job]
 	if !ok {
 		if rec.Type != events.TypeAccepted {
 			// A transition for a job the store never accepted (a
@@ -189,10 +228,11 @@ func (t *table) apply(rec Record) {
 			// to, drop it.
 			return
 		}
-		j = &Job{}
-		t.jobs[rec.Job] = j
+		e = &entry{}
+		t.jobs[rec.Job] = e
 		t.order = append(t.order, rec.Job)
 	}
+	j := &e.job
 	when := rec.Time
 	switch rec.Type {
 	case events.TypeAccepted:
@@ -229,17 +269,58 @@ func (t *table) apply(rec Record) {
 		j.Env.State = api.JobCancelled
 		j.Env.Finished = &when
 		j.Env.Error = rec.Detail
+	default:
+		// A retired record type: no state change and no event.
+		return
+	}
+	e.derive(rec)
+}
+
+// derive appends the events one applied record adds to its job's log:
+// the record's own transition, preceded on done by the events its cache
+// block implies (a result-tier hit, warm evaluation-table counts).
+func (e *entry) derive(rec Record) {
+	ev := events.Event{Time: rec.Time, Job: rec.Job, Type: rec.Type,
+		Detail: rec.Detail, Progress: rec.Progress}
+	switch c := rec.Cache; rec.Type {
+	case events.TypeAccepted:
+		ev.Detail = string(rec.Kind)
+	case events.TypeDone:
+		if c != nil && c.ResultHit {
+			e.push(events.Event{Time: rec.Time, Job: rec.Job, Type: events.TypeCacheResultHit, Detail: c.Key})
+			ev.Detail = "replayed from cache"
+		}
+		if c != nil && (c.WarmHits > 0 || c.WarmMisses > 0) {
+			e.push(events.Event{Time: rec.Time, Job: rec.Job, Type: events.TypeCacheWarm,
+				WarmHits: c.WarmHits, WarmMisses: c.WarmMisses})
+		}
+	}
+	e.push(ev)
+}
+
+// push numbers one event, appends it to the bounded log, and wakes the
+// readers waiting for it.
+func (e *entry) push(ev events.Event) {
+	e.last++
+	ev.Seq = e.last
+	if len(e.evs) == eventBound {
+		e.evs = append(e.evs[:0], e.evs[1:]...)
+	}
+	e.evs = append(e.evs, ev)
+	if e.wake != nil {
+		close(e.wake)
+		e.wake = nil
 	}
 }
 
 func (t *table) get(id string) (Job, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	j, ok := t.jobs[id]
+	e, ok := t.jobs[id]
 	if !ok {
 		return Job{}, false
 	}
-	return *j, true
+	return e.job, true
 }
 
 func (t *table) list() []Job {
@@ -247,9 +328,34 @@ func (t *table) list() []Job {
 	defer t.mu.Unlock()
 	out := make([]Job, 0, len(t.order))
 	for _, id := range t.order {
-		out = append(out, *t.jobs[id])
+		out = append(out, t.jobs[id].job)
 	}
 	return out
+}
+
+// since implements JobStore.Events for both stores.
+func (t *table) since(id string, after int64) ([]events.Event, <-chan struct{}, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	e, ok := t.jobs[id]
+	if !ok {
+		return nil, nil, false
+	}
+	start := 0
+	if first := e.last - int64(len(e.evs)) + 1; after >= first {
+		start = int(after - first + 1)
+	}
+	var out []events.Event
+	if start < len(e.evs) {
+		out = append(out, e.evs[start:]...)
+	}
+	if n := len(e.evs); n > 0 && e.evs[n-1].Type.Terminal() {
+		return out, nil, true
+	}
+	if e.wake == nil {
+		e.wake = make(chan struct{})
+	}
+	return out, e.wake, true
 }
 
 // nonTerminal returns the jobs whose state is not final, in submission
@@ -259,8 +365,8 @@ func (t *table) nonTerminal() []Job {
 	defer t.mu.Unlock()
 	var out []Job
 	for _, id := range t.order {
-		if j := t.jobs[id]; !j.Env.State.Terminal() {
-			out = append(out, *j)
+		if j := t.jobs[id].job; !j.Env.State.Terminal() {
+			out = append(out, j)
 		}
 	}
 	return out
@@ -293,19 +399,17 @@ func (m *Memory) NextID() string { return m.t.nextID() }
 // Append implements JobStore: the record is applied to the in-memory
 // state and forgotten.
 func (m *Memory) Append(rec Record) error {
-	if rec.Time.IsZero() {
-		rec.Time = time.Now().UTC()
-	}
-	m.t.mu.Lock()
-	m.t.appended++
-	rec.Seq = m.t.appended
-	m.t.mu.Unlock()
-	m.t.apply(rec)
+	m.t.apply(m.t.stamp(rec))
 	return nil
 }
 
 // Get implements JobStore.
 func (m *Memory) Get(id string) (Job, bool) { return m.t.get(id) }
+
+// Events implements JobStore.
+func (m *Memory) Events(id string, after int64) ([]events.Event, <-chan struct{}, bool) {
+	return m.t.since(id, after)
+}
 
 // List implements JobStore.
 func (m *Memory) List() []Job { return m.t.list() }

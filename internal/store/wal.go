@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"cdsf/internal/events"
 	"cdsf/internal/metrics"
@@ -33,6 +32,12 @@ import (
 // is in flight, every appender that arrives queues behind it and is
 // released by the next single fsync, so the fsync rate is bounded by
 // disk latency, not by the append rate.
+//
+// Visibility follows durability: a record is applied to the table (and
+// so shows in Get, List and Events) only after its frame is written,
+// and an accepted or terminal record only after its fsync returns. No
+// reader, the SSE follower included, sees a terminal state the disk
+// does not hold yet.
 //
 // Replay: on open the journal is read back frame by frame and applied
 // through the same state machine live appends use. A torn tail — a
@@ -212,17 +217,13 @@ func (w *WAL) Backend() string { return "wal" }
 // one.
 func (w *WAL) NextID() string { return w.t.nextID() }
 
-// Append implements JobStore: apply, frame, write, and — for durable
-// record types — wait for the group-committed fsync.
+// Append implements JobStore: frame, write, for durable record types
+// wait for the group-committed fsync, and only then apply. The record
+// is applied whatever the outcome, so job state still advances when
+// the disk fails; the error is returned.
 func (w *WAL) Append(rec Record) error {
-	if rec.Time.IsZero() {
-		rec.Time = time.Now().UTC()
-	}
-	w.t.mu.Lock()
-	w.t.appended++
-	rec.Seq = w.t.appended
-	w.t.mu.Unlock()
-	w.t.apply(rec)
+	rec = w.t.stamp(rec)
+	defer w.t.apply(rec)
 	w.opts.Metrics.Counter("store.appends").Inc()
 
 	payload, err := json.Marshal(rec)
@@ -295,6 +296,12 @@ func (w *WAL) release() {
 
 // Get implements JobStore.
 func (w *WAL) Get(id string) (Job, bool) { return w.t.get(id) }
+
+// Events implements JobStore; replay rebuilds every job's log, so it
+// survives a restart.
+func (w *WAL) Events(id string, after int64) ([]events.Event, <-chan struct{}, bool) {
+	return w.t.since(id, after)
+}
 
 // List implements JobStore.
 func (w *WAL) List() []Job { return w.t.list() }
