@@ -7,11 +7,12 @@
 #   make race    run the full test suite under the race detector
 #   make cover   enforce the coverage floor on the observability and
 #                service packages (internal/tracing, internal/trace,
-#                internal/api, internal/server, internal/log,
-#                internal/events, internal/store), the PMF kernels
-#                (internal/pmf), the solve cache (internal/cache), and
-#                the DAG code paths (internal/sysmodel, internal/ra,
-#                internal/robustness)
+#                internal/metrics, internal/runner, internal/api,
+#                internal/server, internal/log, internal/events,
+#                internal/store), the PMF kernels (internal/pmf), the
+#                solve cache (internal/cache), the Stage-II simulator
+#                (internal/sim), and the DAG code paths
+#                (internal/sysmodel, internal/ra, internal/robustness)
 #   make bench   run the benchmark suite with allocation stats
 #   make bench-pmf  refresh the PMF backend comparison behind
 #                BENCH_PMF2.json (sparse vs grid kernels, solve) and
@@ -40,7 +41,7 @@ GO ?= go
 COVER_FLOOR ?= 85
 
 # Packages held to the coverage floor.
-COVER_PKGS ?= ./internal/tracing ./internal/trace ./internal/api ./internal/server ./internal/pmf ./internal/cache ./internal/log ./internal/events ./internal/store ./internal/sysmodel ./internal/ra ./internal/robustness
+COVER_PKGS ?= ./internal/tracing ./internal/trace ./internal/metrics ./internal/runner ./internal/api ./internal/server ./internal/pmf ./internal/cache ./internal/log ./internal/events ./internal/store ./internal/sim ./internal/sysmodel ./internal/ra ./internal/robustness
 
 # Listen address for `make serve`.
 SERVE_ADDR ?= 127.0.0.1:8080

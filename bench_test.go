@@ -68,7 +68,7 @@ func BenchmarkTableIII(b *testing.B) {
 // the exhaustive optimum) on the paper instance.
 func BenchmarkTableIV(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.GenerateTableIV(); err != nil {
+		if _, err := experiments.GenerateTableIVContext(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -78,7 +78,7 @@ func BenchmarkTableIV(b *testing.B) {
 // Table IV allocations.
 func BenchmarkTableV(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.GenerateTableV(); err != nil {
+		if _, err := experiments.GenerateTableVContext(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -88,7 +88,7 @@ func BenchmarkTableV(b *testing.B) {
 // Stage-II simulations across all four cases) behind Table VI.
 func BenchmarkTableVI(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, _, err := experiments.GenerateTableVI(uint64(i)); err != nil {
+		if _, _, err := experiments.GenerateTableVIContext(context.Background(), uint64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -116,7 +116,7 @@ func BenchmarkPhi1(b *testing.B) {
 
 func benchFigure(b *testing.B, n int) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.GenerateFigure(n, uint64(i)); err != nil {
+		if _, err := experiments.GenerateFigureContext(context.Background(), n, uint64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -73,6 +73,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			Seed:      *seed,
 			Backend:   rf.PMF,
 			Cache:     s.Cache,
+			Obs:       s.Obs,
 		}
 		switch *executor {
 		case "expected":
@@ -85,8 +86,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			simCfg := core.DefaultStageII(*deadline, *seed)
 			simCfg.PMFBackend = rf.PMF
 			simCfg.Reps = *reps
-			simCfg.Metrics = s.Metrics
-			simCfg.Tracer = s.Tracer
+			simCfg.Obs = s.Obs
 			simCfg.Cache = s.Cache
 			cfg.Executor = core.SimExecutor{Technique: dt, Config: simCfg}
 		default:

@@ -81,8 +81,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 		cfg := core.DefaultStageII(f.Deadline, *seed)
 		cfg.PMFBackend = rf.PMF
-		cfg.Metrics = s.Metrics
-		cfg.Tracer = s.Tracer
+		cfg.Obs = s.Obs
 		cfg.Cache = s.Cache
 		if *reps > 0 {
 			cfg.Reps = *reps

@@ -69,7 +69,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	return rf.Run(ctx, "cdsfd", stderr, func(ctx context.Context, s *runner.Session) error {
 		var js store.JobStore
 		if *storeDir != "" {
-			w, err := store.OpenWAL(*storeDir, store.WALOptions{Metrics: s.Metrics})
+			w, err := store.OpenWAL(*storeDir, store.WALOptions{Metrics: s.Obs.Metrics})
 			if err != nil {
 				return err
 			}
@@ -84,8 +84,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			Executors:  *executors,
 			Workers:    rf.Workers,
 			PMFBackend: rf.PMF,
-			Metrics:    s.Metrics,
-			Tracer:     s.Tracer,
+			Metrics:    s.Obs.Metrics,
+			Tracer:     s.Obs.Tracer,
 			Cache:      s.Cache,
 			Logger:     s.Log,
 			Store:      js,

@@ -100,7 +100,7 @@ func simulate(ctx context.Context, s *runner.Session, stdout io.Writer,
 	seed uint64, deadline float64, gantt bool, chunksOut string, hist, schedule bool,
 	backend pmf.Backend) error {
 
-	reg, tr := s.Metrics, s.Tracer
+	reg, tr := s.Obs.Metrics, s.Obs.Tracer
 
 	iterDist, err := buildDist(distName, mean, cv)
 	if err != nil {
@@ -183,8 +183,7 @@ func simulate(ctx context.Context, s *runner.Session, stdout io.Writer,
 			BestMaster:       true,
 			Overhead:         overhead,
 			Seed:             seed,
-			Metrics:          reg,
-			Tracer:           tr,
+			Obs:              s.Obs,
 			TraceScope:       strings.ToLower(tech.Name) + "/mc",
 		}
 		mcRegion := tr.Begin("dlssim", tech.Name+" x "+fmt.Sprint(reps), "montecarlo")
@@ -255,8 +254,7 @@ func simulate(ctx context.Context, s *runner.Session, stdout io.Writer,
 			Overhead:         overhead,
 			Seed:             seed,
 			CollectChunks:    true,
-			Metrics:          reg,
-			Tracer:           tr,
+			Obs:              s.Obs,
 			TraceScope:       strings.ToLower(tech.Name),
 		}
 		r, err := sim.RunContext(ctx, cfg)

@@ -42,11 +42,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// expgen drives everything through internal/experiments, which
-	// builds its own configs; the process-wide default registry (and
-	// likewise the default tracer and progress board) routes their
-	// instrumentation here without threading a parameter through every
-	// generator — rf.Run installs those defaults.
+	// Only the -scale and -dag studies take the session's scope
+	// (-metrics, -trace, -debug-addr); the paper tables, figures and
+	// sensitivity studies build their own uninstrumented configs and
+	// report only the pmf kernel counters.
 	return rf.Run(ctx, "expgen", stderr, func(ctx context.Context, s *runner.Session) error {
 		switch {
 		case *sensitivity:
@@ -54,7 +53,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		case *scale:
 			return runScale(ctx, stdout, *seed, rf, s, *csv)
 		case *dag:
-			return runDAG(ctx, stdout, *seed, *reps, rf, *csv)
+			return runDAG(ctx, stdout, *seed, *reps, rf, s, *csv)
 		default:
 			return runTables(ctx, stdout, *table, *figure, *seed, *csv)
 		}
@@ -66,6 +65,7 @@ func runScale(ctx context.Context, stdout io.Writer, seed uint64, rf *runner.Fla
 	cfg.Workers = rf.Workers
 	cfg.Backend = rf.PMF
 	cfg.Cache = s.Cache
+	cfg.Obs = s.Obs
 	t, err := experiments.RunScaleStudyContext(ctx, cfg)
 	if err != nil {
 		return err
@@ -76,11 +76,12 @@ func runScale(ctx context.Context, stdout io.Writer, seed uint64, rf *runner.Fla
 	return t.Render(stdout)
 }
 
-func runDAG(ctx context.Context, stdout io.Writer, seed uint64, reps int, rf *runner.Flags, csv bool) error {
+func runDAG(ctx context.Context, stdout io.Writer, seed uint64, reps int, rf *runner.Flags, s *runner.Session, csv bool) error {
 	cfg := experiments.DefaultDAGStudyConfig(seed)
 	cfg.Reps = reps
 	cfg.Workers = rf.Workers
 	cfg.Backend = rf.PMF
+	cfg.Obs = s.Obs
 	t, err := experiments.RunDAGStudyContext(ctx, cfg)
 	if err != nil {
 		return err

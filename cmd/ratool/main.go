@@ -77,8 +77,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 
 		prob.Backend = rf.PMF
-		prob.Metrics = s.Metrics
-		prob.Tracer = s.Tracer
+		prob.Obs = s.Obs
 		prob.Cache = s.Cache
 
 		names := ra.Names()

@@ -26,6 +26,7 @@ import (
 	"cdsf/internal/rng"
 	"cdsf/internal/stats"
 	"cdsf/internal/sysmodel"
+	"cdsf/internal/tracing"
 )
 
 // Job is one application instance waiting in the resource manager's
@@ -122,6 +123,11 @@ type Config struct {
 	Cache *cache.Cache
 	// Seed drives arrivals, template choice, and executor seeds.
 	Seed uint64
+	// Obs receives each batch's Stage-I search instrumentation (see
+	// ra.Problem.Obs); the zero Scope records nothing. The executor
+	// carries its own configuration, so a simulating executor takes its
+	// scope there (core.SimExecutor's Config.Obs).
+	Obs tracing.Scope
 }
 
 // BatchRecord summarizes one executed batch.
@@ -250,7 +256,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		for i := next; i < end; i++ {
 			b = append(b, jobs[i].App)
 		}
-		prob := &ra.Problem{Sys: cfg.Sys, Batch: b, Deadline: cfg.Deadline, Backend: cfg.Backend, Cache: cfg.Cache}
+		prob := &ra.Problem{Sys: cfg.Sys, Batch: b, Deadline: cfg.Deadline, Backend: cfg.Backend, Cache: cfg.Cache, Obs: cfg.Obs}
 		alloc, err := ra.SolveContext(ctx, cfg.Heuristic, prob)
 		if err != nil {
 			return nil, fmt.Errorf("batch %d: %w", len(res.Batches), err)

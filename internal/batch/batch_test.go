@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"cdsf/internal/metrics"
 	"cdsf/internal/pmf"
 	"cdsf/internal/ra"
 	"cdsf/internal/stats"
@@ -104,17 +105,24 @@ func TestRunBasicInvariants(t *testing.T) {
 	}
 }
 
+// A seeded run is reproducible, also under an instrumentation scope,
+// which receives every batch's Stage-I search counters.
 func TestRunDeterministic(t *testing.T) {
 	a, err := RunContext(context.Background(), config())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunContext(context.Background(), config())
+	cfg := config()
+	cfg.Obs.Metrics = metrics.NewRegistry()
+	b, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.MakespanTotal != b.MakespanTotal || len(a.Batches) != len(b.Batches) {
 		t.Error("batch simulation not deterministic")
+	}
+	if cfg.Obs.Metrics.Counter("ra.precompute_cells").Value() == 0 {
+		t.Error("the scope saw no Stage-I table build")
 	}
 }
 

@@ -24,7 +24,6 @@ import (
 	"cdsf/internal/availability"
 	"cdsf/internal/cache"
 	"cdsf/internal/dls"
-	"cdsf/internal/metrics"
 	"cdsf/internal/pmf"
 	"cdsf/internal/ra"
 	"cdsf/internal/robustness"
@@ -129,24 +128,19 @@ type StageIIConfig struct {
 	PMFBackend pmf.Backend
 	// Seed drives all Stage-II randomness.
 	Seed uint64
-	// Metrics optionally receives end-to-end instrumentation: it is
-	// threaded into the Stage-I ra.Problem and every Stage-II
-	// sim.Config, and RunScenario adds per-scenario wall time and
-	// repetition counts. Nil falls back to metrics.Default().
-	Metrics *metrics.Registry
-	// Tracer optionally receives the scenario's timeline: wall-clock
-	// spans for Stage I and the scenario -> case -> application
-	// nesting, plus one representative simulated-time chunk timeline
-	// per (case, application, technique) cell on hierarchically named
-	// lanes. Nil falls back to tracing.Default(). Spans derive only
-	// from wall time and finished results, so seeded outputs are
-	// bit-identical with tracing on or off.
-	Tracer *tracing.Tracer
-	// Progress optionally receives scenario/case/replication progress.
-	// Nil falls back to tracing.DefaultProgress(), the process-wide
-	// board the CLIs install with -debug-addr; the scheduling service
-	// wires a per-job board here so concurrent jobs report separately.
-	Progress *tracing.Progress
+	// Obs receives the scenario's instrumentation and is threaded into
+	// the Stage-I ra.Problem and every Stage-II sim.Config.
+	// RunScenarioContext adds per-scenario wall time and repetition
+	// counts to Obs.Metrics; Obs.Tracer gets wall-clock spans for
+	// Stage I and the scenario -> case -> application nesting, plus one
+	// representative simulated-time chunk timeline per (case,
+	// application, technique) cell on hierarchically named lanes;
+	// Obs.Progress gets scenario, case and replication counts, so the
+	// scheduling service wires a per-job board here and concurrent jobs
+	// report separately. The zero Scope records nothing.
+	// Instrumentation derives only from wall time and finished results,
+	// so seeded outputs are bit-identical under any scope.
+	Obs tracing.Scope
 	// Cache optionally shares warm Stage-I evaluation-table
 	// distributions across runs (see ra.Problem.Cache): scenarios over
 	// the same types and applications reuse one cached distribution set
@@ -154,30 +148,6 @@ type StageIIConfig struct {
 	// Results are bit-identical with or without it. Nil disables
 	// sharing.
 	Cache *cache.Cache
-}
-
-// registry resolves the effective metrics registry for this config.
-func (c *StageIIConfig) registry() *metrics.Registry {
-	if c.Metrics != nil {
-		return c.Metrics
-	}
-	return metrics.Default()
-}
-
-// tracer resolves the effective tracer for this config.
-func (c *StageIIConfig) tracer() *tracing.Tracer {
-	if c.Tracer != nil {
-		return c.Tracer
-	}
-	return tracing.Default()
-}
-
-// progress resolves the effective progress board for this config.
-func (c *StageIIConfig) progress() *tracing.Progress {
-	if c.Progress != nil {
-		return c.Progress
-	}
-	return tracing.DefaultProgress()
 }
 
 // DefaultStageII returns the configuration used by the paper
@@ -363,18 +333,16 @@ func (f *Framework) RunScenarioContext(ctx context.Context, sc Scenario, cases [
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	reg := cfg.registry()
+	reg, tr, prog := cfg.Obs.Metrics, cfg.Obs.Tracer, cfg.Obs.Progress
 	var t0 time.Time
 	if reg != nil {
 		t0 = time.Now()
 	}
-	tr := cfg.tracer()
-	prog := cfg.progress()
 	prog.PlanScenarios(1)
 	prog.PlanCases(len(cases))
 	scenarioRegion := tr.Begin("stage2", sc.Name, "scenario")
 	stage1Region := tr.Begin("stage2", "stage1: "+sc.IM.Name(), "stage1")
-	prob := &ra.Problem{Sys: f.Sys, Batch: f.Batch, Deadline: f.Deadline, Edges: f.Edges, Backend: cfg.PMFBackend, Metrics: cfg.Metrics, Tracer: cfg.Tracer, Cache: cfg.Cache}
+	prob := &ra.Problem{Sys: f.Sys, Batch: f.Batch, Deadline: f.Deadline, Edges: f.Edges, Backend: cfg.PMFBackend, Obs: cfg.Obs, Cache: cfg.Cache}
 	alloc, err := ra.SolveContext(ctx, sc.IM, prob)
 	stage1Region.End()
 	if err != nil {
@@ -457,13 +425,12 @@ func (f *Framework) RunCaseContext(ctx context.Context, alloc sysmodel.Allocatio
 	if len(ras) == 0 {
 		return nil, fmt.Errorf("core: no stage-II techniques")
 	}
-	prog := cfg.progress()
-	prog.PlanCases(1)
+	cfg.Obs.Progress.PlanCases(1)
 	cr, err := f.runCase(ctx, alloc, ras, c, cfg, 0, c.Name)
 	if err != nil {
 		return nil, err
 	}
-	prog.CaseDone()
+	cfg.Obs.Progress.CaseDone()
 	return cr, nil
 }
 
@@ -538,7 +505,7 @@ func (f *Framework) runCase(ctx context.Context, alloc sysmodel.Allocation, ras 
 					}
 				}
 			}
-			appRegion := cfg.tracer().Begin("stage2", app.Name+" / "+tech.Name, "app")
+			appRegion := cfg.Obs.Tracer.Begin("stage2", app.Name+" / "+tech.Name, "app")
 			s, err := f.simulateApp(ctx, app, as, tech, iterDist, model, cfg, releases,
 				cfg.Seed^(caseSalt<<40)^(uint64(i)<<20)^uint64(ti)<<4,
 				traceScope+"/"+app.Name+"/"+tech.Name)
@@ -583,10 +550,8 @@ func (f *Framework) simulateApp(ctx context.Context, app *sysmodel.Application, 
 		Seed:          seed,
 		BestMaster:    cfg.BestMaster,
 		TimeSteps:     cfg.TimeSteps,
-		Metrics:       cfg.Metrics,
-		Tracer:        cfg.Tracer,
+		Obs:           cfg.Obs,
 		TraceScope:    traceScope,
-		Progress:      cfg.Progress,
 	}
 	if cfg.WeightsFromAvail {
 		c.WeightsFromAvail = true

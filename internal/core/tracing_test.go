@@ -4,8 +4,11 @@ import (
 	"context"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
+	"cdsf/internal/dls"
+	"cdsf/internal/metrics"
 	"cdsf/internal/ra"
 	"cdsf/internal/tracing"
 )
@@ -22,7 +25,7 @@ func TestRunScenarioTracing(t *testing.T) {
 	}
 
 	cfg := quickCfg(1)
-	cfg.Tracer = tracing.New()
+	cfg.Obs.Tracer = tracing.New()
 	traced, err := f.RunScenarioContext(context.Background(), sc, testCases(f), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +36,7 @@ func TestRunScenarioTracing(t *testing.T) {
 
 	var sawScenario, sawCase, sawApp, sawStage1 bool
 	var simLanes []string
-	for _, s := range cfg.Tracer.Spans() {
+	for _, s := range cfg.Obs.Tracer.Spans() {
 		switch {
 		case s.Clock == tracing.Wall && s.Lane == "stage2":
 			switch s.Cat {
@@ -69,19 +72,18 @@ func TestRunScenarioTracing(t *testing.T) {
 	}
 }
 
-// RunScenario reports scenario and case progress to the default board.
+// RunScenario reports scenario, case and replication progress to the
+// board in its scope.
 func TestRunScenarioProgress(t *testing.T) {
-	prog := tracing.NewProgress()
-	tracing.SetProgress(prog)
-	defer tracing.SetProgress(nil)
-
 	f := testFramework()
 	sc := Scenario{Name: "test", IM: ra.Exhaustive{}, RAS: NaiveRAS()}
 	cases := testCases(f)
-	if _, err := f.RunScenarioContext(context.Background(), sc, cases, quickCfg(1)); err != nil {
+	cfg := quickCfg(1)
+	cfg.Obs.Progress = tracing.NewProgress()
+	if _, err := f.RunScenarioContext(context.Background(), sc, cases, cfg); err != nil {
 		t.Fatal(err)
 	}
-	s := prog.Snapshot()
+	s := cfg.Obs.Progress.Snapshot()
 	if s.Scenarios != (tracing.Counts{Done: 1, Planned: 1}) {
 		t.Errorf("scenarios = %+v", s.Scenarios)
 	}
@@ -90,5 +92,76 @@ func TestRunScenarioProgress(t *testing.T) {
 	}
 	if s.Replications.Done == 0 || s.Replications.Done != s.Replications.Planned {
 		t.Errorf("replications = %+v", s.Replications)
+	}
+}
+
+// Two scenarios running at once with distinct scopes must each report
+// only to their own registry, tracer and board: no instrumentation is
+// shared between runs.
+func TestConcurrentScopesAreIsolated(t *testing.T) {
+	type run struct {
+		name string
+		ras  []dls.Technique
+		reps int
+		obs  tracing.Scope
+		err  error
+	}
+	runs := []*run{
+		{name: "alpha", ras: RobustRAS(), reps: 5},
+		{name: "beta", ras: NaiveRAS(), reps: 3},
+	}
+	var wg sync.WaitGroup
+	for _, r := range runs {
+		r.obs = tracing.Scope{Metrics: metrics.NewRegistry(), Tracer: tracing.New(), Progress: tracing.NewProgress()}
+		wg.Add(1)
+		go func(r *run) {
+			defer wg.Done()
+			f := testFramework()
+			cfg := quickCfg(7)
+			cfg.Reps = r.reps
+			cfg.Obs = r.obs
+			sc := Scenario{Name: r.name, IM: ra.Exhaustive{}, RAS: r.ras}
+			_, r.err = f.RunScenarioContext(context.Background(), sc, testCases(f), cfg)
+		}(r)
+	}
+	wg.Wait()
+	for i, r := range runs {
+		if r.err != nil {
+			t.Fatalf("%s: %v", r.name, r.err)
+		}
+		other := runs[1-i].name
+		// 2 applications x 2 cases x len(ras) techniques x reps.
+		reps := int64(2 * 2 * len(r.ras) * r.reps)
+		snap := r.obs.Metrics.Snapshot()
+		if got := snap.Counters["core.scenarios"]; got != 1 {
+			t.Errorf("%s: core.scenarios = %d, want 1", r.name, got)
+		}
+		if got := snap.Counters["sim.replications"]; got != reps {
+			t.Errorf("%s: sim.replications = %d, want %d", r.name, got, reps)
+		}
+		if snap.Counters["ra.evaluations"] == 0 {
+			t.Errorf("%s: Stage I reported no evaluations", r.name)
+		}
+		for name := range snap.Counters {
+			if strings.Contains(name, other) {
+				t.Errorf("%s: registry holds %s's counter %q", r.name, other, name)
+			}
+		}
+		for _, s := range r.obs.Tracer.Spans() {
+			if s.Clock == tracing.Sim && !strings.HasPrefix(s.Lane, r.name+"/") {
+				t.Fatalf("%s: tracer holds foreign lane %q", r.name, s.Lane)
+			}
+			if s.Cat == "scenario" && s.Name != r.name {
+				t.Errorf("%s: tracer holds foreign scenario span %q", r.name, s.Name)
+			}
+		}
+		want := tracing.ProgressSnapshot{
+			Scenarios:    tracing.Counts{Done: 1, Planned: 1},
+			Cases:        tracing.Counts{Done: 2, Planned: 2},
+			Replications: tracing.Counts{Done: reps, Planned: reps},
+		}
+		if got := r.obs.Progress.Snapshot(); got != want {
+			t.Errorf("%s: progress = %+v, want %+v", r.name, got, want)
+		}
 	}
 }

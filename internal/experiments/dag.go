@@ -115,6 +115,11 @@ type DAGStudyConfig struct {
 	// Workers bounds the pool evaluating (topology, heuristic) cells
 	// concurrently; the output is identical for any count.
 	Workers int
+	// Obs receives every cell's Stage-I and Stage-II instrumentation.
+	// Each cell is one single-case scenario, so Obs.Progress counts
+	// one scenario and one case per cell. The study's output is
+	// bit-identical under any scope.
+	Obs tracing.Scope
 }
 
 // DefaultDAGStudyConfig returns the configuration used by expgen -dag.
@@ -183,10 +188,7 @@ func RunDAGStudyContext(ctx context.Context, cfg DAGStudyConfig) (*report.Table,
 		}
 	}
 	results := make([]cellResult, len(jobs))
-	prog := tracing.DefaultProgress()
-	prog.PlanCases(len(jobs))
 	if err := forEachParallel(ctx, cfg.Workers, len(jobs), func(i int) {
-		defer prog.CaseDone()
 		j := jobs[i]
 		phi, ratio, met, err := evalDAGCell(ctx, base, topos[j.topo].edges, cfg.Heuristics[j.heur], cfg)
 		results[i] = cellResult{phi: phi, ratio: ratio, met: met, err: err}
@@ -225,7 +227,7 @@ func evalDAGCell(ctx context.Context, base *ra.Problem, edges []sysmodel.Edge, h
 		return 0, 0, false, err
 	}
 	prob := &ra.Problem{Sys: base.Sys, Batch: base.Batch, Deadline: base.Deadline,
-		Edges: edges, Backend: cfg.Backend}
+		Edges: edges, Backend: cfg.Backend, Obs: cfg.Obs}
 	alloc, err := ra.SolveContext(ctx, h, prob)
 	if err != nil {
 		return 0, 0, false, err
@@ -247,6 +249,7 @@ func evalDAGCell(ctx context.Context, base *ra.Problem, edges []sysmodel.Edge, h
 	}
 	simCfg := core.DefaultStageII(base.Deadline, cfg.Seed)
 	simCfg.PMFBackend = cfg.Backend
+	simCfg.Obs = cfg.Obs
 	simCfg.Reps = cfg.Reps
 	simCfg.Model = func(p pmf.PMF) availability.Model {
 		return availability.Markov{PMF: p, Interval: base.Deadline / 4, Persistence: 0.5}

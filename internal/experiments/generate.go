@@ -90,13 +90,8 @@ type TableIVResult struct {
 	RobustExpected string
 }
 
-// ComputeTableIV runs the naive load balancer and exhaustive search on
-// the paper instance and evaluates both allocations.
-func ComputeTableIV() (*TableIVResult, error) {
-	return ComputeTableIVContext(context.Background())
-}
-
-// ComputeTableIVContext is ComputeTableIV under a context; the
+// ComputeTableIVContext runs the naive load balancer and exhaustive
+// search on the paper instance and evaluates both allocations; the
 // exhaustive Stage-I search honors cancellation.
 func ComputeTableIVContext(ctx context.Context) (*TableIVResult, error) {
 	f := Framework()
@@ -127,13 +122,8 @@ func ComputeTableIVContext(ctx context.Context) (*TableIVResult, error) {
 	}, nil
 }
 
-// GenerateTableIV reproduces Table IV: the naive and robust IM
+// GenerateTableIVContext reproduces Table IV: the naive and robust IM
 // allocations with their joint deadline probabilities.
-func GenerateTableIV() (*report.Table, error) {
-	return GenerateTableIVContext(context.Background())
-}
-
-// GenerateTableIVContext is GenerateTableIV under a context.
 func GenerateTableIVContext(ctx context.Context) (*report.Table, error) {
 	res, err := ComputeTableIVContext(ctx)
 	if err != nil {
@@ -162,13 +152,8 @@ func GenerateTableIVContext(ctx context.Context) (*report.Table, error) {
 	return t, nil
 }
 
-// GenerateTableV reproduces Table V: the expected parallel completion
-// times for both allocations, alongside the paper's values.
-func GenerateTableV() (*report.Table, error) {
-	return GenerateTableVContext(context.Background())
-}
-
-// GenerateTableVContext is GenerateTableV under a context.
+// GenerateTableVContext reproduces Table V: the expected parallel
+// completion times for both allocations, alongside the paper's values.
 func GenerateTableVContext(ctx context.Context) (*report.Table, error) {
 	res, err := ComputeTableIVContext(ctx)
 	if err != nil {
@@ -195,13 +180,8 @@ func scenarioByNumber(n int) core.Scenario {
 	return scs[n-1]
 }
 
-// RunPaperScenario evaluates paper scenario n (1-4) with the default
-// calibrated Stage-II configuration and the given seed.
-func RunPaperScenario(n int, seed uint64) (*core.ScenarioResult, error) {
-	return RunPaperScenarioContext(context.Background(), n, seed)
-}
-
-// RunPaperScenarioContext is RunPaperScenario under a context; ctx
+// RunPaperScenarioContext evaluates paper scenario n (1-4) with the
+// default calibrated Stage-II configuration and the given seed; ctx
 // reaches the Stage-I search and every Stage-II replication fan-out.
 func RunPaperScenarioContext(ctx context.Context, n int, seed uint64) (*core.ScenarioResult, error) {
 	if n < 1 || n > 4 {
@@ -212,14 +192,9 @@ func RunPaperScenarioContext(ctx context.Context, n int, seed uint64) (*core.Sce
 	return f.RunScenarioContext(ctx, scenarioByNumber(n), Cases(), cfg)
 }
 
-// GenerateFigure renders paper figure n (3-6 correspond to scenarios
-// 1-4): per-case, per-application, per-technique mean execution times as
-// a bar chart against the deadline.
-func GenerateFigure(n int, seed uint64) (*report.BarChart, error) {
-	return GenerateFigureContext(context.Background(), n, seed)
-}
-
-// GenerateFigureContext is GenerateFigure under a context.
+// GenerateFigureContext renders paper figure n (3-6 correspond to
+// scenarios 1-4): per-case, per-application, per-technique mean
+// execution times as a bar chart against the deadline.
 func GenerateFigureContext(ctx context.Context, n int, seed uint64) (*report.BarChart, error) {
 	if n < 3 || n > 6 {
 		return nil, fmt.Errorf("experiments: figure %d out of 3..6", n)
@@ -246,14 +221,9 @@ func GenerateFigureContext(ctx context.Context, n int, seed uint64) (*report.Bar
 	return c, nil
 }
 
-// GenerateTableVI reproduces Table VI from scenario 4: the best
+// GenerateTableVIContext reproduces Table VI from scenario 4: the best
 // deadline-meeting DLS technique per application and case, plus the
 // resulting robustness tuple.
-func GenerateTableVI(seed uint64) (*report.Table, robustness.Tuple, error) {
-	return GenerateTableVIContext(context.Background(), seed)
-}
-
-// GenerateTableVIContext is GenerateTableVI under a context.
 func GenerateTableVIContext(ctx context.Context, seed uint64) (*report.Table, robustness.Tuple, error) {
 	res, err := RunPaperScenarioContext(ctx, 4, seed)
 	if err != nil {

@@ -112,6 +112,11 @@ type ScaleConfig struct {
 	// by every cell's Stage-I and Stage-II work; the study's output is
 	// bit-identical with it on or off.
 	Cache *cache.Cache
+	// Obs receives every cell's Stage-I and Stage-II instrumentation.
+	// Each cell is one single-case scenario, so Obs.Progress counts
+	// one scenario and one case per cell. The study's output is
+	// bit-identical under any scope.
+	Obs tracing.Scope
 }
 
 // DefaultScaleConfig returns the configuration used by the repository's
@@ -185,13 +190,7 @@ func RunScaleStudyContext(ctx context.Context, cfg ScaleConfig) (*report.Table, 
 		}
 	}
 	results := make([]cellResult, len(jobs))
-	// Each (size, quadrant, instance) cell counts as one "case" on the
-	// live progress board, so the -debug-addr /progress endpoint shows
-	// how far a long scale study has advanced.
-	prog := tracing.DefaultProgress()
-	prog.PlanCases(len(jobs))
 	if err := forEachParallel(ctx, cfg.Workers, len(jobs), func(i int) {
-		defer prog.CaseDone()
 		j := jobs[i]
 		apps, t1, t2 := j.size[0], j.size[1], j.size[2]
 		seed := cfg.Seed ^ uint64(j.inst)<<16 ^ uint64(apps)<<40
@@ -202,6 +201,7 @@ func RunScaleStudyContext(ctx context.Context, cfg ScaleConfig) (*report.Table, 
 		}
 		prob.Backend = cfg.Backend
 		prob.Cache = cfg.Cache
+		prob.Obs = cfg.Obs
 		ok, phi, err := evalQuadrant(ctx, prob, quadrants[j.quad], cfg, seed)
 		results[i] = cellResult{phi: phi, met: ok, err: err}
 	}); err != nil {
@@ -297,6 +297,7 @@ func evalQuadrant(ctx context.Context, prob *ra.Problem, q quadrant, cfg ScaleCo
 	simCfg := core.DefaultStageII(prob.Deadline, seed)
 	simCfg.PMFBackend = cfg.Backend
 	simCfg.Cache = cfg.Cache
+	simCfg.Obs = cfg.Obs
 	simCfg.Reps = cfg.Reps
 	simCfg.Model = func(p pmf.PMF) availability.Model {
 		return availability.Markov{PMF: p, Interval: prob.Deadline / 4, Persistence: 0.5}

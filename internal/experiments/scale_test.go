@@ -7,7 +7,9 @@ import (
 	"strings"
 	"testing"
 
+	"cdsf/internal/metrics"
 	"cdsf/internal/ra"
+	"cdsf/internal/tracing"
 )
 
 func TestSyntheticInstanceValid(t *testing.T) {
@@ -117,5 +119,66 @@ func TestScaleStudyDeterministicAcrossWorkers(t *testing.T) {
 		if tbl.String() != ref.String() {
 			t.Fatalf("workers=%d report differs from sequential:\n%s\n--- want ---\n%s", w, tbl, ref)
 		}
+	}
+}
+
+// Every cell of the scale and DAG studies is one single-case scenario
+// and must be counted once on the progress board: planned scenarios =
+// planned cases = cells, and planned replications = the cells' total
+// Stage-II replications, all done when the study returns.
+func TestStudiesCountEachCellOnce(t *testing.T) {
+	scale := DefaultScaleConfig(3)
+	scale.Instances = 1
+	scale.Sizes = [][3]int{{3, 4, 8}}
+	scale.Reps = 2
+	dag := DefaultDAGStudyConfig(3)
+	dag.Apps, dag.Type1, dag.Type2 = 4, 4, 8
+	dag.Heuristics = []string{"greedy"}
+	dag.Reps = 2
+	for _, tc := range []struct {
+		name  string
+		cells int64
+		// reps is the Stage-II replications of all cells: applications
+		// x techniques x Reps per cell (one case each).
+		reps int64
+		run  func(tracing.Scope) error
+	}{
+		// Four quadrants on one instance: two STATIC quadrants of one
+		// technique and two robust-DLS quadrants of four.
+		{"scale", 4, 3 * (1 + 1 + 4 + 4) * 2, func(obs tracing.Scope) error {
+			c := scale
+			c.Obs = obs
+			_, err := RunScaleStudyContext(context.Background(), c)
+			return err
+		}},
+		// Four topologies x one heuristic, each simulated under the four
+		// robust DLS techniques.
+		{"dag", 4, 4 * (4 * 4 * 2), func(obs tracing.Scope) error {
+			c := dag
+			c.Obs = obs
+			_, err := RunDAGStudyContext(context.Background(), c)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			obs := tracing.Scope{Metrics: metrics.NewRegistry(), Progress: tracing.NewProgress()}
+			if err := tc.run(obs); err != nil {
+				t.Fatal(err)
+			}
+			want := tracing.ProgressSnapshot{
+				Scenarios:    tracing.Counts{Done: tc.cells, Planned: tc.cells},
+				Cases:        tracing.Counts{Done: tc.cells, Planned: tc.cells},
+				Replications: tracing.Counts{Done: tc.reps, Planned: tc.reps},
+			}
+			if got := obs.Progress.Snapshot(); got != want {
+				t.Errorf("progress = %+v, want %+v", got, want)
+			}
+			if got := obs.Metrics.Counter("sim.replications").Value(); got != tc.reps {
+				t.Errorf("sim.replications = %d, want %d", got, tc.reps)
+			}
+			if obs.Metrics.Counter("ra.evaluations").Value() == 0 {
+				t.Error("the study's Stage-I searches reported no evaluations")
+			}
+		})
 	}
 }

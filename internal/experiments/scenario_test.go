@@ -22,7 +22,7 @@ func TestPaperRobustnessTuple(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stage-II simulation is slow")
 	}
-	res, err := RunPaperScenario(4, 42)
+	res, err := RunPaperScenarioContext(context.Background(), 4, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestPaperScenario4Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stage-II simulation is slow")
 	}
-	res, err := RunPaperScenario(4, 42)
+	res, err := RunPaperScenarioContext(context.Background(), 4, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestPaperScenario1Fails(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stage-II simulation is slow")
 	}
-	res, err := RunPaperScenario(1, 42)
+	res, err := RunPaperScenarioContext(context.Background(), 1, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestPaperScenario2Fails(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stage-II simulation is slow")
 	}
-	res, err := RunPaperScenario(2, 42)
+	res, err := RunPaperScenarioContext(context.Background(), 2, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestPaperScenario3NotRobust(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stage-II simulation is slow")
 	}
-	res, err := RunPaperScenario(3, 42)
+	res, err := RunPaperScenarioContext(context.Background(), 3, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,31 +151,31 @@ func TestGenerateEverything(t *testing.T) {
 	if s := GenerateTableIII().String(); len(s) == 0 {
 		t.Error("Table III empty")
 	}
-	t4, err := GenerateTableIV()
+	t4, err := GenerateTableIVContext(context.Background())
 	if err != nil || len(t4.String()) == 0 {
 		t.Errorf("Table IV: %v", err)
 	}
-	t5, err := GenerateTableV()
+	t5, err := GenerateTableVContext(context.Background())
 	if err != nil || len(t5.String()) == 0 {
 		t.Errorf("Table V: %v", err)
 	}
 	for n := 3; n <= 6; n++ {
-		c, err := GenerateFigure(n, 42)
+		c, err := GenerateFigureContext(context.Background(), n, 42)
 		if err != nil || len(c.String()) == 0 {
 			t.Errorf("Figure %d: %v", n, err)
 		}
 	}
-	t6, tuple, err := GenerateTableVI(42)
+	t6, tuple, err := GenerateTableVIContext(context.Background(), 42)
 	if err != nil || len(t6.String()) == 0 {
 		t.Errorf("Table VI: %v", err)
 	}
 	if tuple.Rho1 <= 0 {
 		t.Errorf("tuple = %v", tuple)
 	}
-	if _, err := GenerateFigure(7, 1); err == nil {
+	if _, err := GenerateFigureContext(context.Background(), 7, 1); err == nil {
 		t.Error("figure 7 accepted")
 	}
-	if _, err := RunPaperScenario(0, 1); err == nil {
+	if _, err := RunPaperScenarioContext(context.Background(), 0, 1); err == nil {
 		t.Error("scenario 0 accepted")
 	}
 }

@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -214,16 +213,3 @@ func appendValue(buf *bytes.Buffer, v any) {
 	// invariant holds without scanning.
 	buf.Write(raw)
 }
-
-// defaultLogger is the process-wide fallback logger; see SetDefault.
-var defaultLogger atomic.Pointer[Logger]
-
-// SetDefault installs l as the process-wide default logger, the
-// fallback instrumented code uses when no logger was wired through its
-// config — the same pattern as metrics.SetDefault. The CLIs call it
-// once at startup when -log is given; passing nil disables the
-// fallback. Libraries and tests should prefer explicit wiring.
-func SetDefault(l *Logger) { defaultLogger.Store(l) }
-
-// Default returns the logger installed by SetDefault, or nil.
-func Default() *Logger { return defaultLogger.Load() }

@@ -164,15 +164,3 @@ func TestConcurrentEmitKeepsLinesWhole(t *testing.T) {
 		}
 	}
 }
-
-func TestDefault(t *testing.T) {
-	if Default() != nil {
-		t.Fatal("default logger unexpectedly set")
-	}
-	lg := New(&bytes.Buffer{}, Options{})
-	SetDefault(lg)
-	defer SetDefault(nil)
-	if Default() != lg {
-		t.Error("SetDefault/Default round trip failed")
-	}
-}

@@ -283,15 +283,3 @@ func TestWriteToFiles(t *testing.T) {
 		t.Errorf("CSV file = %q", string(csvData))
 	}
 }
-
-func TestDefaultRegistry(t *testing.T) {
-	if Default() != nil {
-		t.Fatal("default registry set before test")
-	}
-	r := NewRegistry()
-	SetDefault(r)
-	defer SetDefault(nil)
-	if Default() != r {
-		t.Error("SetDefault not observed")
-	}
-}

@@ -352,18 +352,3 @@ func WriteTo(r *Registry, dest string) error {
 	}
 	return err
 }
-
-// defaultRegistry is the process-wide fallback registry; see SetDefault.
-var defaultRegistry atomic.Pointer[Registry]
-
-// SetDefault installs reg as the process-wide default registry, the
-// fallback instrumented packages use when no registry was wired through
-// their configs (sim.Config.Metrics, ra.Problem.Metrics, ...). The CLIs
-// call it once at startup when -metrics is given; passing nil disables
-// the fallback. Libraries and tests should prefer explicit wiring.
-func SetDefault(reg *Registry) { defaultRegistry.Store(reg) }
-
-// Default returns the registry installed by SetDefault, or nil. The
-// load is a single atomic read, cheap enough for once-per-run checks on
-// hot paths.
-func Default() *Registry { return defaultRegistry.Load() }

@@ -6,13 +6,18 @@ import (
 	"cdsf/internal/metrics"
 )
 
-// Combine and Compact are free functions with no receiver or config
-// struct to hang a registry on, so the package holds one process-wide
-// instrumentation set, installed atomically by the CLIs next to
-// metrics.SetDefault. The counters record how often the merge fast
-// path of Combine applies versus the naive cross-product fallback, and
-// how often Compact actually truncates a PMF to the pulse cap — the
-// two knobs that dominate Stage-I PMF cost and accuracy.
+// Every engine gets its instrumentation from the tracing.Scope in its
+// config, with one exception: this package. Combine and Compact are
+// free functions with no receiver or config struct to hang a registry
+// on, and they run inside every kernel of the Stage-I table build and
+// the DAG composition, so a scope parameter would widen every PMF
+// signature. The package therefore holds the program's one
+// process-wide instrumentation hook, SetMetrics, which runner.Run
+// points at the session's registry. The counters record how often the
+// merge fast path of Combine applies versus the naive cross-product
+// fallback, and how often Compact actually truncates a PMF to the
+// pulse cap — the two knobs that dominate Stage-I PMF cost and
+// accuracy.
 
 type pmfInstr struct {
 	fast      *metrics.Counter // pmf.combine_fast: merge-path Combines

@@ -207,8 +207,8 @@ func (h Exhaustive) AllocateContext(ctx context.Context, p *Problem) (sysmodel.A
 	// scanned tallies enumerated allocations; each partition counts in a
 	// local integer and flushes once, so the scan loop stays free of
 	// atomic traffic.
-	scanned := p.registry().Counter("ra.exhaustive_scanned")
-	tr := p.tracer()
+	scanned := p.Obs.Metrics.Counter("ra.exhaustive_scanned")
+	tr := p.Obs.Tracer
 	poolErr := runParallel(ctx, h.Workers, len(opts), func(k int) {
 		defer tr.Begin(fmt.Sprintf("stage1/exhaustive/p%02d", k),
 			fmt.Sprintf("partition app0=%dx type%d", opts[k].Procs, opts[k].Type+1), "stage1").End()

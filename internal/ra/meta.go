@@ -61,8 +61,8 @@ type restartResult struct {
 // run always returns an error wrapping ctx.Err() — never a partial
 // merge, which would depend on how far the workers got.
 func runRestarts(ctx context.Context, p *Problem, label string, workers int, streams []*rng.Source, run func(ctx context.Context, r *rng.Source) (sysmodel.Allocation, float64, error)) (sysmodel.Allocation, error) {
-	p.registry().Counter("ra.restarts").Add(int64(len(streams)))
-	tr := p.tracer()
+	p.Obs.Metrics.Counter("ra.restarts").Add(int64(len(streams)))
+	tr := p.Obs.Tracer
 	results := make([]restartResult, len(streams))
 	poolErr := runParallel(ctx, workers, len(streams), func(k int) {
 		defer tr.Begin(fmt.Sprintf("stage1/%s/r%02d", label, k),

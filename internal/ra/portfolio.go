@@ -72,7 +72,7 @@ func (p Portfolio) AllocateContext(ctx context.Context, prob *Problem) (sysmodel
 		err error
 	}
 	results := make([]memberResult, len(members))
-	tr := prob.tracer()
+	tr := prob.Obs.Tracer
 	poolErr := runParallel(ctx, p.Workers, len(members), func(i int) {
 		defer tr.Begin("stage1/portfolio/"+members[i].Name(), members[i].Name(), "stage1").End()
 		al, err := SolveContext(ctx, members[i], prob)

@@ -76,21 +76,18 @@ type Problem struct {
 	// Precompute, like every other field.
 	Backend pmf.Backend
 
-	// Metrics optionally receives search instrumentation (cell
+	// Obs receives the search's instrumentation: counters (cell
 	// evaluations, table hits/misses, precompute wall time, exhaustive
-	// scans, metaheuristic restarts). Nil falls back to
-	// metrics.Default(). Set it before Precompute — the hot-path
-	// counters are cached when the table is built, following the same
-	// single-goroutine construction contract as the table itself.
-	Metrics *metrics.Registry
-
-	// Tracer optionally receives wall-clock spans of the Stage-I
-	// search: the precompute build, each exhaustive partition, each
-	// portfolio member, and each metaheuristic restart, on lanes under
-	// "stage1/". Nil falls back to tracing.Default(). Spans never touch
-	// the search's rng streams, so allocations are identical with
-	// tracing on or off.
-	Tracer *tracing.Tracer
+	// scans, metaheuristic restarts) in Obs.Metrics, and wall-clock
+	// spans of the precompute build, each exhaustive partition, each
+	// portfolio member and each metaheuristic restart, on lanes under
+	// "stage1/", in Obs.Tracer. The zero Scope records nothing. Set it
+	// before Precompute — the hot-path counters are cached when the
+	// table is built, following the same single-goroutine construction
+	// contract as the table itself. Instrumentation never touches the
+	// search's rng streams, so allocations are identical under any
+	// scope.
+	Obs tracing.Scope
 
 	// Cache optionally shares warm evaluation-table distributions
 	// across Problems. On a warm hit, Precompute derives every cell's
@@ -138,22 +135,6 @@ type instr struct {
 	evals  *metrics.Counter // ra.evaluations: every evalCell call
 	hits   *metrics.Counter // ra.table_hits: O(1) table reads
 	misses *metrics.Counter // ra.table_misses: direct computeCell falls
-}
-
-// registry resolves the effective metrics registry for this Problem.
-func (p *Problem) registry() *metrics.Registry {
-	if p.Metrics != nil {
-		return p.Metrics
-	}
-	return metrics.Default()
-}
-
-// tracer resolves the effective tracer for this Problem.
-func (p *Problem) tracer() *tracing.Tracer {
-	if p.Tracer != nil {
-		return p.Tracer
-	}
-	return tracing.Default()
 }
 
 type memoVal struct {

@@ -83,8 +83,8 @@ func (p *Problem) PrecomputeContext(ctx context.Context, workers int) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	defer p.tracer().Begin("stage1", "precompute", "stage1").End()
-	reg := p.registry()
+	defer p.Obs.Tracer.Begin("stage1", "precompute", "stage1").End()
+	reg := p.Obs.Metrics
 	var t0 time.Time
 	if reg != nil {
 		t0 = time.Now()

@@ -24,7 +24,7 @@ func TestStageISpans(t *testing.T) {
 			}
 
 			p := smallProblem()
-			p.Tracer = tracing.New()
+			p.Obs.Tracer = tracing.New()
 			al, err := h.Allocate(p)
 			if err != nil {
 				t.Fatal(err)
@@ -33,7 +33,7 @@ func TestStageISpans(t *testing.T) {
 				t.Errorf("tracing changed the allocation: %v vs %v", al, plainAl)
 			}
 
-			spans := p.Tracer.Spans()
+			spans := p.Obs.Tracer.Spans()
 			if len(spans) == 0 {
 				t.Fatal("no spans recorded")
 			}
@@ -58,11 +58,11 @@ func TestStageISpans(t *testing.T) {
 
 func TestPrecomputeSpan(t *testing.T) {
 	p := smallProblem()
-	p.Tracer = tracing.New()
+	p.Obs.Tracer = tracing.New()
 	if err := p.Precompute(2); err != nil {
 		t.Fatal(err)
 	}
-	spans := p.Tracer.Spans()
+	spans := p.Obs.Tracer.Spans()
 	if len(spans) != 1 || spans[0].Lane != "stage1" || spans[0].Name != "precompute" {
 		t.Errorf("precompute spans = %+v", spans)
 	}

@@ -6,6 +6,13 @@
 // force-kills), and guarantees the observability outputs are flushed
 // even when the run fails or is cancelled.
 //
+// The collectors those flags create reach the work through one value:
+// Session.Obs, the tracing.Scope the body threads into the Obs field
+// of each engine config. The runner installs no process-wide default
+// registry, tracer, progress board or logger; the only process-wide
+// hook it sets is pmf.SetMetrics, for the PMF kernels, which are free
+// functions without a config.
+//
 // A CLI built on the runner has the shape
 //
 //	func main() { runner.Main("mytool", run) }
@@ -19,7 +26,7 @@
 //			return err
 //		}
 //		return rf.Run(ctx, "mytool", stderr, func(ctx context.Context, s *runner.Session) error {
-//			// the actual work, honoring ctx
+//			// the actual work, honoring ctx, with s.Obs in its configs
 //		})
 //	}
 //
@@ -151,44 +158,43 @@ func (f *Flags) RegisterWorkers(fs *flag.FlagSet) {
 	fs.IntVar(&f.Workers, "workers", runtime.NumCPU(), "worker pool size for the parallel engines (results are identical for any value)")
 }
 
-// Session exposes the observability collectors Run installed, for the
-// body to thread into configs (ra.Problem, sim.Config, core
-// StageIIConfig). Either may be nil when the corresponding flag is
-// unset.
+// Session exposes the collectors Run created, for the body to thread
+// into configs: Obs goes into the Obs field of ra.Problem, sim.Config,
+// core.StageIIConfig and the other engine configs. Any of them may be
+// nil when the corresponding flag is unset.
 type Session struct {
-	// Metrics is the registry collecting this run's counters, non-nil
-	// when -metrics or -debug-addr was given.
-	Metrics *metrics.Registry
-	// Tracer is the span collector, non-nil when -trace or -debug-addr
-	// was given.
-	Tracer *tracing.Tracer
+	// Obs is the run's instrumentation scope. Obs.Metrics is non-nil
+	// when -metrics or -debug-addr was given, Obs.Tracer when -trace
+	// or -debug-addr was given, and Obs.Progress (the board behind the
+	// debug server's /progress) when -debug-addr was given.
+	Obs tracing.Scope
 	// Cache is the content-addressed solve cache, non-nil when -cache
 	// was given. Bodies thread it into ra.Problem.Cache,
 	// core.StageIIConfig.Cache, or server.Options.Cache; seeded results
 	// are bit-identical with it on or off.
 	Cache *cache.Cache
 	// Log is the structured logger, non-nil when -log was given. Bodies
-	// thread it into server.Options.Logger (or log directly); it is
-	// also installed as the process default. The sink is stderr or a
-	// file, never stdout, so result documents are byte-identical with
-	// logging on or off.
+	// thread it into server.Options.Logger (or log directly). The sink
+	// is stderr or a file, never stdout, so result documents are
+	// byte-identical with logging on or off.
 	Log *log.Logger
 }
 
 // Run executes body inside an observability session derived from the
 // flags:
 //
-//   - with -metrics or -debug-addr, a metrics registry is created and
-//     installed as the process default (and as the pmf cache's sink);
-//   - with -trace or -debug-addr, a tracer is created and installed as
-//     the process default;
-//   - with -debug-addr, a progress board and the live debug HTTP server
-//     are started (readiness is announced on stderr);
+//   - with -metrics or -debug-addr, a metrics registry is created as
+//     Session.Obs.Metrics and installed as the sink of the pmf
+//     kernels' counters (pmf.SetMetrics, the one process-wide hook);
+//   - with -trace or -debug-addr, a tracer is created as
+//     Session.Obs.Tracer;
+//   - with -debug-addr, a progress board is created as
+//     Session.Obs.Progress and the live debug HTTP server is started
+//     (readiness is announced on stderr);
 //   - with -timeout, ctx is bounded by context.WithTimeout.
 //
 // With -log, a structured JSON-lines logger is created (sink: stderr
-// for "-", else the named file), installed as the process default, and
-// exposed as Session.Log.
+// for "-", else the named file) and exposed as Session.Log.
 //
 // The -metrics, -trace, and -log outputs are ALWAYS written — body
 // failing or being cancelled does not lose the observability of the
@@ -201,21 +207,15 @@ func (f *Flags) Run(ctx context.Context, name string, stderr io.Writer, body fun
 	}
 	s := &Session{}
 	if f.MetricsDest != "" || f.DebugAddr != "" {
-		s.Metrics = metrics.NewRegistry()
-		metrics.SetDefault(s.Metrics)
-		pmf.SetMetrics(s.Metrics)
-		defer func() {
-			pmf.SetMetrics(nil)
-			metrics.SetDefault(nil)
-		}()
+		s.Obs.Metrics = metrics.NewRegistry()
+		pmf.SetMetrics(s.Obs.Metrics)
+		defer pmf.SetMetrics(nil)
 	}
 	if f.TraceDest != "" || f.DebugAddr != "" {
-		s.Tracer = tracing.NewSized(0, s.Metrics)
-		tracing.SetDefault(s.Tracer)
-		defer tracing.SetDefault(nil)
+		s.Obs.Tracer = tracing.NewSized(0, s.Obs.Metrics)
 	}
 	if f.CacheSpec != "" {
-		c, err := f.buildCache(s.Metrics)
+		c, err := f.buildCache(s.Obs.Metrics)
 		if err != nil {
 			return err
 		}
@@ -237,17 +237,13 @@ func (f *Flags) Run(ctx context.Context, name string, stderr io.Writer, body fun
 			sink = file
 		}
 		s.Log = log.New(sink, log.Options{Level: lvl})
-		log.SetDefault(s.Log)
-		defer log.SetDefault(nil)
 		s.Log.Info("run starting", log.F("name", name))
 	}
 	var srv *tracing.DebugServer
 	var srvErr error
 	if f.DebugAddr != "" {
-		prog := tracing.NewProgress()
-		tracing.SetProgress(prog)
-		defer tracing.SetProgress(nil)
-		srv, srvErr = tracing.StartDebug(f.DebugAddr, s.Metrics, prog, s.Tracer)
+		s.Obs.Progress = tracing.NewProgress()
+		srv, srvErr = tracing.StartDebug(f.DebugAddr, s.Obs.Metrics, s.Obs.Progress, s.Obs.Tracer)
 		if srvErr == nil {
 			fmt.Fprintf(stderr, "%s: debug endpoints on http://%s/\n", name, srv.Addr())
 		}
@@ -279,8 +275,8 @@ func (f *Flags) Run(ctx context.Context, name string, stderr io.Writer, body fun
 		logErr = logFile.Close()
 	}
 	flushErr := errors.Join(
-		metrics.WriteTo(s.Metrics, f.MetricsDest),
-		tracing.WriteTo(s.Tracer, f.TraceDest),
+		metrics.WriteTo(s.Obs.Metrics, f.MetricsDest),
+		tracing.WriteTo(s.Obs.Tracer, f.TraceDest),
 		logErr,
 	)
 

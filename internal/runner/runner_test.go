@@ -1,18 +1,20 @@
 package runner
 
 import (
-	"cdsf/internal/log"
-
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"io"
+	"net/http"
 	"os"
 	"strings"
 	"testing"
 	"time"
+
+	"cdsf/internal/log"
+	"cdsf/internal/tracing"
 )
 
 func TestExecExitCodes(t *testing.T) {
@@ -88,10 +90,13 @@ func TestRunFlushesObservabilityOnBodyError(t *testing.T) {
 	f := &Flags{MetricsDest: dir + "/m.json", TraceDest: dir + "/t.json"}
 	bodyErr := errors.New("body failed")
 	err := f.Run(context.Background(), "t", io.Discard, func(ctx context.Context, s *Session) error {
-		if s.Metrics == nil || s.Tracer == nil {
+		if s.Obs.Metrics == nil || s.Obs.Tracer == nil {
 			t.Error("session collectors missing despite -metrics/-trace")
 		}
-		s.Metrics.Counter("test.before.failure").Add(7)
+		if s.Obs.Progress != nil {
+			t.Error("progress board created without -debug-addr")
+		}
+		s.Obs.Metrics.Counter("test.before.failure").Add(7)
 		return bodyErr
 	})
 	if !errors.Is(err, bodyErr) {
@@ -141,8 +146,8 @@ func TestRunAppliesTimeout(t *testing.T) {
 func TestRunBareSession(t *testing.T) {
 	f := &Flags{}
 	err := f.Run(context.Background(), "t", io.Discard, func(ctx context.Context, s *Session) error {
-		if s.Metrics != nil || s.Tracer != nil {
-			t.Errorf("unexpected collectors: %+v", s)
+		if s.Obs != (tracing.Scope{}) {
+			t.Errorf("unexpected collectors: %+v", s.Obs)
 		}
 		if s.Cache != nil {
 			t.Error("cache present without -cache")
@@ -182,13 +187,30 @@ func TestRunCacheFlag(t *testing.T) {
 }
 
 // -debug-addr starts the live endpoints, announces readiness on stderr,
-// and shuts the server down after the body returns.
+// serves the session's own progress board at /progress, and shuts the
+// server down after the body returns.
 func TestRunDebugServerLifecycle(t *testing.T) {
 	var stderr bytes.Buffer
 	f := &Flags{DebugAddr: "127.0.0.1:0"}
 	err := f.Run(context.Background(), "t", &stderr, func(ctx context.Context, s *Session) error {
-		if s.Metrics == nil || s.Tracer == nil {
-			t.Error("debug-addr run should install metrics and tracer")
+		if s.Obs.Metrics == nil || s.Obs.Tracer == nil || s.Obs.Progress == nil {
+			t.Errorf("debug-addr run should create every collector: %+v", s.Obs)
+			return nil
+		}
+		s.Obs.Progress.PlanCases(3)
+		s.Obs.Progress.CaseDone()
+		url := strings.TrimSpace(strings.TrimPrefix(stderr.String(), "t: debug endpoints on "))
+		resp, err := http.Get(url + "progress")
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		var snap tracing.ProgressSnapshot
+		if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+			return err
+		}
+		if snap.Cases != (tracing.Counts{Done: 1, Planned: 3}) {
+			t.Errorf("/progress cases = %+v, want the session board's 1/3", snap.Cases)
 		}
 		return nil
 	})
@@ -217,7 +239,7 @@ func TestRunDebugServerStartFailure(t *testing.T) {
 }
 
 // -log writes JSON-lines records to the named file, flushed even when
-// the body fails, with the logger installed as the process default.
+// the body fails; the logger reaches the body only through the Session.
 func TestRunLogToFile(t *testing.T) {
 	dir := t.TempDir()
 	f := &Flags{LogDest: dir + "/run.log", LogLevel: "debug"}
@@ -226,17 +248,14 @@ func TestRunLogToFile(t *testing.T) {
 		if s.Log == nil {
 			t.Fatal("session logger missing despite -log")
 		}
-		if log.Default() != s.Log {
-			t.Error("session logger not installed as process default")
+		if s.Obs != (tracing.Scope{}) || s.Cache != nil {
+			t.Errorf("-log alone created other collectors: %+v", s)
 		}
 		s.Log.Debug("inside body", log.F("k", 1))
 		return bodyErr
 	})
 	if !errors.Is(err, bodyErr) {
 		t.Fatalf("err = %v, want wrapped body error", err)
-	}
-	if log.Default() != nil {
-		t.Error("process default logger not cleared after Run")
 	}
 
 	data, readErr := os.ReadFile(f.LogDest)

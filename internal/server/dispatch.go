@@ -42,7 +42,9 @@ type jobSpec struct {
 	key    cache.Key
 	info   *api.CacheInfo
 	cached []byte
-	run    func(ctx context.Context, prog *tracing.Progress) (any, error)
+	// run executes the job, reporting to obs: the server's registry
+	// and tracer and the job's own progress board (see runJob).
+	run func(ctx context.Context, obs tracing.Scope) (any, error)
 }
 
 // prepare validates a raw request document of the given kind — the
@@ -207,14 +209,12 @@ func (s *Server) backendFor(requested string) (pmf.Backend, error) {
 }
 
 // stageII builds the Stage-II configuration for a request from the
-// paper defaults, threading in the server's instrumentation.
-func (s *Server) stageII(deadline float64, seed uint64, reps int) core.StageIIConfig {
+// paper defaults.
+func stageII(deadline float64, seed uint64, reps int) core.StageIIConfig {
 	cfg := core.DefaultStageII(deadline, seed)
 	if reps > 0 {
 		cfg.Reps = reps
 	}
-	cfg.Metrics = s.opts.Metrics
-	cfg.Tracer = s.opts.Tracer
 	return cfg
 }
 
@@ -246,7 +246,7 @@ func (s *Server) prepareSolve(req *api.SolveRequest) (*jobSpec, error) {
 		return nil, err
 	}
 	prob := &ra.Problem{Sys: p.sys, Batch: p.batch, Deadline: deadline, Edges: p.edges,
-		Backend: backend, Metrics: s.opts.Metrics, Tracer: s.opts.Tracer}
+		Backend: backend}
 	if err := prob.Validate(); err != nil {
 		return nil, err
 	}
@@ -272,7 +272,8 @@ func (s *Server) prepareSolve(req *api.SolveRequest) (*jobSpec, error) {
 		prob.Cache = s.opts.Cache
 	}
 	info := spec.info
-	spec.run = func(ctx context.Context, _ *tracing.Progress) (any, error) {
+	spec.run = func(ctx context.Context, obs tracing.Scope) (any, error) {
+		prob.Obs = obs
 		al, err := ra.SolveContext(ctx, h, prob)
 		if err != nil {
 			return nil, err
@@ -332,7 +333,7 @@ func (s *Server) prepareSimulate(req *api.SimulateRequest) (*jobSpec, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := s.stageII(p.deadline, req.Seed, req.Reps)
+	cfg := stageII(p.deadline, req.Seed, req.Reps)
 	cfg.PMFBackend = backend
 	if req.Overhead != nil {
 		cfg.Overhead = *req.Overhead
@@ -370,9 +371,9 @@ func (s *Server) prepareSimulate(req *api.SimulateRequest) (*jobSpec, error) {
 		spec.info = &api.CacheInfo{Key: spec.key.String()}
 		cfg.Cache = s.opts.Cache
 	}
-	spec.run = func(ctx context.Context, prog *tracing.Progress) (any, error) {
+	spec.run = func(ctx context.Context, obs tracing.Scope) (any, error) {
 		run := cfg
-		run.Progress = prog
+		run.Obs = obs
 		cr, err := f.RunCaseContext(ctx, alloc, techs, c, run)
 		if err != nil {
 			return nil, err
@@ -406,7 +407,7 @@ func (s *Server) prepareScenario(req *api.ScenarioRequest) (*jobSpec, error) {
 	if err := f.Validate(); err != nil {
 		return nil, err
 	}
-	cfg := s.stageII(p.deadline, req.Seed, req.Reps)
+	cfg := stageII(p.deadline, req.Seed, req.Reps)
 	cfg.PMFBackend = backend
 	cases := p.cases
 	raw, err := rawRequest(req)
@@ -432,9 +433,9 @@ func (s *Server) prepareScenario(req *api.ScenarioRequest) (*jobSpec, error) {
 		cfg.Cache = s.opts.Cache
 	}
 	info := spec.info
-	spec.run = func(ctx context.Context, prog *tracing.Progress) (any, error) {
+	spec.run = func(ctx context.Context, obs tracing.Scope) (any, error) {
 		run := cfg
-		run.Progress = prog
+		run.Obs = obs
 		res, err := f.RunScenarioContext(ctx, sc, cases, run)
 		if err != nil {
 			return nil, err

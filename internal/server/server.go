@@ -66,11 +66,11 @@ type Options struct {
 	// sparse (exact) backend, keeping seeded service results
 	// bit-identical to earlier releases.
 	PMFBackend pmf.Backend
-	// Metrics receives the server's own counters and is threaded into
-	// every job's engine configuration. Nil means a fresh registry
-	// (the /metrics endpoint then reports only this server).
+	// Metrics receives the server's own counters and, through each
+	// job's scope, every job's engine counters. Nil means a fresh
+	// registry (the /metrics endpoint then reports only this server).
 	Metrics *metrics.Registry
-	// Tracer is threaded into every job's engine configuration; nil
+	// Tracer receives every job's spans through the job's scope; nil
 	// disables tracing.
 	Tracer *tracing.Tracer
 	// Cache is the content-addressed solve cache. When set, a repeat of
@@ -86,10 +86,6 @@ type Options struct {
 	// warn/error. Nil disables logging; results and response bodies are
 	// byte-identical either way.
 	Logger *log.Logger
-	// ProgressInterval is how often a running job's progress board is
-	// sampled into the store, and so into its event log (only when the
-	// job tracks progress). Non-positive means 250ms.
-	ProgressInterval time.Duration
 	// Store is the job store behind the lifecycle: every transition is
 	// appended to it and envelopes are read back from it. Nil means a
 	// fresh in-memory store (the original non-durable behaviour); cdsfd
@@ -160,6 +156,13 @@ type Server struct {
 // behind the Retry-After estimate.
 const wallWindow = 32
 
+// progressInterval is how often a running job's progress board is
+// sampled into the store, and so into its event log (only when the job
+// tracks progress and the snapshot changed). One sample per
+// replication would put thousands of records per scenario job into the
+// store and the job's bounded event log.
+const progressInterval = 250 * time.Millisecond
+
 // job is the server-side control state of one admitted job; the wire
 // envelope it serves is materialized by the store from the appended
 // lifecycle records.
@@ -167,7 +170,7 @@ type job struct {
 	id       string
 	kind     api.JobKind
 	progress *tracing.Progress
-	run      func(ctx context.Context, prog *tracing.Progress) (any, error)
+	run      func(ctx context.Context, obs tracing.Scope) (any, error)
 	cancel   context.CancelFunc
 
 	// cacheKey is the job's result-tier content address (zero when
@@ -202,9 +205,6 @@ func New(opts Options) *Server {
 	}
 	if opts.Metrics == nil {
 		opts.Metrics = metrics.NewRegistry()
-	}
-	if opts.ProgressInterval <= 0 {
-		opts.ProgressInterval = 250 * time.Millisecond
 	}
 	if opts.Store == nil {
 		opts.Store = store.NewMemory()
@@ -422,7 +422,11 @@ func (s *Server) runJob(j *job) {
 	stopSampler := s.startProgressSampler(j)
 
 	var raw []byte
-	res, err := j.run(ctx, j.progress)
+	// The job's one instrumentation scope: the server-wide registry and
+	// tracer, and the job's own board so concurrent jobs report
+	// progress separately.
+	obs := tracing.Scope{Metrics: s.opts.Metrics, Tracer: s.opts.Tracer, Progress: j.progress}
+	res, err := j.run(ctx, obs)
 	if err == nil {
 		raw, err = json.Marshal(res)
 		if err != nil {
@@ -479,7 +483,7 @@ func (s *Server) runJob(j *job) {
 
 // startProgressSampler launches a goroutine mirroring the job's
 // progress board into the store (and so its event log) every
-// ProgressInterval (only when a snapshot changed). The returned stop
+// progressInterval (only when a snapshot changed). The returned stop
 // function halts sampling, records one final changed snapshot, and
 // only then returns — so the terminal event always follows the last
 // progress tick. It is a no-op (returning a no-op stop) when the job
@@ -492,7 +496,7 @@ func (s *Server) startProgressSampler(j *job) (stop func()) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		tick := time.NewTicker(s.opts.ProgressInterval)
+		tick := time.NewTicker(progressInterval)
 		defer tick.Stop()
 		var last tracing.ProgressSnapshot
 		emit := func() {

@@ -626,6 +626,50 @@ func TestDebugEndpointsMounted(t *testing.T) {
 	_ = s
 }
 
+// Every job's engine counters reach the server's own registry through
+// the job's scope, with no process-wide state: a scenario job's
+// replications and Stage-I work, then a solve job's Stage-I table
+// build and evaluations, show up at /metrics.
+func TestEngineCountersReachServerRegistry(t *testing.T) {
+	_, ts := newTestServer(t, Options{Metrics: metrics.NewRegistry()})
+	counters := func() map[string]int64 {
+		var snap struct {
+			Counters map[string]int64 `json:"counters"`
+		}
+		getInto(t, ts.URL+"/metrics", &snap)
+		return snap.Counters
+	}
+
+	var sc api.Job
+	post(t, ts.URL+"/v1/scenario", api.ScenarioRequest{Scenario: 1, Reps: 2, Seed: 11}, &sc)
+	done := waitState(t, ts.URL, sc.ID, api.JobDone)
+	if done.Progress == nil || done.Progress.Replications.Planned == 0 {
+		t.Fatalf("scenario job planned no replications: %+v", done.Progress)
+	}
+	after := counters()
+	if got, want := after["sim.replications"], done.Progress.Replications.Planned; got != want {
+		t.Errorf("sim.replications = %d, want the job's %d planned", got, want)
+	}
+	for _, name := range []string{"ra.precompute_cells", "ra.evaluations"} {
+		if after[name] == 0 {
+			t.Errorf("%s = 0 after a scenario job", name)
+		}
+	}
+
+	var solve api.Job
+	post(t, ts.URL+"/v1/solve", api.SolveRequest{Heuristic: "greedy"}, &solve)
+	waitState(t, ts.URL, solve.ID, api.JobDone)
+	final := counters()
+	for _, name := range []string{"ra.precompute_cells", "ra.evaluations"} {
+		if final[name] <= after[name] {
+			t.Errorf("%s = %d, not above the %d before the solve job", name, final[name], after[name])
+		}
+	}
+	if final["sim.replications"] != after["sim.replications"] {
+		t.Errorf("solve job changed sim.replications: %d -> %d", after["sim.replications"], final["sim.replications"])
+	}
+}
+
 func TestHealthz(t *testing.T) {
 	reg := metrics.NewRegistry()
 	s, ts := newTestServer(t, Options{Queue: 4, Executors: 2, Metrics: reg, Cache: cache.New(cache.Options{Metrics: reg})})

@@ -156,8 +156,8 @@ func RunManyContext(ctx context.Context, cfg Config, reps int) (*Sample, error) 
 	if cfg.Releases != nil && len(cfg.Releases) != reps {
 		return nil, fmt.Errorf("sim: %d release times for %d repetitions", len(cfg.Releases), reps)
 	}
-	cfg.registry().Counter("sim.replications").Add(int64(reps))
-	prog := cfg.progress()
+	cfg.Obs.Metrics.Counter("sim.replications").Add(int64(reps))
+	prog := cfg.Obs.Progress
 	prog.PlanReps(reps)
 	seeds := rng.New(cfg.Seed)
 	runSeeds := make([]uint64, reps)
@@ -180,7 +180,9 @@ func RunManyContext(ctx context.Context, cfg Config, reps int) (*Sample, error) 
 		}
 		// Trace only the first repetition: one representative timeline
 		// per batch instead of reps copies flooding the span buffer.
-		c.noTrace = i != 0
+		if i != 0 {
+			c.Obs.Tracer = nil
+		}
 		results[i], errs[i] = RunContext(ctx, c)
 		prog.RepDone()
 	}

@@ -225,7 +225,7 @@ func TestMetricsDoNotPerturbResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := metrics.NewRegistry()
-	cfg.Metrics = reg
+	cfg.Obs.Metrics = reg
 	on, err := RunManyContext(context.Background(), cfg, reps)
 	if err != nil {
 		t.Fatal(err)

@@ -96,67 +96,27 @@ type Config struct {
 	// CollectChunks enables the per-chunk log in the result (costs
 	// memory on large runs).
 	CollectChunks bool
-	// Metrics optionally receives run-level observability counters
-	// (events processed, chunks dispatched, busy/idle/overhead time,
-	// heap operations, wall time). Nil falls back to metrics.Default(),
-	// which is itself nil unless a CLI installed one — the no-op path.
-	// Instrumentation never touches the simulation's rng streams or
-	// event order, so seeded results are identical with metrics on or
-	// off.
-	Metrics *metrics.Registry
-	// Tracer optionally receives the run's simulated-time timeline:
-	// per-worker lanes of busy/overhead/idle spans built from the chunk
-	// log under TraceScope. Nil falls back to tracing.Default(). Spans
-	// derive only from the finished result, so seeded runs are
-	// bit-identical with tracing on or off.
-	Tracer *tracing.Tracer
+	// Obs receives the run's instrumentation. Obs.Metrics gets the
+	// run-level counters (events processed, chunks dispatched,
+	// busy/idle/overhead time, heap operations, wall time); Obs.Tracer
+	// gets the simulated-time timeline, per-worker lanes of
+	// busy/overhead/idle spans built from the chunk log under
+	// TraceScope; Obs.Progress gets RunMany's planned and completed
+	// repetitions. The zero Scope records nothing. Instrumentation
+	// derives only from finished results and never touches the
+	// simulation's rng streams or event order, so seeded results are
+	// bit-identical under any scope.
+	Obs tracing.Scope
 	// TraceScope prefixes the emitted lane names (lanes are
 	// TraceScope + "/w<worker>"); empty means "run". Hierarchical
 	// scopes like "scenario/case/app" thread the Stage-II nesting into
 	// the trace.
 	TraceScope string
-	// Progress optionally receives replication progress: RunMany plans
-	// its repetitions on this board and marks each completion. Nil
-	// falls back to tracing.DefaultProgress(), the process-wide board
-	// the CLIs install with -debug-addr; the scheduling service wires a
-	// per-job board here instead so concurrent jobs report separately.
-	Progress *tracing.Progress
-	// noTrace suppresses the tracing.Default() fallback; RunMany sets
-	// it on all repetitions but the first so a Monte-Carlo batch traces
-	// one representative timeline instead of flooding the span buffer.
-	noTrace bool
 	// gated marks a run as precedence-gated (part of a DAG batch) even
 	// when its release time is zero, so the sim.dag.* metrics count
 	// source applications too. RunMany sets it when Releases is
 	// non-nil.
 	gated bool
-}
-
-// progress resolves the effective progress board for a run.
-func (c *Config) progress() *tracing.Progress {
-	if c.Progress != nil {
-		return c.Progress
-	}
-	return tracing.DefaultProgress()
-}
-
-// tracer resolves the effective tracer for a run.
-func (c *Config) tracer() *tracing.Tracer {
-	if c.noTrace {
-		return nil
-	}
-	if c.Tracer != nil {
-		return c.Tracer
-	}
-	return tracing.Default()
-}
-
-// registry resolves the effective metrics registry for a run.
-func (c *Config) registry() *metrics.Registry {
-	if c.Metrics != nil {
-		return c.Metrics
-	}
-	return metrics.Default()
 }
 
 func (c *Config) validate() error {
@@ -304,12 +264,12 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	// An active tracer needs the chunk log to build the worker lanes;
 	// collect it internally and restore the caller's view afterwards so
 	// the returned Result is identical with tracing on or off.
-	tr := cfg.tracer()
+	tr := cfg.Obs.Tracer
 	collectRequested := cfg.CollectChunks
 	if tr != nil {
 		cfg.CollectChunks = true
 	}
-	reg := cfg.registry()
+	reg := cfg.Obs.Metrics
 	var t0 time.Time
 	if reg != nil {
 		t0 = time.Now()

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"cdsf/internal/metrics"
 	"cdsf/internal/rng"
 	"cdsf/internal/tracing"
 )
@@ -20,7 +21,7 @@ func TestTracerDoesNotPerturbResults(t *testing.T) {
 	}
 
 	traced := cfg
-	traced.Tracer = tracing.New()
+	traced.Obs.Tracer = tracing.New()
 	traced.TraceScope = "fac"
 	got, err := RunContext(context.Background(), traced)
 	if err != nil {
@@ -32,7 +33,7 @@ func TestTracerDoesNotPerturbResults(t *testing.T) {
 	if got.Chunks != nil {
 		t.Error("tracer leaked chunk collection into the result")
 	}
-	if traced.Tracer.Len() == 0 {
+	if traced.Obs.Tracer.Len() == 0 {
 		t.Error("no spans recorded")
 	}
 
@@ -49,7 +50,7 @@ func TestTracerDoesNotPerturbResults(t *testing.T) {
 
 func TestRunSpanAccounting(t *testing.T) {
 	cfg := baseConfig(t, "FAC")
-	cfg.Tracer = tracing.New()
+	cfg.Obs.Tracer = tracing.New()
 	cfg.TraceScope = "fac"
 	cfg.CollectChunks = true
 	res, err := RunContext(context.Background(), cfg)
@@ -68,7 +69,7 @@ func TestRunSpanAccounting(t *testing.T) {
 	gotBusy := map[string]float64{}
 	gotOverhead := map[string]float64{}
 	serial := 0.0
-	for _, s := range cfg.Tracer.Spans() {
+	for _, s := range cfg.Obs.Tracer.Spans() {
 		if s.Clock != tracing.Sim {
 			t.Fatalf("sim run emitted wall span %+v", s)
 		}
@@ -96,10 +97,11 @@ func TestRunSpanAccounting(t *testing.T) {
 }
 
 // RunMany traces one representative repetition, not all of them: a
-// batch must record exactly the spans of a single run.
+// batch must record exactly the spans of a single run, while the
+// scope's registry and progress board still see every repetition.
 func TestRunManyTracesFirstRepOnly(t *testing.T) {
 	cfg := baseConfig(t, "FAC")
-	cfg.Tracer = tracing.New()
+	cfg.Obs.Tracer = tracing.New()
 	// RunMany derives rep i's seed from cfg.Seed; reproduce rep 0 here.
 	single := cfg
 	single.Seed = rng.New(cfg.Seed).Uint64()
@@ -107,35 +109,27 @@ func TestRunManyTracesFirstRepOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := cfg.Tracer.Len()
+	want := cfg.Obs.Tracer.Len()
 	if want == 0 {
 		t.Fatal("single run recorded nothing")
 	}
 
-	cfg.Tracer = tracing.New()
-	s, err := RunManyContext(context.Background(), cfg, 5)
+	const reps = 5
+	cfg.Obs = tracing.Scope{Metrics: metrics.NewRegistry(), Tracer: tracing.New(), Progress: tracing.NewProgress()}
+	s, err := RunManyContext(context.Background(), cfg, reps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cfg.Tracer.Len(); got != want {
+	if got := cfg.Obs.Tracer.Len(); got != want {
 		t.Errorf("RunMany recorded %d spans, want %d (one rep)", got, want)
 	}
 	if s.Makespans[0] != rep0.Makespan {
 		t.Errorf("rep 0 makespan %v != single run %v", s.Makespans[0], rep0.Makespan)
 	}
-}
-
-// The process-wide default tracer reaches runs whose config carries no
-// explicit tracer, and the noTrace rep-suppression applies to it too.
-func TestDefaultTracerFallback(t *testing.T) {
-	tr := tracing.New()
-	tracing.SetDefault(tr)
-	defer tracing.SetDefault(nil)
-	cfg := baseConfig(t, "SS")
-	if _, err := RunContext(context.Background(), cfg); err != nil {
-		t.Fatal(err)
+	if got := cfg.Obs.Metrics.Counter("sim.runs").Value(); got != reps {
+		t.Errorf("sim.runs = %d, want %d", got, reps)
 	}
-	if tr.Len() == 0 {
-		t.Error("default tracer saw no spans")
+	if got := cfg.Obs.Progress.Snapshot().Replications; got != (tracing.Counts{Done: reps, Planned: reps}) {
+		t.Errorf("replications = %+v, want %d/%d", got, reps, reps)
 	}
 }

@@ -206,7 +206,7 @@ func ReadCSV(r io.Reader) ([]sim.ChunkRecord, error) {
 // (busy/overhead/idle spans under scope, as tracing.AddWorkerLanes
 // builds them) to a tracer — the post-hoc path for logs loaded with
 // ReadCSV; live runs emit the same lanes directly via
-// sim.Config.Tracer. A nil tracer is a no-op.
+// sim.Config.Obs.Tracer. A nil tracer is a no-op.
 func ExportSpans(tr *tracing.Tracer, scope string, chunks []sim.ChunkRecord, overhead float64) {
 	if tr == nil {
 		return

@@ -97,15 +97,3 @@ func (s ProgressSnapshot) WriteJSON(w io.Writer) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
 }
-
-// defaultProgress is the process-wide fallback board; see SetProgress.
-var defaultProgress atomic.Pointer[Progress]
-
-// SetProgress installs p as the process-wide default progress board,
-// the fallback instrumented packages report to when none was wired
-// through their configs. The CLIs call it once at startup when
-// -debug-addr is given; passing nil disables the fallback.
-func SetProgress(p *Progress) { defaultProgress.Store(p) }
-
-// DefaultProgress returns the board installed by SetProgress, or nil.
-func DefaultProgress() *Progress { return defaultProgress.Load() }

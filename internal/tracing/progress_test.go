@@ -58,16 +58,3 @@ func TestProgressJSON(t *testing.T) {
 		t.Errorf("cases = %v", got["cases"])
 	}
 }
-
-func TestDefaultProgress(t *testing.T) {
-	if DefaultProgress() != nil {
-		t.Fatal("default progress not nil at start")
-	}
-	p := NewProgress()
-	SetProgress(p)
-	defer SetProgress(nil)
-	DefaultProgress().CaseDone()
-	if p.Snapshot().Cases.Done != 1 {
-		t.Error("default progress did not route to installed board")
-	}
-}

@@ -22,8 +22,11 @@
 // finished results and real time — never from the simulation's rng
 // streams — and seeded outputs are bit-identical with tracing on or
 // off. When the span buffer reaches its cap, further spans are counted
-// in the metrics registry as "tracing.dropped" rather than silently
-// discarded.
+// (Dropped, and "tracing.dropped" in the tracer's metrics registry)
+// rather than silently discarded.
+//
+// Engines receive a tracer, together with a metrics registry and a
+// progress board, as one Scope in the Obs field of their configs.
 //
 // Only the standard library (plus the sibling internal packages
 // metrics and report) is used.
@@ -91,14 +94,13 @@ type Tracer struct {
 	dropped atomic.Int64
 }
 
-// New returns a tracer with the default span capacity whose dropped
-// counter reports to metrics.Default() at drop time.
+// New returns a tracer with the default span capacity and no metrics
+// registry: drops are counted only by Dropped.
 func New() *Tracer { return NewSized(DefaultCap, nil) }
 
 // NewSized returns a tracer holding at most cap spans (cap <= 0 means
-// DefaultCap). Spans recorded beyond the cap are dropped and counted in
-// reg (nil falls back to metrics.Default() at drop time) under
-// "tracing.dropped".
+// DefaultCap). Spans recorded beyond the cap are dropped, counted by
+// Dropped and, when reg is non-nil, in reg under "tracing.dropped".
 func NewSized(cap int, reg *metrics.Registry) *Tracer {
 	if cap <= 0 {
 		cap = DefaultCap
@@ -106,17 +108,8 @@ func NewSized(cap int, reg *metrics.Registry) *Tracer {
 	return &Tracer{epoch: time.Now(), cap: cap, reg: reg}
 }
 
-// registry resolves the tracer's effective metrics registry.
-func (t *Tracer) registry() *metrics.Registry {
-	if t.reg != nil {
-		return t.reg
-	}
-	return metrics.Default()
-}
-
-// Add records one span. Past the buffer cap the span is dropped and the
-// "tracing.dropped" counter of the tracer's metrics registry is
-// incremented. It is a no-op on a nil receiver.
+// Add records one span. Past the buffer cap the span is dropped and
+// counted (see NewSized). It is a no-op on a nil receiver.
 func (t *Tracer) Add(s Span) {
 	if t == nil {
 		return
@@ -125,7 +118,7 @@ func (t *Tracer) Add(s Span) {
 	if len(t.spans) >= t.cap {
 		t.mu.Unlock()
 		t.dropped.Add(1)
-		t.registry().Counter("tracing.dropped").Inc()
+		t.reg.Counter("tracing.dropped").Inc()
 		return
 	}
 	t.spans = append(t.spans, s)
@@ -269,17 +262,3 @@ func laneName(scope string, worker int) string {
 
 // chunkName labels a busy span with its chunk size.
 func chunkName(size int) string { return fmt.Sprintf("chunk[%d]", size) }
-
-// defaultTracer is the process-wide fallback tracer; see SetDefault.
-var defaultTracer atomic.Pointer[Tracer]
-
-// SetDefault installs tr as the process-wide default tracer, the
-// fallback instrumented packages use when no tracer was wired through
-// their configs (sim.Config.Tracer, ra.Problem.Tracer, ...). The CLIs
-// call it once at startup when -trace is given; passing nil disables
-// the fallback. Libraries and tests should prefer explicit wiring.
-func SetDefault(tr *Tracer) { defaultTracer.Store(tr) }
-
-// Default returns the tracer installed by SetDefault, or nil. The load
-// is a single atomic read.
-func Default() *Tracer { return defaultTracer.Load() }

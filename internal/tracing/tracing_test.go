@@ -92,18 +92,6 @@ func TestCapDropsIntoMetrics(t *testing.T) {
 	}
 }
 
-func TestCapDropFallsBackToDefaultRegistry(t *testing.T) {
-	reg := metrics.NewRegistry()
-	metrics.SetDefault(reg)
-	defer metrics.SetDefault(nil)
-	tr := NewSized(1, nil)
-	tr.Add(Span{})
-	tr.Add(Span{})
-	if v := reg.Counter("tracing.dropped").Value(); v != 1 {
-		t.Errorf("tracing.dropped = %d, want 1", v)
-	}
-}
-
 func TestConcurrentAdd(t *testing.T) {
 	tr := New()
 	var wg sync.WaitGroup
@@ -290,17 +278,5 @@ func TestGanttBridge(t *testing.T) {
 	// The wall-clock stage1 span must not leak into the sim chart.
 	if strings.Contains(out, "stage1") {
 		t.Errorf("wall lane leaked into sim Gantt:\n%s", out)
-	}
-}
-
-func TestDefaultTracer(t *testing.T) {
-	if Default() != nil {
-		t.Fatal("default tracer not nil at start")
-	}
-	tr := New()
-	SetDefault(tr)
-	defer SetDefault(nil)
-	if Default() != tr {
-		t.Error("SetDefault did not install")
 	}
 }
