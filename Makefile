@@ -16,8 +16,11 @@
 #   make bench   run the benchmark suite with allocation stats
 #   make bench-pmf  refresh the PMF backend comparison behind
 #                BENCH_PMF2.json (sparse vs grid kernels, solve) and
-#                the DAG drill-downs (sparse composition, warm grid
-#                table bytes per instance)
+#                the DAG drill-downs (sparse composition, warm grid and
+#                warm sparse table bytes per instance)
+#   make bench-stage2  the Stage-II drill-down under the paper-scenario
+#                row: the paper's scenario 4 (Figure 6) and one
+#                simulated run per DLS technique
 #   make bench-cache  refresh the solve-cache comparison behind
 #                BENCH_CACHE.json (result-tier replay, warm tables,
 #                delta-solve)
@@ -46,7 +49,7 @@ COVER_PKGS ?= ./internal/tracing ./internal/trace ./internal/metrics ./internal/
 # Listen address for `make serve`.
 SERVE_ADDR ?= 127.0.0.1:8080
 
-.PHONY: check build vet test race cover bench bench-pmf bench-cache fuzz serve smoke-sse smoke-dag test-e2ebench
+.PHONY: check build vet test race cover bench bench-pmf bench-stage2 bench-cache fuzz serve smoke-sse smoke-dag test-e2ebench
 
 check: build vet test race cover test-e2ebench smoke-dag
 
@@ -78,10 +81,18 @@ bench:
 # (PMFOps), the sparse-vs-grid backend comparison on Stage-I-shaped
 # workloads (PMFBackends), and the end-to-end solve under each backend;
 # plus the DAG drill-downs: the sparse composition of one DAG-service
-# instance (ComposeDAG) and the warm-tier bytes its grid table leaves
-# in the cache (WarmGridTable, reported as warm_KiB/instance).
+# instance (ComposeDAG) and the warm-tier bytes its grid and sparse
+# tables leave in the cache (WarmGridTable, WarmSparseTable, reported
+# as warm_KiB/instance).
 bench-pmf:
-	$(GO) test -run=xxx -bench 'BenchmarkPMFOps|BenchmarkPMFBackends|BenchmarkSolveBackends|BenchmarkEvalTableBuild|BenchmarkComposeDAG|BenchmarkWarmGridTable' -benchmem .
+	$(GO) test -run=xxx -bench 'BenchmarkPMFOps|BenchmarkPMFBackends|BenchmarkSolveBackends|BenchmarkEvalTableBuild|BenchmarkComposeDAG|BenchmarkWarmGridTable|BenchmarkWarmSparseTable' -benchmem .
+
+# The Stage-II drill-down under the paper-scenario row of the end-to-end
+# benchmark: scenario 4 over the paper's four availability cases
+# (Figure6) and one simulated run of the paper's application 3 per DLS
+# technique (DLSTechnique).
+bench-stage2:
+	$(GO) test -run=xxx -bench 'BenchmarkFigure6|BenchmarkDLSTechnique' -benchmem .
 
 # The raw numbers feeding BENCH_CACHE.json: result-tier replay at the
 # service layer (cold solve vs byte-identical repeat), warm evaluation

@@ -869,3 +869,21 @@ func BenchmarkWarmGridTable(b *testing.B) {
 	}
 	b.ReportMetric(float64(bytes)/1024, "warm_KiB/instance")
 }
+
+// BenchmarkWarmSparseTable is BenchmarkWarmGridTable under the sparse
+// backend: the warm-tier bytes one DAG-service-shaped instance leaves
+// behind with its cells stored as packed PMFs.
+func BenchmarkWarmSparseTable(b *testing.B) {
+	sys, bat, edges, deadline := benchDAGInstance(b, 12)
+	var bytes int64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c := cache.New(cache.Options{})
+		prob := &ra.Problem{Sys: sys, Batch: bat, Deadline: deadline, Edges: edges, Cache: c}
+		if err := prob.Precompute(1); err != nil {
+			b.Fatal(err)
+		}
+		bytes = c.Stats().Bytes
+	}
+	b.ReportMetric(float64(bytes)/1024, "warm_KiB/instance")
+}

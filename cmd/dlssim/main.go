@@ -170,28 +170,33 @@ func simulate(ctx context.Context, s *runner.Session, stdout io.Writer,
 	tbl := report.NewTable(fmt.Sprintf("dlssim: %d+%d iters, %d workers, avail %s (%s), overhead %.2g",
 		serial, iters, workers, availSpec, availModel.Name(), overhead), headers...)
 
-	for _, tech := range techniques {
-		cfg := sim.Config{
-			SerialIters:      serial,
-			ParallelIters:    iters,
-			Workers:          workers,
-			IterTime:         iterDist,
-			IterProfile:      prof,
-			Avail:            availModel,
-			Technique:        tech,
-			WeightsFromAvail: true,
-			BestMaster:       true,
-			Overhead:         overhead,
-			Seed:             seed,
-			Obs:              s.Obs,
-			TraceScope:       strings.ToLower(tech.Name) + "/mc",
-		}
-		mcRegion := tr.Begin("dlssim", tech.Name+" x "+fmt.Sprint(reps), "montecarlo")
-		sample, err := sim.RunManyContext(ctx, cfg, reps)
-		mcRegion.End()
-		if err != nil {
-			return err
-		}
+	// Every technique runs on the same seed and shares each repetition's
+	// draws, so the rows compare the techniques on common random
+	// numbers.
+	arms := make([]sim.Arm, len(techniques))
+	for i, tech := range techniques {
+		arms[i] = sim.Arm{Technique: tech, TraceScope: strings.ToLower(tech.Name) + "/mc"}
+	}
+	mcRegion := tr.Begin("dlssim", fmt.Sprintf("%d techniques x %d", len(techniques), reps), "montecarlo")
+	samples, err := sim.RunArmsContext(ctx, sim.Config{
+		SerialIters:      serial,
+		ParallelIters:    iters,
+		Workers:          workers,
+		IterTime:         iterDist,
+		IterProfile:      prof,
+		Avail:            availModel,
+		WeightsFromAvail: true,
+		BestMaster:       true,
+		Overhead:         overhead,
+		Seed:             seed,
+		Obs:              s.Obs,
+	}, arms, reps)
+	mcRegion.End()
+	if err != nil {
+		return err
+	}
+	for i, tech := range techniques {
+		sample := samples[i]
 		row := []string{
 			tech.Name,
 			fmt.Sprintf("%.1f", sample.Mean()),

@@ -36,7 +36,7 @@ type SharedLoad struct {
 
 	// shared is the one chain common to all processes of this model
 	// instance; it is created lazily on the first NewProcess call.
-	shared *markovProcess
+	shared *sharedChain
 }
 
 // minAvail floors the combined availability so FinishTime stays finite.
@@ -60,13 +60,13 @@ func (m *SharedLoad) NewProcess(r *rng.Source) Process {
 	if m.shared == nil {
 		src := r.Split()
 		sampler := m.Shared.Sampler()
-		m.shared = &markovProcess{
+		m.shared = &sharedChain{chain: markovProcess{
 			sampler:     sampler,
 			interval:    m.Interval,
 			persistence: m.Persistence,
 			r:           src,
 			cur:         sampler.Sample(src),
-		}
+		}}
 	}
 	idio := Markov{PMF: m.Idio, Interval: m.Interval, Persistence: m.Persistence}.
 		NewProcess(r).(*markovProcess)
@@ -98,26 +98,36 @@ func (m *SharedLoad) ResetGroup() { m.shared = nil }
 
 var _ GroupScoped = (*SharedLoad)(nil)
 
+// sharedChain is the common load factor of one run: a Markov chain
+// advanced in epoch order that keeps every value it has taken, so each
+// process reads the state of the epoch it asks for however far another
+// process has advanced the chain. That makes every process a function
+// of time: a worker whose chunk ends many epochs ahead (a STATIC chunk
+// spans the whole loop) cannot hand the workers still behind it a
+// future load factor.
+type sharedChain struct {
+	chain  markovProcess
+	values []float64 // values[e] is the chain's state in epoch e
+}
+
+// at returns the chain's state in epoch e >= 0.
+func (c *sharedChain) at(epoch int64) float64 {
+	for int64(len(c.values)) <= epoch {
+		c.values = append(c.values, c.chain.avail(int64(len(c.values))))
+	}
+	return c.values[epoch]
+}
+
 type sharedProcess struct {
-	shared   *markovProcess
+	shared   *sharedChain
 	idio     *markovProcess
 	mix      float64
 	interval float64
-	// lastEpoch guards the shared chain against backwards queries from
-	// this process while allowing other processes to have advanced it
-	// further (markovProcess.avail only moves forward).
-	lastEpoch int64
 }
 
-// at returns the blended availability for an epoch. The shared chain is
-// advanced monotonically by whichever process queries furthest ahead;
-// reads of earlier epochs by other processes would be backwards, so the
-// simulator contract (roughly synchronized worker clocks within one
-// run) is required. To keep that robust we clamp backwards reads to the
-// chain's current value — acceptable because worker clocks within one
-// sweep diverge by at most a chunk, far below typical intervals.
+// at returns the blended availability for an epoch.
 func (p *sharedProcess) at(epoch int64) float64 {
-	sh := p.sharedAt(epoch)
+	sh := p.shared.at(epoch)
 	id := p.idio.avail(epoch)
 	a := math.Pow(sh, p.mix) * id
 	if a < minAvail {
@@ -127,13 +137,6 @@ func (p *sharedProcess) at(epoch int64) float64 {
 		a = 1
 	}
 	return a
-}
-
-func (p *sharedProcess) sharedAt(epoch int64) float64 {
-	if epoch <= p.shared.epoch {
-		return p.shared.cur
-	}
-	return p.shared.avail(epoch)
 }
 
 func (p *sharedProcess) At(t float64) float64 {

@@ -10,7 +10,10 @@
 //     JSON of a solve/simulate/scenario job) keyed by instance bytes
 //     plus every knob the result depends on. A byte-identical repeat
 //     request is served in O(lookup) with the exact bytes the first
-//     run produced.
+//     run produced. Documents are held flate-compressed and inflated
+//     on every hit: a finished job's document stays resident for as
+//     long as its entry does, and JSON result documents shrink
+//     several-fold.
 //
 //   - The warm tier stores evaluation Tables: the per-allocation-cell
 //     completion-time distributions behind a Stage-I evaluation table.
@@ -32,12 +35,15 @@
 package cache
 
 import (
+	"bytes"
+	"compress/flate"
 	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"io"
 	"math"
 	"strconv"
 	"strings"
@@ -168,6 +174,9 @@ func distFootprint(d pmf.Dist) int64 {
 	case pmf.PMF:
 		// 16 bytes per pulse plus the cached CDF.
 		return int64(24*x.Len()) + 48
+	case *pmf.PackedPMF:
+		// 16 bytes per pulse, plus the struct and its slice header.
+		return int64(16*x.Len()) + 32
 	case *pmf.PackedGrid:
 		// An int32 offset, the mass and the CDF per occupied bin, plus
 		// the struct (three slice headers and the lattice fields).
@@ -244,12 +253,14 @@ const (
 	tierTable
 )
 
-// entry is one LRU node.
+// entry is one LRU node. A result-tier entry holds its document
+// flate-compressed in result and the document's length in rawLen.
 type entry struct {
 	tier   tier
 	key    Key
 	size   int64
 	result []byte
+	rawLen int
 	table  *Table
 }
 
@@ -387,38 +398,86 @@ func (c *Cache) updateGauges() {
 	}
 }
 
-// GetResult returns the cached result document for the key. The
-// returned bytes are shared and must not be modified.
+// GetResult returns the cached result document for the key, inflated
+// into a fresh buffer the caller owns.
 func (c *Cache) GetResult(k Key) ([]byte, bool) {
 	if c == nil {
 		return nil, false
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	var z []byte
+	var n int
 	if e := c.get(tierResult, k); e != nil {
 		c.stats.ResultHits++
 		if c.instr != nil {
 			c.instr.resultHits.Inc()
 		}
-		return e.result, true
+		z, n = e.result, e.rawLen
+	} else {
+		c.stats.ResultMisses++
+		if c.instr != nil {
+			c.instr.resultMisses.Inc()
+		}
 	}
-	c.stats.ResultMisses++
-	if c.instr != nil {
-		c.instr.resultMisses.Inc()
+	c.mu.Unlock()
+	if z == nil {
+		return nil, false
 	}
-	return nil, false
+	// Stored bytes are immutable, so they inflate outside the lock.
+	return inflate(z, n), true
 }
 
-// PutResult stores a finished result document under the key. The bytes
-// are copied, so the caller may keep mutating its buffer.
+// PutResult stores a finished result document under the key,
+// compressed; the LRU charges the compressed bytes. The caller may keep
+// mutating its buffer.
 func (c *Cache) PutResult(k Key, doc []byte) {
 	if c == nil || len(doc) == 0 {
 		return
 	}
-	cp := append([]byte(nil), doc...)
+	z := deflate(doc)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.put(&entry{tier: tierResult, key: k, size: int64(len(cp)) + 96, result: cp})
+	c.put(&entry{tier: tierResult, key: k, size: int64(len(z)) + 96, result: z, rawLen: len(doc)})
+}
+
+// A flate compressor costs hundreds of KiB to set up and a
+// decompressor tens, so both directions reuse pooled ones.
+var (
+	deflaters = sync.Pool{New: func() any {
+		w, _ := flate.NewWriter(nil, flate.BestSpeed) // a valid level never errors
+		return w
+	}}
+	inflaters sync.Pool
+)
+
+// deflate returns doc flate-compressed, in a buffer of exactly its
+// length.
+func deflate(doc []byte) []byte {
+	var buf bytes.Buffer
+	w := deflaters.Get().(*flate.Writer)
+	w.Reset(&buf)
+	w.Write(doc) // writes to a bytes.Buffer cannot fail
+	w.Close()
+	deflaters.Put(w)
+	return bytes.Clone(buf.Bytes())
+}
+
+// inflate returns the n-byte document deflate compressed into z. The
+// cache only inflates what it deflated itself, so a failure is a bug.
+func inflate(z []byte, n int) []byte {
+	src := bytes.NewReader(z)
+	r, _ := inflaters.Get().(io.ReadCloser)
+	if r == nil {
+		r = flate.NewReader(src)
+	} else {
+		_ = r.(flate.Resetter).Reset(src, nil) // resetting a decompressor cannot fail
+	}
+	doc := make([]byte, n)
+	if _, err := io.ReadFull(r, doc); err != nil {
+		panic(fmt.Sprintf("cache: inflating a stored result: %v", err))
+	}
+	inflaters.Put(r)
+	return doc
 }
 
 // GetTable returns the cached warm table for the key. The table and

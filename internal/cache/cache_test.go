@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"strings"
 	"sync"
 	"testing"
@@ -174,31 +175,72 @@ func TestLRUEntryBound(t *testing.T) {
 	}
 }
 
+// incompressible returns n pseudo-random bytes, which flate cannot
+// shrink, so an entry's charged size is known from its length.
+func incompressible(seed, n int) []byte {
+	r := rand.New(rand.NewPCG(uint64(seed), 0))
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(r.Uint32())
+	}
+	return b
+}
+
 func TestLRUByteBoundAndRecency(t *testing.T) {
-	// Each entry costs len(doc)+96 bytes; bound to fit two entries.
-	c := New(Options{MaxBytes: 2 * (4 + 96)})
+	// Each entry costs its compressed length + 96 bytes; bound to fit
+	// two of the equally long incompressible documents.
+	docs := [][]byte{incompressible(0, 64), incompressible(1, 64), incompressible(2, 64)}
+	cost := int64(0)
+	for _, d := range docs {
+		cost = max(cost, int64(len(deflate(d)))+96)
+	}
+	c := New(Options{MaxBytes: 2 * cost})
 	keyOf := func(i int) Key { return NewHasher("d").Int(i).Sum() }
-	c.PutResult(keyOf(0), []byte("aaaa"))
-	c.PutResult(keyOf(1), []byte("bbbb"))
+	c.PutResult(keyOf(0), docs[0])
+	c.PutResult(keyOf(1), docs[1])
 	// Touch 0 so 1 becomes the LRU victim.
 	if _, ok := c.GetResult(keyOf(0)); !ok {
 		t.Fatal("warm entry missing")
 	}
-	c.PutResult(keyOf(2), []byte("cccc"))
+	c.PutResult(keyOf(2), docs[2])
 	if _, ok := c.GetResult(keyOf(1)); ok {
 		t.Error("LRU victim survived")
 	}
 	if _, ok := c.GetResult(keyOf(0)); !ok {
 		t.Error("recently used entry evicted")
 	}
-	if s := c.Stats(); s.Bytes > 2*(4+96) {
+	if s := c.Stats(); s.Bytes > 2*cost {
 		t.Errorf("bytes %d over bound", s.Bytes)
 	}
 	// An entry larger than the whole budget is rejected outright.
 	before := c.Len()
-	c.PutResult(keyOf(3), make([]byte, 1024))
+	c.PutResult(keyOf(3), incompressible(3, 1024))
 	if c.Len() != before {
 		t.Error("oversize entry displaced the cache")
+	}
+}
+
+// The result tier holds documents compressed, charges the compressed
+// bytes, and hands every hit the exact document in a buffer of its own.
+func TestResultTierStoresCompressed(t *testing.T) {
+	var b strings.Builder
+	for i := 0; i < 100; i++ {
+		fmt.Fprintf(&b, `{"technique":"AWF-B","mean_time":%d.25,"meets":true},`, 1000+i)
+	}
+	doc := []byte("[" + strings.TrimSuffix(b.String(), ",") + "]")
+	c := New(Options{})
+	k := NewHasher("d").Int(1).Sum()
+	c.PutResult(k, doc)
+	if got := c.Stats().Bytes; got >= int64(len(doc))/2 {
+		t.Errorf("a %d-byte JSON document is charged %d bytes", len(doc), got)
+	}
+	first, ok := c.GetResult(k)
+	if !ok || string(first) != string(doc) {
+		t.Fatalf("GetResult = %q, %v", first, ok)
+	}
+	first[0] = 'x'
+	if again, _ := c.GetResult(k); string(again) != string(doc) {
+		t.Error("a caller's edit reached the cached document")
 	}
 }
 
@@ -413,6 +455,10 @@ func TestDistFootprint(t *testing.T) {
 	}
 	if packed.Len() != 1000 || distFootprint(packed)*100 > distFootprint(wg) {
 		t.Errorf("packed %d-bin span counted %d bytes against the dense %d", packed.Len(), distFootprint(packed), distFootprint(wg))
+	}
+	// A packed sparse cell drops the 8-byte CDF entry per pulse.
+	if got, want := distFootprint(wide.Pack()), int64(3*16+32); got != want {
+		t.Errorf("packed PMF footprint = %d, want %d", got, want)
 	}
 	tbl := &Table{Types: 1, Logs: 1, Cells: []pmf.Dist{p, nil}}
 	if tbl.footprint() <= 0 {

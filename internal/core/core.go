@@ -373,8 +373,8 @@ func (f *Framework) RunScenarioContext(ctx context.Context, sc Scenario, cases [
 		name := metricName(sc.Name)
 		reg.Counter("core.scenarios").Inc()
 		reg.Timer("core.scenario_wall." + name).Observe(time.Since(t0))
-		// One RunMany per (application, technique, case) at cfg.Reps
-		// repetitions each.
+		// cfg.Reps repetitions of every (application, technique, case)
+		// cell.
 		cells := len(f.Batch) * len(cases) * len(sc.RAS)
 		reg.Counter("core.stage2_reps." + name).Add(int64(cells * cfg.Reps))
 	}
@@ -402,10 +402,10 @@ func metricName(s string) string {
 }
 
 // RunCaseContext evaluates the Stage-II simulations of one availability
-// case for a fixed allocation: for every (application, technique) cell
-// it drives sim.RunManyContext with cfg.Reps repetitions and selects
-// the best deadline-meeting technique per application, exactly as one
-// case iteration of RunScenarioContext does. It is the entry point
+// case for a fixed allocation: for every application it runs every
+// technique for cfg.Reps repetitions on shared draws (sim.RunArmsContext)
+// and selects the best deadline-meeting technique, exactly as one case
+// iteration of RunScenarioContext does. It is the entry point
 // behind the scheduling service's simulate jobs. Seeded calls are
 // bit-identical to the first case of a scenario run (the per-case seed
 // salt is the case index, which is 0 here).
@@ -458,6 +458,9 @@ func (f *Framework) runCase(ctx context.Context, alloc sysmodel.Allocation, ras 
 	// evaluated as if the whole DAG ran under it, and the best per
 	// application is still compared afterwards. An edge-free batch
 	// takes the identical i = 0..n-1 path with no release gating.
+	//
+	// Application i of case caseSalt runs every technique on the seed
+	// cfg.Seed ^ caseSalt<<40 ^ i<<20.
 	order := make([]int, len(f.Batch))
 	for i := range order {
 		order[i] = i
@@ -487,16 +490,15 @@ func (f *Framework) runCase(ctx context.Context, alloc sysmodel.Allocation, ras 
 			Hi:   iterMean * 1e3,
 		}
 		model := mkModel(c.Avail[as.Type])
-		outcomes := make([]TechOutcome, 0, len(ras))
-		bestName, bestTime := "", 0.0
+		arms := make([]sim.Arm, len(ras))
 		for ti, tech := range ras {
-			var releases []float64
+			arms[ti] = sim.Arm{Technique: tech, TraceScope: traceScope + "/" + app.Name + "/" + tech.Name}
 			if dag {
 				// Repetition r of application i starts when repetition r of
 				// every predecessor finished under the same technique;
 				// sources carry the zero release explicitly so every DAG
 				// run reports the sim.dag metrics uniformly.
-				releases = make([]float64, cfg.Reps)
+				releases := make([]float64, cfg.Reps)
 				for _, pr := range preds[i] {
 					for r, fin := range finishes[ti][pr] {
 						if fin > releases[r] {
@@ -504,20 +506,39 @@ func (f *Framework) runCase(ctx context.Context, alloc sysmodel.Allocation, ras 
 						}
 					}
 				}
+				arms[ti].Releases = releases
 			}
-			appRegion := cfg.Obs.Tracer.Begin("stage2", app.Name+" / "+tech.Name, "app")
-			s, err := f.simulateApp(ctx, app, as, tech, iterDist, model, cfg, releases,
-				cfg.Seed^(caseSalt<<40)^(uint64(i)<<20)^uint64(ti)<<4,
-				traceScope+"/"+app.Name+"/"+tech.Name)
-			appRegion.End()
-			if err != nil {
-				return nil, err
-			}
+		}
+		// Every technique of the cell runs on one seed and shares each
+		// repetition's draws (common random numbers), so the techniques
+		// are compared on the same availability trajectories and
+		// iteration costs.
+		appRegion := cfg.Obs.Tracer.Begin("stage2", app.Name, "app")
+		samples, err := sim.RunArmsContext(ctx, sim.Config{
+			SerialIters:      app.SerialIters,
+			ParallelIters:    app.ParallelIters,
+			Workers:          as.Procs,
+			IterTime:         iterDist,
+			Avail:            model,
+			Overhead:         cfg.Overhead,
+			Seed:             cfg.Seed ^ caseSalt<<40 ^ uint64(i)<<20,
+			WeightsFromAvail: cfg.WeightsFromAvail,
+			BestMaster:       cfg.BestMaster,
+			TimeSteps:        cfg.TimeSteps,
+			Obs:              cfg.Obs,
+		}, arms, cfg.Reps)
+		appRegion.End()
+		if err != nil {
+			return nil, err
+		}
+		outcomes := make([]TechOutcome, 0, len(ras))
+		bestName, bestTime := "", 0.0
+		for ti, s := range samples {
 			if dag {
 				finishes[ti][i] = s.Makespans
 			}
 			o := TechOutcome{
-				Technique: tech.Name,
+				Technique: ras[ti].Name,
 				MeanTime:  s.Mean(),
 				StdDev:    s.StdDev(),
 				PrMeet:    s.PrLE(f.Deadline),
@@ -535,28 +556,6 @@ func (f *Framework) runCase(ctx context.Context, alloc sysmodel.Allocation, ras 
 		}
 	}
 	return out, nil
-}
-
-func (f *Framework) simulateApp(ctx context.Context, app *sysmodel.Application, as sysmodel.Assignment, tech dls.Technique, iterDist stats.Dist, model availability.Model, cfg StageIIConfig, releases []float64, seed uint64, traceScope string) (*sim.Sample, error) {
-	c := sim.Config{
-		Releases:      releases,
-		SerialIters:   app.SerialIters,
-		ParallelIters: app.ParallelIters,
-		Workers:       as.Procs,
-		IterTime:      iterDist,
-		Avail:         model,
-		Technique:     tech,
-		Overhead:      cfg.Overhead,
-		Seed:          seed,
-		BestMaster:    cfg.BestMaster,
-		TimeSteps:     cfg.TimeSteps,
-		Obs:           cfg.Obs,
-		TraceScope:    traceScope,
-	}
-	if cfg.WeightsFromAvail {
-		c.WeightsFromAvail = true
-	}
-	return sim.RunManyContext(ctx, c, cfg.Reps)
 }
 
 // SystemRobustness computes the paper's (rho_1, rho_2) from a scenario

@@ -44,36 +44,39 @@ func (f *Framework) SimTolerance(alloc sysmodel.Allocation, ras []dls.Technique,
 	if tol <= 0 {
 		return nil, fmt.Errorf("core: non-positive tolerance %v", tol)
 	}
+	arms := make([]sim.Arm, len(ras))
+	for ti, tech := range ras {
+		arms[ti] = sim.Arm{Technique: tech}
+	}
+	mkModel := cfg.Model
+	if mkModel == nil {
+		mkModel = func(p pmf.PMF) availability.Model { return availability.Static{PMF: p} }
+	}
 	feasible := func(scale float64) (bool, []string, error) {
 		best := make([]string, len(f.Batch))
 		for i := range f.Batch {
 			app := &f.Batch[i]
 			as := alloc[i]
-			avail := f.Sys.Types[as.Type].Avail.Scale(scale)
-			mkModel := cfg.Model
-			if mkModel == nil {
-				mkModel = func(p pmf.PMF) availability.Model { return availability.Static{PMF: p} }
-			}
 			iterMean := app.ExecTime[as.Type].Mean() / float64(app.TotalIters())
+			// The techniques share their draws, as in a scenario cell.
+			samples, err := sim.RunArmsContext(context.Background(), sim.Config{
+				SerialIters:      app.SerialIters,
+				ParallelIters:    app.ParallelIters,
+				Workers:          as.Procs,
+				IterTime:         stats.NewNormal(iterMean, cfg.IterCV*iterMean),
+				Avail:            mkModel(f.Sys.Types[as.Type].Avail.Scale(scale)),
+				WeightsFromAvail: cfg.WeightsFromAvail,
+				BestMaster:       cfg.BestMaster,
+				Overhead:         cfg.Overhead,
+				Seed:             cfg.Seed ^ uint64(i)<<20,
+			}, arms, cfg.Reps)
+			if err != nil {
+				return false, nil, err
+			}
 			bestTime := 0.0
-			for _, tech := range ras {
-				s, err := sim.RunManyContext(context.Background(), sim.Config{
-					SerialIters:      app.SerialIters,
-					ParallelIters:    app.ParallelIters,
-					Workers:          as.Procs,
-					IterTime:         stats.NewNormal(iterMean, cfg.IterCV*iterMean),
-					Avail:            mkModel(avail),
-					Technique:        tech,
-					WeightsFromAvail: cfg.WeightsFromAvail,
-					BestMaster:       cfg.BestMaster,
-					Overhead:         cfg.Overhead,
-					Seed:             cfg.Seed ^ uint64(i)<<20,
-				}, cfg.Reps)
-				if err != nil {
-					return false, nil, err
-				}
+			for ti, s := range samples {
 				if m := s.Mean(); m <= f.Deadline && (best[i] == "" || m < bestTime) {
-					best[i], bestTime = tech.Name, m
+					best[i], bestTime = ras[ti].Name, m
 				}
 			}
 			if best[i] == "" {

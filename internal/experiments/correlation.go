@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"cdsf/internal/availability"
-	"cdsf/internal/dls"
 	"cdsf/internal/report"
+	"cdsf/internal/sim"
 )
 
 // GenerateCorrelationStudy addresses the paper's future-work question
@@ -18,33 +18,23 @@ import (
 // absolute makespans rise.
 func GenerateCorrelationStudy(seed uint64, reps int) (*report.Table, error) {
 	mixes := []float64{0, 0.25, 0.5, 0.75, 1}
-	headers := []string{"Technique"}
-	for _, m := range mixes {
-		headers = append(headers, fmt.Sprintf("mix=%g", m))
+	cols := make([]string, len(mixes))
+	for i, m := range mixes {
+		cols[i] = fmt.Sprintf("mix=%g", m)
 	}
-	t := report.NewTable("Correlated-availability study: mean makespan of App 3 (shared-load mix)", headers...)
+	techs, err := techniques("STATIC", "FAC", "WF", "AWF-B", "AF")
+	if err != nil {
+		return nil, err
+	}
 	_, _, _, avail := sensApp()
-	for _, name := range []string{"STATIC", "FAC", "WF", "AWF-B", "AF"} {
-		tech, ok := dls.Get(name)
-		if !ok {
-			return nil, fmt.Errorf("experiments: technique %q missing", name)
-		}
-		row := []string{name}
-		for _, mix := range mixes {
-			model := &availability.SharedLoad{
+	return techTable("Correlated-availability study: mean makespan of App 3 (shared-load mix)",
+		techs, cols, reps, func(c int) sim.Config {
+			return sensConfig(1, 0.3, &availability.SharedLoad{
 				Shared:      avail,
 				Idio:        avail,
-				Mix:         mix,
+				Mix:         mixes[c],
 				Interval:    Deadline / 4,
 				Persistence: 0.5,
-			}
-			s, err := sensSim(tech, 1, 0.3, model, reps, seed)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, fmt.Sprintf("%.0f", s.Mean()))
-		}
-		t.AddRow(row...)
-	}
-	return t, nil
+			}, seed)
+		})
 }

@@ -1,0 +1,45 @@
+package experiments
+
+import (
+	"context"
+	"math"
+	"testing"
+)
+
+// TestScenario4FirstTechniqueBitsPinned pins the outcome of the first
+// technique of every Stage-II cell of paper scenario 4 (seed 42) to
+// values recorded when each technique still drew its own costs on a
+// technique-salted seed. The first technique's seed carried no salt,
+// so sharing draws between the techniques of a cell must leave it
+// bit-identical; the other techniques moved, by design.
+func TestScenario4FirstTechniqueBitsPinned(t *testing.T) {
+	pinned := []struct {
+		ci, app              int
+		tech                 string
+		mean, stdDev, prMeet uint64
+	}{
+		{0, 0, "FAC", 0x409526892b16fa83, 0x4061b3fba896f462, 0x3ff0000000000000},
+		{0, 1, "FAC", 0x409e24c240f0cf2a, 0x4064bc0d4bb134bb, 0x3ff0000000000000},
+		{0, 2, "FAC", 0x40a0855e6ec7f0df, 0x406fdcb8fd39fbcb, 0x3ff0000000000000},
+		{1, 0, "FAC", 0x40a19dfe2b2b4e56, 0x4067331abb7e2de4, 0x3ff0000000000000},
+		{1, 1, "FAC", 0x40a947a98ffc7a95, 0x406f14b5b5d6bc41, 0x3fd2222222222222},
+		{1, 2, "FAC", 0x40a23588d8b646b9, 0x406c1ad5805daca9, 0x3ff0000000000000},
+		{2, 0, "FAC", 0x409ddf7359c18330, 0x40681d5bd16485aa, 0x3ff0000000000000},
+		{2, 1, "FAC", 0x40a5436f5c982501, 0x406add75c23d9d15, 0x3fef777777777777},
+		{2, 2, "FAC", 0x40a805051db71ce4, 0x407512e4cdd9c28f, 0x3fdeeeeeeeeeeeef},
+		{3, 0, "FAC", 0x40a62268ac7ab2a2, 0x408214297b8c771d, 0x3fe6eeeeeeeeeeef},
+		{3, 1, "FAC", 0x40ae81009df4db8c, 0x40872cebb8c99c2a, 0x3fd2222222222222},
+		{3, 2, "FAC", 0x40a57e14c74724c0, 0x4071fcad58f32592, 0x3fef777777777777},
+	}
+	res, err := RunPaperScenarioContext(context.Background(), 4, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pinned {
+		o := res.Cases[p.ci].PerApp[p.app][0]
+		got := [3]uint64{math.Float64bits(o.MeanTime), math.Float64bits(o.StdDev), math.Float64bits(o.PrMeet)}
+		if o.Technique != p.tech || got != [3]uint64{p.mean, p.stdDev, p.prMeet} {
+			t.Errorf("case %d app %d: %s mean/sd/pr %#x, pinned %s %#x", p.ci, p.app, o.Technique, got, p.tech, [3]uint64{p.mean, p.stdDev, p.prMeet})
+		}
+	}
+}

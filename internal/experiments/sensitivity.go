@@ -31,21 +31,62 @@ func sensApp() (app int, workers int, iterMean float64, avail pmf.PMF) {
 	return 2, 8, a.ExecTime[1].Mean() / float64(a.TotalIters()), availCase1Type2
 }
 
-func sensSim(tech dls.Technique, overhead, cv float64, model availability.Model, reps int, seed uint64) (*sim.Sample, error) {
+// sensConfig is the simulation of App 3 the sensitivity studies vary:
+// its robust allocation under model, with the given per-chunk overhead
+// and iteration-time coefficient of variation.
+func sensConfig(overhead, cv float64, model availability.Model, seed uint64) sim.Config {
 	_, workers, iterMean, _ := sensApp()
 	b := PaperBatch(DefaultPulses)
-	return sim.RunManyContext(context.Background(), sim.Config{
+	return sim.Config{
 		SerialIters:      b[2].SerialIters,
 		ParallelIters:    b[2].ParallelIters,
 		Workers:          workers,
 		IterTime:         stats.NewNormal(iterMean, cv*iterMean),
 		Avail:            model,
-		Technique:        tech,
 		WeightsFromAvail: true,
 		BestMaster:       true,
 		Overhead:         overhead,
 		Seed:             seed,
-	}, reps)
+	}
+}
+
+// techniques looks up registered techniques by name.
+func techniques(names ...string) ([]dls.Technique, error) {
+	out := make([]dls.Technique, len(names))
+	for i, name := range names {
+		tech, ok := dls.Get(name)
+		if !ok {
+			return nil, fmt.Errorf("experiments: technique %q missing", name)
+		}
+		out[i] = tech
+	}
+	return out, nil
+}
+
+// techTable renders a technique-by-column table of mean makespans. Each
+// column runs every technique on column(c) in one sim.RunArmsContext
+// call, so the techniques of a column share their draws.
+func techTable(title string, techs []dls.Technique, cols []string, reps int, column func(c int) sim.Config) (*report.Table, error) {
+	t := report.NewTable(title, append([]string{"Technique"}, cols...)...)
+	arms := make([]sim.Arm, len(techs))
+	rows := make([][]string, len(techs))
+	for i, tech := range techs {
+		arms[i] = sim.Arm{Technique: tech}
+		rows[i] = []string{tech.Name}
+	}
+	for c := range cols {
+		samples, err := sim.RunArmsContext(context.Background(), column(c), arms, reps)
+		if err != nil {
+			return nil, err
+		}
+		for i, s := range samples {
+			rows[i] = append(rows[i], fmt.Sprintf("%.0f", s.Mean()))
+		}
+	}
+	for _, row := range rows {
+		t.AddRow(row...)
+	}
+	return t, nil
 }
 
 // GenerateOverheadSensitivity sweeps the per-chunk scheduling overhead
@@ -54,29 +95,18 @@ func sensSim(tech dls.Technique, overhead, cv float64, model availability.Model,
 // from the batched techniques.
 func GenerateOverheadSensitivity(seed uint64, reps int) (*report.Table, error) {
 	overheads := []float64{0, 0.5, 1, 5, 20}
-	headers := []string{"Technique"}
-	for _, h := range overheads {
-		headers = append(headers, fmt.Sprintf("h=%g", h))
+	cols := make([]string, len(overheads))
+	for i, h := range overheads {
+		cols[i] = fmt.Sprintf("h=%g", h)
 	}
-	t := report.NewTable("Overhead sensitivity: mean makespan of App 3 (robust allocation, case-1 availability)", headers...)
+	techs, err := techniques("SS", "GSS", "FAC", "WF", "AWF-B", "AF")
+	if err != nil {
+		return nil, err
+	}
 	_, _, _, avail := sensApp()
 	model := availability.Markov{PMF: avail, Interval: Deadline / 4, Persistence: 0.5}
-	for _, name := range []string{"SS", "GSS", "FAC", "WF", "AWF-B", "AF"} {
-		tech, ok := dls.Get(name)
-		if !ok {
-			return nil, fmt.Errorf("experiments: technique %q missing", name)
-		}
-		row := []string{name}
-		for _, h := range overheads {
-			s, err := sensSim(tech, h, 0.3, model, reps, seed)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, fmt.Sprintf("%.0f", s.Mean()))
-		}
-		t.AddRow(row...)
-	}
-	return t, nil
+	return techTable("Overhead sensitivity: mean makespan of App 3 (robust allocation, case-1 availability)",
+		techs, cols, reps, func(c int) sim.Config { return sensConfig(overheads[c], 0.3, model, seed) })
 }
 
 // GenerateCVSensitivity sweeps the per-iteration coefficient of
@@ -84,25 +114,14 @@ func GenerateOverheadSensitivity(seed uint64, reps int) (*report.Table, error) {
 // technique set.
 func GenerateCVSensitivity(seed uint64, reps int) (*report.Table, error) {
 	cvs := []float64{0.05, 0.1, 0.3, 0.6, 1.0}
-	headers := []string{"Technique"}
-	for _, cv := range cvs {
-		headers = append(headers, fmt.Sprintf("cv=%g", cv))
+	cols := make([]string, len(cvs))
+	for i, cv := range cvs {
+		cols[i] = fmt.Sprintf("cv=%g", cv)
 	}
-	t := report.NewTable("Iteration-variability sensitivity: mean makespan of App 3", headers...)
 	_, _, _, avail := sensApp()
 	model := availability.Markov{PMF: avail, Interval: Deadline / 4, Persistence: 0.5}
-	for _, tech := range dls.PaperRobustSet() {
-		row := []string{tech.Name}
-		for _, cv := range cvs {
-			s, err := sensSim(tech, 1, cv, model, reps, seed)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, fmt.Sprintf("%.0f", s.Mean()))
-		}
-		t.AddRow(row...)
-	}
-	return t, nil
+	return techTable("Iteration-variability sensitivity: mean makespan of App 3",
+		dls.PaperRobustSet(), cols, reps, func(c int) sim.Config { return sensConfig(1, cvs[c], model, seed) })
 }
 
 // GenerateModelSensitivity compares availability-model families at the
@@ -117,23 +136,12 @@ func GenerateModelSensitivity(seed uint64, reps int) (*report.Table, error) {
 		availability.Markov{PMF: avail, Interval: Deadline / 4, Persistence: 0.5},
 		availability.Markov{PMF: avail, Interval: Deadline / 4, Persistence: 0.9},
 	}
-	headers := []string{"Technique"}
-	for _, m := range models {
-		headers = append(headers, m.Name())
+	cols := make([]string, len(models))
+	for i, m := range models {
+		cols[i] = m.Name()
 	}
-	t := report.NewTable("Availability-model sensitivity: mean makespan of App 3 (same marginal PMF)", headers...)
-	for _, tech := range dls.PaperRobustSet() {
-		row := []string{tech.Name}
-		for _, m := range models {
-			s, err := sensSim(tech, 1, 0.3, m, reps, seed)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, fmt.Sprintf("%.0f", s.Mean()))
-		}
-		t.AddRow(row...)
-	}
-	return t, nil
+	return techTable("Availability-model sensitivity: mean makespan of App 3 (same marginal PMF)",
+		dls.PaperRobustSet(), cols, reps, func(c int) sim.Config { return sensConfig(1, 0.3, models[c], seed) })
 }
 
 // GenerateGranularitySensitivity reports phi_1 for both Table IV

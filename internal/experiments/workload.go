@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"context"
-	"fmt"
-
 	"cdsf/internal/availability"
 	"cdsf/internal/dls"
 	"cdsf/internal/report"
@@ -31,36 +28,17 @@ func GenerateDistributionSensitivity(seed uint64, reps int) (*report.Table, erro
 		{"gamma", stats.GammaFromMoments(iterMean, 0.3*iterMean)},
 		{"exponential", stats.NewExponential(1 / iterMean)},
 	}
-	headers := []string{"Technique"}
-	for _, d := range dists {
-		headers = append(headers, d.name)
+	cols := make([]string, len(dists))
+	for i, d := range dists {
+		cols[i] = d.name
 	}
-	t := report.NewTable("Iteration-time-distribution sensitivity: mean makespan of App 3 (same mean)", headers...)
 	model := availability.Markov{PMF: avail, Interval: Deadline / 4, Persistence: 0.5}
-	b := PaperBatch(DefaultPulses)
-	for _, tech := range dls.PaperRobustSet() {
-		row := []string{tech.Name}
-		for _, d := range dists {
-			s, err := sim.RunManyContext(context.Background(), sim.Config{
-				SerialIters:      b[2].SerialIters,
-				ParallelIters:    b[2].ParallelIters,
-				Workers:          8,
-				IterTime:         d.d,
-				Avail:            model,
-				Technique:        tech,
-				WeightsFromAvail: true,
-				BestMaster:       true,
-				Overhead:         1,
-				Seed:             seed,
-			}, reps)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, fmt.Sprintf("%.0f", s.Mean()))
-		}
-		t.AddRow(row...)
-	}
-	return t, nil
+	return techTable("Iteration-time-distribution sensitivity: mean makespan of App 3 (same mean)",
+		dls.PaperRobustSet(), cols, reps, func(c int) sim.Config {
+			cfg := sensConfig(1, 0.3, model, seed)
+			cfg.IterTime = dists[c].d
+			return cfg
+		})
 }
 
 // GenerateProfileSensitivity simulates the paper's application 3 under
@@ -68,43 +46,25 @@ func GenerateDistributionSensitivity(seed uint64, reps int) (*report.Table, erro
 // robust set: systematic gradients break equal-iteration splits even on
 // fully available processors.
 func GenerateProfileSensitivity(seed uint64, reps int) (*report.Table, error) {
-	_, _, iterMean, avail := sensApp()
+	_, _, _, avail := sensApp()
 	names := []string{"flat", "increasing", "decreasing", "peaked", "alternating"}
-	headers := []string{"Technique"}
-	headers = append(headers, names...)
-	t := report.NewTable("Iteration-profile sensitivity: mean makespan of App 3", headers...)
-	model := availability.Markov{PMF: avail, Interval: Deadline / 4, Persistence: 0.5}
-	b := PaperBatch(DefaultPulses)
-	techList := append([]dls.Technique{}, dls.PaperRobustSet()...)
-	if static, ok := dls.Get("STATIC"); ok {
-		techList = append([]dls.Technique{static}, techList...)
-	}
-	for _, tech := range techList {
-		row := []string{tech.Name}
-		for _, pn := range names {
-			p, err := sim.ProfileByName(pn)
-			if err != nil {
-				return nil, err
-			}
-			s, err := sim.RunManyContext(context.Background(), sim.Config{
-				SerialIters:      b[2].SerialIters,
-				ParallelIters:    b[2].ParallelIters,
-				Workers:          8,
-				IterTime:         stats.NewNormal(iterMean, 0.3*iterMean),
-				IterProfile:      p,
-				Avail:            model,
-				Technique:        tech,
-				WeightsFromAvail: true,
-				BestMaster:       true,
-				Overhead:         1,
-				Seed:             seed,
-			}, reps)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, fmt.Sprintf("%.0f", s.Mean()))
+	profiles := make([]sim.Profile, len(names))
+	for i, pn := range names {
+		p, err := sim.ProfileByName(pn)
+		if err != nil {
+			return nil, err
 		}
-		t.AddRow(row...)
+		profiles[i] = p
 	}
-	return t, nil
+	model := availability.Markov{PMF: avail, Interval: Deadline / 4, Persistence: 0.5}
+	techs := append([]dls.Technique{}, dls.PaperRobustSet()...)
+	if static, ok := dls.Get("STATIC"); ok {
+		techs = append([]dls.Technique{static}, techs...)
+	}
+	return techTable("Iteration-profile sensitivity: mean makespan of App 3",
+		techs, names, reps, func(c int) sim.Config {
+			cfg := sensConfig(1, 0.3, model, seed)
+			cfg.IterProfile = profiles[c]
+			return cfg
+		})
 }

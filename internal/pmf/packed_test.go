@@ -123,3 +123,50 @@ func TestGridPackSurvivesRelease(t *testing.T) {
 	}()
 	packed.Quantile(0)
 }
+
+// TestPackedPMFBitIdentical pins the packed sparse form to the PMF it
+// came from: Unpack rebuilds every CDF entry bit for bit, and PrLE,
+// Quantile, Mean, StdDev and Len of the packed form answer with the
+// PMF's bits, on a completion-time PMF (a Combine result), a point
+// mass and a many-pulse discretization.
+func TestPackedPMFBitIdentical(t *testing.T) {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	avail := MustNew([]Pulse{{Value: 0.25, Prob: 0.25}, {Value: 0.5, Prob: 0.25}, {Value: 1, Prob: 0.5}})
+	exec := Discretize(stats.NewNormal(1800, 180), 50)
+	for n, p := range []PMF{Div(exec, avail), Point(42), Discretize(stats.NewNormal(3, 1), 1000)} {
+		pk := p.Pack()
+		u := pk.Unpack()
+		for i := range p.cdf {
+			if !same(u.cdf[i], p.cdf[i]) || u.pulses[i] != p.pulses[i] {
+				t.Fatalf("pmf %d pulse %d: unpacked %v cdf %x, want %v %x", n, i, u.pulses[i], u.cdf[i], p.pulses[i], p.cdf[i])
+			}
+		}
+		if len(u.cdf) != len(p.cdf) || pk.Len() != p.Len() {
+			t.Fatalf("pmf %d: unpacked %d CDF entries, packed Len %d, want %d", n, len(u.cdf), pk.Len(), p.Len())
+		}
+		if !same(pk.Mean(), p.Mean()) || !same(pk.StdDev(), p.StdDev()) {
+			t.Errorf("pmf %d: packed mean/sd %x/%x, want %x/%x", n, pk.Mean(), pk.StdDev(), p.Mean(), p.StdDev())
+		}
+		xs := []float64{math.Inf(-1), p.Min() - 1, p.Max() + 1, math.Inf(1)}
+		for _, pl := range p.pulses {
+			xs = append(xs, pl.Value, math.Nextafter(pl.Value, math.Inf(-1)), math.Nextafter(pl.Value, math.Inf(1)))
+		}
+		for _, x := range xs {
+			if got, want := pk.PrLE(x), p.PrLE(x); !same(got, want) {
+				t.Fatalf("pmf %d: packed PrLE(%v) = %x, want %x", n, x, got, want)
+			}
+		}
+		for i := 1; i <= 1000; i++ {
+			q := float64(i) / 1000
+			if got, want := pk.Quantile(q), p.Quantile(q); !same(got, want) {
+				t.Fatalf("pmf %d: packed Quantile(%v) = %v, want %v", n, q, got, want)
+			}
+		}
+	}
+	defer func() {
+		if r := recover(); r == nil {
+			t.Fatal("packed Quantile(0) did not panic")
+		}
+	}()
+	Point(1).Pack().Quantile(0)
+}

@@ -125,13 +125,14 @@ func (p *Problem) PrecomputeContext(ctx context.Context, workers int) error {
 	// cell does not depend on the deadline, the heuristic, or the
 	// runtime availability cases, so Problems differing only in those
 	// share one cached distribution set and each cell collapses to a
-	// cached-CDF PrLE read plus a Mean (delta-solve). Cells are derived
-	// from the same distribution objects the direct path would compute,
-	// so the table is bit-identical whether the cache is absent, cold,
-	// or warm.
+	// PrLE read plus a Mean (delta-solve). The cache holds cells packed
+	// (sparse PMFs without their CDFs, grids as their occupied bins),
+	// whose queries answer with the bits of the distributions the
+	// direct path computes, so the table is bit-identical whether the
+	// cache is absent, cold, or warm.
 	var warmKey cache.Key
 	var warm *cache.Table
-	var dists []pmf.Dist
+	var dists, warmDists []pmf.Dist
 	useCache := p.Cache != nil
 	if useCache {
 		step := 0.0
@@ -146,6 +147,9 @@ func (p *Problem) PrecomputeContext(ctx context.Context, workers int) error {
 			if w, ok := p.Cache.GetTable(warmKey); ok &&
 				w.Types == t.types && w.Logs == t.logs && len(w.Cells) == len(t.cells) {
 				warm = w
+				if len(p.Edges) > 0 {
+					warmDists = make([]pmf.Dist, len(t.cells))
+				}
 			}
 		}
 		if warm == nil && useCache {
@@ -163,6 +167,13 @@ func (p *Problem) PrecomputeContext(ctx context.Context, workers int) error {
 		idx := (jb.i*t.types+jb.j)*t.logs + jb.k
 		if warm != nil {
 			if d := warm.Cells[idx]; d != nil {
+				if warmDists != nil {
+					// DAG composition needs whole PMFs: rebuild the CDF.
+					if pp, ok := d.(*pmf.PackedPMF); ok {
+						d = pp.Unpack()
+					}
+					warmDists[idx] = d
+				}
 				t.cells[idx] = cellFromDist(d, p.Deadline)
 				return
 			}
@@ -181,13 +192,18 @@ func (p *Problem) PrecomputeContext(ctx context.Context, workers int) error {
 	switch {
 	case warm != nil:
 		p.warmHits = int64(len(jobs))
-		if len(p.Edges) > 0 {
-			t.dists = warm.Cells
-		}
+		t.dists = warmDists
 	case dists != nil:
 		if useCache {
 			p.warmMisses = int64(len(jobs))
-			p.Cache.PutTable(warmKey, &cache.Table{Types: t.types, Logs: t.logs, Cells: dists})
+			cells := make([]pmf.Dist, len(dists))
+			for i, d := range dists {
+				cells[i] = d
+				if pm, ok := d.(pmf.PMF); ok {
+					cells[i] = pm.Pack()
+				}
+			}
+			p.Cache.PutTable(warmKey, &cache.Table{Types: t.types, Logs: t.logs, Cells: cells})
 		}
 		if len(p.Edges) > 0 {
 			t.dists = dists
@@ -244,11 +260,10 @@ func (p *Problem) computeDist(i int, as sysmodel.Assignment) pmf.Dist {
 }
 
 // cellFromDist derives a table cell from a completion-time
-// distribution: the delta-solve step. The distribution carries a
-// cached CDF, so PrLE is O(log n) sparse / O(1) grid; deriving from a
-// freshly computed distribution and from the same distribution pulled
-// warm out of the cache runs the very same reads, which is what pins
-// cache-on/off bit-identity.
+// distribution: the delta-solve step. A packed sparse cell sums its
+// CDF inline and every other distribution reads a cached one; both
+// give the bits of the freshly computed distribution, which is what
+// pins cache-on/off bit-identity.
 func cellFromDist(d pmf.Dist, deadline float64) memoVal {
 	return memoVal{prob: d.PrLE(deadline), expected: d.Mean()}
 }

@@ -29,7 +29,7 @@ import (
 // handleJobEvents serves one job's event log, as JSON or as SSE.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if _, ok := s.lookup(id); !ok {
+	if _, _, ok := s.store.Events(id, 0); !ok {
 		writeError(w, http.StatusNotFound, api.ErrNotFound, fmt.Sprintf("no job %q", id))
 		return
 	}

@@ -213,8 +213,12 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		limit = n
 	}
 	jobs, total, next, err := s.list(states, q.Get("after"), limit)
-	if err != nil {
+	switch {
+	case errors.Is(err, errBadCursor):
 		writeError(w, http.StatusBadRequest, api.ErrBadRequest, err.Error())
+		return
+	case err != nil:
+		writeError(w, http.StatusInternalServerError, api.ErrInternal, err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, api.JobList{APIVersion: api.MinorVersion, Jobs: jobs, Total: total, Next: next})
@@ -223,11 +227,21 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 // handleJob polls one job.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if _, ok := s.lookup(id); !ok {
+	env, ok, err := s.snapshot(id)
+	writeJob(w, http.StatusOK, id, env, ok, err)
+}
+
+// writeJob answers with a job envelope: 404 for an unknown job, 500
+// when its result document could not be read back from the store.
+func writeJob(w http.ResponseWriter, status int, id string, env api.Job, ok bool, err error) {
+	switch {
+	case !ok:
 		writeError(w, http.StatusNotFound, api.ErrNotFound, fmt.Sprintf("no job %q", id))
-		return
+	case err != nil:
+		writeError(w, http.StatusInternalServerError, api.ErrInternal, err.Error())
+	default:
+		writeJSON(w, status, env)
 	}
-	writeJSON(w, http.StatusOK, s.snapshot(id))
 }
 
 // handleCancel cancels one job. A job cancelled while queued (or
@@ -236,16 +250,12 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 // client polls until the state flips to cancelled.
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	env, ok := s.cancelJob(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, api.ErrNotFound, fmt.Sprintf("no job %q", id))
-		return
-	}
+	env, ok, err := s.cancelJob(id)
 	status := http.StatusOK
 	if env.State == api.JobRunning {
 		status = http.StatusAccepted
 	}
-	writeJSON(w, status, env)
+	writeJob(w, status, id, env, ok, err)
 }
 
 // handleHealth reports liveness as a structured document: drain state,

@@ -318,7 +318,8 @@ func (s *Server) enqueue(spec *jobSpec) (api.Job, error) {
 	s.opts.Metrics.Counter("server.jobs_submitted").Inc()
 	s.opts.Logger.Info("job accepted", log.F("job", id),
 		log.F("kind", string(spec.kind)), log.F("queue_depth", depth))
-	return s.snapshot(id), nil
+	env, _, err := s.snapshot(id)
+	return env, err
 }
 
 // admitCached registers an already-done job answering a request whose
@@ -347,7 +348,8 @@ func (s *Server) admitCached(spec *jobSpec) (api.Job, error) {
 	s.opts.Metrics.Counter("server.jobs_done").Inc()
 	s.opts.Logger.Info("job answered from cache", log.F("job", id),
 		log.F("kind", string(spec.kind)), log.F("key", spec.key.String()))
-	return s.snapshot(id), nil
+	env, _, err := s.snapshot(id)
+	return env, err
 }
 
 // accepted appends a job's accepted record. When the append fails the
@@ -404,7 +406,7 @@ func (s *Server) executor() {
 // runJob drives one job through running to a terminal state.
 func (s *Server) runJob(j *job) {
 	s.mu.Lock()
-	if rec, ok := s.store.Get(j.id); !ok || rec.Env.State != api.JobQueued {
+	if rec, ok, _ := s.store.Get(j.id); !ok || rec.Env.State != api.JobQueued {
 		// Cancelled while waiting in the queue.
 		s.mu.Unlock()
 		return
@@ -569,10 +571,12 @@ func (s *Server) retryAfterSeconds() int {
 }
 
 // snapshot materializes a job's wire envelope from the store,
-// overlaying the live progress board for jobs that track one.
-func (s *Server) snapshot(id string) api.Job {
-	rec, _ := s.store.Get(id)
-	return s.decorate(rec.Env)
+// overlaying the live progress board for jobs that track one. ok
+// reports whether the job exists; err is a failed read of its result
+// document from the store.
+func (s *Server) snapshot(id string) (env api.Job, ok bool, err error) {
+	rec, ok, err := s.store.Get(id)
+	return s.decorate(rec.Env), ok, err
 }
 
 // decorate overlays the live progress counts onto a stored envelope:
@@ -591,17 +595,17 @@ func (s *Server) decorate(env api.Job) api.Job {
 	return env
 }
 
-// lookup reports whether the store knows the job.
-func (s *Server) lookup(id string) (store.Job, bool) {
-	return s.store.Get(id)
-}
+// errBadCursor is list's answer to a cursor naming no job.
+var errBadCursor = errors.New("unknown cursor")
 
 // list returns envelope snapshots in submission order, keeping only
 // the given states (nil keeps everything), starting after the job id
-// `after` (empty starts at the beginning; an unknown id is an error),
-// and returning at most limit envelopes (non-positive means all).
-// total counts every match regardless of the page, and next is the
-// cursor for the following page ("" on the last one).
+// `after` (empty starts at the beginning; an unknown id is an
+// errBadCursor), and returning at most limit envelopes (non-positive
+// means all). total counts every match regardless of the page, and
+// next is the cursor for the following page ("" on the last one). Only
+// the page's result documents are read back from the store; a failed
+// read is returned as is.
 func (s *Server) list(states map[api.JobState]bool, after string, limit int) (jobs []api.Job, total int, next string, err error) {
 	recs := s.store.List()
 	start := 0
@@ -614,7 +618,7 @@ func (s *Server) list(states map[api.JobState]bool, after string, limit int) (jo
 			}
 		}
 		if !found {
-			return nil, 0, "", fmt.Errorf("unknown cursor %q", after)
+			return nil, 0, "", fmt.Errorf("%w %q", errBadCursor, after)
 		}
 	}
 	jobs = []api.Job{}
@@ -631,6 +635,9 @@ func (s *Server) list(states map[api.JobState]bool, after string, limit int) (jo
 			truncated = true
 			continue
 		}
+		if err := s.store.Resolve(&rec); err != nil {
+			return nil, 0, "", err
+		}
 		jobs = append(jobs, s.decorate(rec.Env))
 	}
 	if truncated && len(jobs) > 0 {
@@ -642,31 +649,28 @@ func (s *Server) list(states map[api.JobState]bool, after string, limit int) (jo
 // cancelJob requests cancellation of a job. Queued jobs cancel
 // immediately; running jobs have their context cancelled and reach the
 // cancelled state when the engine drains (the caller polls); terminal
-// jobs are left untouched. The bool reports whether the job exists.
-func (s *Server) cancelJob(id string) (api.Job, bool) {
-	rec, ok := s.store.Get(id)
-	if !ok {
-		return api.Job{}, false
-	}
+// jobs are left untouched. It answers like snapshot: the envelope,
+// whether the job exists, and a failed result read.
+func (s *Server) cancelJob(id string) (api.Job, bool, error) {
 	var cancel context.CancelFunc
 	s.mu.Lock()
-	j := s.jobs[id]
-	rec, _ = s.store.Get(id)
-	switch {
-	case j == nil:
-		// Terminal (finished, or cache-answered on arrival): nothing to
-		// cancel.
-	case rec.Env.State == api.JobQueued:
-		s.finalizeCancelledLocked(j, "cancelled while queued", events.TypeCancelled)
-	case rec.Env.State == api.JobRunning:
-		cancel = j.cancel
-		s.opts.Logger.Info("job cancel requested", log.F("job", id))
+	// A job absent from s.jobs is terminal (finished, or cache-answered
+	// on arrival) or unknown: nothing to cancel.
+	if j := s.jobs[id]; j != nil {
+		rec, _, _ := s.store.Get(id)
+		switch rec.Env.State {
+		case api.JobQueued:
+			s.finalizeCancelledLocked(j, "cancelled while queued", events.TypeCancelled)
+		case api.JobRunning:
+			cancel = j.cancel
+			s.opts.Logger.Info("job cancel requested", log.F("job", id))
+		}
 	}
 	s.mu.Unlock()
 	if cancel != nil {
 		cancel()
 	}
-	return s.snapshot(id), true
+	return s.snapshot(id)
 }
 
 // finalizeCancelledLocked finalizes a not-yet-running job as
@@ -734,7 +738,7 @@ func (s *Server) drainQueued() {
 		select {
 		case j := <-s.queue:
 			s.mu.Lock()
-			if rec, ok := s.store.Get(j.id); ok && rec.Env.State == api.JobQueued {
+			if rec, ok, _ := s.store.Get(j.id); ok && rec.Env.State == api.JobQueued {
 				s.finalizeCancelledLocked(j, "cancelled before start: server draining", events.TypeDrained)
 			}
 			s.mu.Unlock()

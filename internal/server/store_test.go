@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -326,5 +327,79 @@ func TestAcceptedAppendFailureFailsJob(t *testing.T) {
 	}
 	if n := reg.Counter("server.store_errors").Value(); n != 2 {
 		t.Errorf("server.store_errors = %d, want 2", n)
+	}
+}
+
+// unreadableStore is a memory store whose result for one job cannot
+// be read back, as a WAL whose journal frame for it was damaged after
+// the fact.
+type unreadableStore struct {
+	*store.Memory
+	bad string
+}
+
+func (u unreadableStore) Get(id string) (store.Job, bool, error) {
+	j, ok, _ := u.Memory.Get(id)
+	if !ok {
+		return j, false, nil
+	}
+	return j, true, u.Resolve(&j)
+}
+
+func (u unreadableStore) Resolve(j *store.Job) error {
+	if j.Env.ID == u.bad && j.Env.State == api.JobDone {
+		j.Env.Result = nil
+		return errInjected
+	}
+	return nil
+}
+
+// A result the store cannot read back is answered 500, on the job and
+// on a listing page that holds it, never as a done envelope without its
+// result; pages without it are served, since a listing reads back only
+// the results it returns.
+func TestUnreadableResultAnswers500(t *testing.T) {
+	us := unreadableStore{Memory: store.NewMemory(), bad: "job-000001"}
+	_, ts := newTestServer(t, Options{Store: us})
+	for range 2 {
+		j := submitSolve(t, ts.URL, api.SolveRequest{Heuristic: "greedy"})
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			if rec, _, _ := us.Memory.Get(j.ID); rec.Env.State == api.JobDone {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("job never finished")
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	for _, c := range []struct {
+		path   string
+		status int
+	}{
+		{"/v1/jobs/job-000001", http.StatusInternalServerError},
+		{"/v1/jobs", http.StatusInternalServerError},
+		{"/v1/jobs?limit=1", http.StatusInternalServerError},
+		{"/v1/jobs?after=job-000001", http.StatusOK},
+		{"/v1/jobs/job-000002", http.StatusOK},
+	} {
+		resp, err := http.Get(ts.URL + c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != c.status {
+			t.Errorf("GET %s = %d %s (%v), want %d", c.path, resp.StatusCode, body, err, c.status)
+			continue
+		}
+		if c.status == http.StatusOK {
+			continue
+		}
+		var doc api.Error
+		if err := json.Unmarshal(body, &doc); err != nil || doc.Code != api.ErrInternal {
+			t.Errorf("GET %s = %s (%v), want code %s", c.path, body, err, api.ErrInternal)
+		}
 	}
 }

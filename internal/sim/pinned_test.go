@@ -1,0 +1,110 @@
+package sim
+
+import (
+	"context"
+	"math"
+	"slices"
+	"testing"
+
+	"cdsf/internal/availability"
+	"cdsf/internal/dls"
+	"cdsf/internal/pmf"
+	"cdsf/internal/stats"
+)
+
+// pinnedRun is one RunManyContext configuration whose outputs are
+// pinned by TestRunManyBitsPinned.
+type pinnedRun struct {
+	name  string
+	tech  string
+	model func() availability.Model
+	prof  Profile
+	steps int
+	gated bool
+	seed  uint64
+}
+
+// pinnedRuns covers iteration profiles, time-stepped runs (one with the
+// weight-carrying AWF), per-repetition release gates and the Static,
+// Redraw and Markov models.
+func pinnedRuns() []pinnedRun {
+	load := pmf.MustNew([]pmf.Pulse{{Value: 0.25, Prob: 0.25}, {Value: 0.5, Prob: 0.25}, {Value: 1, Prob: 0.5}})
+	return []pinnedRun{
+		{"FAC markov peaked", "FAC", func() availability.Model {
+			return availability.Markov{PMF: load, Interval: 25, Persistence: 0.5}
+		}, PeakedProfile, 1, false, 7},
+		{"AWF redraw 3 sweeps", "AWF", func() availability.Model {
+			return availability.Redraw{PMF: load, Interval: 25}
+		}, nil, 3, false, 8},
+		{"AF static gated", "AF", func() availability.Model {
+			return availability.Static{PMF: load}
+		}, nil, 1, true, 9},
+		{"WF markov increasing 3 sweeps gated", "WF", func() availability.Model {
+			return availability.Markov{PMF: load, Interval: 40, Persistence: 0.25}
+		}, IncreasingProfile, 3, true, 10},
+		{"STATIC redraw decreasing", "STATIC", func() availability.Model {
+			return availability.Redraw{PMF: load, Interval: 30}
+		}, DecreasingProfile, 1, false, 11},
+	}
+}
+
+// pinnedBits runs p for six repetitions and returns its outputs as bits:
+// every makespan, then MeanChunks and MeanImbalance.
+func pinnedBits(t *testing.T, p pinnedRun) []uint64 {
+	t.Helper()
+	const reps = 6
+	tech, ok := dls.Get(p.tech)
+	if !ok {
+		t.Fatalf("no technique %s", p.tech)
+	}
+	cfg := Config{
+		SerialIters:      12,
+		ParallelIters:    240,
+		Workers:          4,
+		IterTime:         stats.NewNormal(1, 0.3),
+		IterProfile:      p.prof,
+		Avail:            p.model(),
+		Technique:        tech,
+		Overhead:         0.5,
+		TimeSteps:        p.steps,
+		WeightsFromAvail: true,
+		BestMaster:       true,
+		Seed:             p.seed,
+	}
+	if p.gated {
+		cfg.Releases = make([]float64, reps)
+		for r := range cfg.Releases {
+			cfg.Releases[r] = float64(r*5) + 0.25
+		}
+	}
+	s, err := RunManyContext(context.Background(), cfg, reps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]uint64, 0, reps+2)
+	for _, m := range s.Makespans {
+		out = append(out, math.Float64bits(m))
+	}
+	return append(out, math.Float64bits(s.MeanChunks), math.Float64bits(s.MeanImbalance))
+}
+
+// TestRunManyBitsPinned pins RunManyContext's outputs to values recorded
+// when every run still drew its iteration costs inline, before
+// RunArmsContext and the shared cost vector existed: the seeds, the
+// draw order and the summation order of a single-technique run have
+// not moved. The SharedLoad model is left out because its shared chain
+// has since been made a function of time.
+func TestRunManyBitsPinned(t *testing.T) {
+	want := map[string][]uint64{
+		"FAC markov peaked":                   {0x40601bb490cb4561, 0x405a0fe94cbf96c8, 0x40584c73a3279a9c, 0x40630d6ce09b3507, 0x40531c3c1cea4dba, 0x405a615f5143822d, 0x403b000000000000, 0x3fc20cb3d1e8e471},
+		"AWF redraw 3 sweeps":                 {0x40724069d94f8253, 0x407439162037b65c, 0x4075e33877c7e770, 0x407454305e5468c7, 0x4074444f17780434, 0x40733be7255fd8a9, 0x40564aaaaaaaaaab, 0x3fb055162ad46ea9},
+		"AF static gated":                     {0x405c3e9e344d16f1, 0x4056b074b49ad2a1, 0x405be3cb108532ce, 0x4069fa8f6ba1f698, 0x40606527ec493a15, 0x405d2dcafda04cc1, 0x403cd55555555555, 0x3fa7a6d7dabe1d44},
+		"WF markov increasing 3 sweeps gated": {0x40733b968ace9afd, 0x40747a54260cf68a, 0x4073066e8aaeb26c, 0x40766c4ea755d512, 0x4076efc171616d39, 0x407645df817b7d0d, 0x4058f55555555555, 0x3fb338ca0bed0d83},
+		"STATIC redraw decreasing":            {0x405dbb062aa0498e, 0x4066059fcbd298b0, 0x40642f7be957c544, 0x405e7a57ef4bf4e0, 0x4061eafc0d1514a2, 0x4062c6021feefe6f, 0x4010000000000000, 0x3fe1ecc66b2b841f},
+	}
+	for _, p := range pinnedRuns() {
+		if got := pinnedBits(t, p); !slices.Equal(got, want[p.name]) {
+			t.Errorf("%s: RunManyContext bits %#x, pinned %#x", p.name, got, want[p.name])
+		}
+	}
+}

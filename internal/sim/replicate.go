@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"cdsf/internal/availability"
+	"cdsf/internal/dls"
 	"cdsf/internal/pmf"
 	"cdsf/internal/rng"
 	"cdsf/internal/stats"
@@ -145,53 +146,142 @@ func (s *Sample) PrLE(x float64) float64 {
 // which also observes ctx through RunContext), and returns a
 // partial-progress error wrapping ctx.Err() that reports how many
 // repetitions had completed. Uncancelled seeded runs are bit-identical
-// to RunMany for any worker count.
+// to RunMany for any worker count. It is RunArmsContext with the one
+// arm cfg describes.
 func RunManyContext(ctx context.Context, cfg Config, reps int) (*Sample, error) {
+	out, err := RunArmsContext(ctx, cfg, []Arm{{Technique: cfg.Technique, Releases: cfg.Releases, TraceScope: cfg.TraceScope}}, reps)
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
+// maxSharedCosts bounds, in iterations over all sweeps, the runs whose
+// cost vector RunArmsContext draws once and shares between arms: at
+// most 512 KiB of float64s per pool worker. Instance sizes come from
+// clients, so larger runs draw as they dispatch.
+const maxSharedCosts = 1 << 16
+
+// sharedCostsFit reports whether cfg's runs are small enough to share
+// one cost vector between arms.
+func sharedCostsFit(cfg *Config) bool {
+	n := cfg.SerialIters + cfg.ParallelIters
+	return n <= maxSharedCosts && cfg.steps() <= maxSharedCosts/max(n, 1)
+}
+
+// Arm is one technique of a RunArmsContext call: what may differ
+// between the techniques compared on one set of repetitions.
+type Arm struct {
+	// Technique schedules the arm's parallel loops.
+	Technique dls.Technique
+	// Releases optionally gives the arm per-repetition release times,
+	// as Config.Releases does for RunManyContext: a DAG batch releases
+	// each technique's application when that technique's predecessors
+	// finished.
+	Releases []float64
+	// TraceScope prefixes the arm's lane names, as Config.TraceScope.
+	TraceScope string
+}
+
+// RunArmsContext runs every arm for reps repetitions on common random
+// numbers. Repetition i of every arm runs on the same seed, derived
+// from cfg.Seed exactly as RunManyContext derives it, so all arms see
+// the same availability trajectories (availability processes are
+// functions of time) and the same cost for every iteration. Each arm's
+// Sample is therefore bit-identical to RunManyContext with that arm's
+// technique, releases and scope on cfg, while the comparison between
+// arms is free of independent noise. cfg.Technique, cfg.Releases and
+// cfg.TraceScope are ignored in favour of the arms'.
+//
+// Repetitions fan out over a worker pool (sequentially for group-scoped
+// availability models), and a repetition runs its arms in order. With
+// more than one arm, a run of at most maxSharedCosts iterations has its
+// cost vector drawn once per repetition, into a buffer each pool worker
+// reuses, instead of once per arm; a larger run has every arm draw its
+// costs as it dispatches them, as a single run does, so memory stays
+// O(workers) whatever the instance size. Cancellation behaves as in
+// RunManyContext; the partial-progress count is the repetitions every
+// arm completed.
+func RunArmsContext(ctx context.Context, cfg Config, arms []Arm, reps int) ([]*Sample, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if reps <= 0 {
 		return nil, fmt.Errorf("sim: %d repetitions", reps)
 	}
-	if cfg.Releases != nil && len(cfg.Releases) != reps {
-		return nil, fmt.Errorf("sim: %d release times for %d repetitions", len(cfg.Releases), reps)
+	if len(arms) == 0 {
+		return nil, fmt.Errorf("sim: no techniques to run")
 	}
-	cfg.Obs.Metrics.Counter("sim.replications").Add(int64(reps))
+	for _, a := range arms {
+		if a.Releases != nil && len(a.Releases) != reps {
+			return nil, fmt.Errorf("sim: %d release times for %d repetitions", len(a.Releases), reps)
+		}
+		c := cfg
+		c.Technique = a.Technique
+		if err := c.validate(); err != nil {
+			return nil, err
+		}
+	}
+	runs := reps * len(arms)
+	cfg.Obs.Metrics.Counter("sim.replications").Add(int64(runs))
 	prog := cfg.Obs.Progress
-	prog.PlanReps(reps)
+	prog.PlanReps(runs)
 	seeds := rng.New(cfg.Seed)
 	runSeeds := make([]uint64, reps)
 	for i := range runSeeds {
 		runSeeds[i] = seeds.Uint64()
 	}
 
-	results := make([]*Result, reps)
+	results := make([][]*Result, len(arms))
+	for a := range results {
+		results[a] = make([]*Result, reps)
+	}
 	errs := make([]error, reps)
-	runOne := func(i int) {
-		c := cfg
-		c.Seed = runSeeds[i]
-		c.CollectChunks = false
-		if cfg.Releases != nil {
-			// Per-repetition release gate of a DAG batch: repetition i
-			// starts when its predecessors' repetition i finished.
-			c.Release = cfg.Releases[i]
+	share := len(arms) > 1 && sharedCostsFit(&cfg)
+	runRep := func(i int, buf []float64) []float64 {
+		if share {
+			_, work := streams(runSeeds[i])
+			buf = fillCosts(&cfg, work, buf[:0])
+		}
+		for a, arm := range arms {
+			c := cfg
+			c.Technique = arm.Technique
+			c.TraceScope = arm.TraceScope
+			c.Seed = runSeeds[i]
+			c.CollectChunks = false
 			c.Releases = nil
-			c.gated = true
+			if share {
+				c.costs = buf
+			}
+			if arm.Releases != nil {
+				// Per-repetition release gate of a DAG batch: repetition i
+				// starts when its predecessors' repetition i finished.
+				c.Release = arm.Releases[i]
+				c.gated = true
+			}
+			// Trace only the first repetition: one representative
+			// timeline per arm instead of reps copies flooding the span
+			// buffer.
+			if i != 0 {
+				c.Obs.Tracer = nil
+			}
+			r, err := RunContext(ctx, c)
+			prog.RepDone()
+			if err != nil {
+				errs[i] = err
+				break
+			}
+			results[a][i] = r
 		}
-		// Trace only the first repetition: one representative timeline
-		// per batch instead of reps copies flooding the span buffer.
-		if i != 0 {
-			c.Obs.Tracer = nil
-		}
-		results[i], errs[i] = RunContext(ctx, c)
-		prog.RepDone()
+		return buf
 	}
 
 	_, groupScoped := availability.AsGroupScoped(cfg.Avail)
 	workers := runtime.GOMAXPROCS(0)
 	if groupScoped || workers <= 1 || reps < 4 {
+		var buf []float64
 		for i := 0; i < reps && ctx.Err() == nil; i++ {
-			runOne(i)
+			buf = runRep(i, buf)
 		}
 	} else {
 		if workers > reps {
@@ -203,12 +293,13 @@ func RunManyContext(ctx context.Context, cfg Config, reps int) (*Sample, error) 
 		for w := 0; w < workers; w++ {
 			go func() {
 				defer wg.Done()
+				var buf []float64
 				for ctx.Err() == nil {
 					i := int(next.Add(1)) - 1
 					if i >= reps {
 						return
 					}
-					runOne(i)
+					buf = runRep(i, buf)
 				}
 			}()
 		}
@@ -218,26 +309,30 @@ func RunManyContext(ctx context.Context, cfg Config, reps int) (*Sample, error) 
 	if err := ctx.Err(); err != nil {
 		done := 0
 		for i := 0; i < reps; i++ {
-			if errs[i] == nil && results[i] != nil {
+			if errs[i] == nil && results[len(arms)-1][i] != nil {
 				done++
 			}
 		}
 		return nil, fmt.Errorf("sim: canceled after %d/%d repetitions: %w", done, reps, err)
 	}
-
-	out := &Sample{Makespans: make([]float64, 0, reps)}
-	sumChunks, sumImb := 0.0, 0.0
-	for i := 0; i < reps; i++ {
-		if errs[i] != nil {
-			return nil, errs[i]
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		r := results[i]
-		out.Append(r.Makespan)
-		sumChunks += float64(r.NumChunks)
-		sumImb += r.Imbalance
 	}
-	out.MeanChunks = sumChunks / float64(reps)
-	out.MeanImbalance = sumImb / float64(reps)
+	out := make([]*Sample, len(arms))
+	for a, rs := range results {
+		s := &Sample{Makespans: make([]float64, 0, reps)}
+		sumChunks, sumImb := 0.0, 0.0
+		for _, r := range rs {
+			s.Append(r.Makespan)
+			sumChunks += float64(r.NumChunks)
+			sumImb += r.Imbalance
+		}
+		s.MeanChunks = sumChunks / float64(reps)
+		s.MeanImbalance = sumImb / float64(reps)
+		out[a] = s
+	}
 	return out, nil
 }
 

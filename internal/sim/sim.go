@@ -22,10 +22,10 @@
 package sim
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"cdsf/internal/availability"
@@ -117,6 +117,11 @@ type Config struct {
 	// source applications too. RunMany sets it when Releases is
 	// non-nil.
 	gated bool
+	// costs, when set, is the run's iteration-cost vector as fillCosts
+	// lays it out. RunArmsContext draws it once per repetition and hands
+	// it to every technique; a run without it draws the same values from
+	// the seed's work stream as it dispatches.
+	costs []float64
 }
 
 func (c *Config) validate() error {
@@ -189,54 +194,144 @@ type event struct {
 	worker int
 }
 
+// eventQueue is a binary min-heap of events ordered by time, ties
+// broken by worker. Every worker has at most one event queued, so the
+// order is total and the pop sequence is the same for any heap
+// layout. It is typed rather than a container/heap.Interface, which
+// would box every pushed and popped event.
 type eventQueue []event
 
-func (q eventQueue) Len() int      { return len(q) }
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q eventQueue) Less(i, j int) bool {
+func (q eventQueue) less(i, j int) bool {
 	if q[i].t != q[j].t {
 		return q[i].t < q[j].t
 	}
-	return q[i].worker < q[j].worker // deterministic tie-break
-}
-func (q *eventQueue) Push(x any) { *q = append(*q, x.(event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	*q = old[:n-1]
-	return e
+	return q[i].worker < q[j].worker
 }
 
-// drawWork returns the dedicated-time cost of k iterations as the sum of
-// k positive draws from dist.
-func drawWork(dist stats.Dist, k int, r *rng.Source) float64 {
-	w := 0.0
-	for i := 0; i < k; i++ {
-		x := dist.Sample(r)
-		for x <= 0 {
-			x = dist.Sample(r)
+func (q *eventQueue) push(e event) {
+	*q = append(*q, e)
+	h := *q
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !h.less(i, parent) {
+			break
 		}
-		w += x
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
 	}
-	return w
 }
 
-// drawProfiledWork returns the cost of iterations [start, start+k) of
-// an n-iteration loop, applying the profile multiplier per iteration.
-func drawProfiledWork(dist stats.Dist, profile Profile, start, k, n int, r *rng.Source) float64 {
+func (q *eventQueue) pop() event {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		least, l, r := i, 2*i+1, 2*i+2
+		if l < n && h.less(l, least) {
+			least = l
+		}
+		if r < n && h.less(r, least) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
+	*q = h
+	return top
+}
+
+// streams splits a run seed into its two independent rng streams: the
+// availability processes draw from the first, the iteration costs from
+// the second.
+func streams(seed uint64) (avail, work *rng.Source) {
+	root := rng.New(seed)
+	avail = root.Split()
+	return avail, root.Split()
+}
+
+// steps returns the number of sweeps over the iteration space.
+func (c *Config) steps() int {
+	if c.TimeSteps < 1 {
+		return 1
+	}
+	return c.TimeSteps
+}
+
+// costStream hands a run its dedicated-time iteration costs in the
+// order the run consumes them: per sweep, the serial iterations and
+// then the parallel ones in index order (iterations are dispatched in
+// index order whatever the technique). Each cost is a strictly
+// positive draw from IterTime (non-positive draws are redrawn), times
+// the profile multiplier for a parallel iteration. A run draws its
+// costs from its work stream as it dispatches them; RunArmsContext
+// instead draws a repetition's whole vector once (fillCosts) and every
+// technique reads it in turn. next sums the same values in the same
+// order either way, so the bits are the same.
+type costStream struct {
+	cfg *Config
+	r   *rng.Source
+	vec []float64 // the costs not yet consumed, or nil to draw them
+}
+
+// next returns the summed cost of the next k iterations: the serial
+// phase when parallel is false, else iterations [start, start+k) of the
+// parallel loop.
+func (s *costStream) next(k, start int, parallel bool) float64 {
+	w := 0.0
+	if s.vec != nil {
+		for _, x := range s.vec[:k] {
+			w += x
+		}
+		s.vec = s.vec[k:]
+		return w
+	}
+	dist, r := s.cfg.IterTime, s.r
+	var profile Profile
+	if parallel {
+		profile = s.cfg.IterProfile
+	}
 	if profile == nil {
-		return drawWork(dist, k, r)
+		for i := 0; i < k; i++ {
+			x := dist.Sample(r)
+			for x <= 0 {
+				x = dist.Sample(r)
+			}
+			w += x
+		}
+		return w
 	}
-	w := 0.0
+	n := s.cfg.ParallelIters
 	for i := 0; i < k; i++ {
 		x := dist.Sample(r)
 		for x <= 0 {
 			x = dist.Sample(r)
 		}
-		w += x * profile(start+i, n)
+		// Round the product before adding it, as storing it in a
+		// vector does: a compiler may not fuse it into the sum.
+		w += float64(x * profile(start+i, n))
 	}
 	return w
+}
+
+// fillCosts appends a run's whole cost vector, as costStream draws it
+// from the work stream r, to buf.
+func fillCosts(cfg *Config, r *rng.Source, buf []float64) []float64 {
+	s := costStream{cfg: cfg, r: r}
+	buf = slices.Grow(buf, cfg.steps()*(cfg.SerialIters+cfg.ParallelIters))
+	for step := cfg.steps(); step > 0; step-- {
+		for i := 0; i < cfg.SerialIters; i++ {
+			buf = append(buf, s.next(1, i, false))
+		}
+		for i := 0; i < cfg.ParallelIters; i++ {
+			buf = append(buf, s.next(1, i, true))
+		}
+	}
+	return buf
 }
 
 // simCheckStride is how many events the simulation loop processes
@@ -274,9 +369,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if reg != nil {
 		t0 = time.Now()
 	}
-	root := rng.New(cfg.Seed)
-	availRng := root.Split()
-	workRng := root.Split()
+	availRng, workRng := streams(cfg.Seed)
+	costs := costStream{cfg: &cfg, r: workRng, vec: cfg.costs}
 
 	// Group-scoped availability models (e.g. availability.SharedLoad)
 	// reset their shared state per run so repetitions stay independent.
@@ -319,17 +413,13 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		WorkerIters: make([]int, cfg.Workers),
 	}
 
-	steps := cfg.TimeSteps
-	if steps < 1 {
-		steps = 1
-	}
 	var st runStats
 	// A precedence-gated run starts its clock at the release time: the
 	// application was blocked until every predecessor finished, so the
 	// availability processes, the serial phase, and every chunk live at
 	// absolute simulated times past the release.
 	clock := cfg.Release
-	for step := 0; step < steps; step++ {
+	for step := 0; step < cfg.steps(); step++ {
 		if step > 0 {
 			// A time-stepping scheduler (the original AWF) carries its
 			// learned weights into the next sweep; every other
@@ -353,12 +443,11 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		}
 		start := clock
 		if cfg.SerialIters > 0 {
-			work := drawWork(cfg.IterTime, cfg.SerialIters, workRng)
-			start = procs[master].FinishTime(clock, work)
+			start = procs[master].FinishTime(clock, costs.next(cfg.SerialIters, 0, false))
 		}
 		res.SerialTime += start - clock
 
-		clock, err = runSweep(ctx, &cfg, sched, procs, workRng, start, res, &st)
+		clock, err = runSweep(ctx, &cfg, sched, procs, &costs, start, res, &st)
 		if err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
 		}
@@ -462,35 +551,38 @@ func flushRunMetrics(reg *metrics.Registry, cfg *Config, res *Result, st *runSta
 }
 
 // runSweep executes one full pass of the parallel loop starting all
-// workers at `start`, returning the sweep's makespan. It updates the
+// workers at `start`, returning the sweep's makespan; costs supplies
+// the sweep's parallel iteration costs. It updates the
 // aggregate counters and the Imbalance metric (of the latest sweep) in
 // res. Cancellation is checked every simCheckStride events; a cancelled
 // sweep abandons the event queue and returns ctx's error.
-func runSweep(ctx context.Context, cfg *Config, sched dls.Scheduler, procs []availability.Process, workRng *rng.Source, start float64, res *Result, st *runStats) (float64, error) {
+func runSweep(ctx context.Context, cfg *Config, sched dls.Scheduler, procs []availability.Process, costs *costStream, start float64, res *Result, st *runStats) (float64, error) {
+	// Every worker starts idle at start, in worker order: already a
+	// heap.
 	q := make(eventQueue, 0, cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
 		q = append(q, event{t: start, worker: w})
 	}
-	heap.Init(&q)
 	st.heapOps += int64(cfg.Workers)
 
 	finish := make([]float64, cfg.Workers)
 	for i := range finish {
 		finish[i] = start
 	}
-	// pending[w] holds the chunk worker w is executing; its Report is
-	// delivered when the completion event is popped, so the scheduler
-	// only ever sees measurements that have happened in simulated time.
+	// pending[w] holds the chunk worker w is executing (size 0: none);
+	// its Report is delivered when the completion event is popped, so
+	// the scheduler only ever sees measurements that have happened in
+	// simulated time.
 	type pendingChunk struct {
 		size    int
 		elapsed float64
 	}
-	pending := make([]*pendingChunk, cfg.Workers)
+	pending := make([]pendingChunk, cfg.Workers)
 
 	makespan := start
 	nextIter := 0 // iterations are dispatched in index order
-	for q.Len() > 0 {
-		e := heap.Pop(&q).(event)
+	for len(q) > 0 {
+		e := q.pop()
 		st.events++
 		st.heapOps++
 		if st.events%simCheckStride == 0 {
@@ -498,21 +590,24 @@ func runSweep(ctx context.Context, cfg *Config, sched dls.Scheduler, procs []ava
 				return 0, err
 			}
 		}
-		if p := pending[e.worker]; p != nil {
+		if p := pending[e.worker]; p.size > 0 {
 			sched.Report(e.worker, p.size, p.elapsed)
-			pending[e.worker] = nil
+			pending[e.worker] = pendingChunk{}
 		}
 		k := sched.Next(e.worker)
 		if k == 0 {
 			// Worker done; it leaves the queue.
 			continue
 		}
-		work := drawProfiledWork(cfg.IterTime, cfg.IterProfile, nextIter, k, cfg.ParallelIters, workRng)
+		if k > cfg.ParallelIters-nextIter {
+			return 0, fmt.Errorf("technique %q dispatched %d iterations past the loop end", cfg.Technique.Name, k-(cfg.ParallelIters-nextIter))
+		}
+		work := costs.next(k, nextIter, true)
 		nextIter += k
 		execStart := e.t + cfg.Overhead
 		end := procs[e.worker].FinishTime(execStart, work)
 		elapsed := end - execStart
-		pending[e.worker] = &pendingChunk{size: k, elapsed: elapsed}
+		pending[e.worker] = pendingChunk{size: k, elapsed: elapsed}
 
 		res.NumChunks++
 		res.WorkerBusy[e.worker] += elapsed
@@ -526,7 +621,7 @@ func runSweep(ctx context.Context, cfg *Config, sched dls.Scheduler, procs []ava
 		if end > makespan {
 			makespan = end
 		}
-		heap.Push(&q, event{t: end, worker: e.worker})
+		q.push(event{t: end, worker: e.worker})
 		st.heapOps++
 	}
 

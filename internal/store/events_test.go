@@ -334,7 +334,7 @@ func TestWALRecordVisibleOnlyOnceDurable(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	j, _ := w.Get(id)
+	j, _, _ := w.Get(id)
 	evs, wake, _ := w.Events(id, 0)
 	w.waitMu.Unlock()
 	if j.Env.State == api.JobDone || evs[len(evs)-1].Type == events.TypeDone || wake == nil {
@@ -347,7 +347,7 @@ func TestWALRecordVisibleOnlyOnceDurable(t *testing.T) {
 	if !closed(wake) {
 		t.Error("wake channel still open after the durable done")
 	}
-	j, _ = w.Get(id)
+	j, _, _ = w.Get(id)
 	evs, wake, _ = w.Events(id, 0)
 	if j.Env.State != api.JobDone || evs[len(evs)-1].Type != events.TypeDone || wake != nil {
 		t.Errorf("done not visible after its fsync: state %s, events %q", j.Env.State, eventSummary(evs))
@@ -554,10 +554,16 @@ func FuzzWALReplay(f *testing.F) {
 			}
 			_ = ref.Append(framed)
 		}
-		if got, want := w.List(), ref.List(); !reflect.DeepEqual(got, want) {
+		got, want := w.List(), ref.List()
+		for i := range got {
+			if err := w.Resolve(&got[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("replayed jobs differ from the intact prefix (first damaged byte %d):\n%+v\nwant\n%+v", firstBad, got, want)
 		}
-		for _, j := range ref.List() {
+		for _, j := range want {
 			got, _, _ := w.Events(j.Env.ID, 0)
 			want, _, _ := ref.Events(j.Env.ID, 0)
 			if !reflect.DeepEqual(got, want) {

@@ -75,6 +75,17 @@ type Record struct {
 	Cache *api.CacheInfo `json:"cache,omitempty"`
 	// Progress is a sampled progress snapshot, set on progress.
 	Progress *tracing.ProgressSnapshot `json:"progress,omitempty"`
+
+	// at locates the journal frame of a done record whose result the
+	// WAL serves from disk; apply keeps it in place of Result.
+	at frameRef
+}
+
+// frameRef locates one journal frame: its header's file offset and its
+// payload length. The zero value means "not in the journal".
+type frameRef struct {
+	off int64
+	n   uint32
 }
 
 // Job is the materialized state of one job: the wire envelope plus the
@@ -82,6 +93,11 @@ type Record struct {
 type Job struct {
 	Env     api.Job
 	Request json.RawMessage
+
+	// result locates the done record's frame when the WAL holds the
+	// result document on disk instead of in Env.Result. Get and Resolve
+	// read it back.
+	result frameRef
 }
 
 // Stats describes a store for /v1/healthz: which backend is running,
@@ -131,15 +147,24 @@ type JobStore interface {
 	// even when journaling fails (the error is returned), so job state
 	// still advances.
 	Append(rec Record) error
-	// Get returns the materialized job.
-	Get(id string) (Job, bool)
+	// Get returns the materialized job and whether it exists. A done
+	// job's result document may be read back from durable storage; a
+	// failed read is returned as an error (with the rest of the job),
+	// never as an empty result.
+	Get(id string) (Job, bool, error)
 	// Events returns the job's events with Seq > after (every retained
 	// event when after precedes the retained window), a channel that
 	// closes at the job's next event — nil once the log has ended at a
 	// terminal event — and whether the job exists.
 	Events(id string, after int64) ([]events.Event, <-chan struct{}, bool)
-	// List returns every materialized job in submission order.
+	// List returns every materialized job in submission order. It
+	// reads nothing back from durable storage, so a done job's result
+	// document may be missing until Resolve fills it in.
 	List() []Job
+	// Resolve fills in the result document of a job returned by List,
+	// reading it back as Get does; a failed read is returned as an
+	// error.
+	Resolve(j *Job) error
 	// Interrupted returns the jobs that were non-terminal when the
 	// store was opened — the crash-recovery work list. Empty for the
 	// memory store.
@@ -245,6 +270,7 @@ func (t *table) apply(rec Record) {
 		j.Env.Started = nil
 		j.Env.Finished = nil
 		j.Env.Result = nil
+		j.result = frameRef{}
 		j.Env.Error = ""
 	case events.TypeStarted:
 		j.Env.State = api.JobRunning
@@ -260,6 +286,7 @@ func (t *table) apply(rec Record) {
 		}
 		j.Env.Finished = &when
 		j.Env.Result = rec.Result
+		j.result = rec.at
 		j.Env.Cache = rec.Cache
 	case events.TypeFailed:
 		j.Env.State = api.JobFailed
@@ -403,8 +430,11 @@ func (m *Memory) Append(rec Record) error {
 	return nil
 }
 
-// Get implements JobStore.
-func (m *Memory) Get(id string) (Job, bool) { return m.t.get(id) }
+// Get implements JobStore; results live in memory, so it never fails.
+func (m *Memory) Get(id string) (Job, bool, error) {
+	j, ok := m.t.get(id)
+	return j, ok, nil
+}
 
 // Events implements JobStore.
 func (m *Memory) Events(id string, after int64) ([]events.Event, <-chan struct{}, bool) {
@@ -413,6 +443,10 @@ func (m *Memory) Events(id string, after int64) ([]events.Event, <-chan struct{}
 
 // List implements JobStore.
 func (m *Memory) List() []Job { return m.t.list() }
+
+// Resolve implements JobStore; results live in memory, so it has
+// nothing to read.
+func (m *Memory) Resolve(*Job) error { return nil }
 
 // Interrupted implements JobStore: a fresh memory store never has
 // anything to recover.

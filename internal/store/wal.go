@@ -39,6 +39,17 @@ import (
 // reader, the SSE follower included, sees a terminal state the disk
 // does not hold yet.
 //
+// Results stay on disk: a done record's result document is not kept in
+// the materialized table once its frame is in the journal. The table
+// keeps the frame's offset and length, and Get and Resolve read the
+// frame back (ReadAt), check it against its CRC-32C as replay does,
+// and decode the result from it, in encoding/json's compact form, which
+// is the form the service marshals results in. List reads nothing, so
+// a listing pays only for the results of the page it returns. A failed
+// read or check is returned as an error. A done record whose frame
+// could not be written keeps its result in memory, so a degraded disk
+// still serves the job as done.
+//
 // Replay: on open the journal is read back frame by frame and applied
 // through the same state machine live appends use. A torn tail — a
 // partial or CRC-mismatched frame from the crash — ends the replay
@@ -72,7 +83,7 @@ type WAL struct {
 	opts WALOptions
 
 	mu   sync.Mutex // guards file writes and size
-	f    *os.File
+	f    journalFile
 	size int64
 
 	waitMu  sync.Mutex
@@ -84,6 +95,18 @@ type WAL struct {
 	fsyncs      int64
 	interrupted []Job
 	replay      Stats // replay-time numbers, frozen at open
+}
+
+// journalFile is what a WAL uses of its journal once it is replayed:
+// positioned reads and writes, sync and close. Frames are written at
+// the journal's size with WriteAt, never at the file cursor, so the
+// offset a done record keeps is where its frame landed, and the bytes
+// of a short write are overwritten by the next append.
+type journalFile interface {
+	io.ReaderAt
+	io.WriterAt
+	Sync() error
+	Close() error
 }
 
 // OpenWAL opens (creating if needed) the journal under dir and
@@ -114,7 +137,7 @@ func OpenWAL(dir string, opts WALOptions) (*WAL, error) {
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
-	if err := w.replayFile(); err != nil {
+	if err := w.replayFile(f); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -124,26 +147,26 @@ func OpenWAL(dir string, opts WALOptions) (*WAL, error) {
 
 // replayFile reads the journal back, applies every intact frame, and
 // truncates the torn tail (if any) so appends continue cleanly.
-func (w *WAL) replayFile() error {
-	info, err := w.f.Stat()
+func (w *WAL) replayFile(f *os.File) error {
+	info, err := f.Stat()
 	if err != nil {
 		return err
 	}
 	size := info.Size()
 	if size == 0 {
-		if _, err := w.f.Write([]byte(walMagic)); err != nil {
+		if _, err := f.Write([]byte(walMagic)); err != nil {
 			return fmt.Errorf("store: writing journal header: %w", err)
 		}
 		w.size = int64(len(walMagic))
 		return nil
 	}
-	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return err
 	}
-	r := bufio.NewReader(w.f)
+	r := bufio.NewReader(f)
 	magic := make([]byte, len(walMagic))
 	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != walMagic {
-		return fmt.Errorf("store: %s is not a cdsf job journal", w.f.Name())
+		return fmt.Errorf("store: %s is not a cdsf job journal", f.Name())
 	}
 	good := int64(len(walMagic))
 	var maxSeq int64
@@ -168,6 +191,9 @@ func (w *WAL) replayFile() error {
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			break
 		}
+		if rec.Type == events.TypeDone && len(rec.Result) > 0 {
+			rec.Result, rec.at = nil, frameRef{off: good, n: length}
+		}
 		w.t.apply(rec)
 		if rec.Type == events.TypeAccepted {
 			w.t.bumpSeq(rec.Job)
@@ -180,12 +206,9 @@ func (w *WAL) replayFile() error {
 	}
 	if good < size {
 		w.replay.TruncatedBytes = size - good
-		if err := w.f.Truncate(good); err != nil {
+		if err := f.Truncate(good); err != nil {
 			return fmt.Errorf("store: truncating torn journal tail: %w", err)
 		}
-	}
-	if _, err := w.f.Seek(good, io.SeekStart); err != nil {
-		return err
 	}
 	w.size = good
 	w.t.mu.Lock()
@@ -220,10 +243,11 @@ func (w *WAL) NextID() string { return w.t.nextID() }
 // Append implements JobStore: frame, write, for durable record types
 // wait for the group-committed fsync, and only then apply. The record
 // is applied whatever the outcome, so job state still advances when
-// the disk fails; the error is returned.
+// the disk fails; the error is returned. A done record whose frame was
+// written is applied with its result left in the journal.
 func (w *WAL) Append(rec Record) error {
 	rec = w.t.stamp(rec)
-	defer w.t.apply(rec)
+	defer func() { w.t.apply(rec) }()
 	w.opts.Metrics.Counter("store.appends").Inc()
 
 	payload, err := json.Marshal(rec)
@@ -236,13 +260,17 @@ func (w *WAL) Append(rec Record) error {
 	copy(frame[8:], payload)
 
 	w.mu.Lock()
-	_, werr := w.f.Write(frame)
+	off := w.size
+	_, werr := w.f.WriteAt(frame, off)
 	if werr == nil {
 		w.size += int64(len(frame))
 	}
 	w.mu.Unlock()
 	if werr != nil {
 		return fmt.Errorf("store: appending record: %w", werr)
+	}
+	if rec.Type == events.TypeDone && len(rec.Result) > 0 {
+		rec.Result, rec.at = nil, frameRef{off: off, n: uint32(len(payload))}
 	}
 	if !durable(rec.Type) {
 		return nil
@@ -294,8 +322,44 @@ func (w *WAL) release() {
 	}
 }
 
-// Get implements JobStore.
-func (w *WAL) Get(id string) (Job, bool) { return w.t.get(id) }
+// Get implements JobStore: a done job's result is read back from its
+// journal frame.
+func (w *WAL) Get(id string) (Job, bool, error) {
+	j, ok := w.t.get(id)
+	if !ok {
+		return j, false, nil
+	}
+	err := w.Resolve(&j)
+	return j, true, err
+}
+
+// Resolve implements JobStore: it reads a job's result document back
+// from the journal frame its done record was written to, checking the
+// frame's length and CRC-32C as replay does.
+func (w *WAL) Resolve(j *Job) error {
+	ref := j.result
+	if ref.n == 0 {
+		return nil
+	}
+	j.result = frameRef{}
+	frame := make([]byte, 8+int(ref.n))
+	if _, err := w.f.ReadAt(frame, ref.off); err != nil {
+		return fmt.Errorf("store: reading the result of %s: %w", j.Env.ID, err)
+	}
+	payload := frame[8:]
+	if binary.LittleEndian.Uint32(frame[0:4]) != ref.n ||
+		crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(frame[4:8]) {
+		return fmt.Errorf("store: the journal frame holding the result of %s fails its checksum", j.Env.ID)
+	}
+	var rec struct {
+		Result json.RawMessage `json:"result"`
+	}
+	if err := json.Unmarshal(payload, &rec); err != nil || len(rec.Result) == 0 {
+		return fmt.Errorf("store: the journal frame holding the result of %s has no result", j.Env.ID)
+	}
+	j.Env.Result = rec.Result
+	return nil
+}
 
 // Events implements JobStore; replay rebuilds every job's log, so it
 // survives a restart.
@@ -303,7 +367,8 @@ func (w *WAL) Events(id string, after int64) ([]events.Event, <-chan struct{}, b
 	return w.t.since(id, after)
 }
 
-// List implements JobStore.
+// List implements JobStore; done results stay in the journal until
+// Resolve.
 func (w *WAL) List() []Job { return w.t.list() }
 
 // Interrupted implements JobStore: the jobs that were queued or
