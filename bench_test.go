@@ -134,13 +134,13 @@ func BenchmarkRAHeuristic(b *testing.B) {
 	f := experiments.Framework()
 	prob := &ra.Problem{Sys: f.Sys, Batch: f.Batch, Deadline: f.Deadline}
 	for _, name := range ra.Names() {
-		h, ok := ra.Get(name)
-		if !ok {
-			b.Fatalf("heuristic %q missing", name)
+		h, err := ra.ByName(name)
+		if err != nil {
+			b.Fatal(err)
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := h.Allocate(prob); err != nil {
+				if _, err := h.AllocateContext(context.Background(), prob); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -353,7 +353,7 @@ func BenchmarkExhaustiveEnumeration(b *testing.B) {
 			prob := &ra.Problem{Sys: f.Sys, Batch: f.Batch[:apps], Deadline: f.Deadline}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := (ra.Exhaustive{}).Allocate(prob); err != nil {
+				if _, err := (ra.Exhaustive{}).AllocateContext(context.Background(), prob); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -383,7 +383,7 @@ func BenchmarkEvalTableBuild(b *testing.B) {
 		b.Run(fmt.Sprintf("workers-%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				prob := &ra.Problem{Sys: f.Sys, Batch: f.Batch, Deadline: f.Deadline}
-				if err := prob.Precompute(w); err != nil {
+				if err := prob.PrecomputeContext(context.Background(), w); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -398,12 +398,12 @@ func BenchmarkExhaustiveParallel(b *testing.B) {
 	for _, w := range benchWorkerCounts() {
 		b.Run(fmt.Sprintf("workers-%d", w), func(b *testing.B) {
 			prob := &ra.Problem{Sys: f.Sys, Batch: f.Batch, Deadline: f.Deadline}
-			if err := prob.Precompute(w); err != nil {
+			if err := prob.PrecomputeContext(context.Background(), w); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := (&ra.Exhaustive{Workers: w}).Allocate(prob); err != nil {
+				if _, err := (&ra.Exhaustive{Workers: w}).AllocateContext(context.Background(), prob); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -685,7 +685,7 @@ func BenchmarkCacheWarmTable(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			prob := &ra.Problem{Sys: sys, Batch: bat, Deadline: deadline,
 				Cache: cache.New(cache.Options{})}
-			if err := prob.Precompute(0); err != nil {
+			if err := prob.PrecomputeContext(context.Background(), 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -693,13 +693,13 @@ func BenchmarkCacheWarmTable(b *testing.B) {
 	b.Run("warm", func(b *testing.B) {
 		c := cache.New(cache.Options{})
 		seed := &ra.Problem{Sys: sys, Batch: bat, Deadline: deadline, Cache: c}
-		if err := seed.Precompute(0); err != nil {
+		if err := seed.PrecomputeContext(context.Background(), 0); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			prob := &ra.Problem{Sys: sys, Batch: bat, Deadline: deadline, Cache: c}
-			if err := prob.Precompute(0); err != nil {
+			if err := prob.PrecomputeContext(context.Background(), 0); err != nil {
 				b.Fatal(err)
 			}
 			if h, m := prob.CacheCounts(); h == 0 || m != 0 {
@@ -723,10 +723,10 @@ func BenchmarkCacheDeltaSolve(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			prob := &ra.Problem{Sys: sys, Batch: bat,
 				Deadline: deadline * factors[i%len(factors)]}
-			if err := prob.Precompute(0); err != nil {
+			if err := prob.PrecomputeContext(context.Background(), 0); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := (ra.Greedy{}).Allocate(prob); err != nil {
+			if _, err := (ra.Greedy{}).AllocateContext(context.Background(), prob); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -734,20 +734,20 @@ func BenchmarkCacheDeltaSolve(b *testing.B) {
 	b.Run("warm", func(b *testing.B) {
 		c := cache.New(cache.Options{})
 		seed := &ra.Problem{Sys: sys, Batch: bat, Deadline: deadline, Cache: c}
-		if err := seed.Precompute(0); err != nil {
+		if err := seed.PrecomputeContext(context.Background(), 0); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			prob := &ra.Problem{Sys: sys, Batch: bat,
 				Deadline: deadline * factors[i%len(factors)], Cache: c}
-			if err := prob.Precompute(0); err != nil {
+			if err := prob.PrecomputeContext(context.Background(), 0); err != nil {
 				b.Fatal(err)
 			}
 			if h, m := prob.CacheCounts(); h == 0 || m != 0 {
 				b.Fatalf("delta build counts = (%d, %d)", h, m)
 			}
-			if _, err := (ra.Greedy{}).Allocate(prob); err != nil {
+			if _, err := (ra.Greedy{}).AllocateContext(context.Background(), prob); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -762,10 +762,10 @@ func BenchmarkSolveBackends(b *testing.B) {
 		b.Run(string(backend), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				prob := &ra.Problem{Sys: f.Sys, Batch: f.Batch, Deadline: f.Deadline, Backend: backend}
-				if err := prob.Precompute(0); err != nil {
+				if err := prob.PrecomputeContext(context.Background(), 0); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := (&ra.Exhaustive{}).Allocate(prob); err != nil {
+				if _, err := (&ra.Exhaustive{}).AllocateContext(context.Background(), prob); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -862,7 +862,7 @@ func BenchmarkWarmGridTable(b *testing.B) {
 		c := cache.New(cache.Options{})
 		prob := &ra.Problem{Sys: sys, Batch: bat, Deadline: deadline, Edges: edges,
 			Backend: pmf.BackendGrid, Cache: c}
-		if err := prob.Precompute(1); err != nil {
+		if err := prob.PrecomputeContext(context.Background(), 1); err != nil {
 			b.Fatal(err)
 		}
 		bytes = c.Stats().Bytes
@@ -880,7 +880,7 @@ func BenchmarkWarmSparseTable(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := cache.New(cache.Options{})
 		prob := &ra.Problem{Sys: sys, Batch: bat, Deadline: deadline, Edges: edges, Cache: c}
-		if err := prob.Precompute(1); err != nil {
+		if err := prob.PrecomputeContext(context.Background(), 1); err != nil {
 			b.Fatal(err)
 		}
 		bytes = c.Stats().Bytes

@@ -86,14 +86,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		} else if len(prob.Edges) > 0 {
 			// Every DAG objective evaluation composes completion PMFs
 			// along the edges, so the evaluation-hungry searchers
-			// (exhaustive, anneal, genetic, tabu, and the portfolio
-			// wrapping them) take minutes on precedence-constrained
-			// instances. The default table sticks to the constructive
-			// and list schedulers; any searcher still runs when named
-			// explicitly via -heuristic.
+			// (exhaustive, anneal, genetic, tabu) take minutes on
+			// precedence-constrained instances. The default table
+			// sticks to the constructive and list schedulers; any
+			// searcher still runs when named explicitly via -heuristic.
 			expensive := map[string]bool{
-				"exhaustive": true, "anneal": true, "genetic": true,
-				"tabu": true, "portfolio": true, "minimal": true,
+				"exhaustive": true, "anneal": true, "genetic": true, "tabu": true,
 			}
 			kept := names[:0]
 			for _, n := range names {
@@ -121,7 +119,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			if len(prob.Edges) > 0 {
 				limit = 1_000
 			}
-			if n := sysmodel.CountAllocations(prob.Sys, prob.Batch); n <= limit {
+			if sysmodel.CountAllocations(prob.Sys, prob.Batch, limit) <= limit {
 				al, err := (&ra.Exhaustive{Workers: rf.Workers}).AllocateContext(ctx, prob)
 				if err != nil {
 					if ctxErr := ctx.Err(); ctxErr != nil {
@@ -132,7 +130,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 					haveOpt = true
 				}
 			} else {
-				fmt.Fprintf(stderr, "ratool: skipping exhaustive reference (%d allocations)\n", n)
+				fmt.Fprintf(stderr, "ratool: skipping exhaustive reference (more than %d allocations)\n", limit)
 			}
 		}
 

@@ -62,28 +62,36 @@ func main() {
 		ideal[li] = float64(iters) * iterMean / (float64(workers) * l.pmf.Mean())
 	}
 
-	for _, name := range techniques {
+	arms := make([]sim.Arm, len(techniques))
+	rows := make([][]string, len(techniques))
+	for i, name := range techniques {
 		tech, ok := dls.Get(name)
 		if !ok {
 			log.Fatalf("technique %q missing", name)
 		}
-		row := []string{name}
-		for _, l := range levels {
-			s, err := sim.RunManyContext(context.Background(), sim.Config{
-				ParallelIters:    iters,
-				Workers:          workers,
-				IterTime:         stats.NewNormal(iterMean, 0.3*iterMean),
-				Avail:            availability.Markov{PMF: l.pmf, Interval: 150, Persistence: 0.6},
-				Technique:        tech,
-				WeightsFromAvail: true,
-				Overhead:         0.5,
-				Seed:             11,
-			}, reps)
-			if err != nil {
-				log.Fatal(err)
-			}
-			row = append(row, fmt.Sprintf("%.0f", s.Mean()))
+		arms[i] = sim.Arm{Technique: tech}
+		rows[i] = []string{name}
+	}
+	// One call per level runs every technique on common random numbers:
+	// the same availability trajectories and iteration costs.
+	for _, l := range levels {
+		samples, err := sim.RunArmsContext(context.Background(), sim.Config{
+			ParallelIters:    iters,
+			Workers:          workers,
+			IterTime:         stats.NewNormal(iterMean, 0.3*iterMean),
+			Avail:            availability.Markov{PMF: l.pmf, Interval: 150, Persistence: 0.6},
+			WeightsFromAvail: true,
+			Overhead:         0.5,
+			Seed:             11,
+		}, arms, reps)
+		if err != nil {
+			log.Fatal(err)
 		}
+		for i, s := range samples {
+			rows[i] = append(rows[i], fmt.Sprintf("%.0f", s.Mean()))
+		}
+	}
+	for _, row := range rows {
 		t.AddRow(row...)
 	}
 	idealRow := []string{"(ideal bound)"}

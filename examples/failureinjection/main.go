@@ -43,35 +43,44 @@ func main() {
 		"Failure injection: mean makespan (Pr meet %.0f) under per-epoch outage probability",
 		deadline), headers...)
 
-	for _, name := range []string{"STATIC", "GSS", "FAC", "WF", "AWF-B", "AF"} {
+	names := []string{"STATIC", "GSS", "FAC", "WF", "AWF-B", "AF"}
+	arms := make([]sim.Arm, len(names))
+	rows := make([][]string, len(names))
+	for i, name := range names {
 		tech, ok := dls.Get(name)
 		if !ok {
 			log.Fatalf("technique %q missing", name)
 		}
-		row := []string{name}
-		for _, p := range probs {
-			var model availability.Model = availability.Static{PMF: pmf.Point(1)}
-			if p > 0 {
-				model = availability.Blackout{
-					Base:     model,
-					Prob:     p,
-					Interval: ideal / 4,
-				}
+		arms[i] = sim.Arm{Technique: tech}
+		rows[i] = []string{name}
+	}
+	// One call per outage probability runs every technique on common
+	// random numbers: the same outages and iteration costs.
+	for _, p := range probs {
+		var model availability.Model = availability.Static{PMF: pmf.Point(1)}
+		if p > 0 {
+			model = availability.Blackout{
+				Base:     model,
+				Prob:     p,
+				Interval: ideal / 4,
 			}
-			s, err := sim.RunManyContext(context.Background(), sim.Config{
-				ParallelIters: iters,
-				Workers:       workers,
-				IterTime:      stats.NewNormal(iterMean, 0.2*iterMean),
-				Avail:         model,
-				Technique:     tech,
-				Overhead:      0.5,
-				Seed:          23,
-			}, reps)
-			if err != nil {
-				log.Fatal(err)
-			}
-			row = append(row, fmt.Sprintf("%.0f (%.0f%%)", s.Mean(), s.PrLE(deadline)*100))
 		}
+		samples, err := sim.RunArmsContext(context.Background(), sim.Config{
+			ParallelIters: iters,
+			Workers:       workers,
+			IterTime:      stats.NewNormal(iterMean, 0.2*iterMean),
+			Avail:         model,
+			Overhead:      0.5,
+			Seed:          23,
+		}, arms, reps)
+		if err != nil {
+			log.Fatal(err)
+		}
+		for i, s := range samples {
+			rows[i] = append(rows[i], fmt.Sprintf("%.0f (%.0f%%)", s.Mean(), s.PrLE(deadline)*100))
+		}
+	}
+	for _, row := range rows {
 		t.AddRow(row...)
 	}
 	if err := t.Render(os.Stdout); err != nil {

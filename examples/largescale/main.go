@@ -87,13 +87,13 @@ func main() {
 		phi   float64
 	}
 	var best *outcome
-	for _, name := range []string{"naive", "greedy", "maxmin", "twophase", "random", "anneal", "tabu", "genetic"} {
+	for _, name := range []string{"naive", "greedy", "minmin", "twophase", "anneal", "tabu", "genetic"} {
 		h, err := ra.ByName(name)
 		if err != nil {
 			log.Fatal(err)
 		}
 		t0 := time.Now()
-		al, err := h.Allocate(prob)
+		al, err := ra.SolveContext(context.Background(), h, prob)
 		dt := time.Since(t0)
 		if err != nil {
 			t.AddRow(name, "error: "+err.Error(), "", "")

@@ -59,7 +59,7 @@ func main() {
 	//    every application finishes before the common deadline.
 	const deadline = 3250
 	prob := &ra.Problem{Sys: sys, Batch: batch, Deadline: deadline}
-	alloc, err := (ra.Exhaustive{}).Allocate(prob)
+	alloc, err := ra.SolveContext(context.Background(), ra.Exhaustive{}, prob)
 	if err != nil {
 		log.Fatal(err)
 	}

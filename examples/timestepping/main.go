@@ -39,34 +39,34 @@ func main() {
 		fmt.Sprintf("Time-stepping study: %d sweeps of %d iterations on %d workers",
 			steps, iters, workers),
 		"Technique", "Total makespan", "Mean per sweep", "Chunks")
-	type row struct {
-		name string
-		mk   float64
-	}
-	var rows []row
-	for _, name := range []string{"STATIC", "FAC", "WF", "AWF", "AWF-B", "AF"} {
+	names := []string{"STATIC", "FAC", "WF", "AWF", "AWF-B", "AF"}
+	arms := make([]sim.Arm, len(names))
+	for i, name := range names {
 		tech, ok := dls.Get(name)
 		if !ok {
 			log.Fatalf("technique %q missing", name)
 		}
-		s, err := sim.RunManyContext(context.Background(), sim.Config{
-			ParallelIters: iters,
-			Workers:       workers,
-			IterTime:      stats.NewNormal(1, 0.2),
-			Avail:         availability.Static{PMF: avail},
-			Technique:     tech,
-			Overhead:      1,
-			TimeSteps:     steps,
-			Seed:          17,
-		}, reps)
-		if err != nil {
-			log.Fatal(err)
-		}
-		t.AddRow(name,
+		arms[i] = sim.Arm{Technique: tech}
+	}
+	// One call runs every technique on common random numbers: the same
+	// availability draws and iteration costs.
+	samples, err := sim.RunArmsContext(context.Background(), sim.Config{
+		ParallelIters: iters,
+		Workers:       workers,
+		IterTime:      stats.NewNormal(1, 0.2),
+		Avail:         availability.Static{PMF: avail},
+		Overhead:      1,
+		TimeSteps:     steps,
+		Seed:          17,
+	}, arms, reps)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for i, s := range samples {
+		t.AddRow(names[i],
 			fmt.Sprintf("%.0f", s.Mean()),
 			fmt.Sprintf("%.0f", s.Mean()/steps),
 			fmt.Sprintf("%.0f", s.MeanChunks))
-		rows = append(rows, row{name, s.Mean()})
 	}
 	if err := t.Render(os.Stdout); err != nil {
 		log.Fatal(err)

@@ -148,8 +148,8 @@ const (
 // document for all 4xx/5xx outcomes instead of ad-hoc text bodies.
 // Field, when set, is the JSON path of the request field at fault in
 // the config.Marshal style — "edges[3].from",
-// "applications[2].execTimes[0].mean" — so clients can point at the
-// exact offending input.
+// "applications[2].execTimes[0].mean", "techniques[1]" — so clients
+// can point at the exact offending input.
 type Error struct {
 	Code    string `json:"code"`
 	Message string `json:"message"`
@@ -240,9 +240,9 @@ type SolveRequest struct {
 	Heuristic string `json:"heuristic,omitempty"`
 	// Deadline overrides the instance deadline when positive.
 	Deadline float64 `json:"deadline,omitempty"`
-	// Seed reseeds stochastic heuristics (random, anneal, genetic,
-	// tabu); deterministic heuristics ignore it. Zero keeps the
-	// heuristic's default seed.
+	// Seed reseeds the stochastic heuristics (anneal, genetic, tabu);
+	// deterministic heuristics ignore it. Zero keeps the heuristic's
+	// default seed.
 	Seed uint64 `json:"seed,omitempty"`
 	// Workers bounds the search's worker pool; 0 means the server
 	// default. Results are identical for any value.

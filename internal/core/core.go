@@ -224,6 +224,19 @@ func PaperScenarios(naiveIM, robustIM ra.Heuristic) []Scenario {
 	}
 }
 
+// FieldError attributes a failure to resolve a named value to the
+// request field that named it ("im", "ras[1]", "pmf_backend"), so API
+// layers can point at it in structured error documents. Its message is
+// the underlying error's.
+type FieldError struct {
+	Field string
+	Err   error
+}
+
+func (e *FieldError) Error() string { return e.Err.Error() }
+
+func (e *FieldError) Unwrap() error { return e.Err }
+
 // BuildScenario resolves the scenario selection shared by the cdsf CLI
 // and the scheduling service: with no custom IM and no RAS names it
 // returns one of the paper's four scenarios (naive load balance vs.
@@ -231,11 +244,13 @@ func PaperScenarios(naiveIM, robustIM ra.Heuristic) []Scenario {
 // Stage-I heuristic (default exhaustive) with the named Stage-II
 // techniques (default the paper's robust set). Heuristic names resolve
 // through ra.ByName and technique names through the dls registry, so
-// wire names, CLI flags, and report labels cannot drift.
+// wire names, CLI flags, and report labels cannot drift. A value that
+// does not resolve fails with a *FieldError naming its request field:
+// "scenario", "im" or "ras[k]".
 func BuildScenario(scenario int, im string, ras []string) (Scenario, error) {
 	if im == "" && len(ras) == 0 {
 		if scenario < 1 || scenario > 4 {
-			return Scenario{}, fmt.Errorf("core: scenario %d out of 1..4", scenario)
+			return Scenario{}, &FieldError{Field: "scenario", Err: fmt.Errorf("core: scenario %d out of 1..4", scenario)}
 		}
 		return PaperScenarios(ra.NaiveLoadBalance{}, ra.Exhaustive{})[scenario-1], nil
 	}
@@ -245,17 +260,17 @@ func BuildScenario(scenario int, im string, ras []string) (Scenario, error) {
 	}
 	h, err := ra.ByName(imName)
 	if err != nil {
-		return Scenario{}, err
+		return Scenario{}, &FieldError{Field: "im", Err: err}
 	}
 	sc := Scenario{IM: h}
 	if len(ras) == 0 {
 		sc.RAS = RobustRAS()
 	} else {
-		for _, name := range ras {
+		for k, name := range ras {
 			t, ok := dls.Get(strings.TrimSpace(name))
 			if !ok {
-				return Scenario{}, fmt.Errorf("core: unknown technique %q (have %s)",
-					name, strings.Join(dls.Names(), ", "))
+				return Scenario{}, &FieldError{Field: fmt.Sprintf("ras[%d]", k), Err: fmt.Errorf(
+					"core: unknown technique %q (have %s)", name, strings.Join(dls.Names(), ", "))}
 			}
 			sc.RAS = append(sc.RAS, t)
 		}

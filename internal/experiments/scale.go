@@ -65,7 +65,7 @@ func SyntheticInstance(seed uint64, apps, type1, type2 int, slack float64) (*ra.
 	// Calibrate the deadline with a provisional problem (deadline only
 	// influences tie-breaking in the calibration allocation).
 	prov := &ra.Problem{Sys: sys, Batch: b, Deadline: 1e12}
-	al, err := (ra.TwoPhaseGreedy{}).Allocate(prov)
+	al, err := (ra.TwoPhaseGreedy{}).AllocateContext(context.TODO(), prov)
 	if err != nil {
 		return nil, err
 	}
@@ -320,7 +320,7 @@ func evalQuadrant(ctx context.Context, prob *ra.Problem, q quadrant, cfg ScaleCo
 type fixedAlloc struct{ al sysmodel.Allocation }
 
 func (f fixedAlloc) Name() string { return "fixed" }
-func (f fixedAlloc) Allocate(*ra.Problem) (sysmodel.Allocation, error) {
+func (f fixedAlloc) AllocateContext(context.Context, *ra.Problem) (sysmodel.Allocation, error) {
 	return f.al, nil
 }
 

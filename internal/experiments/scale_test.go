@@ -28,7 +28,7 @@ func TestSyntheticInstanceValid(t *testing.T) {
 		// expected makespan (the two-phase allocation computed with an
 		// unconstrained deadline, exactly as SyntheticInstance does).
 		calib := &ra.Problem{Sys: prob.Sys, Batch: prob.Batch, Deadline: 1e12}
-		al, err := (ra.TwoPhaseGreedy{}).Allocate(calib)
+		al, err := (ra.TwoPhaseGreedy{}).AllocateContext(context.Background(), calib)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -274,6 +274,6 @@ type paperRobustIM struct{}
 
 func (paperRobustIM) Name() string { return "paper-robust" }
 
-func (paperRobustIM) Allocate(p *ra.Problem) (sysmodel.Allocation, error) {
+func (paperRobustIM) AllocateContext(context.Context, *ra.Problem) (sysmodel.Allocation, error) {
 	return PaperRobustAllocation(), nil
 }

@@ -16,7 +16,6 @@ func init() {
 	registerHeuristic("exhaustive", func() Heuristic { return &Exhaustive{} })
 	registerHeuristic("greedy", func() Heuristic { return Greedy{} })
 	registerHeuristic("minmin", func() Heuristic { return MinMin{} })
-	registerHeuristic("maxmin", func() Heuristic { return MaxMin{} })
 	registerHeuristic("twophase", func() Heuristic { return TwoPhaseGreedy{} })
 }
 
@@ -29,16 +28,10 @@ type NaiveLoadBalance struct{}
 // Name returns "naive".
 func (NaiveLoadBalance) Name() string { return "naive" }
 
-// Allocate implements Heuristic.
-func (h NaiveLoadBalance) Allocate(p *Problem) (sysmodel.Allocation, error) {
-	return h.AllocateContext(context.Background(), p)
-}
-
-// AllocateContext implements ContextHeuristic: the equal-share
-// placement enumeration checks ctx every cancelCheckStride complete
-// placements.
+// AllocateContext implements Heuristic: the equal-share placement
+// enumeration checks ctx every cancelCheckStride complete placements.
 func (NaiveLoadBalance) AllocateContext(ctx context.Context, p *Problem) (sysmodel.Allocation, error) {
-	if err := p.Validate(); err != nil {
+	if err := p.PrecomputeContext(ctx, 1); err != nil {
 		return nil, err
 	}
 	n := len(p.Batch)
@@ -171,19 +164,15 @@ func (p *Problem) scoreOf(al sysmodel.Allocation) score {
 	return s
 }
 
-// Allocate implements Heuristic. The feasible space is partitioned by
-// the first application's assignment (in enumeration order); workers
-// scan partitions concurrently against the shared evaluation table, and
-// the per-partition winners are reduced in partition order with the
-// same first-wins tie-break the sequential scan uses.
-func (h Exhaustive) Allocate(p *Problem) (sysmodel.Allocation, error) {
-	return h.AllocateContext(context.Background(), p)
-}
-
-// AllocateContext implements ContextHeuristic: each partition scan
-// checks ctx every cancelCheckStride enumerated allocations and the
-// partition pool drains at the next partition boundary, so cancelling a
-// multi-billion-allocation search returns within milliseconds.
+// AllocateContext implements Heuristic. The feasible space is
+// partitioned by the first application's assignment (in enumeration
+// order); workers scan partitions concurrently against the shared
+// evaluation table, and the per-partition winners are reduced in
+// partition order with the same first-wins tie-break the sequential
+// scan uses. Each partition scan checks ctx every cancelCheckStride
+// enumerated allocations and the partition pool drains at the next
+// partition boundary, so cancelling a multi-billion-allocation search
+// returns within milliseconds.
 func (h Exhaustive) AllocateContext(ctx context.Context, p *Problem) (sysmodel.Allocation, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -254,15 +243,10 @@ type Greedy struct{}
 // Name returns "greedy".
 func (Greedy) Name() string { return "greedy" }
 
-// Allocate implements Heuristic.
-func (h Greedy) Allocate(p *Problem) (sysmodel.Allocation, error) {
-	return h.AllocateContext(context.Background(), p)
-}
-
-// AllocateContext implements ContextHeuristic: ctx is checked once per
+// AllocateContext implements Heuristic: ctx is checked once per
 // assignment round.
 func (Greedy) AllocateContext(ctx context.Context, p *Problem) (sysmodel.Allocation, error) {
-	if err := p.Validate(); err != nil {
+	if err := p.PrecomputeContext(ctx, 1); err != nil {
 		return nil, err
 	}
 	n := len(p.Batch)
@@ -311,36 +295,10 @@ type MinMin struct{}
 // Name returns "minmin".
 func (MinMin) Name() string { return "minmin" }
 
-// Allocate implements Heuristic.
-func (MinMin) Allocate(p *Problem) (sysmodel.Allocation, error) {
-	return minMaxMin(context.Background(), p, true)
-}
-
-// AllocateContext implements ContextHeuristic.
+// AllocateContext implements Heuristic: ctx is checked once per
+// assignment round.
 func (MinMin) AllocateContext(ctx context.Context, p *Problem) (sysmodel.Allocation, error) {
-	return minMaxMin(ctx, p, true)
-}
-
-// MaxMin is the Max-Min variant: the application whose best expected
-// completion time is largest is assigned first, protecting long
-// applications from being starved of processors.
-type MaxMin struct{}
-
-// Name returns "maxmin".
-func (MaxMin) Name() string { return "maxmin" }
-
-// Allocate implements Heuristic.
-func (MaxMin) Allocate(p *Problem) (sysmodel.Allocation, error) {
-	return minMaxMin(context.Background(), p, false)
-}
-
-// AllocateContext implements ContextHeuristic.
-func (MaxMin) AllocateContext(ctx context.Context, p *Problem) (sysmodel.Allocation, error) {
-	return minMaxMin(ctx, p, false)
-}
-
-func minMaxMin(ctx context.Context, p *Problem, min bool) (sysmodel.Allocation, error) {
-	if err := p.Validate(); err != nil {
+	if err := p.PrecomputeContext(ctx, 1); err != nil {
 		return nil, err
 	}
 	n := len(p.Batch)
@@ -352,7 +310,7 @@ func minMaxMin(ctx context.Context, p *Problem, min bool) (sysmodel.Allocation, 
 	assigned := make([]bool, n)
 	for done := 0; done < n; done++ {
 		if err := ctx.Err(); err != nil {
-			return nil, searchErr(map[bool]string{true: "minmin", false: "maxmin"}[min], err)
+			return nil, searchErr("minmin", err)
 		}
 		pickI := -1
 		pickExp := 0.0
@@ -384,10 +342,9 @@ func minMaxMin(ctx context.Context, p *Problem, min bool) (sysmodel.Allocation, 
 				}
 			}
 			if !found {
-				return nil, fmt.Errorf("ra: %s ran out of processors", map[bool]string{true: "minmin", false: "maxmin"}[min])
+				return nil, fmt.Errorf("ra: minmin ran out of processors")
 			}
-			take := pickI == -1 || (min && bestExp < pickExp) || (!min && bestExp > pickExp)
-			if take {
+			if pickI == -1 || bestExp < pickExp {
 				pickI, pickExp, pickAs = i, bestExp, bestAs
 			}
 		}
@@ -408,15 +365,10 @@ type TwoPhaseGreedy struct{}
 // Name returns "twophase".
 func (TwoPhaseGreedy) Name() string { return "twophase" }
 
-// Allocate implements Heuristic.
-func (h TwoPhaseGreedy) Allocate(p *Problem) (sysmodel.Allocation, error) {
-	return h.AllocateContext(context.Background(), p)
-}
-
-// AllocateContext implements ContextHeuristic: ctx is checked once per
-// phase-1 placement and per phase-2 doubling round.
+// AllocateContext implements Heuristic: ctx is checked once per phase-1
+// placement and per phase-2 doubling round.
 func (TwoPhaseGreedy) AllocateContext(ctx context.Context, p *Problem) (sysmodel.Allocation, error) {
-	if err := p.Validate(); err != nil {
+	if err := p.PrecomputeContext(ctx, 1); err != nil {
 		return nil, err
 	}
 	n := len(p.Batch)

@@ -1,6 +1,7 @@
 package ra
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -20,7 +21,7 @@ func cloneProblem(p *Problem) *Problem {
 // solveCells precomputes the problem and returns its raw table cells.
 func solveCells(t *testing.T, p *Problem) []memoVal {
 	t.Helper()
-	if err := p.Precompute(2); err != nil {
+	if err := p.PrecomputeContext(context.Background(), 2); err != nil {
 		t.Fatal(err)
 	}
 	return p.table.cells
@@ -63,13 +64,13 @@ func TestCacheBitIdenticalCells(t *testing.T) {
 
 			// The allocations a heuristic derives from the tables agree
 			// exactly too.
-			alPlain, err := Greedy{}.Allocate(cloneProblem(base))
+			alPlain, err := Greedy{}.AllocateContext(context.Background(), cloneProblem(base))
 			if err != nil {
 				t.Fatal(err)
 			}
 			cachedBase := cloneProblem(base)
 			cachedBase.Cache = c
-			alWarm, err := Greedy{}.Allocate(cachedBase)
+			alWarm, err := Greedy{}.AllocateContext(context.Background(), cachedBase)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,7 +124,7 @@ func TestCacheBitIdenticalDAGGrid(t *testing.T) {
 	fresh := func(c *cache.Cache) *Problem {
 		p := cloneProblem(base)
 		p.Edges, p.Cache = base.Edges, c
-		if err := p.Precompute(2); err != nil {
+		if err := p.PrecomputeContext(context.Background(), 2); err != nil {
 			t.Fatal(err)
 		}
 		return p
@@ -298,7 +299,7 @@ func TestWarmTableSharedAcrossGoroutines(t *testing.T) {
 		go func(g int) {
 			p := cloneProblem(base)
 			p.Cache = c
-			errs[g] = p.Precompute(2)
+			errs[g] = p.PrecomputeContext(context.Background(), 2)
 			if errs[g] == nil {
 				cells[g] = p.table.cells
 			}

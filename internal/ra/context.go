@@ -8,21 +8,20 @@ import (
 )
 
 // This file defines the cancellation surface of the Stage-I search
-// engine. Every heuristic in this package implements ContextHeuristic;
-// SolveContext is the ctx-first entry point the CLIs and the Stage-II
-// framework use. Cancellation is cooperative: the worker pools stop
-// claiming tasks, the tight enumeration loops check the context every
+// engine. Every Heuristic searches under a context; SolveContext is the
+// one entry point the CLIs, the service and the Stage-II framework use.
+// Cancellation is cooperative: the worker pools stop claiming tasks,
+// the tight enumeration loops check the context every
 // cancelCheckStride evaluations, and an interrupted search returns an
 // error wrapping context.Canceled or context.DeadlineExceeded instead
 // of a (possibly non-deterministic) partial winner. A context that is
 // never cancelled costs a periodic ctx.Err() call and changes no
-// result: seeded searches stay bit-identical to the ctx-free paths.
+// result: seeded searches are bit-identical under any such context.
 
 // cancelCheckStride is the number of leaf evaluations between context
 // checks in the tight scan loops (exhaustive enumeration, naive
-// equal-share recursion, minimal-robust enumeration). At roughly a
-// microsecond per evaluation this bounds the per-partition drain to a
-// few milliseconds.
+// equal-share recursion). At roughly a microsecond per evaluation this
+// bounds the per-partition drain to a few milliseconds.
 const cancelCheckStride = 4096
 
 // metaCheckStride is the number of iterations between context checks
@@ -30,22 +29,8 @@ const cancelCheckStride = 4096
 // generations are checked every generation).
 const metaCheckStride = 64
 
-// ContextHeuristic is a Heuristic whose search cooperates with a
-// context: AllocateContext returns promptly after ctx is cancelled,
-// with an error wrapping ctx.Err(). All heuristics in this package
-// implement it; external implementations may opt in.
-type ContextHeuristic interface {
-	Heuristic
-	// AllocateContext is Allocate under a context. An un-cancelled
-	// context never changes the result: for a fixed seed the returned
-	// allocation is bit-identical to Allocate's.
-	AllocateContext(ctx context.Context, p *Problem) (sysmodel.Allocation, error)
-}
-
-// SolveContext runs heuristic h on p under ctx. Heuristics
-// implementing ContextHeuristic are cancelled cooperatively
-// mid-search; for any other Heuristic the context is only checked up
-// front. A nil ctx counts as context.Background().
+// SolveContext runs heuristic h on p under ctx, refusing an already
+// cancelled context up front. A nil ctx counts as context.Background().
 func SolveContext(ctx context.Context, h Heuristic, p *Problem) (sysmodel.Allocation, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -53,10 +38,7 @@ func SolveContext(ctx context.Context, h Heuristic, p *Problem) (sysmodel.Alloca
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("ra: %s: %w", h.Name(), err)
 	}
-	if ch, ok := h.(ContextHeuristic); ok {
-		return ch.AllocateContext(ctx, p)
-	}
-	return h.Allocate(p)
+	return h.AllocateContext(ctx, p)
 }
 
 // searchErr wraps a context error with the name of the interrupted

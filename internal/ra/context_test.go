@@ -3,7 +3,6 @@ package ra
 import (
 	"context"
 	"errors"
-	"reflect"
 	"testing"
 )
 
@@ -14,7 +13,7 @@ func TestAllHeuristicsRefuseCancelledContext(t *testing.T) {
 	cancel()
 	p := smallProblem()
 	for _, name := range Names() {
-		h, _ := Get(name)
+		h, _ := ByName(name)
 		al, err := SolveContext(ctx, h, p)
 		if err == nil {
 			t.Errorf("%s: cancelled context accepted", name)
@@ -52,29 +51,5 @@ func TestExhaustiveDeadlineMidSearch(t *testing.T) {
 	p := randomProblem(7, 5)
 	if _, err := (&Exhaustive{Workers: 4}).AllocateContext(ctx, p); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
-	}
-}
-
-// The context plumbing must not perturb results: SolveContext with a
-// background context is bit-identical to the legacy Allocate path for
-// every registered heuristic on a seeded instance.
-func TestSolveContextMatchesAllocate(t *testing.T) {
-	for _, name := range Names() {
-		// Two independent problems so precomputed tables don't alias.
-		p1, p2 := randomProblem(3, 3), randomProblem(3, 3)
-		h1, _ := Get(name)
-		h2, _ := Get(name)
-		a1, err1 := h1.Allocate(p1)
-		a2, err2 := SolveContext(context.Background(), h2, p2)
-		if (err1 == nil) != (err2 == nil) {
-			t.Errorf("%s: Allocate err %v vs SolveContext err %v", name, err1, err2)
-			continue
-		}
-		if err1 != nil {
-			continue
-		}
-		if !reflect.DeepEqual(a1, a2) {
-			t.Errorf("%s: Allocate %v != SolveContext %v", name, a1, a2)
-		}
 	}
 }

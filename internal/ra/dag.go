@@ -9,7 +9,7 @@ package ra
 // applications. Both PMF backends are supported — sparse composition
 // uses pmf.Max/pmf.Add with compaction, the grid backend uses the
 // CDF-product MaxWith and index-shifted Add on the table's lattice —
-// and the per-cell distributions retained by Precompute make each
+// and the per-cell distributions retained by PrecomputeContext make each
 // composition start from table reads (sparse PMFs directly, packed
 // grid cells through one Unpack each).
 

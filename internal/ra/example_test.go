@@ -1,6 +1,7 @@
 package ra_test
 
 import (
+	"context"
 	"fmt"
 
 	"cdsf/internal/pmf"
@@ -28,7 +29,7 @@ func ExampleExhaustive() {
 	}
 	batch := sysmodel.Batch{app("urgent", 3000), app("loose", 600)}
 	prob := &ra.Problem{Sys: sys, Batch: batch, Deadline: 1200}
-	alloc, err := (ra.Exhaustive{}).Allocate(prob)
+	alloc, err := ra.SolveContext(context.Background(), ra.Exhaustive{}, prob)
 	if err != nil {
 		panic(err)
 	}
@@ -40,12 +41,14 @@ func ExampleExhaustive() {
 	// phi1 = 0.98
 }
 
-// ExampleGet shows the registry: every heuristic optimizes the same
-// objective and is interchangeable behind the Heuristic interface.
-func ExampleGet() {
-	names := []string{"naive", "twophase", "genetic", "portfolio"}
-	for _, n := range names {
-		if _, ok := ra.Get(n); ok {
+// ExampleByName shows the registry: every heuristic optimizes the same
+// objective and is interchangeable behind the Heuristic interface, and
+// an unregistered name is refused with the list of registered ones.
+func ExampleByName() {
+	for _, n := range []string{"naive", "twophase", "genetic", "portfolio"} {
+		if _, err := ra.ByName(n); err != nil {
+			fmt.Println(err)
+		} else {
 			fmt.Println(n, "registered")
 		}
 	}
@@ -53,5 +56,5 @@ func ExampleGet() {
 	// naive registered
 	// twophase registered
 	// genetic registered
-	// portfolio registered
+	// ra: unknown heuristic "portfolio" (have anneal, dag-greedy, exhaustive, genetic, greedy, heft, minmin, naive, tabu, twophase)
 }

@@ -76,12 +76,7 @@ type HEFT struct{}
 // Name returns "heft".
 func (HEFT) Name() string { return "heft" }
 
-// Allocate implements Heuristic.
-func (h HEFT) Allocate(p *Problem) (sysmodel.Allocation, error) {
-	return h.AllocateContext(context.Background(), p)
-}
-
-// AllocateContext implements ContextHeuristic: ctx is checked once per
+// AllocateContext implements Heuristic: ctx is checked once per
 // scheduled application.
 func (HEFT) AllocateContext(ctx context.Context, p *Problem) (sysmodel.Allocation, error) {
 	if err := p.Validate(); err != nil {
@@ -163,12 +158,7 @@ type DAGGreedy struct{}
 // Name returns "dag-greedy".
 func (DAGGreedy) Name() string { return "dag-greedy" }
 
-// Allocate implements Heuristic.
-func (h DAGGreedy) Allocate(p *Problem) (sysmodel.Allocation, error) {
-	return h.AllocateContext(context.Background(), p)
-}
-
-// AllocateContext implements ContextHeuristic: ctx is checked once per
+// AllocateContext implements Heuristic: ctx is checked once per
 // scheduled application.
 func (DAGGreedy) AllocateContext(ctx context.Context, p *Problem) (sysmodel.Allocation, error) {
 	if err := p.Validate(); err != nil {

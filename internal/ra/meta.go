@@ -10,21 +10,20 @@ import (
 	"cdsf/internal/sysmodel"
 )
 
-// This file implements the randomized and metaheuristic allocators:
-// Random (baseline), SimulatedAnnealing, GeneticAlgorithm, and
-// TabuSearch. All optimize phi_1 over the same feasible space as the
-// exhaustive search (power-of-2 counts, single type per application,
-// capacity limits) and share a repair operator that shrinks
+// This file implements the metaheuristic allocators:
+// SimulatedAnnealing, GeneticAlgorithm, and TabuSearch. All optimize
+// phi_1 over the same feasible space as the exhaustive search (power-of-2
+// counts, single type per application, capacity limits), start from
+// random feasible allocations, and share a repair operator that shrinks
 // oversubscribed allocations.
 //
-// Every randomized allocator supports independent restarts fanned out
-// across a worker pool. Each restart draws from its own rng stream,
-// split sequentially from the heuristic's seed before any worker
-// starts, and the restart results are merged in restart order — so for
-// a fixed seed the outcome is bit-identical for any worker count.
+// Every metaheuristic supports independent restarts fanned out across
+// a worker pool. Each restart draws from its own rng stream, split
+// sequentially from the heuristic's seed before any worker starts, and
+// the restart results are merged in restart order — so for a fixed
+// seed the outcome is bit-identical for any worker count.
 
 func init() {
-	registerHeuristic("random", func() Heuristic { return &Random{Tries: 64, Seed: 1} })
 	registerHeuristic("anneal", func() Heuristic { return &SimulatedAnnealing{} })
 	registerHeuristic("genetic", func() Heuristic { return &GeneticAlgorithm{} })
 	registerHeuristic("tabu", func() Heuristic { return &TabuSearch{} })
@@ -165,67 +164,6 @@ func repair(p *Problem, al sysmodel.Allocation) bool {
 	}
 }
 
-// Random draws Tries random feasible allocations — each from its own
-// restart stream, concurrently — and keeps the best: the standard
-// sanity baseline for the metaheuristics.
-type Random struct {
-	// Tries is the number of random allocations evaluated; it must be
-	// positive.
-	Tries int
-	// Seed drives the draws.
-	Seed uint64
-	// Workers bounds the worker pool; non-positive means
-	// runtime.NumCPU(). The result never depends on it.
-	Workers int
-}
-
-// Name returns "random".
-func (h *Random) Name() string { return "random" }
-
-// SetWorkers implements WorkerSettable.
-func (h *Random) SetWorkers(workers int) { h.Workers = workers }
-
-// SetSeed implements SeedSettable.
-func (h *Random) SetSeed(seed uint64) { h.Seed = seed }
-
-// Allocate implements Heuristic.
-func (h *Random) Allocate(p *Problem) (sysmodel.Allocation, error) {
-	return h.AllocateContext(context.Background(), p)
-}
-
-// AllocateContext implements ContextHeuristic: each try is one cheap
-// draw, so the restart pool's per-task check is the checkpoint.
-func (h *Random) AllocateContext(ctx context.Context, p *Problem) (sysmodel.Allocation, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if h.Tries <= 0 {
-		return nil, fmt.Errorf("ra: random heuristic with %d tries", h.Tries)
-	}
-	if err := p.PrecomputeContext(ctx, h.Workers); err != nil {
-		return nil, err
-	}
-	al, err := runRestarts(ctx, p, "random", h.Workers, restartStreams(h.Seed, h.Tries),
-		func(_ context.Context, r *rng.Source) (sysmodel.Allocation, float64, error) {
-			al, ok := randomAllocation(p, r)
-			if !ok {
-				return nil, 0, fmt.Errorf("ra: infeasible instance")
-			}
-			phi, err := p.Objective(al)
-			if err != nil {
-				return nil, 0, err
-			}
-			return al, phi, nil
-		})
-	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("ra: random heuristic found no feasible allocation in %d tries", h.Tries)
-	}
-	return al, err
-}
-
 // neighbor perturbs one application's assignment: with equal probability
 // it changes the processor type (keeping a feasible count) or doubles /
 // halves the count. The result is repaired; ok is false when repair
@@ -295,13 +233,8 @@ func (h *SimulatedAnnealing) SetWorkers(workers int) { h.Workers = workers }
 // SetSeed implements SeedSettable.
 func (h *SimulatedAnnealing) SetSeed(seed uint64) { h.Seed = seed }
 
-// Allocate implements Heuristic.
-func (h *SimulatedAnnealing) Allocate(p *Problem) (sysmodel.Allocation, error) {
-	return h.AllocateContext(context.Background(), p)
-}
-
-// AllocateContext implements ContextHeuristic: each walk checks ctx
-// every metaCheckStride proposed moves.
+// AllocateContext implements Heuristic: each walk checks ctx every
+// metaCheckStride proposed moves.
 func (h *SimulatedAnnealing) AllocateContext(ctx context.Context, p *Problem) (sysmodel.Allocation, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -396,13 +329,8 @@ func (h *GeneticAlgorithm) SetWorkers(workers int) { h.Workers = workers }
 // SetSeed implements SeedSettable.
 func (h *GeneticAlgorithm) SetSeed(seed uint64) { h.Seed = seed }
 
-// Allocate implements Heuristic.
-func (h *GeneticAlgorithm) Allocate(p *Problem) (sysmodel.Allocation, error) {
-	return h.AllocateContext(context.Background(), p)
-}
-
-// AllocateContext implements ContextHeuristic: each evolution checks
-// ctx once per generation.
+// AllocateContext implements Heuristic: each evolution checks ctx once
+// per generation.
 func (h *GeneticAlgorithm) AllocateContext(ctx context.Context, p *Problem) (sysmodel.Allocation, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -534,13 +462,8 @@ func (h *TabuSearch) SetWorkers(workers int) { h.Workers = workers }
 // SetSeed implements SeedSettable.
 func (h *TabuSearch) SetSeed(seed uint64) { h.Seed = seed }
 
-// Allocate implements Heuristic.
-func (h *TabuSearch) Allocate(p *Problem) (sysmodel.Allocation, error) {
-	return h.AllocateContext(context.Background(), p)
-}
-
-// AllocateContext implements ContextHeuristic: each search checks ctx
-// every metaCheckStride steps.
+// AllocateContext implements Heuristic: each search checks ctx every
+// metaCheckStride steps.
 func (h *TabuSearch) AllocateContext(ctx context.Context, p *Problem) (sysmodel.Allocation, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err

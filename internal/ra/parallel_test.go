@@ -1,6 +1,7 @@
 package ra
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"sync"
@@ -26,7 +27,7 @@ func workerCounts() []int {
 func TestPrecomputeTableMatchesDirectCompute(t *testing.T) {
 	for _, w := range workerCounts() {
 		p := randomProblem(11, 3)
-		if err := p.Precompute(w); err != nil {
+		if err := p.PrecomputeContext(context.Background(), w); err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
 		tab := p.table
@@ -49,11 +50,11 @@ func TestPrecomputeTableMatchesDirectCompute(t *testing.T) {
 // different worker count) keeps the existing table.
 func TestPrecomputeIdempotent(t *testing.T) {
 	p := smallProblem()
-	if err := p.Precompute(2); err != nil {
+	if err := p.PrecomputeContext(context.Background(), 2); err != nil {
 		t.Fatal(err)
 	}
 	tab := p.table
-	if err := p.Precompute(5); err != nil {
+	if err := p.PrecomputeContext(context.Background(), 5); err != nil {
 		t.Fatal(err)
 	}
 	if p.table != tab {
@@ -67,7 +68,7 @@ func TestPrecomputeIdempotent(t *testing.T) {
 func TestExhaustiveDeterministicAcrossWorkers(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3, 4} {
 		base := randomProblem(seed, 3)
-		ref, err := (&Exhaustive{Workers: 1}).Allocate(base)
+		ref, err := (&Exhaustive{Workers: 1}).AllocateContext(context.Background(), base)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +78,7 @@ func TestExhaustiveDeterministicAcrossWorkers(t *testing.T) {
 		}
 		for _, w := range workerCounts() {
 			p := randomProblem(seed, 3) // fresh problem: cold table under w workers
-			al, err := (&Exhaustive{Workers: w}).Allocate(p)
+			al, err := (&Exhaustive{Workers: w}).AllocateContext(context.Background(), p)
 			if err != nil {
 				t.Fatalf("workers=%d: %v", w, err)
 			}
@@ -101,7 +102,6 @@ func TestExhaustiveDeterministicAcrossWorkers(t *testing.T) {
 func TestMetaheuristicsDeterministicAcrossWorkers(t *testing.T) {
 	mk := func(w int) []Heuristic {
 		return []Heuristic{
-			&Random{Tries: 16, Seed: 5, Workers: w},
 			&SimulatedAnnealing{Iterations: 150, Restarts: 4, Seed: 5, Workers: w},
 			&GeneticAlgorithm{Population: 8, Generations: 6, Restarts: 3, Seed: 5, Workers: w},
 			&TabuSearch{Iterations: 40, Restarts: 3, Seed: 5, Workers: w},
@@ -110,7 +110,7 @@ func TestMetaheuristicsDeterministicAcrossWorkers(t *testing.T) {
 	p := randomProblem(23, 3)
 	refs := make([]sysmodel.Allocation, len(mk(1)))
 	for i, h := range mk(1) {
-		al, err := h.Allocate(p)
+		al, err := h.AllocateContext(context.Background(), p)
 		if err != nil {
 			t.Fatalf("%s: %v", h.Name(), err)
 		}
@@ -118,7 +118,7 @@ func TestMetaheuristicsDeterministicAcrossWorkers(t *testing.T) {
 	}
 	for _, w := range workerCounts()[1:] {
 		for i, h := range mk(w) {
-			al, err := h.Allocate(p)
+			al, err := h.AllocateContext(context.Background(), p)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", h.Name(), w, err)
 			}
@@ -129,37 +129,17 @@ func TestMetaheuristicsDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestPortfolioDeterministicAcrossWorkers checks the member merge is
-// worker-count independent.
-func TestPortfolioDeterministicAcrossWorkers(t *testing.T) {
-	p := randomProblem(31, 3)
-	ref, err := Portfolio{Workers: 1}.Allocate(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range workerCounts()[1:] {
-		al, err := Portfolio{Workers: w}.Allocate(p)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if !al.Equal(ref) {
-			t.Fatalf("workers=%d: allocation %v differs from sequential %v", w, al, ref)
-		}
-	}
-}
-
 // TestConcurrentAllocateSharedProblem exercises the documented
 // concurrency contract under the race detector: one precomputed Problem
 // shared by many goroutines running different heuristics at once.
 func TestConcurrentAllocateSharedProblem(t *testing.T) {
 	p := randomProblem(47, 3)
-	if err := p.Precompute(0); err != nil {
+	if err := p.PrecomputeContext(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
 	hs := []Heuristic{
 		&Exhaustive{Workers: 2},
 		Greedy{},
-		&Random{Tries: 8, Seed: 9, Workers: 2},
 		&SimulatedAnnealing{Iterations: 100, Restarts: 2, Seed: 9, Workers: 2},
 		&TabuSearch{Iterations: 30, Seed: 9, Workers: 2},
 	}
@@ -170,7 +150,7 @@ func TestConcurrentAllocateSharedProblem(t *testing.T) {
 			wg.Add(1)
 			go func(slot int, h Heuristic) {
 				defer wg.Done()
-				al, err := h.Allocate(p)
+				al, err := h.AllocateContext(context.Background(), p)
 				if err == nil {
 					_, err = p.Objective(al)
 				}
@@ -198,7 +178,7 @@ func TestEvalCellFallsBackOffTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := smallProblem()
-	if err := q.Precompute(4); err != nil {
+	if err := q.PrecomputeContext(context.Background(), 4); err != nil {
 		t.Fatal(err)
 	}
 	eager, err := q.Objective(al)

@@ -11,22 +11,25 @@
 // load balancer and an exhaustive search for the optimum — and calls for
 // scalable robust heuristics as future work. This package provides both
 // paper policies plus the scalable family its future-work section
-// anticipates (greedy, min-min/max-min adaptations of Ibarra & Kim,
-// two-phase greedy in the spirit of Shestak et al., and simulated
-// annealing / genetic / tabu metaheuristics), all optimizing the same
-// stochastic objective so they can be ablated against the exhaustive
-// optimum.
+// anticipates (greedy, a min-min adaptation of Ibarra & Kim, two-phase
+// greedy in the spirit of Shestak et al., the DAG list schedulers heft
+// and dag-greedy, and simulated annealing / genetic / tabu
+// metaheuristics), all optimizing the same stochastic objective so they
+// can be ablated against the exhaustive optimum. The tournament
+// recorded in EXPERIMENTS.md ran these ten and five more; none of the
+// five ever beat the best of these ten, so only these are registered.
 //
-// The package is a parallel search engine: Problem.Precompute builds an
-// immutable evaluation table with a bounded worker pool, after which
-// every heuristic's inner loop is a lock-free array read and the
-// expensive searches (Exhaustive, Portfolio, the metaheuristic
-// restarts) fan out across workers. All parallel searches reduce
-// deterministically — for a fixed seed they return bit-identical
-// allocations and phi_1 values for any worker count, including 1.
+// The package is a parallel search engine: Problem.PrecomputeContext
+// builds an immutable evaluation table with a bounded worker pool,
+// after which every heuristic's inner loop is a lock-free array read and
+// the expensive searches (Exhaustive, the metaheuristic restarts) fan
+// out across workers. All parallel searches reduce deterministically —
+// for a fixed seed they return bit-identical allocations and phi_1
+// values for any worker count, including 1.
 package ra
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -42,15 +45,16 @@ import (
 // Problem is one Stage-I instance.
 //
 // Concurrency contract: a Problem is logically immutable once its
-// evaluation table exists. Call Precompute (directly, or implicitly via
-// any heuristic's Allocate or the first Objective evaluation) from a
-// single goroutine; from then on Sys, Batch, Deadline, and the table
-// must not be mutated, and the Problem may be shared freely — any
-// number of goroutines may call Objective, Allocate (of any heuristic),
-// and the other read paths concurrently. All heuristics in this package
-// precompute before fanning out their own workers, so the only way to
-// race is to hand an un-precomputed Problem to multiple goroutines
-// without calling Precompute first.
+// evaluation table exists. Call PrecomputeContext (directly, or
+// implicitly via any heuristic's AllocateContext or the first Objective
+// evaluation) from a single goroutine; from then on Sys, Batch,
+// Deadline, and the table must not be mutated, and the Problem may be
+// shared freely — any number of goroutines may call Objective,
+// AllocateContext (of any heuristic), and the other read paths
+// concurrently. All heuristics in this package precompute before
+// fanning out their own workers, so the only way to race is to hand an
+// un-precomputed Problem to multiple goroutines without calling
+// PrecomputeContext first.
 type Problem struct {
 	Sys      *sysmodel.System
 	Batch    sysmodel.Batch
@@ -61,10 +65,10 @@ type Problem struct {
 	// With edges present the objective becomes the DAG phi_1 — per-
 	// application completion PMFs composed along predecessor chains
 	// (sysmodel.ComposeDAG / ComposeDAGGrid) and multiplied over the
-	// sink applications — and Precompute retains each cell's full
-	// completion-time distribution so compositions reuse the table.
-	// An empty edge set leaves every code path bit-identical to the
-	// independent-batch engine. Set it before Precompute.
+	// sink applications — and PrecomputeContext retains each cell's
+	// full completion-time distribution so compositions reuse the
+	// table. An empty edge set leaves every code path bit-identical to
+	// the independent-batch engine. Set it before PrecomputeContext.
 	Edges []sysmodel.Edge
 
 	// Backend selects the PMF representation used when evaluating
@@ -73,36 +77,36 @@ type Problem struct {
 	// error bounded in DESIGN.md for much faster kernels. The choice
 	// only affects how each cell's (probability, expectation) pair is
 	// computed; the searches themselves are identical. Set it before
-	// Precompute, like every other field.
+	// PrecomputeContext, like every other field.
 	Backend pmf.Backend
 
 	// Obs receives the search's instrumentation: counters (cell
 	// evaluations, table hits/misses, precompute wall time, exhaustive
 	// scans, metaheuristic restarts) in Obs.Metrics, and wall-clock
-	// spans of the precompute build, each exhaustive partition, each
-	// portfolio member and each metaheuristic restart, on lanes under
-	// "stage1/", in Obs.Tracer. The zero Scope records nothing. Set it
-	// before Precompute — the hot-path counters are cached when the
-	// table is built, following the same single-goroutine construction
-	// contract as the table itself. Instrumentation never touches the
+	// spans of the precompute build, each exhaustive partition and each
+	// metaheuristic restart, on lanes under "stage1/", in Obs.Tracer.
+	// The zero Scope records nothing. Set it before PrecomputeContext —
+	// the hot-path counters are cached when the table is built,
+	// following the same single-goroutine construction contract as the
+	// table itself. Instrumentation never touches the
 	// search's rng streams, so allocations are identical under any
 	// scope.
 	Obs tracing.Scope
 
 	// Cache optionally shares warm evaluation-table distributions
-	// across Problems. On a warm hit, Precompute derives every cell's
-	// (Pr(T <= Delta), E[T]) pair from the cached completion-time
+	// across Problems. On a warm hit, PrecomputeContext derives every
+	// cell's (Pr(T <= Delta), E[T]) pair from the cached completion-time
 	// distribution — one cached-CDF PrLE read per cell — instead of
 	// rebuilding the completion PMFs; the distributions are
 	// deadline-invariant (under the sparse backend), so Problems that
 	// differ only in deadline, heuristic, or runtime availability cases
 	// share one warm entry. Cell values are bit-identical with the
 	// cache enabled, disabled, warm, or cold. Nil disables sharing.
-	// Set it before Precompute, like every other field.
+	// Set it before PrecomputeContext, like every other field.
 	Cache *cache.Cache
 
 	// table is the eagerly built (application x type x log2(count))
-	// evaluation table; see Precompute in table.go. The search
+	// evaluation table; see PrecomputeContext in table.go. The search
 	// heuristics evaluate the same cell many times (the exhaustive
 	// search revisits each application/type/count triple across
 	// thousands of allocations), and a completion-PMF construction
@@ -112,20 +116,20 @@ type Problem struct {
 
 	// instr caches the metric primitives used on the evaluation hot
 	// path; the fields are nil (no-op) when metrics are disabled. It is
-	// populated by Precompute alongside the table.
+	// populated by PrecomputeContext alongside the table.
 	instr instr
 
 	// warmHits/warmMisses count the evaluation-table cells derived from
 	// the warm cache vs computed from scratch. Written once by
-	// Precompute before the table is published (same happens-before
-	// edge as the table itself), read via CacheCounts.
+	// PrecomputeContext before the table is published (same
+	// happens-before edge as the table itself), read via CacheCounts.
 	warmHits, warmMisses int64
 }
 
 // CacheCounts reports how many evaluation-table cells were derived
 // from a warm cache entry and how many were computed from scratch
-// during Precompute. Both are zero before Precompute or when no Cache
-// is attached; a fully warm build has warmMisses == 0.
+// during PrecomputeContext. Both are zero before PrecomputeContext or
+// when no Cache is attached; a fully warm build has warmMisses == 0.
 func (p *Problem) CacheCounts() (warmHits, warmMisses int64) {
 	return p.warmHits, p.warmMisses
 }
@@ -151,11 +155,11 @@ func (p *Problem) evalCell(i int, as sysmodel.Assignment) memoVal {
 	t := p.table
 	if t == nil {
 		// Lazily build the table on the calling goroutine for Problems
-		// used without an explicit Precompute. An invalid instance
-		// cannot build a table; fall through to the direct computation,
-		// which panics or returns garbage exactly as eager evaluation
-		// would.
-		if err := p.Precompute(1); err != nil {
+		// used without an explicit PrecomputeContext. An invalid
+		// instance cannot build a table; fall through to the direct
+		// computation, which panics or returns garbage exactly as eager
+		// evaluation would.
+		if err := p.PrecomputeContext(context.TODO(), 1); err != nil {
 			return p.computeCell(i, as)
 		}
 		t = p.table
@@ -229,9 +233,12 @@ func (p *Problem) appExpected(i int, as sysmodel.Assignment) float64 {
 type Heuristic interface {
 	// Name identifies the heuristic in reports.
 	Name() string
-	// Allocate returns a feasible allocation for the problem, or an
-	// error if none exists or the instance is invalid.
-	Allocate(p *Problem) (sysmodel.Allocation, error)
+	// AllocateContext returns a feasible allocation for the problem, or
+	// an error if none exists or the instance is invalid. The search
+	// cooperates with ctx: it returns promptly after ctx is cancelled,
+	// with an error wrapping ctx.Err() and no partial allocation. An
+	// un-cancelled context never changes the result.
+	AllocateContext(ctx context.Context, p *Problem) (sysmodel.Allocation, error)
 }
 
 var heuristics = map[string]func() Heuristic{}
@@ -244,27 +251,17 @@ func registerHeuristic(name string, mk func() Heuristic) {
 	heuristics[key] = mk
 }
 
-// Get returns a fresh instance of the named heuristic
-// (case-insensitive) with default parameters.
-func Get(name string) (Heuristic, bool) {
-	mk, ok := heuristics[strings.ToLower(name)]
-	if !ok {
-		return nil, false
-	}
-	return mk(), true
-}
-
 // ByName is the single lookup behind every surface that names a
 // heuristic — CLI flags, service requests, report labels. It returns a
 // fresh instance of the named heuristic (case-insensitive) with default
 // parameters, or an error listing the registered names, so wire names
 // and flag values can never drift from the registry.
 func ByName(name string) (Heuristic, error) {
-	h, ok := Get(name)
+	mk, ok := heuristics[strings.ToLower(name)]
 	if !ok {
 		return nil, fmt.Errorf("ra: unknown heuristic %q (have %s)", name, strings.Join(Names(), ", "))
 	}
-	return h, nil
+	return mk(), nil
 }
 
 // WorkerSettable is implemented by heuristics with a worker-pool knob:
@@ -280,10 +277,9 @@ type WorkerSettable interface {
 }
 
 // SetWorkers configures the worker-pool bound on heuristics
-// implementing WorkerSettable (exhaustive, portfolio, random, minimal,
-// and the metaheuristics), returning true if h supports the knob. It is
-// how the CLIs thread their -workers flag through to
-// registry-constructed heuristics.
+// implementing WorkerSettable (exhaustive and the metaheuristics),
+// returning true if h supports the knob. It is how the CLIs thread
+// their -workers flag through to registry-constructed heuristics.
 func SetWorkers(h Heuristic, workers int) bool {
 	ws, ok := h.(WorkerSettable)
 	if ok {
@@ -293,8 +289,8 @@ func SetWorkers(h Heuristic, workers int) bool {
 }
 
 // SeedSettable is implemented by heuristics whose search is driven by
-// a random seed (random, anneal, genetic, tabu). Like WorkerSettable it
-// is implemented on the pointer receiver, so registry-constructed
+// a random seed (anneal, genetic, tabu). Like WorkerSettable it is
+// implemented on the pointer receiver, so registry-constructed
 // instances pick up a caller-supplied seed without a central type
 // switch. Reseeding changes which allocation a stochastic search
 // returns, but for a fixed seed the result stays bit-identical across

@@ -1,8 +1,11 @@
 package ra
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -66,20 +69,26 @@ func randomProblem(seed uint64, apps int) *Problem {
 }
 
 func TestGetAndNames(t *testing.T) {
-	names := Names()
-	if len(names) < 10 {
-		t.Fatalf("only %d heuristics registered: %v", len(names), names)
+	want := []string{"anneal", "dag-greedy", "exhaustive", "genetic", "greedy", "heft", "minmin", "naive", "tabu", "twophase"}
+	if got := Names(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Names() = %v, want %v", got, want)
 	}
-	for _, n := range names {
-		if _, ok := Get(n); !ok {
-			t.Errorf("Get(%q) failed", n)
+	for _, n := range want {
+		h, err := ByName(n)
+		if err != nil {
+			t.Errorf("ByName(%q): %v", n, err)
+		} else if h.Name() != n {
+			t.Errorf("ByName(%q) returned %q", n, h.Name())
 		}
 	}
-	if _, ok := Get("EXHAUSTIVE"); !ok {
+	if _, err := ByName("EXHAUSTIVE"); err != nil {
 		t.Error("lookup not case-insensitive")
 	}
-	if _, ok := Get("bogus"); ok {
-		t.Error("unknown heuristic found")
+	for _, gone := range []string{"bogus", "random", "maxmin", "duplex", "minimal", "portfolio"} {
+		_, err := ByName(gone)
+		if err == nil || !strings.Contains(err.Error(), strings.Join(want, ", ")) {
+			t.Errorf("ByName(%q) = %v, want an error listing the registry", gone, err)
+		}
 	}
 }
 
@@ -102,7 +111,7 @@ func TestProblemValidate(t *testing.T) {
 
 func TestExhaustiveIsOptimal(t *testing.T) {
 	p := smallProblem()
-	best, err := Exhaustive{}.Allocate(p)
+	best, err := Exhaustive{}.AllocateContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,8 +133,8 @@ func TestAllHeuristicsFeasibleOnRandomInstances(t *testing.T) {
 		for _, apps := range []int{1, 2, 4} {
 			p := randomProblem(seed, apps)
 			for _, name := range Names() {
-				h, _ := Get(name)
-				al, err := h.Allocate(p)
+				h, _ := ByName(name)
+				al, err := h.AllocateContext(context.Background(), p)
 				if err != nil {
 					t.Errorf("seed %d apps %d %s: %v", seed, apps, name, err)
 					continue
@@ -141,7 +150,7 @@ func TestAllHeuristicsFeasibleOnRandomInstances(t *testing.T) {
 func TestHeuristicsNeverBeatExhaustive(t *testing.T) {
 	for seed := uint64(10); seed < 14; seed++ {
 		p := randomProblem(seed, 3)
-		opt, err := Exhaustive{}.Allocate(p)
+		opt, err := Exhaustive{}.AllocateContext(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,8 +162,8 @@ func TestHeuristicsNeverBeatExhaustive(t *testing.T) {
 			if name == "exhaustive" {
 				continue
 			}
-			h, _ := Get(name)
-			al, err := h.Allocate(p)
+			h, _ := ByName(name)
+			al, err := h.AllocateContext(context.Background(), p)
 			if err != nil {
 				t.Errorf("seed %d %s: %v", seed, name, err)
 				continue
@@ -172,14 +181,14 @@ func TestHeuristicsNeverBeatExhaustive(t *testing.T) {
 
 func TestMetaheuristicsReachOptimumOnSmall(t *testing.T) {
 	p := smallProblem()
-	opt, err := Exhaustive{}.Allocate(p)
+	opt, err := Exhaustive{}.AllocateContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	optPhi, _ := p.Objective(opt)
 	for _, name := range []string{"anneal", "genetic", "tabu"} {
-		h, _ := Get(name)
-		al, err := h.Allocate(p)
+		h, _ := ByName(name)
+		al, err := h.AllocateContext(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,124 +295,5 @@ func TestObjectiveMatchesScorePhi(t *testing.T) {
 	s := p.scoreOf(al)
 	if math.Abs(phi-s.phi) > 1e-12 {
 		t.Errorf("Objective %v != scoreOf.phi %v", phi, s.phi)
-	}
-}
-
-func TestPortfolioBeatsEveryMember(t *testing.T) {
-	p := smallProblem()
-	port := Portfolio{}
-	al, err := port.Allocate(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	phiPort, err := p.Objective(al)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, h := range DefaultPortfolio() {
-		mal, err := h.Allocate(p)
-		if err != nil {
-			continue
-		}
-		phi, err := p.Objective(mal)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if phi > phiPort+1e-9 {
-			t.Errorf("member %s phi %v beats portfolio %v", h.Name(), phi, phiPort)
-		}
-	}
-}
-
-func TestPortfolioCustomMembers(t *testing.T) {
-	p := smallProblem()
-	port := Portfolio{Members: []Heuristic{NaiveLoadBalance{}}}
-	al, err := port.Allocate(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	naive, err := NaiveLoadBalance{}.Allocate(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !al.Equal(naive) {
-		t.Error("single-member portfolio differs from the member")
-	}
-}
-
-func TestMinimalRobustExact(t *testing.T) {
-	p := smallProblem()
-	opt, err := Exhaustive{}.Allocate(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	optPhi, _ := p.Objective(opt)
-	target := optPhi * 0.9
-	al, err := MinimalRobust{Target: target}.Allocate(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	phi, _ := p.Objective(al)
-	if phi < target {
-		t.Fatalf("minimal allocation phi %v below target %v", phi, target)
-	}
-	procsOf := func(a sysmodel.Allocation) int {
-		n := 0
-		for _, as := range a {
-			n += as.Procs
-		}
-		return n
-	}
-	if procsOf(al) > procsOf(opt) {
-		t.Errorf("minimal allocation uses %d procs > phi-optimal %d", procsOf(al), procsOf(opt))
-	}
-	// Unreachable target errors only in strict mode; best-effort
-	// returns the most robust allocation.
-	if optPhi*1.5 <= 1 {
-		if _, err := (MinimalRobust{Target: optPhi * 1.5, Strict: true}).Allocate(p); err == nil {
-			t.Error("strict unreachable target accepted")
-		}
-		be, err := (MinimalRobust{Target: optPhi * 1.5}).Allocate(p)
-		if err != nil {
-			t.Fatalf("best-effort failed: %v", err)
-		}
-		bePhi, _ := p.Objective(be)
-		if bePhi < optPhi-1e-9 {
-			t.Errorf("best-effort phi %v below optimum %v", bePhi, optPhi)
-		}
-	}
-	if _, err := (MinimalRobust{Target: 0}).Allocate(p); err == nil {
-		t.Error("target 0 accepted")
-	}
-}
-
-func TestMinimalRobustShrink(t *testing.T) {
-	p := smallProblem()
-	m := MinimalRobust{Target: 0.5, EnumerationLimit: 1} // force the greedy path
-	al, err := m.Allocate(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := al.Validate(p.Sys, p.Batch); err != nil {
-		t.Fatal(err)
-	}
-	phi, _ := p.Objective(al)
-	if phi < 0.5 {
-		t.Errorf("shrunk allocation phi %v below target", phi)
-	}
-	// Exact search at the same target must not use more processors.
-	exact, err := (MinimalRobust{Target: 0.5}).Allocate(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := func(a sysmodel.Allocation) int {
-		n := 0
-		for _, as := range a {
-			n += as.Procs
-		}
-		return n
-	}
-	if sum(exact) > sum(al) {
-		t.Errorf("exact minimal %d procs > greedy %d", sum(exact), sum(al))
 	}
 }

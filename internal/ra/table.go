@@ -57,25 +57,20 @@ func normWorkers(w int) int {
 	return w
 }
 
-// Precompute eagerly builds the evaluation table with a bounded worker
-// pool (workers <= 0 means runtime.NumCPU()). It validates the instance
-// first and is idempotent: the first successful call builds the table,
-// later calls return immediately. Cell values are independent of the
-// worker count, so precomputed Problems behave identically however many
-// workers built them.
+// PrecomputeContext eagerly builds the evaluation table with a bounded
+// worker pool (workers <= 0 means runtime.NumCPU()). It validates the
+// instance first and is idempotent: the first successful call builds
+// the table, later calls return immediately. Cell values are
+// independent of the worker count, so precomputed Problems behave
+// identically however many workers built them. When ctx is cancelled
+// the build's worker pool drains at the next cell boundary, the Problem
+// is left un-precomputed (no partial table is ever published), and the
+// returned error wraps ctx.Err().
 //
-// Precompute itself must not be called concurrently with other methods
-// of an un-precomputed Problem; every Allocate implementation in this
-// package calls it before fanning out, so plain sequential construction
-// followed by concurrent use is always safe.
-func (p *Problem) Precompute(workers int) error {
-	return p.PrecomputeContext(context.Background(), workers)
-}
-
-// PrecomputeContext is Precompute under a context: the table build's
-// worker pool drains at the next cell boundary when ctx is cancelled,
-// the Problem is left un-precomputed (no partial table is ever
-// published), and the returned error wraps ctx.Err().
+// PrecomputeContext itself must not be called concurrently with other
+// methods of an un-precomputed Problem; every AllocateContext
+// implementation in this package calls it before fanning out, so plain
+// sequential construction followed by concurrent use is always safe.
 func (p *Problem) PrecomputeContext(ctx context.Context, workers int) error {
 	if p.table != nil {
 		return nil

@@ -1,6 +1,7 @@
 package ra
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -10,22 +11,22 @@ import (
 
 // Stage-I search engines emit wall-clock spans under "stage1" lanes —
 // the precompute, each exhaustive partition, each metaheuristic
-// restart, each portfolio member — without perturbing the allocation.
+// restart — without perturbing the allocation.
 func TestStageISpans(t *testing.T) {
-	for _, name := range []string{"exhaustive", "random", "anneal", "genetic", "tabu", "portfolio"} {
+	for _, name := range []string{"exhaustive", "anneal", "genetic", "tabu"} {
 		t.Run(name, func(t *testing.T) {
-			h, ok := Get(name)
-			if !ok {
-				t.Fatalf("heuristic %q missing", name)
+			h, err := ByName(name)
+			if err != nil {
+				t.Fatal(err)
 			}
-			plainAl, err := h.Allocate(smallProblem())
+			plainAl, err := h.AllocateContext(context.Background(), smallProblem())
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			p := smallProblem()
 			p.Obs.Tracer = tracing.New()
-			al, err := h.Allocate(p)
+			al, err := h.AllocateContext(context.Background(), p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -59,7 +60,7 @@ func TestStageISpans(t *testing.T) {
 func TestPrecomputeSpan(t *testing.T) {
 	p := smallProblem()
 	p.Obs.Tracer = tracing.New()
-	if err := p.Precompute(2); err != nil {
+	if err := p.PrecomputeContext(context.Background(), 2); err != nil {
 		t.Fatal(err)
 	}
 	spans := p.Obs.Tracer.Spans()

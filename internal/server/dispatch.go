@@ -205,7 +205,11 @@ func (s *Server) backendFor(requested string) (pmf.Backend, error) {
 	if requested == "" {
 		return s.opts.PMFBackend, nil
 	}
-	return pmf.ParseBackend(requested)
+	b, err := pmf.ParseBackend(requested)
+	if err != nil {
+		return b, &core.FieldError{Field: "pmf_backend", Err: err}
+	}
+	return b, nil
 }
 
 // stageII builds the Stage-II configuration for a request from the
@@ -235,7 +239,7 @@ func (s *Server) prepareSolve(req *api.SolveRequest) (*jobSpec, error) {
 	}
 	h, err := ra.ByName(name)
 	if err != nil {
-		return nil, err
+		return nil, &core.FieldError{Field: "heuristic", Err: err}
 	}
 	ra.SetWorkers(h, s.workersFor(req.Workers))
 	if req.Seed != 0 {
@@ -316,18 +320,18 @@ func (s *Server) prepareSimulate(req *api.SimulateRequest) (*jobSpec, error) {
 	if len(req.Techniques) == 0 {
 		techs = core.RobustRAS()
 	} else {
-		for _, name := range req.Techniques {
+		for k, name := range req.Techniques {
 			t, ok := dls.Get(strings.TrimSpace(name))
 			if !ok {
-				return nil, fmt.Errorf("unknown technique %q (have %s)",
-					name, strings.Join(dls.Names(), ", "))
+				return nil, &core.FieldError{Field: fmt.Sprintf("techniques[%d]", k), Err: fmt.Errorf(
+					"unknown technique %q (have %s)", name, strings.Join(dls.Names(), ", "))}
 			}
 			techs = append(techs, t)
 		}
 	}
 	c, err := p.resolveCase(req.Case)
 	if err != nil {
-		return nil, err
+		return nil, &core.FieldError{Field: "case", Err: err}
 	}
 	backend, err := s.backendFor(req.PMFBackend)
 	if err != nil {

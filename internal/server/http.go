@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"cdsf/internal/api"
+	"cdsf/internal/core"
 	"cdsf/internal/sysmodel"
 	"cdsf/internal/tracing"
 )
@@ -75,14 +76,18 @@ func writeError(w http.ResponseWriter, status int, code, msg string) {
 
 // writeFieldError writes the error document for a validation failure,
 // extracting the offending JSON field path when the error carries one:
-// DAG edge errors (sysmodel.EdgeError, paths like "edges[3].from") and
-// JSON type mismatches (whose Field is the decoder's dotted path) both
-// do.
+// names that resolve to nothing (core.FieldError, fields like
+// "heuristic" or "techniques[1]"), DAG edge errors (sysmodel.EdgeError,
+// paths like "edges[3].from") and JSON type mismatches (whose Field is
+// the decoder's dotted path) all do.
 func writeFieldError(w http.ResponseWriter, status int, code string, err error) {
 	doc := api.Error{Code: code, Message: err.Error()}
+	var fe *core.FieldError
 	var ee *sysmodel.EdgeError
 	var te *json.UnmarshalTypeError
 	switch {
+	case errors.As(err, &fe):
+		doc.Field = fe.Field
 	case errors.As(err, &ee):
 		doc.Field = ee.Path
 	case errors.As(err, &te) && te.Field != "":

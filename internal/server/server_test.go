@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -496,7 +497,7 @@ func TestListJobsAndFilters(t *testing.T) {
 
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	checkStatus := func(path string, body string, want int) {
+	checkStatus := func(path string, body string, want int, field string) api.Error {
 		t.Helper()
 		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader([]byte(body)))
 		if err != nil {
@@ -511,18 +512,33 @@ func TestBadRequests(t *testing.T) {
 		if apiErr.Message == "" {
 			t.Errorf("POST %s %q: no error body", path, body)
 		}
+		if apiErr.Field != field {
+			t.Errorf("POST %s %q: field %q, want %q", path, body, apiErr.Field, field)
+		}
+		return apiErr
 	}
-	checkStatus("/v1/solve", "{not json", http.StatusBadRequest)
-	checkStatus("/v1/solve", `{"bogusField": 1}`, http.StatusBadRequest)
-	checkStatus("/v1/solve", `{"heuristic": "nope"}`, http.StatusBadRequest)
-	checkStatus("/v1/simulate", `{}`, http.StatusBadRequest) // allocation required
-	checkStatus("/v1/simulate", `{"allocation": [{"type": 0, "procs": 100}, {"type": 0, "procs": 1}, {"type": 0, "procs": 1}]}`, http.StatusBadRequest)
-	checkStatus("/v1/simulate", `{"allocation": [{"type": 0, "procs": 2}, {"type": 1, "procs": 4}, {"type": 1, "procs": 4}], "techniques": ["NOPE"]}`, http.StatusBadRequest)
-	checkStatus("/v1/simulate", `{"allocation": [{"type": 0, "procs": 2}, {"type": 1, "procs": 4}, {"type": 1, "procs": 4}], "case": "nope"}`, http.StatusBadRequest)
-	checkStatus("/v1/scenario", `{"scenario": 9}`, http.StatusBadRequest)
-	checkStatus("/v1/scenario", `{"ras": ["NOPE"]}`, http.StatusBadRequest)
-	checkStatus("/v1/solve", `{"pmf_backend": "nope"}`, http.StatusBadRequest)
-	checkStatus("/v1/scenario", `{"pmf_backend": "nope"}`, http.StatusBadRequest)
+	alloc := `"allocation": [{"type": 0, "procs": 2}, {"type": 1, "procs": 4}, {"type": 1, "procs": 4}]`
+	checkStatus("/v1/solve", "{not json", http.StatusBadRequest, "")
+	checkStatus("/v1/solve", `{"bogusField": 1}`, http.StatusBadRequest, "")
+	checkStatus("/v1/solve", `{"heuristic": "nope"}`, http.StatusBadRequest, "heuristic")
+	checkStatus("/v1/simulate", `{}`, http.StatusBadRequest, "") // allocation required
+	checkStatus("/v1/simulate", `{"allocation": [{"type": 0, "procs": 100}, {"type": 0, "procs": 1}, {"type": 0, "procs": 1}]}`, http.StatusBadRequest, "")
+	checkStatus("/v1/simulate", `{`+alloc+`, "techniques": ["AF", "NOPE"]}`, http.StatusBadRequest, "techniques[1]")
+	checkStatus("/v1/simulate", `{`+alloc+`, "case": "nope"}`, http.StatusBadRequest, "case")
+	checkStatus("/v1/simulate", `{`+alloc+`, "pmf_backend": "nope"}`, http.StatusBadRequest, "pmf_backend")
+	checkStatus("/v1/scenario", `{"scenario": 9}`, http.StatusBadRequest, "scenario")
+	checkStatus("/v1/scenario", `{"im": "nope"}`, http.StatusBadRequest, "im")
+	checkStatus("/v1/scenario", `{"ras": ["NOPE"]}`, http.StatusBadRequest, "ras[0]")
+	checkStatus("/v1/solve", `{"pmf_backend": "nope"}`, http.StatusBadRequest, "pmf_backend")
+	checkStatus("/v1/scenario", `{"pmf_backend": "nope"}`, http.StatusBadRequest, "pmf_backend")
+	// The heuristics the EXPERIMENTS.md tournament dropped answer like
+	// any unknown name, with the registry list.
+	for _, gone := range []string{"random", "maxmin", "duplex", "minimal", "portfolio"} {
+		e := checkStatus("/v1/solve", `{"heuristic": "`+gone+`"}`, http.StatusBadRequest, "heuristic")
+		if e.Code != api.ErrBadRequest || !strings.Contains(e.Message, strings.Join(ra.Names(), ", ")) {
+			t.Errorf("solve %s: error %+v, want bad_request listing the registry", gone, e)
+		}
+	}
 
 	resp, err := http.Get(ts.URL + "/v1/jobs/job-999999")
 	if err != nil {

@@ -155,12 +155,16 @@ func EnumerateAllocationsFrom(sys *System, batch Batch, prefix Allocation, visit
 }
 
 // CountAllocations returns the number of feasible allocations
-// EnumerateAllocations would visit.
-func CountAllocations(sys *System, batch Batch) int {
+// EnumerateAllocations would visit, but stops enumerating once the
+// count passes limit: a result above limit only means "more than
+// limit". The full space of a mid-sized batch runs to hundreds of
+// millions of allocations, so sizing a search against a budget must
+// not walk the space it is about to refuse.
+func CountAllocations(sys *System, batch Batch, limit int) int {
 	n := 0
 	EnumerateAllocations(sys, batch, func(Allocation) bool {
 		n++
-		return true
+		return n <= limit
 	})
 	return n
 }

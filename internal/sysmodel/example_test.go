@@ -50,7 +50,7 @@ func ExampleEnumerateAllocations() {
 		Name: "a", SerialIters: 1, ParallelIters: 9,
 		ExecTime: []pmf.PMF{pmf.Point(10), pmf.Point(20)},
 	}
-	n := sysmodel.CountAllocations(sys, sysmodel.Batch{app})
+	n := sysmodel.CountAllocations(sys, sysmodel.Batch{app}, 1000)
 	fmt.Printf("feasible allocations: %d\n", n) // {1,2,4} on T1 + {1,2,4,8} on T2
 	// Output:
 	// feasible allocations: 7

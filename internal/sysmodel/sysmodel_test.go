@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"cdsf/internal/pmf"
 )
@@ -226,8 +227,8 @@ func TestEnumerateAllocationsFeasibleAndComplete(t *testing.T) {
 	})
 	// Per app: type 0 counts {1,2,4} and type 1 counts {1,2,4,8} = 7
 	// options unconstrained; minus combinations exceeding capacity.
-	if n != CountAllocations(sys, batch) {
-		t.Errorf("visit count %d != CountAllocations %d", n, CountAllocations(sys, batch))
+	if got := CountAllocations(sys, batch, n); got != n {
+		t.Errorf("visit count %d != CountAllocations %d", n, got)
 	}
 	if n == 0 {
 		t.Fatal("no allocations enumerated")
@@ -253,6 +254,42 @@ func TestEnumerateEarlyStop(t *testing.T) {
 	})
 	if n != 3 {
 		t.Errorf("early stop visited %d", n)
+	}
+}
+
+// TestCountAllocationsLimit checks that the count stops just past its
+// limit on the scale study's 10-application, 48-processor size (647,993,773
+// feasible allocations, tens of seconds to walk in full) and stays exact
+// when the space fits under the limit.
+func TestCountAllocationsLimit(t *testing.T) {
+	sys := &System{Types: []ProcType{
+		{Name: "T1", Count: 16, Avail: pmf.Point(1)},
+		{Name: "T2", Count: 32, Avail: pmf.Point(1)},
+	}}
+	batch := make(Batch, 10)
+	for i := range batch {
+		batch[i] = testApp()
+	}
+	const limit = 2_000_000
+	start := time.Now()
+	if n := CountAllocations(sys, batch, limit); n != limit+1 {
+		t.Errorf("10x48 count with limit %d = %d, want %d", limit, n, limit+1)
+	}
+	if el := time.Since(start); el > 10*time.Second {
+		t.Errorf("bounded count took %v", el)
+	}
+
+	small := twoTypeSystem()
+	pair := Batch{testApp(), testApp()}
+	full := 0
+	EnumerateAllocations(small, pair, func(Allocation) bool {
+		full++
+		return true
+	})
+	for _, limit := range []int{full, full + 1, 1 << 30} {
+		if n := CountAllocations(small, pair, limit); n != full {
+			t.Errorf("count with limit %d = %d, want the exact %d", limit, n, full)
+		}
 	}
 }
 

@@ -6,9 +6,9 @@
 // Spans live on one of two clocks:
 //
 //   - Wall: real wall-clock time, for the Stage-I search engine
-//     (Precompute, exhaustive partitions, portfolio members,
-//     metaheuristic restarts) and the Stage-II orchestration in core
-//     (scenario -> case -> application nesting).
+//     (the table precompute, exhaustive partitions, metaheuristic
+//     restarts) and the Stage-II orchestration in core (scenario ->
+//     case -> application nesting).
 //   - Sim: simulated time, for the Stage-II discrete-event runs —
 //     per-worker lanes of busy/overhead/idle intervals built from the
 //     simulator's chunk log.
