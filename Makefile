@@ -6,13 +6,13 @@
 #   make test    run the full test suite
 #   make race    run the full test suite under the race detector
 #   make cover   enforce the coverage floor on the observability and
-#                service packages (internal/tracing, internal/trace,
-#                internal/metrics, internal/runner, internal/api,
-#                internal/server, internal/log, internal/events,
-#                internal/store), the PMF kernels (internal/pmf), the
-#                solve cache (internal/cache), the Stage-II simulator
-#                (internal/sim), and the DAG code paths
-#                (internal/sysmodel, internal/ra, internal/robustness)
+#                service packages (internal/tracing, internal/metrics,
+#                internal/runner, internal/api, internal/server,
+#                internal/log, internal/events, internal/store), the
+#                PMF kernels (internal/pmf), the solve cache
+#                (internal/cache), the Stage-II simulator (internal/sim),
+#                and the DAG code paths (internal/sysmodel, internal/ra,
+#                internal/robustness)
 #   make bench   run the benchmark suite with allocation stats
 #   make bench-pmf  refresh the PMF backend comparison behind
 #                BENCH_PMF2.json (sparse vs grid kernels, solve) and
@@ -48,7 +48,7 @@ GO ?= go
 COVER_FLOOR ?= 85
 
 # Packages held to the coverage floor.
-COVER_PKGS ?= ./internal/tracing ./internal/trace ./internal/metrics ./internal/runner ./internal/api ./internal/server ./internal/pmf ./internal/cache ./internal/log ./internal/events ./internal/store ./internal/sim ./internal/sysmodel ./internal/ra ./internal/robustness
+COVER_PKGS ?= ./internal/tracing ./internal/metrics ./internal/runner ./internal/api ./internal/server ./internal/pmf ./internal/cache ./internal/log ./internal/events ./internal/store ./internal/sim ./internal/sysmodel ./internal/ra ./internal/robustness
 
 # Listen address for `make serve`.
 SERVE_ADDR ?= 127.0.0.1:8080

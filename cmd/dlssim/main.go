@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -34,7 +35,7 @@ import (
 	"cdsf/internal/runner"
 	"cdsf/internal/sim"
 	"cdsf/internal/stats"
-	"cdsf/internal/trace"
+	"cdsf/internal/tracing"
 )
 
 func main() { runner.Main("dlssim", run) }
@@ -272,7 +273,7 @@ func simulate(ctx context.Context, s *runner.Session, stdout io.Writer,
 			if err != nil {
 				return err
 			}
-			if err := trace.WriteCSV(f, r.Chunks); err != nil {
+			if err := writeCSV(f, r.Chunks); err != nil {
 				f.Close()
 				return err
 			}
@@ -284,7 +285,7 @@ func simulate(ctx context.Context, s *runner.Session, stdout io.Writer,
 		if !gantt && reg == nil {
 			continue
 		}
-		a, err := trace.Analyze(r.Chunks, workers, overhead)
+		a, err := tracing.Analyze(r.Chunks, workers, overhead)
 		if err != nil {
 			return err
 		}
@@ -292,9 +293,34 @@ func simulate(ctx context.Context, s *runner.Session, stdout io.Writer,
 		if !gantt {
 			continue
 		}
-		g := trace.BuildGantt(fmt.Sprintf("\n%s: one run, makespan %.1f, %d chunks, mean chunk %.1f, busy efficiency %.0f%%",
+		g := tracing.BuildGantt(fmt.Sprintf("\n%s: one run, makespan %.1f, %d chunks, mean chunk %.1f, busy efficiency %.0f%%",
 			tech.Name, r.Makespan, r.NumChunks, a.MeanChunkSize, a.BusyEfficiency*100), r.Chunks, workers, overhead)
 		if err := g.Render(stdout); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeCSV emits a chunk log as CSV (worker, start, size, elapsed),
+// sorted by start time, for external tooling. Start and Elapsed use the
+// shortest decimal representation that parses back to the same
+// float64, so a re-imported log agrees bit for bit with the run.
+func writeCSV(w io.Writer, chunks []tracing.Chunk) error {
+	sorted := append([]tracing.Chunk(nil), chunks...)
+	sort.Slice(sorted, func(i, j int) bool {
+		if sorted[i].Start != sorted[j].Start {
+			return sorted[i].Start < sorted[j].Start
+		}
+		return sorted[i].Worker < sorted[j].Worker
+	})
+	if _, err := io.WriteString(w, "worker,start,size,elapsed\n"); err != nil {
+		return err
+	}
+	for _, c := range sorted {
+		if _, err := fmt.Fprintf(w, "%d,%s,%d,%s\n", c.Worker,
+			strconv.FormatFloat(c.Start, 'g', -1, 64), c.Size,
+			strconv.FormatFloat(c.Elapsed, 'g', -1, 64)); err != nil {
 			return err
 		}
 	}

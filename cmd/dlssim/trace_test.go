@@ -1,18 +1,31 @@
 package main
 
 import (
+	"bufio"
+	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"math"
 	"os"
+	"reflect"
 	"regexp"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
-	"cdsf/internal/trace"
+	"cdsf/internal/availability"
+	"cdsf/internal/dls"
+	"cdsf/internal/pmf"
+	"cdsf/internal/sim"
+	"cdsf/internal/stats"
+	"cdsf/internal/tracing"
 )
 
 // Acceptance: a seeded dlssim run with -trace writes valid Chrome Trace
 // Event JSON whose per-worker simulated-time lanes account for exactly
-// the busy/overhead/idle time trace.Analyze reports for the same run,
+// the busy/overhead/idle time tracing.Analyze reports for the same run,
 // and the run's stdout is bit-identical with tracing off or on.
 func TestRunTraceAcceptance(t *testing.T) {
 	dir := t.TempDir()
@@ -110,12 +123,12 @@ func TestRunTraceAcceptance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunks, err := trace.ReadCSV(f)
+	chunks, err := readCSV(f)
 	f.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := trace.Analyze(chunks, workers, overhead)
+	a, err := tracing.Analyze(chunks, workers, overhead)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,5 +169,104 @@ func TestRunDebugAddrStdoutIdentical(t *testing.T) {
 	}
 	if plain != withDebug {
 		t.Errorf("stdout differs with -debug-addr on:\n--- off ---\n%s--- on ---\n%s", plain, withDebug)
+	}
+}
+
+// readCSV parses a chunk log written by writeCSV (a header line
+// followed by worker,start,size,elapsed rows).
+func readCSV(r io.Reader) ([]tracing.Chunk, error) {
+	sc := bufio.NewScanner(r)
+	if !sc.Scan() || sc.Text() != "worker,start,size,elapsed" {
+		return nil, fmt.Errorf("missing chunk CSV header")
+	}
+	var chunks []tracing.Chunk
+	for sc.Scan() {
+		parts := strings.Split(sc.Text(), ",")
+		if len(parts) != 4 {
+			return nil, fmt.Errorf("row %q: %d fields (want 4)", sc.Text(), len(parts))
+		}
+		var c tracing.Chunk
+		var errs [4]error
+		c.Worker, errs[0] = strconv.Atoi(parts[0])
+		c.Start, errs[1] = strconv.ParseFloat(parts[1], 64)
+		c.Size, errs[2] = strconv.Atoi(parts[2])
+		c.Elapsed, errs[3] = strconv.ParseFloat(parts[3], 64)
+		for _, err := range errs {
+			if err != nil {
+				return nil, fmt.Errorf("row %q: %v", sc.Text(), err)
+			}
+		}
+		chunks = append(chunks, c)
+	}
+	return chunks, sc.Err()
+}
+
+func TestWriteCSV(t *testing.T) {
+	chunks := []tracing.Chunk{
+		{Worker: 1, Start: 5, Size: 10, Elapsed: 2.5},
+		{Worker: 0, Start: 0, Size: 20, Elapsed: 4},
+	}
+	var sb strings.Builder
+	if err := writeCSV(&sb, chunks); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("got %d lines", len(lines))
+	}
+	if lines[0] != "worker,start,size,elapsed" {
+		t.Errorf("header = %q", lines[0])
+	}
+	// Sorted by start time.
+	if !strings.HasPrefix(lines[1], "0,0,20,") || !strings.HasPrefix(lines[2], "1,5,10,") {
+		t.Errorf("rows not sorted: %v", lines[1:])
+	}
+}
+
+// writeCSV's float formatting must preserve every bit of Start and
+// Elapsed: a real chunk log (irrational-looking simulated times) plus
+// adversarial values must read back exactly.
+func TestCSVRoundTripBitExact(t *testing.T) {
+	fac, ok := dls.Get("FAC")
+	if !ok {
+		t.Fatal("FAC missing")
+	}
+	r, err := sim.RunContext(context.Background(), sim.Config{
+		ParallelIters: 500,
+		Workers:       4,
+		IterTime:      stats.NewNormal(1, 0.2),
+		Avail:         availability.Static{PMF: pmf.Point(1)},
+		Technique:     fac,
+		Overhead:      0.5,
+		Seed:          6,
+		CollectChunks: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks := append(r.Chunks,
+		tracing.Chunk{Worker: 0, Start: 1.0 / 3.0, Size: 1, Elapsed: math.Pi},
+		tracing.Chunk{Worker: 1, Start: 123456.789012345, Size: 2, Elapsed: 1e-17},
+		tracing.Chunk{Worker: 2, Start: math.Nextafter(2, 3), Size: 3, Elapsed: 0.1},
+	)
+	var sb strings.Builder
+	if err := writeCSV(&sb, chunks); err != nil {
+		t.Fatal(err)
+	}
+	got, err := readCSV(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// writeCSV sorts by (start, worker); apply the same order to the
+	// input before comparing bit for bit.
+	want := append([]tracing.Chunk(nil), chunks...)
+	sort.SliceStable(want, func(i, j int) bool {
+		if want[i].Start != want[j].Start {
+			return want[i].Start < want[j].Start
+		}
+		return want[i].Worker < want[j].Worker
+	})
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("round trip changed the log:\n got %+v\nwant %+v", got, want)
 	}
 }

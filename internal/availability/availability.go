@@ -54,9 +54,6 @@ type Model interface {
 	// using r for any randomness. Each call must return an independent
 	// process.
 	NewProcess(r *rng.Source) Process
-	// Expected returns the long-run expected availability of a process,
-	// used for reporting and for the weighted-availability bookkeeping.
-	Expected() float64
 	// Name identifies the model in reports.
 	Name() string
 }
@@ -115,9 +112,6 @@ func (m Static) NewProcess(r *rng.Source) Process {
 	return constProcess(m.PMF.Sample(r))
 }
 
-// Expected returns E of the underlying PMF.
-func (m Static) Expected() float64 { return m.PMF.Mean() }
-
 // Name returns "static".
 func (m Static) Name() string { return "static" }
 
@@ -127,15 +121,6 @@ func (c constProcess) At(float64) float64 { return float64(c) }
 
 func (c constProcess) FinishTime(t, work float64) float64 {
 	return t + work/float64(c)
-}
-
-// Fixed returns a Process pinned at availability a in (0, 1]; useful in
-// tests and for modeling fully dedicated processors (a = 1).
-func Fixed(a float64) Process {
-	if a <= 0 || a > 1 {
-		panic(fmt.Sprintf("availability: fixed availability %v outside (0,1]", a))
-	}
-	return constProcess(a)
 }
 
 // ---------------------------------------------------------------------
@@ -163,9 +148,6 @@ func (m Redraw) NewProcess(r *rng.Source) Process {
 		epoch:    -1,
 	}
 }
-
-// Expected returns E of the underlying PMF.
-func (m Redraw) Expected() float64 { return m.PMF.Mean() }
 
 // Name returns "redraw".
 func (m Redraw) Name() string { return fmt.Sprintf("redraw(%g)", m.Interval) }
@@ -256,9 +238,6 @@ func (m Markov) NewProcess(r *rng.Source) Process {
 	}
 }
 
-// Expected returns E of the underlying PMF (its stationary mean).
-func (m Markov) Expected() float64 { return m.PMF.Mean() }
-
 // Name returns "markov".
 func (m Markov) Name() string {
 	return fmt.Sprintf("markov(%g,%.2f)", m.Interval, m.Persistence)
@@ -305,99 +284,4 @@ func (p *markovProcess) FinishTime(t, work float64) float64 {
 		epoch++
 	}
 	return t
-}
-
-// ---------------------------------------------------------------------
-// Trace model
-
-// Segment is one piece of a piecewise-constant availability trace.
-type Segment struct {
-	// Until is the end time of the segment (exclusive); the last
-	// segment's Until may be +Inf.
-	Until float64
-	// Avail is the fractional availability in (0, 1] during the segment.
-	Avail float64
-}
-
-// Trace replays an explicit piecewise-constant availability profile.
-// Every process of the model follows the same trace (use several Trace
-// models for heterogeneous profiles).
-type Trace struct {
-	Segments []Segment
-}
-
-// NewTrace validates and returns a Trace model. Segments must have
-// increasing Until times, availabilities in (0, 1], and the final
-// segment must extend to +Inf so every query is covered.
-func NewTrace(segments []Segment) (Trace, error) {
-	if len(segments) == 0 {
-		return Trace{}, fmt.Errorf("availability: empty trace")
-	}
-	prev := math.Inf(-1)
-	for i, s := range segments {
-		if s.Until <= prev {
-			return Trace{}, fmt.Errorf("availability: trace segment %d not increasing", i)
-		}
-		if s.Avail <= 0 || s.Avail > 1 {
-			return Trace{}, fmt.Errorf("availability: trace segment %d availability %v outside (0,1]", i, s.Avail)
-		}
-		prev = s.Until
-	}
-	if !math.IsInf(segments[len(segments)-1].Until, 1) {
-		return Trace{}, fmt.Errorf("availability: final trace segment must extend to +Inf")
-	}
-	return Trace{Segments: append([]Segment(nil), segments...)}, nil
-}
-
-// NewProcess returns a process replaying the trace (deterministic; r is
-// unused).
-func (m Trace) NewProcess(*rng.Source) Process { return traceProcess(m.Segments) }
-
-// Expected returns the time-weighted mean availability over the finite
-// prefix of the trace (the infinite tail is weighted by its availability
-// alone if the whole trace is one segment).
-func (m Trace) Expected() float64 {
-	segs := m.Segments
-	if len(segs) == 1 {
-		return segs[0].Avail
-	}
-	start, total, mass := 0.0, 0.0, 0.0
-	for _, s := range segs[:len(segs)-1] {
-		d := s.Until - start
-		total += d
-		mass += d * s.Avail
-		start = s.Until
-	}
-	return mass / total
-}
-
-// Name returns "trace".
-func (m Trace) Name() string { return "trace" }
-
-type traceProcess []Segment
-
-func (p traceProcess) At(t float64) float64 {
-	for _, s := range p {
-		if t < s.Until {
-			return s.Avail
-		}
-	}
-	return p[len(p)-1].Avail
-}
-
-func (p traceProcess) FinishTime(t, work float64) float64 {
-	start := t
-	for _, s := range p {
-		if start >= s.Until {
-			continue
-		}
-		capacity := (s.Until - start) * s.Avail
-		if capacity >= work || math.IsInf(s.Until, 1) {
-			return start + work/s.Avail
-		}
-		work -= capacity
-		start = s.Until
-	}
-	last := p[len(p)-1]
-	return start + work/last.Avail
 }

@@ -13,26 +13,15 @@ func halfOrFull() pmf.PMF {
 	return pmf.MustNew([]pmf.Pulse{{Value: 0.5, Prob: 0.5}, {Value: 1, Prob: 0.5}})
 }
 
+// A fixed availability (a one-pulse Static draw) holds for all time
+// and delivers work at rate a.
 func TestFixed(t *testing.T) {
-	p := Fixed(0.5)
+	p := Static{PMF: pmf.Point(0.5)}.NewProcess(rng.New(1))
 	if p.At(0) != 0.5 || p.At(100) != 0.5 {
 		t.Error("fixed availability not constant")
 	}
 	if got := p.FinishTime(10, 5); got != 20 {
 		t.Errorf("FinishTime = %v, want 20", got)
-	}
-}
-
-func TestFixedPanicsOutOfRange(t *testing.T) {
-	for _, a := range []float64{0, -0.5, 1.5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Fixed(%v) did not panic", a)
-				}
-			}()
-			Fixed(a)
-		}()
 	}
 }
 
@@ -51,9 +40,6 @@ func TestStaticDrawsFromPMF(t *testing.T) {
 	if seen[0.5] < 800 || seen[1] < 800 {
 		t.Errorf("draw frequencies %v far from 50/50", seen)
 	}
-	if m.Expected() != 0.75 {
-		t.Errorf("expected = %v", m.Expected())
-	}
 }
 
 func TestRedrawEpochsAndFinishTime(t *testing.T) {
@@ -66,7 +52,7 @@ func TestRedrawEpochsAndFinishTime(t *testing.T) {
 	}
 	// FinishTime integrates availability across epochs: work 20 at
 	// availability 0.5 spans 4 epochs of capacity 5 each.
-	p2 := Trace{Segments: []Segment{{Until: math.Inf(1), Avail: 0.5}}}.NewProcess(nil)
+	p2 := constProcess(0.5)
 	if got := p2.FinishTime(0, 20); got != 40 {
 		t.Errorf("FinishTime = %v, want 40", got)
 	}
@@ -158,52 +144,6 @@ func TestMarkovValidation(t *testing.T) {
 			}()
 			bad.NewProcess(rng.New(1))
 		}()
-	}
-}
-
-func TestTraceValidationAndReplay(t *testing.T) {
-	_, err := NewTrace(nil)
-	if err == nil {
-		t.Error("empty trace accepted")
-	}
-	_, err = NewTrace([]Segment{{Until: 10, Avail: 0.5}})
-	if err == nil {
-		t.Error("finite trace accepted")
-	}
-	_, err = NewTrace([]Segment{{Until: 10, Avail: 0.5}, {Until: 5, Avail: 1}})
-	if err == nil {
-		t.Error("non-increasing trace accepted")
-	}
-	_, err = NewTrace([]Segment{{Until: math.Inf(1), Avail: 1.5}})
-	if err == nil {
-		t.Error("availability > 1 accepted")
-	}
-
-	tr, err := NewTrace([]Segment{
-		{Until: 10, Avail: 0.5},
-		{Until: 20, Avail: 0.25},
-		{Until: math.Inf(1), Avail: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := tr.NewProcess(nil)
-	if p.At(5) != 0.5 || p.At(15) != 0.25 || p.At(100) != 1 {
-		t.Error("trace replay wrong")
-	}
-	// Work 10 starting at 0: 5 capacity in [0,10), 2.5 in [10,20),
-	// remaining 2.5 at availability 1 -> finish at 22.5.
-	if got := p.FinishTime(0, 10); math.Abs(got-22.5) > 1e-9 {
-		t.Errorf("FinishTime = %v, want 22.5", got)
-	}
-	// Starting mid-segment.
-	if got := p.FinishTime(18, 1); math.Abs(got-(20+0.5)) > 1e-9 {
-		t.Errorf("FinishTime(18, 1) = %v, want 20.5", got)
-	}
-	// Expected availability is the time-weighted mean over the finite
-	// prefix: (10*0.5 + 10*0.25) / 20 = 0.375.
-	if got := tr.Expected(); math.Abs(got-0.375) > 1e-12 {
-		t.Errorf("Expected = %v", got)
 	}
 }
 

@@ -20,10 +20,11 @@ type Blackout struct {
 	Prob float64
 	// Interval is the outage epoch length; it must be positive.
 	Interval float64
-	// Floor is the availability during an outage (default 1e-3; zero is
-	// not representable because FinishTime must stay finite).
-	Floor float64
 }
+
+// blackoutFloor is the availability during an outage: zero is not
+// representable because FinishTime must stay finite.
+const blackoutFloor = 1e-3
 
 // NewProcess wraps a base process with an outage overlay.
 func (m Blackout) NewProcess(r *rng.Source) Process {
@@ -36,28 +37,13 @@ func (m Blackout) NewProcess(r *rng.Source) Process {
 	if m.Interval <= 0 {
 		panic(fmt.Sprintf("availability: blackout interval %v not positive", m.Interval))
 	}
-	floor := m.Floor
-	if floor <= 0 {
-		floor = 1e-3
-	}
 	return &blackoutProcess{
 		base:     m.Base.NewProcess(r),
 		r:        r.Split(),
 		prob:     m.Prob,
 		interval: m.Interval,
-		floor:    floor,
 		epoch:    -1,
 	}
-}
-
-// Expected returns the long-run expectation: base scaled by uptime plus
-// the floor during outages.
-func (m Blackout) Expected() float64 {
-	floor := m.Floor
-	if floor <= 0 {
-		floor = 1e-3
-	}
-	return (1-m.Prob)*m.Base.Expected() + m.Prob*floor
 }
 
 // Name identifies the model in reports.
@@ -70,7 +56,6 @@ type blackoutProcess struct {
 	r        *rng.Source
 	prob     float64
 	interval float64
-	floor    float64
 	epoch    int64
 	out      bool
 }
@@ -93,7 +78,7 @@ func (p *blackoutProcess) outage(epoch int64) bool {
 func (p *blackoutProcess) At(t float64) float64 {
 	a := p.base.At(t)
 	if p.outage(int64(math.Floor(t / p.interval))) {
-		return p.floor
+		return blackoutFloor
 	}
 	return a
 }
@@ -108,7 +93,7 @@ func (p *blackoutProcess) FinishTime(t, work float64) float64 {
 	for work > 1e-12 {
 		a := p.base.At(t)
 		if p.outage(epoch) {
-			a = p.floor
+			a = blackoutFloor
 		}
 		end := float64(epoch+1) * p.interval
 		capacity := (end - t) * a

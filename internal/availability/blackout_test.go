@@ -13,7 +13,6 @@ func TestBlackoutOverlay(t *testing.T) {
 		Base:     Static{PMF: pmf.Point(1)},
 		Prob:     0.3,
 		Interval: 10,
-		Floor:    1e-3,
 	}
 	r := rng.New(4)
 	p := m.NewProcess(r)
@@ -31,14 +30,6 @@ func TestBlackoutOverlay(t *testing.T) {
 	rate := float64(outages) / float64(n)
 	if math.Abs(rate-0.3) > 0.03 {
 		t.Errorf("outage rate = %v, want ~0.3", rate)
-	}
-}
-
-func TestBlackoutExpected(t *testing.T) {
-	m := Blackout{Base: Static{PMF: pmf.Point(0.8)}, Prob: 0.25, Interval: 5, Floor: 0.01}
-	want := 0.75*0.8 + 0.25*0.01
-	if got := m.Expected(); math.Abs(got-want) > 1e-12 {
-		t.Errorf("Expected = %v, want %v", got, want)
 	}
 }
 

@@ -73,16 +73,6 @@ func (m *SharedLoad) NewProcess(r *rng.Source) Process {
 	return &sharedProcess{shared: m.shared, idio: idio, mix: m.Mix, interval: m.Interval}
 }
 
-// Expected returns E[shared^Mix]*E[idio], exact for independent factors
-// up to the clamping (negligible for the PMFs used here).
-func (m *SharedLoad) Expected() float64 {
-	es := 0.0
-	for _, pl := range m.Shared.Pulses() {
-		es += math.Pow(pl.Value, m.Mix) * pl.Prob
-	}
-	return es * m.Idio.Mean()
-}
-
 // Name identifies the model in reports.
 func (m *SharedLoad) Name() string {
 	return fmt.Sprintf("sharedload(mix=%.2f,%g,%.2f)", m.Mix, m.Interval, m.Persistence)

@@ -63,11 +63,6 @@ func TestSharedLoadBoundsAndExpected(t *testing.T) {
 			t.Fatalf("availability %v out of bounds", a)
 		}
 	}
-	// Expected = E[shared]*E[idio] at mix 1.
-	want := shared.Mean() * idio.Mean()
-	if got := m.Expected(); math.Abs(got-want) > 1e-12 {
-		t.Errorf("Expected = %v, want %v", got, want)
-	}
 }
 
 func TestSharedLoadFinishTime(t *testing.T) {

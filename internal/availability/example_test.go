@@ -1,8 +1,6 @@
 package availability_test
 
 import (
-	"math"
-
 	"fmt"
 
 	"cdsf/internal/availability"
@@ -23,29 +21,8 @@ func ExampleMarkov() {
 	// Work 12 at availability >= 0.5 finishes within 24 time units.
 	finish := p.FinishTime(0, 12)
 	fmt.Printf("finished within bounds: %v\n", finish >= 12 && finish <= 24)
-	fmt.Printf("expected availability: %.2f\n", m.Expected())
+	fmt.Printf("expected availability: %.2f\n", m.PMF.Mean())
 	// Output:
 	// finished within bounds: true
 	// expected availability: 0.75
 }
-
-// ExampleTrace replays an explicit availability profile — useful for
-// injecting adversarial perturbation patterns in tests.
-func ExampleTrace() {
-	tr, err := availability.NewTrace([]availability.Segment{
-		{Until: 10, Avail: 1},
-		{Until: 20, Avail: 0.25},
-		{Until: inf(), Avail: 1},
-	})
-	if err != nil {
-		panic(err)
-	}
-	p := tr.NewProcess(nil)
-	// 15 units of work starting at 0: 10 at full speed, then the slow
-	// decade contributes 2.5, leaving 2.5 after t=20.
-	fmt.Printf("finish = %.1f\n", p.FinishTime(0, 15))
-	// Output:
-	// finish = 22.5
-}
-
-func inf() float64 { return math.Inf(1) }

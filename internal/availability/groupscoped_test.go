@@ -12,7 +12,6 @@ import (
 type wrapModel struct{ inner Model }
 
 func (w wrapModel) NewProcess(r *rng.Source) Process { return w.inner.NewProcess(r) }
-func (w wrapModel) Expected() float64                { return w.inner.Expected() }
 func (w wrapModel) Name() string                     { return "wrap(" + w.inner.Name() + ")" }
 func (w wrapModel) Unwrap() Model                    { return w.inner }
 
@@ -20,7 +19,6 @@ func (w wrapModel) Unwrap() Model                    { return w.inner }
 type opaqueModel struct{ inner Model }
 
 func (o opaqueModel) NewProcess(r *rng.Source) Process { return o.inner.NewProcess(r) }
-func (o opaqueModel) Expected() float64                { return o.inner.Expected() }
 func (o opaqueModel) Name() string                     { return "opaque" }
 
 func TestAsGroupScoped(t *testing.T) {

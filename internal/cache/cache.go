@@ -60,9 +60,6 @@ type Key [sha256.Size]byte
 // String returns the full lowercase hex form of the key.
 func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
-// IsZero reports whether k is the zero (absent) key.
-func (k Key) IsZero() bool { return k == Key{} }
-
 // Hasher accumulates the fields of a cache key. Every write is framed
 // (length-prefixed or fixed-width), so distinct field sequences can
 // never collide by concatenation, and the field order is part of the
@@ -120,14 +117,6 @@ func (h *Hasher) Uint64(v uint64) *Hasher {
 
 // Int appends an int field.
 func (h *Hasher) Int(v int) *Hasher { return h.Uint64(uint64(int64(v))) }
-
-// Bool appends a bool field.
-func (h *Hasher) Bool(v bool) *Hasher {
-	if v {
-		return h.Uint64(1)
-	}
-	return h.Uint64(0)
-}
 
 // Float64 appends a float field by its exact IEEE-754 bits, so keys
 // distinguish values that print identically (and -0 from +0).

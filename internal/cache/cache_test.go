@@ -42,8 +42,8 @@ func TestHasherFraming(t *testing.T) {
 		t.Error("distinct domains collided")
 	}
 	// Identical field sequences agree.
-	if NewHasher("d").Uint64(7).Float64(1.5).Bool(true).Int(-3).Sum() !=
-		NewHasher("d").Uint64(7).Float64(1.5).Bool(true).Int(-3).Sum() {
+	if NewHasher("d").Uint64(7).Float64(1.5).Int(-3).Sum() !=
+		NewHasher("d").Uint64(7).Float64(1.5).Int(-3).Sum() {
 		t.Error("identical sequences disagree")
 	}
 	// Every field write changes the key.
@@ -51,7 +51,6 @@ func TestHasherFraming(t *testing.T) {
 	for name, k := range map[string]Key{
 		"uint64":  NewHasher("d").Uint64(8).Sum(),
 		"float64": NewHasher("d").Uint64(7).Float64(0).Sum(),
-		"bool":    NewHasher("d").Uint64(7).Bool(false).Sum(),
 		"bytes":   NewHasher("d").Uint64(7).Bytes(nil).Sum(),
 	} {
 		if k == base {
@@ -67,13 +66,9 @@ func TestHasherFraming(t *testing.T) {
 func negZero() float64 { var z float64; return -z }
 
 func TestKeyStringAndZero(t *testing.T) {
-	var k Key
-	if !k.IsZero() {
-		t.Error("zero key not IsZero")
-	}
 	k2 := NewHasher("d").Sum()
-	if k2.IsZero() {
-		t.Error("real key IsZero")
+	if k2 == (Key{}) {
+		t.Error("real key is the zero key")
 	}
 	if len(k2.String()) != 64 {
 		t.Errorf("hex form has length %d", len(k2.String()))

@@ -103,16 +103,6 @@ type ExecTimeSpec struct {
 	Pulses []PulseSpec `json:"pulses,omitempty"`
 }
 
-// Load reads and builds an instance from a JSON file.
-func Load(path string) (*sysmodel.System, sysmodel.Batch, float64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("config: %w", err)
-	}
-	defer f.Close()
-	return Read(f)
-}
-
 // LoadInstance reads and decodes an instance document from a JSON file
 // without building the model objects, so callers can also pick up the
 // optional fields (edges, cases) via BuildEdges / BuildCases.
@@ -123,16 +113,6 @@ func LoadInstance(path string) (*Instance, error) {
 	}
 	defer f.Close()
 	return Parse(f)
-}
-
-// Read parses an instance from r and builds the model objects,
-// validating everything.
-func Read(r io.Reader) (*sysmodel.System, sysmodel.Batch, float64, error) {
-	inst, err := Parse(r)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return Build(inst)
 }
 
 // Parse decodes an Instance document from r without building the model
@@ -220,18 +200,6 @@ func validateFinite(inst *Instance) error {
 				return err
 			}
 		}
-	}
-	return nil
-}
-
-// Write writes the canonical JSON rendering of inst to w.
-func Write(w io.Writer, inst *Instance) error {
-	data, err := Marshal(inst)
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(data); err != nil {
-		return fmt.Errorf("config: %w", err)
 	}
 	return nil
 }
@@ -387,66 +355,4 @@ func BuildCases(inst *Instance) ([]NamedAvailability, error) {
 		out = append(out, NamedAvailability{Name: name, Avail: avail})
 	}
 	return out, nil
-}
-
-// LoadFull reads an instance file and returns the model objects plus
-// any declared runtime availability cases.
-func LoadFull(path string) (*sysmodel.System, sysmodel.Batch, float64, []NamedAvailability, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, 0, nil, fmt.Errorf("config: %w", err)
-	}
-	defer f.Close()
-	inst, err := Parse(f)
-	if err != nil {
-		return nil, nil, 0, nil, err
-	}
-	sys, batch, deadline, err := Build(inst)
-	if err != nil {
-		return nil, nil, 0, nil, err
-	}
-	cases, err := BuildCases(inst)
-	if err != nil {
-		return nil, nil, 0, nil, err
-	}
-	return sys, batch, deadline, cases, nil
-}
-
-// Save writes an Instance to path in the canonical JSON form (see
-// Marshal).
-func Save(path string, inst *Instance) error {
-	data, err := Marshal(inst)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
-}
-
-// FromModel converts model objects back into a serializable Instance
-// (execution times become explicit PMFs).
-func FromModel(name string, sys *sysmodel.System, batch sysmodel.Batch, deadline float64) *Instance {
-	inst := &Instance{Name: name, Deadline: deadline}
-	for _, t := range sys.Types {
-		ts := ProcTypeSpec{Name: t.Name, Count: t.Count}
-		for _, pl := range t.Avail.Pulses() {
-			ts.Availability = append(ts.Availability, PulseSpec{Value: pl.Value, Probability: pl.Prob})
-		}
-		inst.Types = append(inst.Types, ts)
-	}
-	for _, a := range batch {
-		as := ApplicationSpec{
-			Name:          a.Name,
-			SerialIters:   a.SerialIters,
-			ParallelIters: a.ParallelIters,
-		}
-		for _, p := range a.ExecTime {
-			var es ExecTimeSpec
-			for _, pl := range p.Pulses() {
-				es.Pulses = append(es.Pulses, PulseSpec{Value: pl.Value, Probability: pl.Prob})
-			}
-			as.ExecTimes = append(as.ExecTimes, es)
-		}
-		inst.Applications = append(inst.Applications, as)
-	}
-	return inst
 }

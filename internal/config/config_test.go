@@ -11,6 +11,7 @@ import (
 	"cdsf/internal/config"
 	"cdsf/internal/experiments"
 	"cdsf/internal/robustness"
+	"cdsf/internal/sysmodel"
 )
 
 const paperJSON = `{
@@ -32,8 +33,17 @@ const paperJSON = `{
   ]
 }`
 
+// read parses and builds an instance document.
+func read(src string) (*sysmodel.System, sysmodel.Batch, float64, error) {
+	inst, err := config.Parse(strings.NewReader(src))
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return config.Build(inst)
+}
+
 func TestReadPaperInstanceMatchesEmbedded(t *testing.T) {
-	sys, batch, deadline, err := config.Read(strings.NewReader(paperJSON))
+	sys, batch, deadline, err := read(paperJSON)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +89,7 @@ func TestReadRejectsBadInstances(t *testing.T) {
 		  "applications": [{"serialIterations":1,"parallelIterations":1,"execTimes":[{"mean":5}]}]}`,
 	}
 	for i, s := range bads {
-		if _, _, _, err := config.Read(strings.NewReader(s)); err == nil {
+		if _, _, _, err := read(s); err == nil {
 			t.Errorf("bad instance %d accepted", i)
 		}
 	}
@@ -92,7 +102,7 @@ func TestExplicitPulses(t *testing.T) {
 	  "applications": [{"serialIterations": 1, "parallelIterations": 9,
 	    "execTimes": [{"pulses": [{"value": 40, "probability": 0.5}, {"value": 60, "probability": 0.5}]}]}]
 	}`
-	_, batch, _, err := config.Read(strings.NewReader(src))
+	_, batch, _, err := read(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,38 +111,8 @@ func TestExplicitPulses(t *testing.T) {
 	}
 }
 
-func TestRoundTrip(t *testing.T) {
-	sys := experiments.ReferenceSystem()
-	batch := experiments.PaperBatch(40)
-	inst := config.FromModel("roundtrip", sys, batch, experiments.Deadline)
-
-	dir := t.TempDir()
-	path := filepath.Join(dir, "inst.json")
-	if err := config.Save(path, inst); err != nil {
-		t.Fatal(err)
-	}
-	sys2, batch2, deadline, err := config.Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if deadline != experiments.Deadline {
-		t.Errorf("deadline = %v", deadline)
-	}
-	if math.Abs(sys2.WeightedAvailability()-sys.WeightedAvailability()) > 1e-9 {
-		t.Error("weighted availability changed in round trip")
-	}
-	for i := range batch {
-		for j := range batch[i].ExecTime {
-			a, b := batch[i].ExecTime[j].Mean(), batch2[i].ExecTime[j].Mean()
-			if math.Abs(a-b) > 1e-6*a {
-				t.Errorf("app %d type %d mean changed: %v -> %v", i, j, a, b)
-			}
-		}
-	}
-}
-
 func TestLoadMissingFile(t *testing.T) {
-	if _, _, _, err := config.Load(filepath.Join(os.TempDir(), "definitely-not-here.json")); err == nil {
+	if _, err := config.LoadInstance(filepath.Join(os.TempDir(), "definitely-not-here.json")); err == nil {
 		t.Error("missing file accepted")
 	}
 }
@@ -182,7 +162,15 @@ func TestLoadFull(t *testing.T) {
 	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	sys, batch, deadline, cases, err := config.LoadFull(path)
+	inst, err := config.LoadInstance(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, batch, deadline, err := config.Build(inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases, err := config.BuildCases(inst)
 	if err != nil {
 		t.Fatal(err)
 	}

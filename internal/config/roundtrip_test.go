@@ -83,28 +83,3 @@ func TestInstanceRoundTrip(t *testing.T) {
 		})
 	}
 }
-
-// Write must emit exactly the canonical bytes.
-func TestWriteMatchesMarshal(t *testing.T) {
-	inst := &Instance{
-		Name:     "w",
-		Deadline: 10,
-		Types: []ProcTypeSpec{{Count: 2, Availability: []PulseSpec{
-			{Value: 1, Probability: 1}}}},
-		Applications: []ApplicationSpec{{
-			SerialIters: 1, ParallelIters: 2,
-			ExecTimes: []ExecTimeSpec{{Mean: 5}},
-		}},
-	}
-	want, err := Marshal(inst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := Write(&buf, inst); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("Write output differs from Marshal:\n%s\nvs\n%s", buf.Bytes(), want)
-	}
-}

@@ -181,10 +181,6 @@ func TestDefaultStageIIValid(t *testing.T) {
 	if cfg.Model == nil || !cfg.BestMaster || !cfg.WeightsFromAvail {
 		t.Error("default config missing calibrated settings")
 	}
-	m := cfg.Model(pmf.Point(1))
-	if m.Expected() != 1 {
-		t.Errorf("model expected availability = %v", m.Expected())
-	}
 }
 
 func TestDecrease(t *testing.T) {

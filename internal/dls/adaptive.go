@@ -103,7 +103,7 @@ func newAWF(s Setup, name string, perBatch bool) (Scheduler, error) {
 	return &awf{
 		name:     name,
 		perBatch: perBatch,
-		b:        batcher{remaining: s.Iterations, workers: s.Workers, minChunk: s.MinChunk},
+		b:        batcher{remaining: s.Iterations, workers: s.Workers},
 		weights:  s.normWeights(),
 		perf:     newPerfTracker(s.Workers),
 	}, nil
@@ -153,7 +153,6 @@ type af struct {
 	chunks    [][]afChunk // per-worker completed-chunk measurements
 	bootstrap int         // base chunk used before a worker has estimates
 	weights   []float64   // a-priori weights scaling the bootstrap chunks
-	minChunk  int
 }
 
 func newAF(s Setup) (Scheduler, error) {
@@ -170,7 +169,6 @@ func newAF(s Setup) (Scheduler, error) {
 		chunks:    make([][]afChunk, s.Workers),
 		bootstrap: boot,
 		weights:   s.normWeights(),
-		minChunk:  maxInt(1, s.MinChunk),
 	}, nil
 }
 
@@ -283,9 +281,6 @@ func (a *af) Next(worker int) int {
 		k = cap
 	}
 	k = clampChunk(k, a.remaining)
-	if k < a.minChunk {
-		k = clampChunk(a.minChunk, a.remaining)
-	}
 	a.remaining -= k
 	return k
 }

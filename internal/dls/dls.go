@@ -56,11 +56,6 @@ type Setup struct {
 	// batch use them. Zero values disable those uses.
 	IterMean   float64
 	IterStdDev float64
-	// MinChunk floors every dispatched chunk (values < 2 mean no
-	// floor). Real DLS runtimes impose such a granularity to keep
-	// chunks cache- and message-efficient; batched techniques apply the
-	// floor within each batch, so tail chunks may still be smaller.
-	MinChunk int
 }
 
 func (s Setup) validate() error {
@@ -198,22 +193,5 @@ func clampChunk(k, remaining int) int {
 	return k
 }
 
-// floorChunk applies the Setup.MinChunk granularity then clamps to the
-// remaining iterations.
-func floorChunk(k, min, remaining int) int {
-	if k < min {
-		k = min
-	}
-	return clampChunk(k, remaining)
-}
-
 // ceilDiv returns ceil(a/b) for positive b.
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
-
-// maxInt returns the larger of a and b.
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

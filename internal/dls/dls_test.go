@@ -442,32 +442,3 @@ func TestQuickChunkConservation(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestMinChunkFloor(t *testing.T) {
-	for _, tech := range All() {
-		s, err := tech.New(Setup{Iterations: 1000, Workers: 4, MinChunk: 16})
-		if err != nil {
-			t.Fatalf("%s: %v", tech.Name, err)
-		}
-		chunks := drain(t, s, 4, func(w, k int) float64 { return float64(k) })
-		if got := sumChunks(chunks); got != 1000 {
-			t.Fatalf("%s: scheduled %d with MinChunk", tech.Name, got)
-		}
-		// Every chunk except possibly per-batch/loop tails respects the
-		// floor; allow a small number of sub-floor tail chunks.
-		small := 0
-		for _, c := range chunks {
-			if c[1] < 16 {
-				small++
-			}
-		}
-		if small > len(chunks)/3+2 {
-			t.Errorf("%s: %d of %d chunks below the floor", tech.Name, small, len(chunks))
-		}
-	}
-	// SS with a floor becomes fixed-size chunking.
-	s := newScheduler(t, "SS", Setup{Iterations: 100, Workers: 2, MinChunk: 10})
-	if k := s.Next(0); k != 10 {
-		t.Errorf("SS with MinChunk 10 dispatched %d", k)
-	}
-}

@@ -62,7 +62,7 @@ func newAWFOv(s Setup, name string, perBatch bool) (Scheduler, error) {
 		awf: awf{
 			name:     name,
 			perBatch: perBatch,
-			b:        batcher{remaining: s.Iterations, workers: s.Workers, minChunk: s.MinChunk},
+			b:        batcher{remaining: s.Iterations, workers: s.Workers},
 			weights:  s.normWeights(),
 			perf:     newPerfTracker(s.Workers),
 		},
@@ -90,7 +90,7 @@ func newAWFT(s Setup) (Scheduler, error) {
 	}
 	return &awfTimestep{
 		iterations: s.Iterations,
-		b:          batcher{remaining: s.Iterations, workers: s.Workers, minChunk: s.MinChunk},
+		b:          batcher{remaining: s.Iterations, workers: s.Workers},
 		weights:    s.normWeights(),
 		perf:       newPerfTracker(s.Workers),
 	}, nil
@@ -124,7 +124,7 @@ func (a *awfTimestep) EndStep() {
 	if measured {
 		a.weights = a.perf.weights()
 	}
-	a.b = batcher{remaining: a.iterations, workers: a.b.workers, minChunk: a.b.minChunk}
+	a.b = batcher{remaining: a.iterations, workers: a.b.workers}
 }
 
 // tfss implements trapezoid factoring self-scheduling: batches of
@@ -154,7 +154,7 @@ func newTFSS(s Setup) (Scheduler, error) {
 		delta = (first - last) / (c - 1)
 	}
 	return &tfss{
-		b:     batcher{remaining: s.Iterations, workers: s.Workers, minChunk: s.MinChunk},
+		b:     batcher{remaining: s.Iterations, workers: s.Workers},
 		next:  first,
 		delta: delta,
 	}, nil
@@ -192,7 +192,6 @@ type fiss struct {
 	remaining int
 	chunk     float64
 	incr      float64
-	minChunk  int
 }
 
 func newFISS(s Setup) (Scheduler, error) {
@@ -210,14 +209,14 @@ func newFISS(s Setup) (Scheduler, error) {
 	if incr < 0 {
 		incr = 0
 	}
-	return &fiss{remaining: s.Iterations, chunk: first, incr: incr, minChunk: s.MinChunk}, nil
+	return &fiss{remaining: s.Iterations, chunk: first, incr: incr}, nil
 }
 
 func (f *fiss) Name() string   { return "FISS" }
 func (f *fiss) Remaining() int { return f.remaining }
 
 func (f *fiss) Next(int) int {
-	k := floorChunk(int(math.Round(f.chunk)), f.minChunk, f.remaining)
+	k := clampChunk(int(math.Round(f.chunk)), f.remaining)
 	f.remaining -= k
 	f.chunk += f.incr / float64(4) // spread the per-round increment over worker requests
 	return k
@@ -233,7 +232,6 @@ type viss struct {
 	chunk     float64
 	factor    float64
 	maxChunk  int
-	minChunk  int
 }
 
 func newVISS(s Setup) (Scheduler, error) {
@@ -249,7 +247,6 @@ func newVISS(s Setup) (Scheduler, error) {
 		chunk:     first,
 		factor:    1.5,
 		maxChunk:  ceilDiv(s.Iterations, 2*s.Workers) * 2,
-		minChunk:  s.MinChunk,
 	}, nil
 }
 
@@ -257,7 +254,7 @@ func (v *viss) Name() string   { return "VISS" }
 func (v *viss) Remaining() int { return v.remaining }
 
 func (v *viss) Next(int) int {
-	k := floorChunk(int(math.Round(v.chunk)), v.minChunk, v.remaining)
+	k := clampChunk(int(math.Round(v.chunk)), v.remaining)
 	v.remaining -= k
 	v.chunk *= v.factor
 	if int(v.chunk) > v.maxChunk {

@@ -30,7 +30,6 @@ type batcher struct {
 	batchLeft  int // iterations of the current batch not yet handed out
 	batchChunk int // equal per-worker share of the current batch
 	workers    int
-	minChunk   int // granularity floor (applied within a batch)
 }
 
 // openBatch starts a new batch over half the remaining iterations.
@@ -51,9 +50,6 @@ func (b *batcher) take(k int) int {
 	if b.batchLeft <= 0 {
 		b.openBatch()
 	}
-	if k < b.minChunk {
-		k = b.minChunk
-	}
 	if k > b.batchLeft {
 		k = b.batchLeft
 	}
@@ -72,7 +68,7 @@ func newFAC(s Setup) (Scheduler, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	return &fac{b: batcher{remaining: s.Iterations, workers: s.Workers, minChunk: s.MinChunk}}, nil
+	return &fac{b: batcher{remaining: s.Iterations, workers: s.Workers}}, nil
 }
 
 func (f *fac) Name() string   { return "FAC" }
@@ -99,7 +95,7 @@ func newWF(s Setup) (Scheduler, error) {
 		return nil, err
 	}
 	return &wf{
-		b:       batcher{remaining: s.Iterations, workers: s.Workers, minChunk: s.MinChunk},
+		b:       batcher{remaining: s.Iterations, workers: s.Workers},
 		weights: s.normWeights(),
 	}, nil
 }

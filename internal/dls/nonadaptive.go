@@ -30,7 +30,7 @@ func newStatic(s Setup) (Scheduler, error) {
 	}
 	return &static{
 		remaining: s.Iterations,
-		chunk:     maxInt(ceilDiv(s.Iterations, s.Workers), s.MinChunk),
+		chunk:     ceilDiv(s.Iterations, s.Workers),
 		served:    make([]bool, s.Workers),
 	}, nil
 }
@@ -56,21 +56,20 @@ func (st *static) Report(int, int, float64) {}
 // Perfect balance, maximal overhead.
 type ss struct {
 	remaining int
-	minChunk  int
 }
 
 func newSS(s Setup) (Scheduler, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	return &ss{remaining: s.Iterations, minChunk: s.MinChunk}, nil
+	return &ss{remaining: s.Iterations}, nil
 }
 
 func (s *ss) Name() string   { return "SS" }
 func (s *ss) Remaining() int { return s.remaining }
 
 func (s *ss) Next(int) int {
-	k := floorChunk(1, s.minChunk, s.remaining)
+	k := clampChunk(1, s.remaining)
 	s.remaining -= k
 	return k
 }
@@ -105,7 +104,7 @@ func newFSC(s Setup) (Scheduler, error) {
 	if chunk < 1 {
 		chunk = 1
 	}
-	return &fsc{remaining: s.Iterations, chunk: maxInt(chunk, s.MinChunk)}, nil
+	return &fsc{remaining: s.Iterations, chunk: chunk}, nil
 }
 
 func (f *fsc) Name() string   { return "FSC" }
@@ -125,21 +124,20 @@ func (f *fsc) Report(int, int, float64) {}
 type gss struct {
 	remaining int
 	workers   int
-	minChunk  int
 }
 
 func newGSS(s Setup) (Scheduler, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	return &gss{remaining: s.Iterations, workers: s.Workers, minChunk: s.MinChunk}, nil
+	return &gss{remaining: s.Iterations, workers: s.Workers}, nil
 }
 
 func (g *gss) Name() string   { return "GSS" }
 func (g *gss) Remaining() int { return g.remaining }
 
 func (g *gss) Next(int) int {
-	k := floorChunk(ceilDiv(g.remaining, g.workers), g.minChunk, g.remaining)
+	k := clampChunk(ceilDiv(g.remaining, g.workers), g.remaining)
 	g.remaining -= k
 	return k
 }
@@ -153,7 +151,6 @@ type tss struct {
 	remaining int
 	next      float64
 	delta     float64
-	minChunk  int
 }
 
 func newTSS(s Setup) (Scheduler, error) {
@@ -170,14 +167,14 @@ func newTSS(s Setup) (Scheduler, error) {
 	if c > 1 {
 		delta = (first - last) / (c - 1)
 	}
-	return &tss{remaining: s.Iterations, next: first, delta: delta, minChunk: s.MinChunk}, nil
+	return &tss{remaining: s.Iterations, next: first, delta: delta}, nil
 }
 
 func (t *tss) Name() string   { return "TSS" }
 func (t *tss) Remaining() int { return t.remaining }
 
 func (t *tss) Next(int) int {
-	k := floorChunk(int(math.Round(t.next)), t.minChunk, t.remaining)
+	k := clampChunk(int(math.Round(t.next)), t.remaining)
 	t.remaining -= k
 	t.next -= t.delta
 	if t.next < 1 {

@@ -105,10 +105,6 @@ func (t *Timer) Observe(d time.Duration) {
 	t.nanos.Add(int64(d))
 }
 
-// Since observes the duration elapsed since t0, for the common
-// `defer tm.Since(time.Now())` pattern. It is a no-op on a nil receiver.
-func (t *Timer) Since(t0 time.Time) { t.Observe(time.Since(t0)) }
-
 // Count returns the number of observations (0 for a nil receiver).
 func (t *Timer) Count() int64 {
 	if t == nil {

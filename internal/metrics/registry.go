@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -105,49 +104,6 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 		r.histograms[name] = h
 	}
 	return h
-}
-
-// Merge folds every metric of src into r, adding counts and values and
-// summing histogram buckets by name. Metrics absent from r are created.
-// Merging a set of per-worker registries into one in a fixed order
-// yields a deterministic aggregate (all folds are additions, so any
-// order gives the same totals). It returns an error when a histogram
-// exists in both registries with different bounds; src is never
-// modified. A nil r or src is a no-op.
-func (r *Registry) Merge(src *Registry) error {
-	if r == nil || src == nil {
-		return nil
-	}
-	snap := src.Snapshot()
-	for _, kv := range sortedKeys(snap.Counters) {
-		r.Counter(kv).Add(snap.Counters[kv])
-	}
-	for _, kv := range sortedKeys(snap.Gauges) {
-		r.Gauge(kv).Add(snap.Gauges[kv])
-	}
-	for name, ts := range snap.Timers {
-		t := r.Timer(name)
-		t.count.Add(ts.Count)
-		t.nanos.Add(int64(ts.total))
-	}
-	for name, hs := range snap.Histograms {
-		h := r.Histogram(name, hs.bounds)
-		if h == nil {
-			return fmt.Errorf("metrics: merge of histogram %q with invalid bounds", name)
-		}
-		if len(h.bounds) != len(hs.bounds) {
-			return fmt.Errorf("metrics: merge of histogram %q with mismatched bounds", name)
-		}
-		for i, b := range h.bounds {
-			if b != hs.bounds[i] {
-				return fmt.Errorf("metrics: merge of histogram %q with mismatched bounds", name)
-			}
-		}
-		for i, c := range hs.counts {
-			atomic.AddInt64(&h.counts[i], c)
-		}
-	}
-	return nil
 }
 
 func sortedKeys[V any](m map[string]V) []string {

@@ -56,38 +56,6 @@ func Discretize(d stats.Dist, pulses int) PMF {
 	return MustNew(ps)
 }
 
-// DiscretizeRange converts a continuous distribution into a PMF on an
-// equal-width value grid spanning [lo, hi]; pulse i carries the
-// probability mass of its cell. Mass outside [lo, hi] is folded into the
-// edge pulses. It panics if bins < 1 or hi <= lo.
-func DiscretizeRange(d stats.Dist, lo, hi float64, bins int) PMF {
-	if bins < 1 {
-		panic(fmt.Sprintf("pmf: DiscretizeRange with %d bins", bins))
-	}
-	if hi <= lo {
-		panic(fmt.Sprintf("pmf: DiscretizeRange with empty range [%v,%v]", lo, hi))
-	}
-	w := (hi - lo) / float64(bins)
-	ps := make([]Pulse, 0, bins)
-	prev := 0.0 // CDF at the left edge of the current cell, clipped below lo
-	for i := 0; i < bins; i++ {
-		right := lo + float64(i+1)*w
-		var c float64
-		if i == bins-1 {
-			c = 1 // fold the upper tail into the last cell
-		} else {
-			c = d.CDF(right)
-		}
-		mass := c - prev
-		prev = c
-		if mass <= 0 {
-			continue
-		}
-		ps = append(ps, Pulse{Value: lo + (float64(i)+0.5)*w, Prob: mass})
-	}
-	return MustNew(ps)
-}
-
 // Rebin merges pulses into cells of the given width, concentrating each
 // cell's mass at its probability-weighted mean value. It reduces pulse
 // count after cross-combinations, which otherwise grow multiplicatively.
@@ -133,29 +101,6 @@ func (p PMF) Rebin(width float64) PMF {
 		panic(fmt.Sprintf("pmf: Rebin: %v", err))
 	}
 	return out
-}
-
-// Prune drops pulses with probability below eps (renormalizing), keeping
-// at least the single most probable pulse. It panics if eps is negative
-// or >= 1.
-func (p PMF) Prune(eps float64) PMF {
-	if eps < 0 || eps >= 1 {
-		panic(fmt.Sprintf("pmf: Prune with eps %v", eps))
-	}
-	kept := make([]Pulse, 0, len(p.pulses))
-	best := p.pulses[0]
-	for _, pl := range p.pulses {
-		if pl.Prob > best.Prob {
-			best = pl
-		}
-		if pl.Prob >= eps {
-			kept = append(kept, pl)
-		}
-	}
-	if len(kept) == 0 {
-		kept = append(kept, best)
-	}
-	return MustNew(kept)
 }
 
 // Compact rebins p to at most maxPulses pulses (no-op when already

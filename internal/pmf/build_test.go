@@ -55,28 +55,6 @@ func TestDiscretizeMatchesMoments(t *testing.T) {
 	}
 }
 
-func TestDiscretizeRange(t *testing.T) {
-	d := stats.NewNormal(0, 1)
-	p := DiscretizeRange(d, -4, 4, 80)
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(p.Mean()) > 0.01 {
-		t.Errorf("mean = %v", p.Mean())
-	}
-	if got := p.PrLE(0.05); math.Abs(got-d.CDF(0.05)) > 0.03 {
-		t.Errorf("PrLE(0.05) = %v, want ~%v", got, d.CDF(0.05))
-	}
-	// Tail mass must be folded in, not lost.
-	total := 0.0
-	for _, pl := range p.Pulses() {
-		total += pl.Prob
-	}
-	if math.Abs(total-1) > 1e-9 {
-		t.Errorf("total mass = %v", total)
-	}
-}
-
 func TestDiscretizePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

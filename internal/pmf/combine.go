@@ -1,7 +1,6 @@
 package pmf
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"sort"
@@ -9,10 +8,9 @@ import (
 )
 
 // This file implements the merge-based cross-combination kernel behind
-// Combine and the chained-combination helper CombineMany. The kernel is
-// the hot path of Stage I: every evaluation-table cell is a Div of an
-// execution-time PMF by an availability PMF, so the search engines call
-// it millions of times.
+// Combine. The kernel is the hot path of Stage I: every
+// evaluation-table cell is a Div of an execution-time PMF by an
+// availability PMF, so the search engines call it millions of times.
 
 // pulseScratch recycles the flat row buffer used by combineMerge. The
 // buffer holds the full n*m cross product while it is being merged and
@@ -220,48 +218,4 @@ func mergeTwo(dst, x, y []Pulse) {
 	}
 	d += copy(dst[d:], x[i:])
 	copy(dst[d:], y[j:])
-}
-
-// CombineOption configures CombineMany.
-type CombineOption func(*combineConfig)
-
-type combineConfig struct {
-	maxPulses int
-}
-
-// WithMaxPulses caps the pulse count of every intermediate (and the
-// final) PMF of a chained combination: after each pairwise Combine the
-// result is Compacted to at most n pulses. Without a cap, chaining k
-// combinations grows the support multiplicatively, which is the
-// quadratic blowup that makes long Add/Max chains intractable. It
-// panics if n < 1.
-func WithMaxPulses(n int) CombineOption {
-	if n < 1 {
-		panic(fmt.Sprintf("pmf: WithMaxPulses(%d)", n))
-	}
-	return func(c *combineConfig) { c.maxPulses = n }
-}
-
-// CombineMany folds Combine(·, ·, f) left to right over one or more
-// PMFs, applying the configured pulse cap between steps. It panics with
-// no PMFs.
-func CombineMany(f func(x, y float64) float64, ps []PMF, opts ...CombineOption) PMF {
-	if len(ps) == 0 {
-		panic("pmf: CombineMany of nothing")
-	}
-	var cfg combineConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	out := ps[0]
-	if cfg.maxPulses > 0 && out.Len() > cfg.maxPulses {
-		out = out.Compact(cfg.maxPulses)
-	}
-	for _, p := range ps[1:] {
-		out = Combine(out, p, f)
-		if cfg.maxPulses > 0 && out.Len() > cfg.maxPulses {
-			out = out.Compact(cfg.maxPulses)
-		}
-	}
-	return out
 }

@@ -104,44 +104,6 @@ func TestCombineFallbackNonFinite(t *testing.T) {
 	}
 }
 
-// TestCombineManyChain checks the fold equals explicit nested Combines
-// and that the pulse cap bounds every intermediate.
-func TestCombineManyChain(t *testing.T) {
-	r := rng.New(7)
-	ps := []PMF{randomPMF(r, 6), randomPMF(r, 5), randomPMF(r, 4)}
-	add := func(x, y float64) float64 { return x + y }
-
-	want := Combine(Combine(ps[0], ps[1], add), ps[2], add)
-	samePMF(t, CombineMany(add, ps), want, "uncapped chain")
-
-	capped := CombineMany(add, ps, WithMaxPulses(10))
-	if capped.Len() > 10 {
-		t.Fatalf("capped chain has %d pulses", capped.Len())
-	}
-	if err := capped.Validate(); err != nil {
-		t.Fatalf("capped chain invalid: %v", err)
-	}
-	if math.Abs(capped.Mean()-want.Mean()) > 0.05*want.Mean() {
-		t.Fatalf("capped chain mean %v far from %v", capped.Mean(), want.Mean())
-	}
-}
-
-func TestCombineManyPanics(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"empty": func() { CombineMany(math.Max, nil) },
-		"cap0":  func() { WithMaxPulses(0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 // TestPrLEQuantileMatchLinearScan compares the binary-search PrLE and
 // Quantile against straight-line linear scans over the pulses.
 func TestPrLEQuantileMatchLinearScan(t *testing.T) {

@@ -89,13 +89,14 @@ func FuzzCombineMerge(f *testing.F) {
 
 // FuzzCombineOrder pins the order contract of the sparse Combine on
 // the many-row merge path (at least seven rows, more than
-// smallCombinePulses products): Add, Sub, Mul and Div must equal, bit
+// smallCombinePulses products): Add, Div and Combine under subtraction
+// and multiplication must equal, bit
 // for bit in every value, probability and cached CDF entry,
 // stableCombineRef — the oriented row-major cross product put in order
 // by a stable sort on value. Pulse values are small integers times a
 // scale, so the cross product is full of exact ties (and of -0/+0
 // pairs, which compare equal but keep their sign); negative values give
-// descending rows for Sub and Mul; scales near 1e98 put the spans near
+// descending rows for subtraction and multiplication; scales near 1e98 put the spans near
 // +-1e100.
 func FuzzCombineOrder(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint8(0), uint8(0), 1.0, uint8(0))
@@ -161,12 +162,10 @@ func FuzzCombineOrder(f *testing.F) {
 		switch op {
 		case 0:
 			got = Add(p, q)
-		case 1:
-			got = Sub(p, q)
-		case 2:
-			got = Mul(p, q)
-		default:
+		case 3:
 			got = Div(p, q)
+		default:
+			got = Combine(p, q, fns[op])
 		}
 		if got.Len() != want.Len() {
 			t.Fatalf("op %d: %d pulses, reference %d", op, got.Len(), want.Len())
@@ -229,12 +228,11 @@ func stableCombineRef(p, q PMF, f func(x, y float64) float64) (PMF, bool) {
 }
 
 // FuzzGridSparse checks the grid backend against the sparse reference
-// over arbitrary pulse placements: Add, Max, and Mul results must
-// agree with the exact sparse computation within the documented
-// quantization bounds (each ToGrid moves a support point by at most
-// step/2 and the general combine re-quantizes once more, so means
-// agree within the accumulated shift and PrLE within the sparse
-// bracket at +-shift).
+// over arbitrary pulse placements: Add and Max results must agree with
+// the exact sparse computation within the documented quantization
+// bounds (each ToGrid moves a support point by at most step/2, so means
+// agree within the accumulated shift and PrLE within the sparse bracket
+// at +-shift).
 func FuzzGridSparse(f *testing.F) {
 	f.Add(1.0, 2.0, 3.0, 4.0, 5.0, 0.5)
 	f.Add(10.0, 10.5, 11.0, 0.25, 90.0, 0.25)
@@ -291,15 +289,6 @@ func FuzzGridSparse(f *testing.F) {
 		check("Add", gp.Add(gq), Add(p, q), step+1e-9)
 		// Max: quantization only; the CDF product is exact.
 		check("Max", gp.MaxWith(gq), Max(p, q), step/2+1e-9)
-		// Mul: input shifts scale by the other operand's magnitude and
-		// the output re-quantizes by another step/2. Skip when the
-		// product's span would need more bins than the grid cap allows.
-		mx := math.Max(math.Abs(p.Min()), math.Abs(p.Max()))
-		my := math.Max(math.Abs(q.Min()), math.Abs(q.Max()))
-		if mx*my/step <= 1e5 {
-			mulShift := step/2*(mx+my+1) + step/2 + 1e-9
-			check("Mul", gp.Mul(gq), Mul(p, q), mulShift)
-		}
 	})
 }
 

@@ -16,12 +16,12 @@ import (
 // loops over dense float64 slices:
 //
 //   - Add is an exact integer-shifted convolution (no merge, no sort),
-//   - Max/Min are O(n) products of running CDFs / survival functions,
+//   - Max is an O(n) product of running CDFs,
 //   - PrLE is an O(1) indexed read off the cached dense CDF and
 //     Quantile an O(log n) binary search,
-//   - the general Combine and the Grid x sparse-PMF combine (used for
-//     the completion-time division by availability) are two-pass
-//     quantize-and-accumulate scans with no intermediate pulse lists.
+//   - the Grid x sparse-PMF combine (used for the completion-time
+//     division by availability) is a two-pass quantize-and-accumulate
+//     scan with no intermediate pulse lists.
 //
 // Quantization moves each support point by at most step/2, and that is
 // the only error the backend introduces: every kernel afterwards is
@@ -217,9 +217,6 @@ func (g *Grid) value(i int) float64 { return float64(g.first+int64(i)) * g.step 
 // last returns the bin index of the final bin.
 func (g *Grid) last() int64 { return g.first + int64(len(g.mass)) - 1 }
 
-// Step returns the lattice step.
-func (g *Grid) Step() float64 { return g.step }
-
 // Len returns the number of bins spanned (including interior
 // zero-mass bins; tails are always trimmed).
 func (g *Grid) Len() int { g.check(); return len(g.mass) }
@@ -314,9 +311,6 @@ func (g *Grid) PrLE(x float64) float64 {
 	return s
 }
 
-// PrGT returns P(X > x).
-func (g *Grid) PrGT(x float64) float64 { return 1 - g.PrLE(x) }
-
 // Quantile returns the smallest support value v with P(X <= v) >= q,
 // mirroring PMF.Quantile. It panics unless 0 < q <= 1.
 func (g *Grid) Quantile(q float64) float64 {
@@ -389,90 +383,6 @@ func (g *Grid) MaxWith(h *Grid) *Grid {
 		prev = cur
 	}
 	return out.finish()
-}
-
-// MinWith returns the grid of min(X, Y) for independent X, Y, via the
-// survival-function product: P(min = k) = S_X(k-1)S_Y(k-1) - S_X(k)S_Y(k).
-func (g *Grid) MinWith(h *Grid) *Grid {
-	g.sameStep(h)
-	first := g.first
-	if h.first < first {
-		first = h.first
-	}
-	last := g.last()
-	if h.last() < last {
-		last = h.last()
-	}
-	out := newGrid(g.step, first, int(last-first+1))
-	gt, ht := g.total(), h.total()
-	prev := (gt - g.cdfAt(first-1)) * (ht - h.cdfAt(first-1))
-	for k := first; k <= last; k++ {
-		cur := (gt - g.cdfAt(k)) * (ht - h.cdfAt(k))
-		m := prev - cur
-		if m < 0 {
-			m = 0
-		}
-		out.mass[k-first] = m
-		prev = cur
-	}
-	return out.finish()
-}
-
-// Combine returns the grid of f(X, Y) for independent X, Y on the same
-// lattice: a two-pass quantize-and-accumulate over the occupied bin
-// pairs (the first pass sizes the output, the second scatters mass),
-// with no intermediate pulse list to sort or merge. f must produce
-// finite values. Prefer Add/Max/Min, which exploit structure this
-// general kernel cannot.
-func (g *Grid) Combine(h *Grid, f func(x, y float64) float64) *Grid {
-	g.sameStep(h)
-	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
-	for i, gm := range g.mass {
-		if gm == 0 {
-			continue
-		}
-		x := g.value(i)
-		for j, hm := range h.mass {
-			if hm == 0 {
-				continue
-			}
-			v := f(x, h.value(j))
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				panic(fmt.Sprintf("pmf: grid combine produced %v", v))
-			}
-			k := binOf(v, g.step)
-			if k < lo {
-				lo = k
-			}
-			if k > hi {
-				hi = k
-			}
-		}
-	}
-	if lo > hi {
-		panic("pmf: grid combine of zero-mass grids")
-	}
-	out := newGrid(g.step, lo, int(hi-lo+1))
-	for i, gm := range g.mass {
-		if gm == 0 {
-			continue
-		}
-		x := g.value(i)
-		for j, hm := range h.mass {
-			if hm == 0 {
-				continue
-			}
-			out.mass[binOf(f(x, h.value(j)), g.step)-lo] += gm * hm
-		}
-	}
-	return out.finish()
-}
-
-// Mul returns the grid of X * Y on the shared lattice (general
-// kernel; the product of two lattice points is generally not a lattice
-// point, so it re-quantizes).
-func (g *Grid) Mul(h *Grid) *Grid {
-	return g.Combine(h, func(x, y float64) float64 { return x * y })
 }
 
 // CombinePMF returns the grid of f(X, Y) where X is the grid and Y the

@@ -35,78 +35,3 @@ func MaxN(p PMF, n int) PMF {
 	}
 	return MustNew(ps)
 }
-
-// MinN returns the PMF of the minimum of n independent draws from p:
-// its survival function is (1-F(x))^n. It panics if n < 1.
-func MinN(p PMF, n int) PMF {
-	if n < 1 {
-		panic(fmt.Sprintf("pmf: MinN with n=%d", n))
-	}
-	if n == 1 {
-		return p
-	}
-	ps := make([]Pulse, 0, p.Len())
-	// P(min = x_k) = S(x_{k-1})^n - S(x_k)^n with S the survival
-	// function just after each support point.
-	surv := 1.0
-	prev := 1.0
-	for _, pl := range p.pulses {
-		surv -= pl.Prob
-		sn := math.Pow(clampNonNeg(surv), float64(n))
-		ps = append(ps, Pulse{Value: pl.Value, Prob: prev - sn})
-		prev = sn
-	}
-	return MustNew(ps)
-}
-
-func clampNonNeg(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
-// OrderStatistic returns the PMF of the k-th smallest of n independent
-// draws from p (k in [1, n]): its CDF is the binomial tail
-// sum_{j=k}^{n} C(n,j) F^j (1-F)^{n-j}. It panics on invalid k or n.
-func OrderStatistic(p PMF, k, n int) PMF {
-	if n < 1 || k < 1 || k > n {
-		panic(fmt.Sprintf("pmf: OrderStatistic(k=%d, n=%d)", k, n))
-	}
-	ps := make([]Pulse, 0, p.Len())
-	cdf := 0.0
-	prev := 0.0
-	for _, pl := range p.pulses {
-		cdf += pl.Prob
-		fk := binomialTail(cdf, k, n)
-		ps = append(ps, Pulse{Value: pl.Value, Prob: fk - prev})
-		prev = fk
-	}
-	return MustNew(ps)
-}
-
-// binomialTail returns P(Bin(n, f) >= k).
-func binomialTail(f float64, k, n int) float64 {
-	if f <= 0 {
-		return 0
-	}
-	if f >= 1 {
-		return 1
-	}
-	// Sum C(n,j) f^j (1-f)^(n-j) for j = k..n via stable log terms.
-	total := 0.0
-	for j := k; j <= n; j++ {
-		total += math.Exp(logChoose(n, j) + float64(j)*math.Log(f) + float64(n-j)*math.Log(1-f))
-	}
-	if total > 1 {
-		total = 1
-	}
-	return total
-}
-
-func logChoose(n, k int) float64 {
-	a, _ := math.Lgamma(float64(n + 1))
-	b, _ := math.Lgamma(float64(k + 1))
-	c, _ := math.Lgamma(float64(n - k + 1))
-	return a - b - c
-}

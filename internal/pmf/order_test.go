@@ -30,49 +30,10 @@ func TestMaxNCoin(t *testing.T) {
 	}
 }
 
-func TestMinNCoin(t *testing.T) {
-	// Min of 2 fair 0/1 draws: P(1) = 1/4.
-	m := MinN(coin(), 2)
-	if math.Abs(m.Mean()-0.25) > 1e-12 {
-		t.Errorf("E[min] = %v", m.Mean())
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestOrderStatisticMedian(t *testing.T) {
-	// 3 draws from uniform {1,2,3}: the 2nd order statistic (median).
-	u := MustNew([]Pulse{{Value: 1, Prob: 1.0 / 3}, {Value: 2, Prob: 1.0 / 3}, {Value: 3, Prob: 1.0 / 3}})
-	med := OrderStatistic(u, 2, 3)
-	if err := med.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// P(median <= 1) = P(at least 2 of 3 draws = 1) = C(3,2)(1/3)^2(2/3) + (1/3)^3 = 7/27.
-	if got, want := med.PrLE(1), 7.0/27; math.Abs(got-want) > 1e-12 {
-		t.Errorf("P(median<=1) = %v, want %v", got, want)
-	}
-	// Extremes match MaxN / MinN.
-	if !equalPMF(OrderStatistic(u, 3, 3), MaxN(u, 3)) {
-		t.Error("k=n order statistic != MaxN")
-	}
-	if !equalPMF(OrderStatistic(u, 1, 3), MinN(u, 3)) {
-		t.Error("k=1 order statistic != MinN")
-	}
-}
-
 func TestOrderMeansMonotone(t *testing.T) {
 	u := MustNew([]Pulse{
 		{Value: 1, Prob: 0.25}, {Value: 2, Prob: 0.25},
 		{Value: 5, Prob: 0.25}, {Value: 9, Prob: 0.25}})
-	prev := math.Inf(-1)
-	for k := 1; k <= 5; k++ {
-		m := OrderStatistic(u, k, 5).Mean()
-		if m < prev-1e-12 {
-			t.Fatalf("order-statistic means not monotone at k=%d", k)
-		}
-		prev = m
-	}
 	// E[max of n] grows with n.
 	if MaxN(u, 4).Mean() <= MaxN(u, 2).Mean() {
 		t.Error("E[max] not growing with n")
@@ -82,9 +43,6 @@ func TestOrderMeansMonotone(t *testing.T) {
 func TestOrderPanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { MaxN(coin(), 0) },
-		func() { MinN(coin(), 0) },
-		func() { OrderStatistic(coin(), 0, 3) },
-		func() { OrderStatistic(coin(), 4, 3) },
 	} {
 		func() {
 			defer func() {
@@ -111,8 +69,8 @@ func equalPMF(a, b PMF) bool {
 }
 
 // TestQuickOrderStatisticsLaws property-checks, for random PMFs:
-// total mass 1 after every order operation, E[min] <= E[X] <= E[max],
-// and MaxN's CDF dominance (P(max<=t) <= P(X<=t)).
+// total mass 1 after MaxN, E[X] <= E[max], and MaxN's CDF dominance
+// (P(max<=t) <= P(X<=t)).
 func TestQuickOrderStatisticsLaws(t *testing.T) {
 	f := func(raw []float64, nRaw uint8) bool {
 		ps := quickPulses(raw)
@@ -125,20 +83,16 @@ func TestQuickOrderStatisticsLaws(t *testing.T) {
 		}
 		n := int(nRaw%6) + 1
 		mx := MaxN(p, n)
-		mn := MinN(p, n)
-		if mx.Validate() != nil || mn.Validate() != nil {
+		if mx.Validate() != nil {
 			return false
 		}
 		tol := 1e-9 * (1 + math.Abs(p.Mean()))
-		if mn.Mean() > p.Mean()+tol || p.Mean() > mx.Mean()+tol {
+		if p.Mean() > mx.Mean()+tol {
 			return false
 		}
 		// CDF dominance at every support point.
 		for _, pl := range p.Pulses() {
 			if mx.PrLE(pl.Value) > p.PrLE(pl.Value)+1e-9 {
-				return false
-			}
-			if mn.PrLE(pl.Value) < p.PrLE(pl.Value)-1e-9 {
 				return false
 			}
 		}

@@ -228,9 +228,6 @@ func (p PMF) PrLE(x float64) float64 {
 	return s
 }
 
-// PrGT returns P(X > x).
-func (p PMF) PrGT(x float64) float64 { return 1 - p.PrLE(x) }
-
 // Quantile returns the smallest support value v with P(X <= v) >= q.
 // It panics unless 0 < q <= 1. It is a binary search over the cached
 // running CDF, O(log n).
@@ -261,11 +258,6 @@ func (p PMF) Scale(c float64) PMF {
 		panic(fmt.Sprintf("pmf: invalid scale factor %v", c))
 	}
 	return p.Map(func(v float64) float64 { return c * v })
-}
-
-// Shift returns the PMF of X + c.
-func (p PMF) Shift(c float64) PMF {
-	return p.Map(func(v float64) float64 { return v + c })
 }
 
 // Combine returns the PMF of f(X, Y) for independent X ~ p and Y ~ q,
@@ -313,16 +305,6 @@ func Combine(p, q PMF, f func(x, y float64) float64) PMF {
 // Add returns the PMF of X + Y (convolution) for independent X, Y.
 func Add(p, q PMF) PMF {
 	return Combine(p, q, func(x, y float64) float64 { return x + y })
-}
-
-// Sub returns the PMF of X - Y for independent X, Y.
-func Sub(p, q PMF) PMF {
-	return Combine(p, q, func(x, y float64) float64 { return x - y })
-}
-
-// Mul returns the PMF of X * Y for independent X, Y.
-func Mul(p, q PMF) PMF {
-	return Combine(p, q, func(x, y float64) float64 { return x * y })
 }
 
 // Div returns the PMF of X / Y for independent X, Y. It panics if q has
@@ -373,64 +355,6 @@ func Max(p, q PMF) PMF {
 		prev = cdf
 	}
 	return MustNew(ps)
-}
-
-// Min returns the PMF of min(X, Y) for independent X, Y, via the
-// survival product P(min > x) = S_X(x) S_Y(x) on the support union
-// (the same O(n+m) merge as Max).
-func Min(p, q PMF) PMF {
-	if p.IsZero() || q.IsZero() {
-		return Combine(p, q, math.Min)
-	}
-	ps := make([]Pulse, 0, len(p.pulses)+len(q.pulses))
-	sp, sq, prev := 1.0, 1.0, 1.0
-	i, j := 0, 0
-	for i < len(p.pulses) || j < len(q.pulses) {
-		var v float64
-		if j >= len(q.pulses) || (i < len(p.pulses) && p.pulses[i].Value < q.pulses[j].Value) {
-			v = p.pulses[i].Value
-		} else {
-			v = q.pulses[j].Value
-		}
-		for i < len(p.pulses) && p.pulses[i].Value <= v {
-			sp -= p.pulses[i].Prob
-			i++
-		}
-		for j < len(q.pulses) && q.pulses[j].Value <= v {
-			sq -= q.pulses[j].Prob
-			j++
-		}
-		surv := clampNonNeg(sp) * clampNonNeg(sq)
-		if d := prev - surv; d > 0 {
-			ps = append(ps, Pulse{Value: v, Prob: d})
-		}
-		prev = surv
-	}
-	return MustNew(ps)
-}
-
-// MaxAll folds Max over one or more PMFs. It panics with no arguments.
-func MaxAll(ps ...PMF) PMF {
-	if len(ps) == 0 {
-		panic("pmf: MaxAll of nothing")
-	}
-	out := ps[0]
-	for _, p := range ps[1:] {
-		out = Max(out, p)
-	}
-	return out
-}
-
-// AddAll folds Add over one or more PMFs.
-func AddAll(ps ...PMF) PMF {
-	if len(ps) == 0 {
-		panic("pmf: AddAll of nothing")
-	}
-	out := ps[0]
-	for _, p := range ps[1:] {
-		out = Add(out, p)
-	}
-	return out
 }
 
 // String renders the PMF compactly, e.g. "{100:0.25 200:0.75}".

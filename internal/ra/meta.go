@@ -2,6 +2,7 @@ package ra
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -17,11 +18,34 @@ import (
 // random feasible allocations, and share a repair operator that shrinks
 // oversubscribed allocations.
 //
-// Every metaheuristic supports independent restarts fanned out across
-// a worker pool. Each restart draws from its own rng stream, split
-// sequentially from the heuristic's seed before any worker starts, and
-// the restart results are merged in restart order — so for a fixed
-// seed the outcome is bit-identical for any worker count.
+// Each metaheuristic is one seeded walk. Its search parameters are the
+// constants below; only the seed and the worker count of the
+// evaluation-table build are settable, and the result never depends on
+// the worker count.
+
+// Simulated annealing: proposed moves, starting temperature in phi_1
+// units, and the per-move temperature multiplier.
+const (
+	annealIterations  = 2000
+	annealInitialTemp = 0.2
+	annealCooling     = 0.998
+)
+
+// Genetic algorithm: population size, generations, and the per-child
+// mutation probability.
+const (
+	geneticPopulation   = 32
+	geneticGenerations  = 60
+	geneticMutationRate = 0.3
+)
+
+// Tabu search: search steps, tabu list length, and neighbors sampled
+// per step.
+const (
+	tabuIterations = 400
+	tabuTenure     = 50
+	tabuCandidates = 20
+)
 
 func init() {
 	registerHeuristic("anneal", func() Heuristic { return &SimulatedAnnealing{} })
@@ -29,67 +53,24 @@ func init() {
 	registerHeuristic("tabu", func() Heuristic { return &TabuSearch{} })
 }
 
-// restartStreams derives n independent rng streams from seed. The
-// splits happen sequentially on the calling goroutine, so stream k is
-// the same function of (seed, k) no matter how many workers later
-// consume the streams.
-func restartStreams(seed uint64, n int) []*rng.Source {
-	parent := rng.New(seed)
-	out := make([]*rng.Source, n)
-	for i := range out {
-		out[i] = parent.Split()
+// runWalk validates p, builds its evaluation table on workers, and
+// runs one walk on the rng stream split from seed, under a
+// "stage1/<name>" trace span. A cancelled ctx always yields an error
+// wrapping ctx.Err(), never a partial result.
+func runWalk(ctx context.Context, p *Problem, name string, workers int, seed uint64, walk func(context.Context, *Problem, *rng.Source) (sysmodel.Allocation, error)) (sysmodel.Allocation, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
 	}
-	return out
-}
-
-// restartResult is one restart's outcome.
-type restartResult struct {
-	al  sysmodel.Allocation
-	phi float64
-	err error
-}
-
-// runRestarts executes run once per stream across a worker pool and
-// merges the results in restart order: the first restart with a
-// strictly higher phi_1 wins. It returns the first error only when
-// every restart failed. label names the heuristic in the restarts'
-// trace spans (lanes "stage1/<label>/r<k>").
-//
-// Cancellation: the pool stops claiming restarts once ctx is cancelled
-// and in-flight restarts abort at their own checkpoints; a cancelled
-// run always returns an error wrapping ctx.Err() — never a partial
-// merge, which would depend on how far the workers got.
-func runRestarts(ctx context.Context, p *Problem, label string, workers int, streams []*rng.Source, run func(ctx context.Context, r *rng.Source) (sysmodel.Allocation, float64, error)) (sysmodel.Allocation, error) {
-	p.Obs.Metrics.Counter("ra.restarts").Add(int64(len(streams)))
-	tr := p.Obs.Tracer
-	results := make([]restartResult, len(streams))
-	poolErr := runParallel(ctx, workers, len(streams), func(k int) {
-		defer tr.Begin(fmt.Sprintf("stage1/%s/r%02d", label, k),
-			fmt.Sprintf("%s restart %d", label, k), "stage1").End()
-		al, phi, err := run(ctx, streams[k])
-		results[k] = restartResult{al: al, phi: phi, err: err}
-	})
-	if poolErr != nil {
-		return nil, searchErr(label, poolErr)
+	if err := p.PrecomputeContext(ctx, workers); err != nil {
+		return nil, err
 	}
-	var best sysmodel.Allocation
-	bestPhi := -1.0
-	var firstErr error
-	for _, r := range results {
-		if r.err != nil {
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			continue
-		}
-		if r.phi > bestPhi {
-			best, bestPhi = r.al, r.phi
-		}
+	region := p.Obs.Tracer.Begin("stage1/"+name, name, "stage1")
+	al, err := walk(ctx, p, rng.New(seed).Split())
+	region.End()
+	if cerr := ctx.Err(); cerr != nil {
+		return nil, searchErr(name, cerr)
 	}
-	if best == nil {
-		return nil, firstErr
-	}
-	return best, nil
+	return al, err
 }
 
 // randomAllocation draws a random feasible allocation by assigning
@@ -203,23 +184,11 @@ func largestPow2LE(n int) int {
 }
 
 // SimulatedAnnealing optimizes phi_1 with a geometric cooling schedule
-// over the neighbor move set. Zero-valued fields take sensible defaults.
+// over the neighbor move set.
 type SimulatedAnnealing struct {
-	// Iterations is the number of proposed moves per restart
-	// (default 2000).
-	Iterations int
-	// InitialTemp is the starting temperature in phi_1 units
-	// (default 0.2).
-	InitialTemp float64
-	// Cooling is the per-iteration temperature multiplier
-	// (default 0.998).
-	Cooling float64
-	// Restarts is the number of independent annealing walks
-	// (default 1); the best result wins.
-	Restarts int
-	// Seed drives the walks.
+	// Seed drives the walk.
 	Seed uint64
-	// Workers bounds the restart worker pool; non-positive means
+	// Workers bounds the evaluation-table build; non-positive means
 	// runtime.NumCPU(). The result never depends on it.
 	Workers int
 }
@@ -233,52 +202,28 @@ func (h *SimulatedAnnealing) SetWorkers(workers int) { h.Workers = workers }
 // SetSeed implements SeedSettable.
 func (h *SimulatedAnnealing) SetSeed(seed uint64) { h.Seed = seed }
 
-// AllocateContext implements Heuristic: each walk checks ctx every
+// AllocateContext implements Heuristic: the walk checks ctx every
 // metaCheckStride proposed moves.
 func (h *SimulatedAnnealing) AllocateContext(ctx context.Context, p *Problem) (sysmodel.Allocation, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if err := p.PrecomputeContext(ctx, h.Workers); err != nil {
-		return nil, err
-	}
-	restarts := h.Restarts
-	if restarts <= 0 {
-		restarts = 1
-	}
-	return runRestarts(ctx, p, "anneal", h.Workers, restartStreams(h.Seed+0x5a5a, restarts),
-		func(ctx context.Context, r *rng.Source) (sysmodel.Allocation, float64, error) {
-			return h.annealOnce(ctx, p, r)
-		})
+	return runWalk(ctx, p, "anneal", h.Workers, h.Seed+0x5a5a, anneal)
 }
 
-// annealOnce runs one annealing walk on its own rng stream.
-func (h *SimulatedAnnealing) annealOnce(ctx context.Context, p *Problem, r *rng.Source) (sysmodel.Allocation, float64, error) {
-	iters := h.Iterations
-	if iters <= 0 {
-		iters = 2000
-	}
-	temp := h.InitialTemp
-	if temp <= 0 {
-		temp = 0.2
-	}
-	cool := h.Cooling
-	if cool <= 0 || cool >= 1 {
-		cool = 0.998
-	}
+// anneal runs one annealing walk on r.
+func anneal(ctx context.Context, p *Problem, r *rng.Source) (sysmodel.Allocation, error) {
+	temp := annealInitialTemp
 	cur, ok := randomAllocation(p, r)
 	if !ok {
-		return nil, 0, fmt.Errorf("ra: anneal could not build an initial allocation")
+		return nil, fmt.Errorf("ra: anneal could not build an initial allocation")
 	}
 	curPhi, err := p.Objective(cur)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	best, bestPhi := cur.Clone(), curPhi
-	for k := 0; k < iters; k++ {
+	for k := 0; k < annealIterations; k++ {
 		if k%metaCheckStride == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, 0, err
+				return nil, err
 			}
 		}
 		cand, ok := neighbor(p, cur, r)
@@ -295,27 +240,18 @@ func (h *SimulatedAnnealing) annealOnce(ctx context.Context, p *Problem, r *rng.
 				best, bestPhi = cand.Clone(), phi
 			}
 		}
-		temp *= cool
+		temp *= annealCooling
 	}
-	return best, bestPhi, nil
+	return best, nil
 }
 
 // GeneticAlgorithm evolves a population of allocations with tournament
 // selection, uniform per-application crossover, mutation via the
-// neighbor move, and elitism. Zero-valued fields take defaults.
+// neighbor move, and elitism.
 type GeneticAlgorithm struct {
-	// Population is the population size (default 32).
-	Population int
-	// Generations is the number of generations (default 60).
-	Generations int
-	// MutationRate is the per-child mutation probability (default 0.3).
-	MutationRate float64
-	// Restarts is the number of independent evolutions (default 1); the
-	// best result wins.
-	Restarts int
-	// Seed drives the evolutions.
+	// Seed drives the evolution.
 	Seed uint64
-	// Workers bounds the restart worker pool; non-positive means
+	// Workers bounds the evaluation-table build; non-positive means
 	// runtime.NumCPU(). The result never depends on it.
 	Workers int
 }
@@ -329,39 +265,14 @@ func (h *GeneticAlgorithm) SetWorkers(workers int) { h.Workers = workers }
 // SetSeed implements SeedSettable.
 func (h *GeneticAlgorithm) SetSeed(seed uint64) { h.Seed = seed }
 
-// AllocateContext implements Heuristic: each evolution checks ctx once
+// AllocateContext implements Heuristic: the evolution checks ctx once
 // per generation.
 func (h *GeneticAlgorithm) AllocateContext(ctx context.Context, p *Problem) (sysmodel.Allocation, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if err := p.PrecomputeContext(ctx, h.Workers); err != nil {
-		return nil, err
-	}
-	restarts := h.Restarts
-	if restarts <= 0 {
-		restarts = 1
-	}
-	return runRestarts(ctx, p, "genetic", h.Workers, restartStreams(h.Seed+0x6e6e, restarts),
-		func(ctx context.Context, r *rng.Source) (sysmodel.Allocation, float64, error) {
-			return h.evolveOnce(ctx, p, r)
-		})
+	return runWalk(ctx, p, "genetic", h.Workers, h.Seed+0x6e6e, evolve)
 }
 
-// evolveOnce runs one evolution on its own rng stream.
-func (h *GeneticAlgorithm) evolveOnce(ctx context.Context, p *Problem, r *rng.Source) (sysmodel.Allocation, float64, error) {
-	pop := h.Population
-	if pop <= 0 {
-		pop = 32
-	}
-	gens := h.Generations
-	if gens <= 0 {
-		gens = 60
-	}
-	mut := h.MutationRate
-	if mut <= 0 {
-		mut = 0.3
-	}
+// evolve runs one evolution on r.
+func evolve(ctx context.Context, p *Problem, r *rng.Source) (sysmodel.Allocation, error) {
 	type indiv struct {
 		al  sysmodel.Allocation
 		phi float64
@@ -374,9 +285,9 @@ func (h *GeneticAlgorithm) evolveOnce(ctx context.Context, p *Problem, r *rng.So
 		return indiv{al: al, phi: phi}, true
 	}
 	var cur []indiv
-	for len(cur) < pop {
+	for len(cur) < geneticPopulation {
 		if err := ctx.Err(); err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		al, ok := randomAllocation(p, r)
 		if !ok {
@@ -394,13 +305,13 @@ func (h *GeneticAlgorithm) evolveOnce(ctx context.Context, p *Problem, r *rng.So
 		}
 		return b
 	}
-	for g := 0; g < gens; g++ {
+	for g := 0; g < geneticGenerations; g++ {
 		if err := ctx.Err(); err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		sort.Slice(cur, func(i, j int) bool { return cur[i].phi > cur[j].phi })
 		next := []indiv{cur[0], cur[1%len(cur)]} // elitism
-		for len(next) < pop {
+		for len(next) < geneticPopulation {
 			a, b := tournament(), tournament()
 			child := a.al.Clone()
 			for i := range child {
@@ -411,7 +322,7 @@ func (h *GeneticAlgorithm) evolveOnce(ctx context.Context, p *Problem, r *rng.So
 			if !repair(p, child) {
 				continue
 			}
-			if r.Float64() < mut {
+			if r.Float64() < geneticMutationRate {
 				if m, ok := neighbor(p, child, r); ok {
 					child = m
 				}
@@ -428,27 +339,15 @@ func (h *GeneticAlgorithm) evolveOnce(ctx context.Context, p *Problem, r *rng.So
 			best = in
 		}
 	}
-	return best.al, best.phi, nil
+	return best.al, nil
 }
 
 // TabuSearch is a best-improvement local search over the neighbor move
-// set with a fixed-length tabu list on visited allocations. Zero-valued
-// fields take defaults.
+// set with a fixed-length tabu list on visited allocations.
 type TabuSearch struct {
-	// Iterations is the number of search steps per restart
-	// (default 400).
-	Iterations int
-	// Tenure is the tabu list length (default 50).
-	Tenure int
-	// Candidates is the number of neighbors sampled per step
-	// (default 20).
-	Candidates int
-	// Restarts is the number of independent searches (default 1); the
-	// best result wins.
-	Restarts int
 	// Seed drives the sampling.
 	Seed uint64
-	// Workers bounds the restart worker pool; non-positive means
+	// Workers bounds the evaluation-table build; non-positive means
 	// runtime.NumCPU(). The result never depends on it.
 	Workers int
 }
@@ -462,79 +361,58 @@ func (h *TabuSearch) SetWorkers(workers int) { h.Workers = workers }
 // SetSeed implements SeedSettable.
 func (h *TabuSearch) SetSeed(seed uint64) { h.Seed = seed }
 
-// AllocateContext implements Heuristic: each search checks ctx every
+// AllocateContext implements Heuristic: the search checks ctx every
 // metaCheckStride steps.
 func (h *TabuSearch) AllocateContext(ctx context.Context, p *Problem) (sysmodel.Allocation, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if err := p.PrecomputeContext(ctx, h.Workers); err != nil {
-		return nil, err
-	}
-	restarts := h.Restarts
-	if restarts <= 0 {
-		restarts = 1
-	}
-	return runRestarts(ctx, p, "tabu", h.Workers, restartStreams(h.Seed+0x7a7a, restarts),
-		func(ctx context.Context, r *rng.Source) (sysmodel.Allocation, float64, error) {
-			return h.searchOnce(ctx, p, r)
-		})
+	return runWalk(ctx, p, "tabu", h.Workers, h.Seed+0x7a7a, tabuSearch)
 }
 
-// searchOnce runs one tabu search on its own rng stream.
-func (h *TabuSearch) searchOnce(ctx context.Context, p *Problem, r *rng.Source) (sysmodel.Allocation, float64, error) {
-	iters := h.Iterations
-	if iters <= 0 {
-		iters = 400
-	}
-	tenure := h.Tenure
-	if tenure <= 0 {
-		tenure = 50
-	}
-	cands := h.Candidates
-	if cands <= 0 {
-		cands = 20
-	}
+// tabuSearch runs one tabu search on r.
+func tabuSearch(ctx context.Context, p *Problem, r *rng.Source) (sysmodel.Allocation, error) {
 	cur, ok := randomAllocation(p, r)
 	if !ok {
-		return nil, 0, fmt.Errorf("ra: tabu could not build an initial allocation")
+		return nil, fmt.Errorf("ra: tabu could not build an initial allocation")
 	}
 	curPhi, err := p.Objective(cur)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	best, bestPhi := cur.Clone(), curPhi
-	tabu := map[string]bool{cur.String(): true}
-	var order []string
-	push := func(key string) {
-		tabu[key] = true
-		order = append(order, key)
-		if len(order) > tenure {
-			delete(tabu, order[0])
-			order = order[1:]
+	// The tabu list keys an allocation by its (type, procs) pairs as
+	// consecutive uvarints, a self-delimiting and hence injective
+	// encoding. Lookups convert the reused buffer without allocating;
+	// only insertions copy it.
+	var buf []byte
+	key := func(al sysmodel.Allocation) []byte {
+		buf = buf[:0]
+		for _, as := range al {
+			buf = binary.AppendUvarint(buf, uint64(as.Type))
+			buf = binary.AppendUvarint(buf, uint64(as.Procs))
 		}
+		return buf
 	}
-	for k := 0; k < iters; k++ {
+	tabu := map[string]bool{string(key(cur)): true}
+	var order []string
+	for k := 0; k < tabuIterations; k++ {
 		if k%metaCheckStride == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, 0, err
+				return nil, err
 			}
 		}
 		var stepBest sysmodel.Allocation
 		stepPhi := math.Inf(-1)
-		for c := 0; c < cands; c++ {
+		for c := 0; c < tabuCandidates; c++ {
 			cand, ok := neighbor(p, cur, r)
 			if !ok {
 				continue
 			}
-			key := cand.String()
 			phi, err := p.Objective(cand)
 			if err != nil {
 				continue
 			}
 			// Aspiration: a tabu move is allowed if it beats the global
 			// best.
-			if tabu[key] && phi <= bestPhi {
+			if phi <= bestPhi && tabu[string(key(cand))] {
 				continue
 			}
 			if phi > stepPhi {
@@ -545,10 +423,16 @@ func (h *TabuSearch) searchOnce(ctx context.Context, p *Problem, r *rng.Source) 
 			continue
 		}
 		cur, curPhi = stepBest, stepPhi
-		push(cur.String())
+		id := string(key(cur))
+		tabu[id] = true
+		order = append(order, id)
+		if len(order) > tabuTenure {
+			delete(tabu, order[0])
+			order = order[1:]
+		}
 		if curPhi > bestPhi {
 			best, bestPhi = cur.Clone(), curPhi
 		}
 	}
-	return best, bestPhi, nil
+	return best, nil
 }

@@ -96,15 +96,15 @@ func TestExhaustiveDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestMetaheuristicsDeterministicAcrossWorkers checks that restart-based
-// heuristics with fixed seeds return identical allocations for every
-// worker count (restart streams are split before the pool starts).
+// TestMetaheuristicsDeterministicAcrossWorkers checks that the seeded
+// metaheuristics return identical allocations for every worker count of
+// the evaluation-table build.
 func TestMetaheuristicsDeterministicAcrossWorkers(t *testing.T) {
 	mk := func(w int) []Heuristic {
 		return []Heuristic{
-			&SimulatedAnnealing{Iterations: 150, Restarts: 4, Seed: 5, Workers: w},
-			&GeneticAlgorithm{Population: 8, Generations: 6, Restarts: 3, Seed: 5, Workers: w},
-			&TabuSearch{Iterations: 40, Restarts: 3, Seed: 5, Workers: w},
+			&SimulatedAnnealing{Seed: 5, Workers: w},
+			&GeneticAlgorithm{Seed: 5, Workers: w},
+			&TabuSearch{Seed: 5, Workers: w},
 		}
 	}
 	p := randomProblem(23, 3)
@@ -140,8 +140,8 @@ func TestConcurrentAllocateSharedProblem(t *testing.T) {
 	hs := []Heuristic{
 		&Exhaustive{Workers: 2},
 		Greedy{},
-		&SimulatedAnnealing{Iterations: 100, Restarts: 2, Seed: 9, Workers: 2},
-		&TabuSearch{Iterations: 30, Seed: 9, Workers: 2},
+		&SimulatedAnnealing{Seed: 9, Workers: 2},
+		&TabuSearch{Seed: 9, Workers: 2},
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, len(hs)*3)

@@ -22,10 +22,9 @@
 // The package is a parallel search engine: Problem.PrecomputeContext
 // builds an immutable evaluation table with a bounded worker pool,
 // after which every heuristic's inner loop is a lock-free array read and
-// the expensive searches (Exhaustive, the metaheuristic restarts) fan
-// out across workers. All parallel searches reduce deterministically —
-// for a fixed seed they return bit-identical allocations and phi_1
-// values for any worker count, including 1.
+// the exhaustive search fans out across workers. All parallel searches
+// reduce deterministically — for a fixed seed they return bit-identical
+// allocations and phi_1 values for any worker count, including 1.
 package ra
 
 import (
@@ -82,9 +81,9 @@ type Problem struct {
 
 	// Obs receives the search's instrumentation: counters (cell
 	// evaluations, table hits/misses, precompute wall time, exhaustive
-	// scans, metaheuristic restarts) in Obs.Metrics, and wall-clock
-	// spans of the precompute build, each exhaustive partition and each
-	// metaheuristic restart, on lanes under "stage1/", in Obs.Tracer.
+	// scans) in Obs.Metrics, and wall-clock spans of the precompute
+	// build, each exhaustive partition and each metaheuristic walk, on
+	// lanes under "stage1/", in Obs.Tracer.
 	// The zero Scope records nothing. Set it before PrecomputeContext —
 	// the hot-path counters are cached when the table is built,
 	// following the same single-goroutine construction contract as the

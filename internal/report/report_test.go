@@ -36,18 +36,6 @@ func TestTableShortRowsPadded(t *testing.T) {
 	}
 }
 
-func TestTableAddRowf(t *testing.T) {
-	tb := NewTable("", "A", "B", "C")
-	tb.AddRowf("s", 3.14159, 42)
-	out := tb.String()
-	if !strings.Contains(out, "3.14") {
-		t.Errorf("float not formatted: %q", out)
-	}
-	if !strings.Contains(out, "42") {
-		t.Errorf("int missing: %q", out)
-	}
-}
-
 func TestTableCSV(t *testing.T) {
 	tb := NewTable("ignored", "a", "b")
 	tb.AddRow("plain", `with "quote", and comma`)

@@ -30,23 +30,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// AddRowf appends a row of formatted cells: each argument is rendered
-// with %v except float64, which uses %.2f.
-func (t *Table) AddRowf(cells ...any) {
-	row := make([]string, 0, len(cells))
-	for _, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			row = append(row, fmt.Sprintf("%.2f", v))
-		case string:
-			row = append(row, v)
-		default:
-			row = append(row, fmt.Sprintf("%v", v))
-		}
-	}
-	t.AddRow(row...)
-}
-
 // Render writes the aligned table to w.
 func (t *Table) Render(w io.Writer) error {
 	widths := make([]int, len(t.headers))

@@ -235,48 +235,3 @@ func TestMul64(t *testing.T) {
 		}
 	}
 }
-
-func TestJumpDisjointStreams(t *testing.T) {
-	a := New(77)
-	b := New(77)
-	b.Jump()
-	// The jumped stream must diverge from the base stream immediately
-	// and produce no collisions over a window.
-	seen := map[uint64]bool{}
-	for i := 0; i < 2000; i++ {
-		seen[a.Uint64()] = true
-	}
-	collisions := 0
-	for i := 0; i < 2000; i++ {
-		if seen[b.Uint64()] {
-			collisions++
-		}
-	}
-	if collisions > 0 {
-		t.Errorf("jumped stream collided %d times with the base stream", collisions)
-	}
-}
-
-func TestJumpDeterministic(t *testing.T) {
-	a, b := New(5), New(5)
-	a.Jump()
-	b.Jump()
-	for i := 0; i < 100; i++ {
-		if a.Uint64() != b.Uint64() {
-			t.Fatal("jump not deterministic")
-		}
-	}
-}
-
-func TestJumpStatisticalQuality(t *testing.T) {
-	r := New(1)
-	r.Jump()
-	sum := 0.0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		sum += r.Float64()
-	}
-	if mean := sum / n; mean < 0.49 || mean > 0.51 {
-		t.Errorf("post-jump mean = %v", mean)
-	}
-}

@@ -42,49 +42,6 @@ func DeadlineSweep(sys *sysmodel.System, batch sysmodel.Batch, alloc sysmodel.Al
 	return out, nil
 }
 
-// MinDeadlineFor returns the smallest deadline achieving at least the
-// target phi_1 for an allocation, found by bisection over the support
-// of the completion PMFs. It returns an error if the target is
-// unreachable (target > 1 or numerically above the probability at the
-// maximum completion time).
-func MinDeadlineFor(sys *sysmodel.System, batch sysmodel.Batch, alloc sysmodel.Allocation, target float64) (float64, error) {
-	if target <= 0 || target > 1 {
-		return 0, fmt.Errorf("robustness: target probability %v out of (0,1]", target)
-	}
-	if err := alloc.Validate(sys, batch); err != nil {
-		return 0, err
-	}
-	completions := make([]pmf.PMF, len(batch))
-	lo, hi := 0.0, 0.0
-	for i := range batch {
-		as := alloc[i]
-		c := batch[i].CompletionPMF(as.Type, as.Procs, sys.Types[as.Type].Avail)
-		completions[i] = c
-		if c.Max() > hi {
-			hi = c.Max()
-		}
-	}
-	phiAt := func(d float64) float64 {
-		phi := 1.0
-		for _, c := range completions {
-			phi *= c.PrLE(d)
-		}
-		return phi
-	}
-	if phiAt(hi) < target {
-		return 0, fmt.Errorf("robustness: target %v unreachable (max phi %v)", target, phiAt(hi))
-	}
-	for hi-lo > 1e-6*hi {
-		mid := (lo + hi) / 2
-		if phiAt(mid) >= target {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi, nil
-}
-
 // AvailabilityScalingCurve evaluates phi_1 for an allocation while the
 // availability PMFs of every processor type are scaled by each factor
 // in scales (each in (0, 1]); the x of each point is the corresponding
@@ -111,17 +68,4 @@ func AvailabilityScalingCurve(sys *sysmodel.System, batch sysmodel.Batch, alloc 
 		out[k] = CurvePoint{X: AvailabilityDecrease(sys, pert), Value: phi}
 	}
 	return out, nil
-}
-
-// ToleranceFromCurve returns the largest x whose curve value still
-// meets the threshold, assuming the curve is (weakly) decreasing in x
-// after sorting; ok is false when no point qualifies.
-func ToleranceFromCurve(curve []CurvePoint, threshold float64) (float64, bool) {
-	best, ok := 0.0, false
-	for _, p := range curve {
-		if p.Value >= threshold && (!ok || p.X > best) {
-			best, ok = p.X, true
-		}
-	}
-	return best, ok
 }

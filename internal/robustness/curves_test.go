@@ -47,26 +47,6 @@ func TestDeadlineSweepMatchesEvaluate(t *testing.T) {
 	}
 }
 
-func TestMinDeadlineFor(t *testing.T) {
-	sys, batch := testSystem(), testBatch()
-	alloc := sysmodel.Allocation{{Type: 0, Procs: 2}, {Type: 0, Procs: 2}}
-	d, err := MinDeadlineFor(sys, batch, alloc, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// phi1 at d meets the target, and slightly below d it does not.
-	at, _ := DeadlineSweep(sys, batch, alloc, []float64{d, d * 0.99})
-	if at[0].Value < 0.9 {
-		t.Errorf("phi1(%v) = %v < 0.9", d, at[0].Value)
-	}
-	if at[1].Value >= 0.9 {
-		t.Errorf("phi1 just below the minimum deadline still %v", at[1].Value)
-	}
-	if _, err := MinDeadlineFor(sys, batch, alloc, 1.5); err == nil {
-		t.Error("target > 1 accepted")
-	}
-}
-
 func TestAvailabilityScalingCurve(t *testing.T) {
 	sys, batch := testSystem(), testBatch()
 	alloc := sysmodel.Allocation{{Type: 0, Procs: 2}, {Type: 0, Procs: 2}}
@@ -89,18 +69,5 @@ func TestAvailabilityScalingCurve(t *testing.T) {
 	}
 	if _, err := AvailabilityScalingCurve(sys, batch, alloc, 2200, []float64{0}); err == nil {
 		t.Error("zero scale accepted")
-	}
-}
-
-func TestToleranceFromCurve(t *testing.T) {
-	curve := []CurvePoint{
-		{X: 0, Value: 0.9}, {X: 0.1, Value: 0.8}, {X: 0.2, Value: 0.6}, {X: 0.3, Value: 0.2},
-	}
-	tol, ok := ToleranceFromCurve(curve, 0.5)
-	if !ok || math.Abs(tol-0.2) > 1e-12 {
-		t.Errorf("tolerance = %v, %v", tol, ok)
-	}
-	if _, ok := ToleranceFromCurve(curve, 0.95); ok {
-		t.Error("unreachable threshold returned ok")
 	}
 }

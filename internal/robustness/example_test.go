@@ -39,14 +39,3 @@ func ExampleEvaluateStageI() {
 	// b: Pr = 1.00, E[T] = 390
 	// phi1 = 0.50
 }
-
-// ExampleRobustnessRadius computes a FePIA-style robustness radius: the
-// largest availability drop a 100-unit task tolerates before missing a
-// 150-unit bound when its time scales as 100/(1-p).
-func ExampleRobustnessRadius() {
-	impact := func(p float64) float64 { return 100 / (1 - p) }
-	r := robustness.RobustnessRadius(impact, 150, 0.99, 1e-9)
-	fmt.Printf("radius = %.3f\n", r)
-	// Output:
-	// radius = 0.333
-}

@@ -8,8 +8,6 @@
 //   - Stage II robustness: the largest percentage decrease in weighted
 //     system availability, 1 - E[A_i]/E[A_hat], that all applications
 //     tolerate without violating the deadline.
-//   - The FePIA robustness radius of Ali et al. (paper ref. [3]), the
-//     general metric the paper builds on, provided for ablation studies.
 package robustness
 
 import (

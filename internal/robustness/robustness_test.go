@@ -143,41 +143,3 @@ func TestTupleString(t *testing.T) {
 		t.Errorf("String = %q", got)
 	}
 }
-
-func TestRobustnessRadius(t *testing.T) {
-	// Completion time grows linearly with perturbation: t(p) = 100 + 200p;
-	// bound 150 -> radius 0.25.
-	impact := func(p float64) float64 { return 100 + 200*p }
-	r := RobustnessRadius(impact, 150, 1, 1e-9)
-	if math.Abs(r-0.25) > 1e-6 {
-		t.Errorf("radius = %v, want 0.25", r)
-	}
-	// Bound already violated at zero perturbation.
-	if r := RobustnessRadius(impact, 50, 1, 1e-9); r != 0 {
-		t.Errorf("violated-bound radius = %v", r)
-	}
-	// Bound never violated.
-	if r := RobustnessRadius(impact, 1000, 1, 1e-9); r != 1 {
-		t.Errorf("never-violated radius = %v", r)
-	}
-}
-
-func TestCollectiveRadius(t *testing.T) {
-	impacts := []PerturbationImpact{
-		func(p float64) float64 { return 100 + 100*p }, // radius 0.5 at bound 150
-		func(p float64) float64 { return 100 + 400*p }, // radius 0.125
-	}
-	r := CollectiveRadius(impacts, []float64{150, 150}, 1, 1e-9)
-	if math.Abs(r-0.125) > 1e-6 {
-		t.Errorf("collective radius = %v, want 0.125", r)
-	}
-}
-
-func TestCollectiveRadiusPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("no-features CollectiveRadius did not panic")
-		}
-	}()
-	CollectiveRadius(nil, nil, 1, 1e-9)
-}

@@ -28,16 +28,11 @@ func sampleBits(s *Sample) []uint64 {
 // TestArmsMatchRunMany pins RunArmsContext to the one-technique
 // path: each arm's Sample is bit-identical to RunManyContext with the
 // arm's technique, releases and scope on the same config and seed. It
-// covers every registered technique on the Static, Redraw, Markov,
-// SharedLoad and Trace models, with and without an iteration profile,
+// covers every registered technique on the Static, Redraw, Markov and
+// SharedLoad models, with and without an iteration profile,
 // single- and three-sweep runs, and per-technique release vectors.
 func TestArmsMatchRunMany(t *testing.T) {
 	load := pmf.MustNew([]pmf.Pulse{{Value: 0.25, Prob: 0.25}, {Value: 0.5, Prob: 0.25}, {Value: 1, Prob: 0.5}})
-	trace, err := availability.NewTrace([]availability.Segment{
-		{Until: 40, Avail: 0.5}, {Until: 120, Avail: 1}, {Until: math.Inf(1), Avail: 0.25}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	models := []struct {
 		name string
 		mk   func() availability.Model
@@ -50,7 +45,6 @@ func TestArmsMatchRunMany(t *testing.T) {
 		{"sharedload", func() availability.Model {
 			return &availability.SharedLoad{Shared: load, Idio: load, Mix: 0.5, Interval: 25, Persistence: 0.5}
 		}},
-		{"trace", func() availability.Model { return trace }},
 	}
 	const reps = 6
 	techs := dls.All()

@@ -29,18 +29,10 @@ type Sample struct {
 	MeanImbalance float64
 
 	// sorted caches the makespans in ascending order for Quantile and
-	// PrLE; it is rebuilt whenever len(Makespans) changes. Callers that
-	// overwrite existing entries in place (without changing the length)
-	// must call Invalidate afterwards.
+	// PrLE; it is rebuilt whenever len(Makespans) changes, and Append
+	// drops it. Entries must not be overwritten in place.
 	sorted []float64
 }
-
-// Invalidate drops the cached sort order used by Quantile and PrLE.
-// Use Append to add makespans — it invalidates internally; direct
-// writes to Makespans (in-place edits, or a truncate-and-refill that
-// lands on the same length, which the stale-length heuristic below
-// cannot see) must call Invalidate afterwards.
-func (s *Sample) Invalidate() { s.sorted = nil }
 
 // Append adds makespans to the sample and invalidates the cached sort
 // order. Prefer it over appending to Makespans directly: a direct
@@ -334,38 +326,4 @@ func RunArmsContext(ctx context.Context, cfg Config, arms []Arm, reps int) ([]*S
 		out[a] = s
 	}
 	return out, nil
-}
-
-// ciLevelEps is the tolerance for matching a confidence level against
-// the tabulated z-values; levels computed as e.g. 1-0.05 hit the fast
-// path despite floating-point rounding.
-const ciLevelEps = 1e-9
-
-// ConfidenceInterval returns the normal-approximation confidence
-// interval for the mean makespan at the given level in (0, 1). The
-// common levels 0.90, 0.95 and 0.99 (matched within 1e-9) use the
-// tabulated z-values; any other level derives its z-value from the
-// inverse normal CDF. With the repetition counts used throughout this
-// repository (>= 20) the normal approximation is adequate.
-func (s *Sample) ConfidenceInterval(level float64) (lo, hi float64, err error) {
-	var z float64
-	switch {
-	case math.Abs(level-0.90) < ciLevelEps:
-		z = 1.6449
-	case math.Abs(level-0.95) < ciLevelEps:
-		z = 1.9600
-	case math.Abs(level-0.99) < ciLevelEps:
-		z = 2.5758
-	case level > 0 && level < 1:
-		z = stats.NewNormal(0, 1).Quantile((1 + level) / 2)
-	default:
-		return 0, 0, fmt.Errorf("sim: confidence level %v outside (0, 1)", level)
-	}
-	n := float64(len(s.Makespans))
-	if n < 2 {
-		return 0, 0, fmt.Errorf("sim: %d makespans too few for a confidence interval", len(s.Makespans))
-	}
-	mean := s.Mean()
-	se := s.StdDev() / math.Sqrt(n)
-	return mean - z*se, mean + z*se, nil
 }

@@ -152,14 +152,6 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// ChunkRecord logs one dispatched chunk.
-type ChunkRecord struct {
-	Worker  int
-	Start   float64 // dispatch time (before overhead)
-	Size    int
-	Elapsed float64 // execution time excluding overhead
-}
-
 // Result reports one simulated run.
 type Result struct {
 	// Makespan is the absolute completion time of the whole
@@ -185,7 +177,7 @@ type Result struct {
 	// parallel phase, the classic load-imbalance metric (0 = perfect).
 	Imbalance float64
 	// Chunks is the per-chunk log when Config.CollectChunks is set.
-	Chunks []ChunkRecord
+	Chunks []tracing.Chunk
 }
 
 // event is a worker becoming idle at time t.
@@ -488,11 +480,7 @@ func emitRunSpans(tr *tracing.Tracer, cfg *Config, res *Result) {
 		tr.Add(tracing.Span{Clock: tracing.Sim, Lane: scope + "/serial",
 			Name: "serial phase", Cat: "serial", Start: res.Release, Dur: res.SerialTime})
 	}
-	chunks := make([]tracing.Chunk, len(res.Chunks))
-	for i, c := range res.Chunks {
-		chunks[i] = tracing.Chunk{Worker: c.Worker, Start: c.Start, Size: c.Size, Elapsed: c.Elapsed}
-	}
-	tr.AddWorkerLanes(scope, chunks, cfg.Overhead)
+	tr.AddWorkerLanes(scope, res.Chunks, cfg.Overhead)
 }
 
 // runStats accumulates one run's instrumentation counts in plain
@@ -613,7 +601,7 @@ func runSweep(ctx context.Context, cfg *Config, sched dls.Scheduler, procs []ava
 		res.WorkerBusy[e.worker] += elapsed
 		res.WorkerIters[e.worker] += k
 		if cfg.CollectChunks {
-			res.Chunks = append(res.Chunks, ChunkRecord{
+			res.Chunks = append(res.Chunks, tracing.Chunk{
 				Worker: e.worker, Start: e.t, Size: k, Elapsed: elapsed,
 			})
 		}

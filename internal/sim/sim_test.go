@@ -387,37 +387,3 @@ func TestBlackoutFailureInjection(t *testing.T) {
 		t.Errorf("executed %d of 777 iterations under outages", total)
 	}
 }
-
-func TestConfidenceInterval(t *testing.T) {
-	cfg := baseConfig(t, "FAC")
-	s, err := RunManyContext(context.Background(), cfg, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo95, hi95, err := s.ConfidenceInterval(0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(lo95 < s.Mean() && s.Mean() < hi95) {
-		t.Errorf("mean %v outside CI [%v, %v]", s.Mean(), lo95, hi95)
-	}
-	lo99, hi99, err := s.ConfidenceInterval(0.99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hi99-lo99 <= hi95-lo95 {
-		t.Error("99% CI not wider than 95% CI")
-	}
-	if _, _, err := s.ConfidenceInterval(0.5); err != nil {
-		t.Errorf("arbitrary level in (0,1) rejected: %v", err)
-	}
-	for _, bad := range []float64{0, 1, -0.5, 1.5} {
-		if _, _, err := s.ConfidenceInterval(bad); err == nil {
-			t.Errorf("level %v outside (0,1) accepted", bad)
-		}
-	}
-	tiny := &Sample{Makespans: []float64{1}}
-	if _, _, err := tiny.ConfidenceInterval(0.95); err == nil {
-		t.Error("single-run CI accepted")
-	}
-}

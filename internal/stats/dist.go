@@ -4,8 +4,9 @@
 // statistics, and histogram utilities that the paper's stochastic model
 // requires: normal distributions for single-processor execution times
 // (paper Table III generates PMFs by sampling Normal(mu, mu/10)),
-// exponential inter-arrival times for the batch substrate, and streaming
-// summaries for the runtime simulator. Only the standard library is used.
+// exponential inter-arrival times for the batch substrate, and sample
+// summaries and Kolmogorov-Smirnov statistics for the runtime
+// simulator. Only the standard library is used.
 package stats
 
 import (
@@ -49,12 +50,6 @@ func (n Normal) Mean() float64 { return n.Mu }
 
 // Var returns Sigma^2.
 func (n Normal) Var() float64 { return n.Sigma * n.Sigma }
-
-// PDF returns the probability density at x.
-func (n Normal) PDF(x float64) float64 {
-	z := (x - n.Mu) / n.Sigma
-	return math.Exp(-0.5*z*z) / (n.Sigma * math.Sqrt(2*math.Pi))
-}
 
 // CDF returns P(X <= x) using the error function.
 func (n Normal) CDF(x float64) float64 {
@@ -154,50 +149,6 @@ func erfinv(x float64) float64 {
 	e := math.Erf(y) - x
 	y -= e / (2 / math.Sqrt(math.Pi) * math.Exp(-y*y))
 	return y
-}
-
-// Uniform is the continuous uniform distribution on [A, B).
-type Uniform struct {
-	A, B float64
-}
-
-// NewUniform returns a Uniform on [a, b). It panics if b <= a.
-func NewUniform(a, b float64) Uniform {
-	if b <= a {
-		panic(fmt.Sprintf("stats: uniform bounds [%v,%v) empty", a, b))
-	}
-	return Uniform{A: a, B: b}
-}
-
-// Mean returns (A+B)/2.
-func (u Uniform) Mean() float64 { return (u.A + u.B) / 2 }
-
-// Var returns (B-A)^2/12.
-func (u Uniform) Var() float64 { d := u.B - u.A; return d * d / 12 }
-
-// CDF returns P(X <= x).
-func (u Uniform) CDF(x float64) float64 {
-	switch {
-	case x < u.A:
-		return 0
-	case x >= u.B:
-		return 1
-	default:
-		return (x - u.A) / (u.B - u.A)
-	}
-}
-
-// Quantile returns the p-quantile. It panics unless 0 <= p <= 1.
-func (u Uniform) Quantile(p float64) float64 {
-	if p < 0 || p > 1 {
-		panic(fmt.Sprintf("stats: quantile probability %v out of [0,1]", p))
-	}
-	return u.A + p*(u.B-u.A)
-}
-
-// Sample draws one uniform variate.
-func (u Uniform) Sample(r *rng.Source) float64 {
-	return u.A + r.Float64()*(u.B-u.A)
 }
 
 // Exponential is the exponential distribution with rate Lambda.

@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Histogram is a fixed-width binning of a sample, used to turn empirical
@@ -62,53 +61,3 @@ func (h *Histogram) Observe(x float64) {
 func (h *Histogram) BinCenter(i int) float64 {
 	return h.Lo + (float64(i)+0.5)*h.Width
 }
-
-// Probabilities returns the normalized per-bin relative frequencies.
-// It panics if the histogram is empty.
-func (h *Histogram) Probabilities() []float64 {
-	if h.Total == 0 {
-		panic("stats: Probabilities of empty histogram")
-	}
-	p := make([]float64, len(h.Counts))
-	for i, c := range h.Counts {
-		p[i] = float64(c) / float64(h.Total)
-	}
-	return p
-}
-
-// Mode returns the center of the most populated bin (ties broken toward
-// the lower bin).
-func (h *Histogram) Mode() float64 {
-	best := 0
-	for i, c := range h.Counts {
-		if c > h.Counts[best] {
-			best = i
-		}
-	}
-	return h.BinCenter(best)
-}
-
-// ECDF is an empirical cumulative distribution function over a sample.
-type ECDF struct {
-	sorted []float64
-}
-
-// NewECDF copies and sorts xs. It panics on an empty sample.
-func NewECDF(xs []float64) *ECDF {
-	if len(xs) == 0 {
-		panic("stats: NewECDF of empty sample")
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return &ECDF{sorted: s}
-}
-
-// At returns the fraction of the sample that is <= x.
-func (e *ECDF) At(x float64) float64 {
-	// First index with value > x.
-	i := sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(e.sorted))
-}
-
-// N returns the sample size.
-func (e *ECDF) N() int { return len(e.sorted) }

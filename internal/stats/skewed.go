@@ -20,15 +20,6 @@ type LogNormal struct {
 	SigmaLog float64
 }
 
-// NewLogNormal returns the log-normal with the given *log-space*
-// parameters. It panics if sigmaLog is not positive.
-func NewLogNormal(muLog, sigmaLog float64) LogNormal {
-	if sigmaLog <= 0 {
-		panic(fmt.Sprintf("stats: non-positive sigmaLog %v", sigmaLog))
-	}
-	return LogNormal{MuLog: muLog, SigmaLog: sigmaLog}
-}
-
 // LogNormalFromMoments returns the log-normal with the given mean and
 // standard deviation (real-space). It panics unless both are positive.
 func LogNormalFromMoments(mean, stddev float64) LogNormal {
@@ -76,15 +67,6 @@ func (l LogNormal) Sample(r *rng.Source) float64 {
 type Gamma struct {
 	K     float64
 	Theta float64
-}
-
-// NewGamma returns a Gamma with the given shape and scale. It panics
-// unless both are positive.
-func NewGamma(k, theta float64) Gamma {
-	if k <= 0 || theta <= 0 {
-		panic(fmt.Sprintf("stats: invalid gamma parameters (%v, %v)", k, theta))
-	}
-	return Gamma{K: k, Theta: theta}
 }
 
 // GammaFromMoments returns the Gamma with the given mean and standard

@@ -18,7 +18,7 @@ func TestLogNormalMoments(t *testing.T) {
 }
 
 func TestLogNormalCDFQuantileRoundTrip(t *testing.T) {
-	l := NewLogNormal(1, 0.5)
+	l := LogNormal{MuLog: 1, SigmaLog: 0.5}
 	for _, p := range []float64{0.01, 0.1, 0.5, 0.9, 0.99} {
 		x := l.Quantile(p)
 		if got := l.CDF(x); math.Abs(got-p) > 1e-10 {
@@ -33,19 +33,18 @@ func TestLogNormalCDFQuantileRoundTrip(t *testing.T) {
 func TestLogNormalSampleMoments(t *testing.T) {
 	l := LogNormalFromMoments(50, 20)
 	r := rng.New(3)
-	var w Welford
-	for i := 0; i < 200000; i++ {
-		x := l.Sample(r)
-		if x <= 0 {
-			t.Fatalf("non-positive sample %v", x)
+	xs := make([]float64, 200000)
+	for i := range xs {
+		xs[i] = l.Sample(r)
+		if xs[i] <= 0 {
+			t.Fatalf("non-positive sample %v", xs[i])
 		}
-		w.Add(x)
 	}
-	if math.Abs(w.Mean()-50) > 0.5 {
-		t.Errorf("sample mean = %v", w.Mean())
+	if m := Mean(xs); math.Abs(m-50) > 0.5 {
+		t.Errorf("sample mean = %v", m)
 	}
-	if math.Abs(w.StdDev()-20) > 0.5 {
-		t.Errorf("sample stddev = %v", w.StdDev())
+	if s := StdDev(xs); math.Abs(s-20) > 0.5 {
+		t.Errorf("sample stddev = %v", s)
 	}
 }
 
@@ -61,7 +60,7 @@ func TestGammaMoments(t *testing.T) {
 
 func TestGammaCDFKnownValues(t *testing.T) {
 	// Gamma(k=1, theta=1) is Exponential(1): CDF(x) = 1 - e^-x.
-	g := NewGamma(1, 1)
+	g := Gamma{K: 1, Theta: 1}
 	for _, x := range []float64{0.1, 0.5, 1, 2, 5} {
 		want := 1 - math.Exp(-x)
 		if got := g.CDF(x); math.Abs(got-want) > 1e-12 {
@@ -69,7 +68,7 @@ func TestGammaCDFKnownValues(t *testing.T) {
 		}
 	}
 	// Gamma(k=2, theta=1): CDF(x) = 1 - (1+x) e^-x.
-	g2 := NewGamma(2, 1)
+	g2 := Gamma{K: 2, Theta: 1}
 	for _, x := range []float64{0.5, 1, 3} {
 		want := 1 - (1+x)*math.Exp(-x)
 		if got := g2.CDF(x); math.Abs(got-want) > 1e-12 {
@@ -79,7 +78,7 @@ func TestGammaCDFKnownValues(t *testing.T) {
 }
 
 func TestGammaQuantileRoundTrip(t *testing.T) {
-	g := NewGamma(3.7, 2.1)
+	g := Gamma{K: 3.7, Theta: 2.1}
 	for _, p := range []float64{0.01, 0.25, 0.5, 0.75, 0.99} {
 		x := g.Quantile(p)
 		if got := g.CDF(x); math.Abs(got-p) > 1e-9 {
@@ -92,22 +91,20 @@ func TestGammaSampleMoments(t *testing.T) {
 	for _, tc := range []struct{ k, theta float64 }{
 		{0.5, 2}, {1, 1}, {4, 0.5}, {20, 3},
 	} {
-		g := NewGamma(tc.k, tc.theta)
+		g := Gamma{K: tc.k, Theta: tc.theta}
 		r := rng.New(7)
-		var w Welford
-		for i := 0; i < 200000; i++ {
-			x := g.Sample(r)
-			if x < 0 {
-				t.Fatalf("negative gamma sample %v", x)
+		xs := make([]float64, 200000)
+		for i := range xs {
+			xs[i] = g.Sample(r)
+			if xs[i] < 0 {
+				t.Fatalf("negative gamma sample %v", xs[i])
 			}
-			w.Add(x)
 		}
-		if math.Abs(w.Mean()-g.Mean()) > 0.02*g.Mean()+0.01 {
-			t.Errorf("k=%v: sample mean %v, want %v", tc.k, w.Mean(), g.Mean())
+		if m := Mean(xs); math.Abs(m-g.Mean()) > 0.02*g.Mean()+0.01 {
+			t.Errorf("k=%v: sample mean %v, want %v", tc.k, m, g.Mean())
 		}
-		relVar := math.Abs(w.Var()-g.Var()) / g.Var()
-		if relVar > 0.05 {
-			t.Errorf("k=%v: sample var %v, want %v", tc.k, w.Var(), g.Var())
+		if v := Variance(xs); math.Abs(v-g.Var())/g.Var() > 0.05 {
+			t.Errorf("k=%v: sample var %v, want %v", tc.k, v, g.Var())
 		}
 	}
 }

@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Mean returns the arithmetic mean of xs, or NaN for an empty slice.
@@ -63,18 +62,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Quantile returns the p-quantile of xs using linear interpolation
-// between order statistics (type-7 estimator). It panics on an empty
-// slice or p outside [0,1]. xs is not modified.
-func Quantile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Quantile of empty slice")
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return QuantileSorted(s, p)
-}
-
 // QuantileSorted is Quantile for input already sorted ascending; it
 // avoids the copy-and-sort, so callers that query many quantiles of
 // the same data can sort once. It panics on an empty slice or p outside
@@ -95,73 +82,4 @@ func QuantileSorted(s []float64, p float64) float64 {
 		return s[len(s)-1]
 	}
 	return s[i] + (h-float64(i))*(s[i+1]-s[i])
-}
-
-// Welford is a streaming mean/variance accumulator (Welford's online
-// algorithm). The adaptive DLS techniques use one per worker to estimate
-// per-iteration execution moments from observed chunk times.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add folds one observation into the accumulator.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// AddWeighted folds an observation that represents k identical
-// measurements (e.g. a chunk of k iterations whose per-iteration time
-// averaged x). The variance contribution treats the k measurements as
-// all equal to x, which underestimates spread slightly but keeps the
-// estimator stable for the adaptive schedulers.
-func (w *Welford) AddWeighted(x float64, k int) {
-	for i := 0; i < k; i++ {
-		w.Add(x)
-	}
-}
-
-// N returns the number of observations.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean, or NaN before any observation.
-func (w *Welford) Mean() float64 {
-	if w.n == 0 {
-		return math.NaN()
-	}
-	return w.mean
-}
-
-// Var returns the running population variance, or NaN before any
-// observation.
-func (w *Welford) Var() float64 {
-	if w.n == 0 {
-		return math.NaN()
-	}
-	return w.m2 / float64(w.n)
-}
-
-// StdDev returns the running population standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Var()) }
-
-// Merge combines another accumulator into w (Chan et al. parallel
-// update), leaving other unchanged.
-func (w *Welford) Merge(other Welford) {
-	if other.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = other
-		return
-	}
-	n1, n2 := float64(w.n), float64(other.n)
-	d := other.mean - w.mean
-	tot := n1 + n2
-	w.mean += d * n2 / tot
-	w.m2 += other.m2 + d*d*n1*n2/tot
-	w.n += other.n
 }

@@ -1,12 +1,7 @@
 package sysmodel
 
-import (
-	"fmt"
-)
-
-// This file provides allocation-analysis helpers used by the reports
-// and the resource-manager studies: utilization accounting and
-// Amdahl-style speedup/efficiency estimates per application.
+// This file provides the allocation-analysis helper used by the reports
+// and the resource-manager studies: utilization accounting.
 
 // AllocationStats summarizes how an allocation uses the system.
 type AllocationStats struct {
@@ -39,44 +34,4 @@ func (al Allocation) Stats(sys *System, batch Batch) (*AllocationStats, error) {
 	}
 	s.Utilization = float64(s.TotalUsed) / float64(total)
 	return s, nil
-}
-
-// Speedup returns the expected speedup of application i under
-// assignment as: the single-processor expected time divided by the
-// Eq. 2 parallel expected time (availability cancels, so this is the
-// pure Amdahl factor s + p/n inverted).
-func (a *Application) Speedup(j, n int) float64 {
-	single := a.ExecTime[j].Mean()
-	parallel := a.ParallelTimePMF(j, n).Mean()
-	return single / parallel
-}
-
-// Efficiency returns Speedup / n, the per-processor efficiency of the
-// assignment — the quantity an energy- or utilization-aware allocator
-// would trade against robustness.
-func (a *Application) Efficiency(j, n int) float64 {
-	return a.Speedup(j, n) / float64(n)
-}
-
-// MaxUsefulProcessors returns the smallest power-of-2 processor count
-// at which the application's marginal speedup from doubling drops below
-// the given threshold (e.g. 1.1 = at least 10% faster per doubling),
-// capped at max. It formalizes "how many processors are worth
-// assigning" under Amdahl's law.
-func (a *Application) MaxUsefulProcessors(j, max int, threshold float64) (int, error) {
-	if max < 1 {
-		return 0, fmt.Errorf("sysmodel: max %d", max)
-	}
-	if threshold <= 1 {
-		return 0, fmt.Errorf("sysmodel: threshold %v must exceed 1", threshold)
-	}
-	n := 1
-	for n*2 <= max {
-		gain := a.ParallelTimePMF(j, n).Mean() / a.ParallelTimePMF(j, n*2).Mean()
-		if gain < threshold {
-			break
-		}
-		n *= 2
-	}
-	return n, nil
 }

@@ -30,51 +30,3 @@ func TestAllocationStats(t *testing.T) {
 		t.Error("infeasible allocation accepted")
 	}
 }
-
-func TestSpeedupAndEfficiency(t *testing.T) {
-	a := testApp() // s = 0.3, p = 0.7
-	// Amdahl: speedup(n) = 1 / (0.3 + 0.7/n).
-	for _, n := range []int{1, 2, 4, 8} {
-		want := 1 / (0.3 + 0.7/float64(n))
-		if got := a.Speedup(0, n); math.Abs(got-want) > 1e-9 {
-			t.Errorf("speedup(%d) = %v, want %v", n, got, want)
-		}
-		if got := a.Efficiency(0, n); math.Abs(got-want/float64(n)) > 1e-9 {
-			t.Errorf("efficiency(%d) = %v", n, got)
-		}
-	}
-	// Speedup saturates below 1/s.
-	if s := a.Speedup(0, 1<<20); s >= 1/0.3 {
-		t.Errorf("speedup %v exceeds Amdahl limit", s)
-	}
-}
-
-func TestMaxUsefulProcessors(t *testing.T) {
-	a := testApp() // s = 0.3: doubling 4 -> 8 gives 1/(0.3+0.175)=2.105 vs 1/(0.3+0.0875)=2.58, gain 1.23
-	n, err := a.MaxUsefulProcessors(0, 64, 1.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Gains per doubling: 1->2: 1.538, 2->4: 1.368, 4->8: 1.226,
-	// 8->16: 1.129 < 1.2 so n stops at 8.
-	if n != 8 {
-		t.Errorf("max useful = %d, want 8", n)
-	}
-	// A nearly fully parallel app can use everything.
-	par := testApp()
-	par.SerialIters = 1
-	par.ParallelIters = 9999
-	n, err = par.MaxUsefulProcessors(0, 64, 1.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n < 32 {
-		t.Errorf("parallel app max useful = %d", n)
-	}
-	if _, err := a.MaxUsefulProcessors(0, 0, 1.2); err == nil {
-		t.Error("max 0 accepted")
-	}
-	if _, err := a.MaxUsefulProcessors(0, 8, 1.0); err == nil {
-		t.Error("threshold 1.0 accepted")
-	}
-}

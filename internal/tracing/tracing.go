@@ -14,16 +14,17 @@
 //     simulator's chunk log.
 //
 // The two clocks export as separate process tracks of one Chrome Trace
-// Event Format file (chrome://tracing, Perfetto); see WriteChrome. The
-// same spans can also render as an ASCII report.Gantt for terminals.
+// Event Format file (chrome://tracing, Perfetto); see WriteChrome. A
+// chunk log also renders as an ASCII report.Gantt for terminals (see
+// BuildGantt).
 //
 // Like package metrics, the disabled path is free of surprises: a nil
 // *Tracer is a no-op on every method, recording derives only from
 // finished results and real time — never from the simulation's rng
 // streams — and seeded outputs are bit-identical with tracing on or
 // off. When the span buffer reaches its cap, further spans are counted
-// (Dropped, and "tracing.dropped" in the tracer's metrics registry)
-// rather than silently discarded.
+// ("tracing.dropped" in the tracer's metrics registry) rather than
+// silently discarded.
 //
 // Engines receive a tracer, together with a metrics registry and a
 // progress board, as one Scope in the Obs field of their configs.
@@ -33,9 +34,7 @@
 package tracing
 
 import (
-	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cdsf/internal/metrics"
@@ -89,18 +88,17 @@ type Tracer struct {
 	cap   int
 	reg   *metrics.Registry
 
-	mu      sync.Mutex
-	spans   []Span
-	dropped atomic.Int64
+	mu    sync.Mutex
+	spans []Span
 }
 
 // New returns a tracer with the default span capacity and no metrics
-// registry: drops are counted only by Dropped.
+// registry, so drops at the cap go uncounted.
 func New() *Tracer { return NewSized(DefaultCap, nil) }
 
 // NewSized returns a tracer holding at most cap spans (cap <= 0 means
-// DefaultCap). Spans recorded beyond the cap are dropped, counted by
-// Dropped and, when reg is non-nil, in reg under "tracing.dropped".
+// DefaultCap). Spans recorded beyond the cap are dropped and, when reg
+// is non-nil, counted in reg under "tracing.dropped".
 func NewSized(cap int, reg *metrics.Registry) *Tracer {
 	if cap <= 0 {
 		cap = DefaultCap
@@ -117,7 +115,6 @@ func (t *Tracer) Add(s Span) {
 	t.mu.Lock()
 	if len(t.spans) >= t.cap {
 		t.mu.Unlock()
-		t.dropped.Add(1)
 		t.reg.Counter("tracing.dropped").Inc()
 		return
 	}
@@ -133,15 +130,6 @@ func (t *Tracer) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.spans)
-}
-
-// Dropped returns the number of spans dropped at the buffer cap (0 for
-// a nil receiver).
-func (t *Tracer) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.dropped.Load()
 }
 
 // Spans returns a copy of the recorded spans in insertion order (nil
@@ -191,74 +179,3 @@ func (r Region) End() {
 		Dur:   time.Since(r.start).Seconds(),
 	})
 }
-
-// Chunk is one executed chunk on a simulated-time worker lane: the
-// neutral form of the simulator's chunk records (sim.ChunkRecord), kept
-// dependency-free so both sim and trace can feed it.
-type Chunk struct {
-	// Worker indexes the lane.
-	Worker int
-	// Start is the dispatch time, before the scheduling overhead.
-	Start float64
-	// Size is the number of iterations in the chunk.
-	Size int
-	// Elapsed is the execution time after the overhead.
-	Elapsed float64
-}
-
-// AddWorkerLanes emits the simulated-time timeline of one run's chunk
-// log under the given scope: per chunk an "overhead" span and a "busy"
-// span, plus "idle" spans filling any gap between one chunk's end and
-// the worker's next dispatch. Lanes are named scope + "/w<worker>", so
-// a hierarchical scope ("scenario/case/app") yields the scenario ->
-// case -> app -> chunk span hierarchy. Per lane, busy + overhead + idle
-// sums to the worker's span from first dispatch to last completion —
-// the same accounting trace.Analyze reports. It is a no-op on a nil
-// receiver.
-func (t *Tracer) AddWorkerLanes(scope string, chunks []Chunk, overhead float64) {
-	if t == nil || len(chunks) == 0 {
-		return
-	}
-	// Group chunk indices per worker preserving dispatch order (the
-	// simulator logs chunks in event order, which is start-ordered per
-	// worker).
-	perWorker := map[int][]int{}
-	order := []int{}
-	for i, c := range chunks {
-		if _, seen := perWorker[c.Worker]; !seen {
-			order = append(order, c.Worker)
-		}
-		perWorker[c.Worker] = append(perWorker[c.Worker], i)
-	}
-	for _, w := range order {
-		lane := laneName(scope, w)
-		prevEnd := -1.0
-		for _, i := range perWorker[w] {
-			c := chunks[i]
-			if prevEnd >= 0 && c.Start > prevEnd {
-				t.Add(Span{Clock: Sim, Lane: lane, Name: "idle", Cat: "idle",
-					Start: prevEnd, Dur: c.Start - prevEnd})
-			}
-			if overhead > 0 {
-				t.Add(Span{Clock: Sim, Lane: lane, Name: "dispatch", Cat: "overhead",
-					Start: c.Start, Dur: overhead})
-			}
-			t.Add(Span{Clock: Sim, Lane: lane, Name: chunkName(c.Size), Cat: "busy",
-				Start: c.Start + overhead, Dur: c.Elapsed})
-			prevEnd = c.Start + overhead + c.Elapsed
-		}
-	}
-}
-
-// laneName formats a worker lane under a scope. Workers are
-// zero-padded to two digits so lexicographic lane order matches
-// numeric worker order for the group sizes the paper uses.
-func laneName(scope string, worker int) string {
-	if scope == "" {
-		scope = "run"
-	}
-	return fmt.Sprintf("%s/w%02d", scope, worker)
-}
-
-// chunkName labels a busy span with its chunk size.
-func chunkName(size int) string { return fmt.Sprintf("chunk[%d]", size) }

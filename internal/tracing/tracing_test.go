@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
-	"strings"
 	"sync"
 	"testing"
 
@@ -17,7 +16,7 @@ func TestNilTracerNoOp(t *testing.T) {
 	tr.AddWorkerLanes("s", []Chunk{{Worker: 0, Start: 0, Size: 1, Elapsed: 1}}, 0.5)
 	r := tr.Begin("lane", "name", "cat")
 	r.End()
-	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Spans() != nil {
+	if tr.Len() != 0 || tr.Spans() != nil {
 		t.Error("nil tracer recorded something")
 	}
 	var buf bytes.Buffer
@@ -32,9 +31,6 @@ func TestNilTracerNoOp(t *testing.T) {
 	}
 	if file.TraceEvents == nil {
 		t.Error("nil trace missing traceEvents array")
-	}
-	if g := tr.Gantt("t", Sim, ""); g == nil || g.Lanes != 0 {
-		t.Errorf("nil Gantt = %+v", g)
 	}
 }
 
@@ -83,9 +79,6 @@ func TestCapDropsIntoMetrics(t *testing.T) {
 	}
 	if tr.Len() != 2 {
 		t.Errorf("Len = %d, want 2", tr.Len())
-	}
-	if tr.Dropped() != 3 {
-		t.Errorf("Dropped = %d, want 3", tr.Dropped())
 	}
 	if v := reg.Counter("tracing.dropped").Value(); v != 3 {
 		t.Errorf("tracing.dropped counter = %d, want 3", v)
@@ -252,31 +245,5 @@ func TestWriteChromeWallClockConversion(t *testing.T) {
 		if e.TS != 0.5e6 || e.Dur != 0.25e6 {
 			t.Errorf("wall us = (%v, %v), want (5e5, 2.5e5)", e.TS, e.Dur)
 		}
-	}
-}
-
-func TestGanttBridge(t *testing.T) {
-	tr := New()
-	tr.AddWorkerLanes("fac", []Chunk{
-		{Worker: 0, Start: 0, Size: 4, Elapsed: 3},
-		{Worker: 1, Start: 0, Size: 4, Elapsed: 4},
-		{Worker: 0, Start: 5, Size: 2, Elapsed: 1}, // leaves an idle gap on w00
-	}, 1)
-	tr.Begin("stage1", "precompute", "stage1").End()
-
-	g := tr.Gantt("title", Sim, "fac/")
-	if g.Lanes != 2 {
-		t.Fatalf("lanes = %d, want 2", g.Lanes)
-	}
-	if g.LaneLabels[0] != "fac/w00" || g.LaneLabels[1] != "fac/w01" {
-		t.Errorf("labels = %v", g.LaneLabels)
-	}
-	out := g.String()
-	if !strings.Contains(out, "o") || !strings.Contains(out, "#") {
-		t.Errorf("expected overhead and busy glyphs in:\n%s", out)
-	}
-	// The wall-clock stage1 span must not leak into the sim chart.
-	if strings.Contains(out, "stage1") {
-		t.Errorf("wall lane leaked into sim Gantt:\n%s", out)
 	}
 }
