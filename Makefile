@@ -24,8 +24,8 @@
 #   make bench-cache  refresh the solve-cache comparison behind
 #                BENCH_CACHE.json (result-tier replay, warm tables,
 #                delta-solve)
-#   make fuzz    run each fuzz target briefly (pmf kernels, DAG
-#                validation, WAL replay)
+#   make fuzz    run each fuzz target briefly (pmf kernels including
+#                the binned AddCompact, DAG validation, WAL replay)
 #   make serve   build and run the cdsfd scheduling service locally
 #   make smoke-sse  end-to-end smoke: a real cdsfd subprocess streams a
 #                seeded solve job's full event log (derived from its
@@ -85,11 +85,12 @@ bench:
 # (PMFOps), the sparse-vs-grid backend comparison on Stage-I-shaped
 # workloads (PMFBackends), and the end-to-end solve under each backend;
 # plus the DAG drill-downs: the sparse composition of one DAG-service
-# instance (ComposeDAG) and the warm-tier bytes its grid and sparse
-# tables leave in the cache (WarmGridTable, WarmSparseTable, reported
-# as warm_KiB/instance).
+# instance (ComposeDAG), its third layer's binned Add steps against the
+# Add-then-Compact fold (AddCompact), and the warm-tier bytes its grid
+# and sparse tables leave in the cache (WarmGridTable, WarmSparseTable,
+# reported as warm_KiB/instance).
 bench-pmf:
-	$(GO) test -run=xxx -bench 'BenchmarkPMFOps|BenchmarkPMFBackends|BenchmarkSolveBackends|BenchmarkEvalTableBuild|BenchmarkComposeDAG|BenchmarkWarmGridTable|BenchmarkWarmSparseTable' -benchmem .
+	$(GO) test -run=xxx -bench 'BenchmarkPMFOps|BenchmarkPMFBackends|BenchmarkSolveBackends|BenchmarkEvalTableBuild|BenchmarkComposeDAG|BenchmarkAddCompact|BenchmarkWarmGridTable|BenchmarkWarmSparseTable' -benchmem .
 
 # The Stage-II drill-down under the paper-scenario row of the end-to-end
 # benchmark: scenario 4 over the paper's four availability cases
@@ -110,6 +111,7 @@ fuzz:
 	$(GO) test -run=xxx -fuzz=FuzzCombineOrder -fuzztime=10s ./internal/pmf
 	$(GO) test -run=xxx -fuzz=FuzzRebin -fuzztime=10s ./internal/pmf
 	$(GO) test -run=xxx -fuzz=FuzzGridSparse -fuzztime=10s ./internal/pmf
+	$(GO) test -run=xxx -fuzz=FuzzAddCompact -fuzztime=10s ./internal/pmf
 	$(GO) test -run=xxx -fuzz=FuzzDAGValidate -fuzztime=10s ./internal/sysmodel
 	$(GO) test -run=xxx -fuzz=FuzzWALReplay -fuzztime=10s ./internal/store
 

@@ -826,16 +826,24 @@ var benchDAGAllocation = sysmodel.Allocation{
 	{Type: 2, Procs: 4}, {Type: 2, Procs: 4}, {Type: 2, Procs: 4}, {Type: 2, Procs: 4},
 }
 
-// BenchmarkComposeDAG measures the sparse DAG composition of one
-// DAG-service-shaped instance: the ~1800-pulse ready times of the third
-// layer are added to ~100-pulse completion PMFs, which is where the
-// sparse Combine's many-row merge runs.
-func BenchmarkComposeDAG(b *testing.B) {
+// benchDAGDists returns the completion PMFs of benchDAGInstance(seed
+// 12) under benchDAGAllocation, with the instance's edges.
+func benchDAGDists(b *testing.B) ([]pmf.PMF, []sysmodel.Edge) {
 	sys, bat, edges, _ := benchDAGInstance(b, 12)
 	dists := make([]pmf.PMF, len(bat))
 	for i, as := range benchDAGAllocation {
 		dists[i] = bat[i].CompletionPMF(as.Type, as.Procs, sys.Types[as.Type].Avail)
 	}
+	return dists, edges
+}
+
+// BenchmarkComposeDAG measures the sparse DAG composition of one
+// DAG-service-shaped instance: the ~1800-pulse ready times of the third
+// layer are added to 100-pulse completion PMFs, and pmf.AddCompact
+// bins their ~180k sums into at most DAGMaxPulses cells
+// (BenchmarkAddCompact is that step alone).
+func BenchmarkComposeDAG(b *testing.B) {
+	dists, edges := benchDAGDists(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -849,6 +857,48 @@ func BenchmarkComposeDAG(b *testing.B) {
 
 // composeSink keeps BenchmarkComposeDAG's result live.
 var composeSink []pmf.PMF
+
+// BenchmarkAddCompact measures the Add step of BenchmarkComposeDAG's
+// third layer alone: each op adds the three ~1800-pulse ready times to
+// their 100-pulse completion PMFs and compacts the sums to
+// DAGMaxPulses, binned in one pass (binned, what ComposeDAG runs) or
+// as the fold Add(ready, T).Compact(DAGMaxPulses) (fold).
+func BenchmarkAddCompact(b *testing.B) {
+	dists, edges := benchDAGDists(b)
+	comp, err := sysmodel.ComposeDAG(dists, edges, sysmodel.DAGMaxPulses)
+	if err != nil {
+		b.Fatal(err)
+	}
+	preds := sysmodel.Preds(edges, len(dists))
+	var ready, own []pmf.PMF
+	for i := 5; i < len(dists); i++ { // layers [0,2), [2,5), [5,8)
+		r := comp[preds[i][0]]
+		for _, p := range preds[i][1:] {
+			r = pmf.Max(r, comp[p]).Compact(sysmodel.DAGMaxPulses)
+		}
+		ready, own = append(ready, r), append(own, dists[i])
+	}
+	kernels := []struct {
+		name string
+		add  func(p, q pmf.PMF) pmf.PMF
+	}{
+		{"binned", func(p, q pmf.PMF) pmf.PMF { return pmf.AddCompact(p, q, sysmodel.DAGMaxPulses) }},
+		{"fold", func(p, q pmf.PMF) pmf.PMF { return pmf.Add(p, q).Compact(sysmodel.DAGMaxPulses) }},
+	}
+	for _, k := range kernels {
+		b.Run(k.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				for i := range ready {
+					addSink = k.add(ready[i], own[i])
+				}
+			}
+		})
+	}
+}
+
+// addSink keeps BenchmarkAddCompact's result live.
+var addSink pmf.PMF
 
 // BenchmarkWarmGridTable builds the grid-backend evaluation table of
 // one DAG-service-shaped instance into a fresh cache per iteration and

@@ -257,7 +257,10 @@ type entry struct {
 type Options struct {
 	// MaxBytes bounds the total estimated resident size of the cached
 	// values across both tiers; the least recently used entries are
-	// evicted past it. Non-positive means 256 MiB.
+	// evicted past it. Non-positive means 32 MiB: a workload reuses a
+	// few MiB at most (one DAG instance's sparse and grid tables are
+	// ~0.4 MiB, a synthetic Stage-I table ~2.5 MiB per deadline), and a
+	// larger bound only keeps tables that are never read again.
 	MaxBytes int64
 	// MaxEntries bounds the entry count the same way. Non-positive
 	// means 4096.
@@ -304,7 +307,7 @@ type Stats struct {
 // New builds a cache. See Options for the defaults.
 func New(opts Options) *Cache {
 	if opts.MaxBytes <= 0 {
-		opts.MaxBytes = 256 << 20
+		opts.MaxBytes = 32 << 20
 	}
 	if opts.MaxEntries <= 0 {
 		opts.MaxEntries = 4096

@@ -185,12 +185,15 @@ func (t *tfss) Next(int) int {
 func (t *tfss) Report(int, int, float64) {}
 
 // fiss implements fixed increase size scheduling: chunk sizes grow by a
-// constant increment. With B scheduling rounds (default 4 per worker
-// wave), the first chunk is N/((2+B)P) and grows by the same amount
-// each round, so the mean chunk is N/(B*P)-ish and the total fits N.
+// constant increment from one stage of P chunks to the next. With
+// B = 4 stages, the first chunk is N/((2+B)P) and the increment is
+// sized so that the B stages sum to N: chunk k (from 0) is
+// round(first + floor(k/P)·incr), the published stage-wise closed form.
 type fiss struct {
 	remaining int
-	chunk     float64
+	workers   int
+	sent      int
+	first     float64
 	incr      float64
 }
 
@@ -209,16 +212,17 @@ func newFISS(s Setup) (Scheduler, error) {
 	if incr < 0 {
 		incr = 0
 	}
-	return &fiss{remaining: s.Iterations, chunk: first, incr: incr}, nil
+	return &fiss{remaining: s.Iterations, workers: s.Workers, first: first, incr: incr}, nil
 }
 
 func (f *fiss) Name() string   { return "FISS" }
 func (f *fiss) Remaining() int { return f.remaining }
 
 func (f *fiss) Next(int) int {
-	k := clampChunk(int(math.Round(f.chunk)), f.remaining)
+	stage := f.sent / f.workers
+	k := clampChunk(int(math.Round(f.first+float64(stage)*f.incr)), f.remaining)
 	f.remaining -= k
-	f.chunk += f.incr / float64(4) // spread the per-round increment over worker requests
+	f.sent++
 	return k
 }
 

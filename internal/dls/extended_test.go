@@ -1,6 +1,7 @@
 package dls
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -51,6 +52,34 @@ func TestFISSIncreasingChunks(t *testing.T) {
 	}
 	if sizes[0] >= sizes[len(sizes)-2] {
 		t.Errorf("FISS chunks did not grow: %v", sizes)
+	}
+}
+
+// TestFISSStageWiseChunks pins FISS to its published closed form at
+// N = 4096: chunk k is round(first + floor(k/P)·incr), four stages of P
+// equal chunks that sum to N exactly.
+func TestFISSStageWiseChunks(t *testing.T) {
+	stages := map[int][]int{
+		2:  {341, 455, 569, 683},
+		4:  {171, 228, 284, 341},
+		8:  {85, 114, 142, 171},
+		16: {43, 57, 71, 85},
+	}
+	for _, p := range []int{2, 4, 8, 16} {
+		var want []int
+		for _, k := range stages[p] {
+			for w := 0; w < p; w++ {
+				want = append(want, k)
+			}
+		}
+		s := newScheduler(t, "FISS", Setup{Iterations: 4096, Workers: p})
+		var got []int
+		for k := s.Next(0); k > 0; k = s.Next(0) {
+			got = append(got, k)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("P=%d: FISS chunks %v, want %v", p, got, want)
+		}
 	}
 }
 

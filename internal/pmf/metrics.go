@@ -17,13 +17,15 @@ import (
 // merge fast path of Combine applies versus the naive cross-product
 // fallback, and how often Compact actually truncates a PMF to the
 // pulse cap — the two knobs that dominate Stage-I PMF cost and
-// accuracy.
+// accuracy. A binned AddCompact builds no cross product: it counts one
+// truncation and no combine; its fallback to the fold counts through
+// Add and Compact.
 
 type pmfInstr struct {
 	fast      *metrics.Counter // pmf.combine_fast: merge-path Combines
 	small     *metrics.Counter // pmf.combine_small: direct-product small Combines
 	fallback  *metrics.Counter // pmf.combine_fallback: naive cross products
-	truncated *metrics.Counter // pmf.compact_truncations: lossy Compacts
+	truncated *metrics.Counter // pmf.compact_truncations: lossy Compacts and binned AddCompacts
 }
 
 var instrPtr atomic.Pointer[pmfInstr]

@@ -62,10 +62,10 @@ func dagServiceInstance(t testing.TB, seed uint64) (*sysmodel.System, sysmodel.B
 // dag-service-shaped instance to exact bits: phi_1, every
 // application's composed P(C_i <= deadline) and E[C_i] as hex floats,
 // and a SHA-256 over the value and probability bits of every composed
-// pulse. The third layer's Adds combine ~2000-pulse ready times with
-// completion PMFs of more than six pulses, so the pin covers the
-// many-row ordering of the sparse Combine kernel, which the edge-free
-// paper pins (at most three rows) never reach.
+// pulse. The third layer's Adds combine ~1800-pulse ready times with
+// 100-pulse completion PMFs, far more sums than DAGMaxPulses, so the
+// pin covers the order in which pmf.AddCompact bins those sums into
+// their cells, which the edge-free paper pins never reach.
 func TestComposeDAGBitsPinned(t *testing.T) {
 	sys, batch, edges := dagServiceInstance(t, 12)
 	alloc := sysmodel.Allocation{
@@ -77,7 +77,7 @@ func TestComposeDAGBitsPinned(t *testing.T) {
 
 	// Third-layer applications are 5..7 (layers [0,2), [2,5), [5,8)).
 	// Recompute each one's ready time the way ComposeDAG does and check
-	// both Add operands exceed the six-row scan.
+	// that its Add bins more sums than the cap.
 	dists := make([]pmf.PMF, len(batch))
 	for i, as := range alloc {
 		dists[i] = batch[i].CompletionPMF(as.Type, as.Procs, sys.Types[as.Type].Avail)
@@ -92,8 +92,8 @@ func TestComposeDAGBitsPinned(t *testing.T) {
 		for _, p := range preds[i][1:] {
 			ready = pmf.Max(ready, comp[p]).Compact(sysmodel.DAGMaxPulses)
 		}
-		if k := min(ready.Len(), dists[i].Len()); k <= 6 {
-			t.Fatalf("app %d: layer-2 Add has a %d-pulse operand; the pin must exercise more than 6 rows", i, k)
+		if n := ready.Len() * dists[i].Len(); n <= sysmodel.DAGMaxPulses {
+			t.Fatalf("app %d: layer-2 Add has %d sums; the pin must bin more than %d", i, n, sysmodel.DAGMaxPulses)
 		}
 	}
 
@@ -102,16 +102,16 @@ func TestComposeDAGBitsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	const (
-		wantPhi1 = "0x1.062bfb7f3dc8fp-02"
-		wantSum  = "724cd392f545ce8f040a121ed1314bcb4d83d67716b22ab23339686146086ca0"
+		wantPhi1 = "0x1.062bfb7f3dc96p-02"
+		wantSum  = "be6f4543d9c9bfa8c67481aab8d0aba168987f03de21c72bea82acf71fd6797d"
 	)
 	wantPerApp := []string{
-		"0x1p+00", "0x1p+00", "0x1.844d013a92a4p-01", "0x1.8000000000019p-01",
-		"0x1.fffffffffffc5p-01", "0x1.4af954eb13ep-01", "0x1.5e056168d0a44p-01", "0x1.28a009f623077p-01",
+		"0x1p+00", "0x1p+00", "0x1.844d013a92a7bp-01", "0x1.8000000000054p-01",
+		"0x1p+00", "0x1.4af954eb13dffp-01", "0x1.5e056168d0a4cp-01", "0x1.28a009f623079p-01",
 	}
 	wantMean := []string{
-		"0x1.d5f6efd36199ep+09", "0x1.5f4783646e768p+10", "0x1.fc03f2e832b18p+11", "0x1.1b481aade2f84p+12",
-		"0x1.9c92d47257dbep+11", "0x1.6a2565b79efdap+12", "0x1.5b2c16ac233f3p+12", "0x1.939e5ec61b589p+12",
+		"0x1.d5f6efd36199ep+09", "0x1.5f4783646e768p+10", "0x1.fc03f2e832b63p+11", "0x1.1b481aade2fb3p+12",
+		"0x1.9c92d47257defp+11", "0x1.6a2565b79efdap+12", "0x1.5b2c16ac233f6p+12", "0x1.939e5ec61b589p+12",
 	}
 	check := func(what string, got float64, want string) {
 		t.Helper()

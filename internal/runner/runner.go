@@ -136,7 +136,7 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.DebugAddr, "debug-addr", "", `serve live debug endpoints (/debug/pprof/*, /metrics, /progress, /trace) on this address, e.g. ":6060"`)
 	fs.DurationVar(&f.Timeout, "timeout", 0, `abort the run after this wall-clock duration (e.g. 30s, 5m); the partial run still flushes -metrics and -trace (0: no limit)`)
 	fs.TextVar(&f.PMF, "pmf", pmf.BackendSparse, `PMF backend for the Stage-I engines: "sparse" (exact pulses, bit-identical to earlier releases) or "grid" (dense fixed-step lattice: faster kernels within the documented quantization-error bound)`)
-	fs.StringVar(&f.CacheSpec, "cache", "", `content-addressed solve cache: "on" for the default 256MiB bound, or a size like "64MiB"/"1GiB"; repeated identical work is replayed bit-identically from cache (empty: disabled)`)
+	fs.StringVar(&f.CacheSpec, "cache", "", `content-addressed solve cache: "on" for the default 32MiB bound, or a size like "64MiB"/"1GiB"; repeated identical work is replayed bit-identically from cache (empty: disabled)`)
 	fs.StringVar(&f.LogDest, "log", "", `write structured JSON-lines logs to this destination: "-" for stderr or a file path; flushed unconditionally, even when the run fails or is cancelled (empty: disabled — stdout is never touched)`)
 	fs.StringVar(&f.LogLevel, "log-level", "info", `minimum severity for -log records: "debug", "info", "warn", or "error"`)
 	return f

@@ -204,9 +204,11 @@ const DAGMaxPulses = 2048
 // under the PERT independence approximation. dists[i] is application
 // i's standalone completion PMF (CompletionPMF under its assignment).
 // Intermediates are compacted to maxPulses pulses (<= 0 disables
-// compaction; DAGMaxPulses is the standard choice). Source
-// applications' PMFs are returned unchanged, so with no edges the
-// output equals dists element-for-element.
+// compaction; DAGMaxPulses is the standard choice); each Add step is
+// then pmf.AddCompact, which bins the sums into their cells without
+// building the full sum. Source applications' PMFs are returned
+// unchanged, so with no edges the output equals dists
+// element-for-element.
 func ComposeDAG(dists []pmf.PMF, edges []Edge, maxPulses int) ([]pmf.PMF, error) {
 	order, err := TopoOrder(edges, len(dists))
 	if err != nil {
@@ -226,11 +228,11 @@ func ComposeDAG(dists []pmf.PMF, edges []Edge, maxPulses int) ([]pmf.PMF, error)
 				ready = ready.Compact(maxPulses)
 			}
 		}
-		c := pmf.Add(ready, dists[i])
 		if maxPulses > 0 {
-			c = c.Compact(maxPulses)
+			out[i] = pmf.AddCompact(ready, dists[i], maxPulses)
+		} else {
+			out[i] = pmf.Add(ready, dists[i])
 		}
-		out[i] = c
 	}
 	return out, nil
 }
