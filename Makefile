@@ -18,6 +18,9 @@
 #                BENCH_PMF2.json (sparse vs grid kernels, solve) and
 #                the DAG drill-downs (sparse composition, warm grid and
 #                warm sparse table bytes per instance)
+#   make bench-stage1  the Stage-I drill-down behind BENCH_STAGE1.json:
+#                every registered heuristic on the paper instance and
+#                the exhaustive search from 1 application to 10x48
 #   make bench-stage2  the Stage-II drill-down under the paper-scenario
 #                row: the paper's scenario 4 (Figure 6) and one
 #                simulated run per DLS technique
@@ -53,7 +56,7 @@ COVER_PKGS ?= ./internal/tracing ./internal/metrics ./internal/runner ./internal
 # Listen address for `make serve`.
 SERVE_ADDR ?= 127.0.0.1:8080
 
-.PHONY: check build vet test race cover bench bench-pmf bench-stage2 bench-cache bench-e2e fuzz serve smoke-sse smoke-dag test-e2ebench
+.PHONY: check build vet test race cover bench bench-pmf bench-stage1 bench-stage2 bench-cache bench-e2e fuzz serve smoke-sse smoke-dag test-e2ebench
 
 check: build vet test race cover test-e2ebench smoke-dag
 
@@ -91,6 +94,13 @@ bench:
 # reported as warm_KiB/instance).
 bench-pmf:
 	$(GO) test -run=xxx -bench 'BenchmarkPMFOps|BenchmarkPMFBackends|BenchmarkSolveBackends|BenchmarkEvalTableBuild|BenchmarkComposeDAG|BenchmarkAddCompact|BenchmarkWarmGridTable|BenchmarkWarmSparseTable' -benchmem .
+
+# The Stage-I drill-down behind BENCH_STAGE1.json: every registered
+# heuristic on the paper instance (RAHeuristic) and the exhaustive
+# search on the paper instance's first 1-3 applications and on 6x24 and
+# 10x48 synthetic instances (ExhaustiveEnumeration).
+bench-stage1:
+	$(GO) test -run=xxx -bench 'BenchmarkRAHeuristic|BenchmarkExhaustiveEnumeration' -benchmem .
 
 # The Stage-II drill-down under the paper-scenario row of the end-to-end
 # benchmark: scenario 4 over the paper's four availability cases

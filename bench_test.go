@@ -128,7 +128,8 @@ func BenchmarkFigure5(b *testing.B) { benchFigure(b, 5) }
 func BenchmarkFigure6(b *testing.B) { benchFigure(b, 6) }
 
 // ---------------------------------------------------------------------
-// Ablation: Stage-I heuristics on the paper instance
+// Ablation: Stage-I heuristics on the paper instance (make
+// bench-stage1)
 
 func BenchmarkRAHeuristic(b *testing.B) {
 	f := experiments.Framework()
@@ -343,20 +344,39 @@ func BenchmarkSensitivityStudies(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// Ablation: exhaustive enumeration growth (the scalability wall the
-// paper's future work targets)
+// Ablation: exhaustive Stage-I search, warm evaluation table, one
+// worker: the paper instance's first 1-3 applications, and the
+// tournament's slack-1.2 instances SyntheticInstance(1000+apps, ...)
+// at 6x24 (62,137 allocations) and 10x48 (647,993,773), which the
+// branch-and-bound solves by scoring a small fraction of the space
+// (make bench-stage1).
 
 func BenchmarkExhaustiveEnumeration(b *testing.B) {
+	bench := func(b *testing.B, prob *ra.Problem) {
+		h := &ra.Exhaustive{Workers: 1}
+		if err := prob.PrecomputeContext(context.Background(), 1); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := h.AllocateContext(context.Background(), prob); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	f := experiments.Framework()
 	for _, apps := range []int{1, 2, 3} {
 		b.Run(fmt.Sprintf("apps-%d", apps), func(b *testing.B) {
-			f := experiments.Framework()
-			prob := &ra.Problem{Sys: f.Sys, Batch: f.Batch[:apps], Deadline: f.Deadline}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := (ra.Exhaustive{}).AllocateContext(context.Background(), prob); err != nil {
-					b.Fatal(err)
-				}
+			bench(b, &ra.Problem{Sys: f.Sys, Batch: f.Batch[:apps], Deadline: f.Deadline})
+		})
+	}
+	for _, sz := range [][3]int{{6, 8, 16}, {10, 16, 32}} {
+		b.Run(fmt.Sprintf("%dx%d", sz[0], sz[1]+sz[2]), func(b *testing.B) {
+			prob, err := experiments.SyntheticInstance(uint64(1000+sz[0]), sz[0], sz[1], sz[2], 1.2)
+			if err != nil {
+				b.Fatal(err)
 			}
+			bench(b, prob)
 		})
 	}
 }
@@ -560,12 +580,11 @@ func BenchmarkPMFBackends(b *testing.B) {
 // layer, warm-table reuse, and delta-solve (see DESIGN.md section 10,
 // make bench-cache, BENCH_CACHE.json).
 
-// benchCacheInstance builds a synthetic instance whose exhaustive
-// Stage-I solve takes long enough to dominate an HTTP round trip by
-// orders of magnitude. The paper instance solves in under a
-// millisecond, which would measure the cache against transport noise
-// rather than against the work it elides; seven applications over
-// three processor types put the cold solve near a second.
+// benchCacheInstance builds a synthetic instance of seven applications
+// over three processor types. It was sized for an unpruned exhaustive
+// Stage-I solve of about a second, which BENCH_CACHE.json's cold rows
+// record; the branch-and-bound solves it in milliseconds, so the cold
+// solve now costs a few HTTP round trips.
 func benchCacheInstance(apps, pulses int) *config.Instance {
 	inst := &config.Instance{
 		Name:     "bench-cache",

@@ -9,7 +9,7 @@
 //
 //	cdsf                            # paper scenario 4 (robust-robust)
 //	cdsf -scenario 1                # any of the paper's 4 scenarios
-//	cdsf -im genetic -ras FAC,AF    # custom stage policies
+//	cdsf -im tabu -ras FAC,AF       # custom stage policies
 //	cdsf -reps 100 -seed 7          # tighter stage-II estimates
 //	cdsf -timeout 1m                # bound the whole run
 //

@@ -73,11 +73,11 @@ func TestBuildScenarioPaper(t *testing.T) {
 }
 
 func TestBuildScenarioCustom(t *testing.T) {
-	sc, err := buildScenario(0, "genetic", "FAC,AF")
+	sc, err := buildScenario(0, "tabu", "FAC,AF")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.IM.Name() != "genetic" {
+	if sc.IM.Name() != "tabu" {
 		t.Errorf("IM = %s", sc.IM.Name())
 	}
 	if len(sc.RAS) != 2 || sc.RAS[0].Name != "FAC" || sc.RAS[1].Name != "AF" {

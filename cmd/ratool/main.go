@@ -6,12 +6,13 @@
 // Usage:
 //
 //	ratool                       # all heuristics on the paper instance
-//	ratool -heuristic genetic    # one heuristic
+//	ratool -heuristic tabu       # one heuristic
 //	ratool -apps 6 -type1 8 -type2 16 -deadline 3000 -seed 3
 //	ratool -timeout 30s          # bound the whole run
 //
-// With -apps > 0 a synthetic instance is generated: applications get
-// random mean execution times per type and random serial fractions.
+// With -apps > 0 a synthetic instance is generated: the scale study's
+// draw (experiments.SyntheticBatch) of random mean execution times per
+// type and random serial fractions, under the -deadline given.
 // SIGINT/SIGTERM (and -timeout) cancel the search; the partial run
 // still flushes -metrics and -trace before exiting nonzero.
 package main
@@ -25,13 +26,10 @@ import (
 
 	"cdsf/internal/config"
 	"cdsf/internal/experiments"
-	"cdsf/internal/pmf"
 	"cdsf/internal/ra"
 	"cdsf/internal/report"
-	"cdsf/internal/rng"
 	"cdsf/internal/robustness"
 	"cdsf/internal/runner"
-	"cdsf/internal/stats"
 	"cdsf/internal/sysmodel"
 )
 
@@ -70,7 +68,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			}
 			prob = &ra.Problem{Sys: sys, Batch: batch, Deadline: d, Edges: edges}
 		case *apps > 0:
-			prob = syntheticProblem(*apps, *type1, *type2, *deadline, *seed)
+			sys, batch := experiments.SyntheticBatch(*seed, *apps, *type1, *type2)
+			prob = &ra.Problem{Sys: sys, Batch: batch, Deadline: *deadline}
 		default:
 			f := experiments.Framework()
 			prob = &ra.Problem{Sys: f.Sys, Batch: f.Batch, Deadline: *deadline}
@@ -86,13 +85,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		} else if len(prob.Edges) > 0 {
 			// Every DAG objective evaluation composes completion PMFs
 			// along the edges, so the evaluation-hungry searchers
-			// (exhaustive, anneal, genetic, tabu) take minutes on
+			// (exhaustive, tabu) take seconds to minutes on
 			// precedence-constrained instances. The default table
 			// sticks to the constructive and list schedulers; any
 			// searcher still runs when named explicitly via -heuristic.
-			expensive := map[string]bool{
-				"exhaustive": true, "anneal": true, "genetic": true, "tabu": true,
-			}
+			expensive := map[string]bool{"exhaustive": true, "tabu": true}
 			kept := names[:0]
 			for _, n := range names {
 				if !expensive[n] {
@@ -183,37 +180,4 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 		return tbl.Render(stdout)
 	})
-}
-
-// syntheticProblem builds a random instance: mean execution times per
-// type drawn log-uniformly, serial fractions in [2%, 30%].
-func syntheticProblem(apps, type1, type2 int, deadline float64, seed uint64) *ra.Problem {
-	r := rng.New(seed)
-	sys := &sysmodel.System{Types: []sysmodel.ProcType{
-		{Name: "Type 1", Count: type1, Avail: pmf.MustNew([]pmf.Pulse{
-			{Value: 0.75, Prob: 0.5}, {Value: 1, Prob: 0.5}})},
-		{Name: "Type 2", Count: type2, Avail: pmf.MustNew([]pmf.Pulse{
-			{Value: 0.25, Prob: 0.25}, {Value: 0.5, Prob: 0.25}, {Value: 1, Prob: 0.5}})},
-	}}
-	b := make(sysmodel.Batch, apps)
-	for i := range b {
-		total := 512 + r.Intn(4096)
-		sf := 0.02 + 0.28*r.Float64()
-		serial := int(sf * float64(total))
-		if serial < 1 {
-			serial = 1
-		}
-		exec := make([]pmf.PMF, 2)
-		for j := range exec {
-			mu := 600 * (1 + 7*r.Float64())
-			exec[j] = pmf.Discretize(stats.NewNormal(mu, mu/10), 100)
-		}
-		b[i] = sysmodel.Application{
-			Name:          fmt.Sprintf("App %d", i+1),
-			SerialIters:   serial,
-			ParallelIters: total - serial,
-			ExecTime:      exec,
-		}
-	}
-	return &ra.Problem{Sys: sys, Batch: b, Deadline: deadline}
 }

@@ -26,7 +26,7 @@ import (
 
 func main() {
 	rates := []float64{1.0 / 4000, 1.0 / 2000, 1.0 / 1000, 1.0 / 500}
-	heuristics := []string{"naive", "greedy", "twophase", "genetic"}
+	heuristics := []string{"naive", "greedy", "twophase", "exhaustive"}
 
 	t := report.NewTable(
 		"Resource-manager study: 120 arrivals on the paper system, per-batch deadline 3250",

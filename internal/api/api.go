@@ -240,9 +240,8 @@ type SolveRequest struct {
 	Heuristic string `json:"heuristic,omitempty"`
 	// Deadline overrides the instance deadline when positive.
 	Deadline float64 `json:"deadline,omitempty"`
-	// Seed reseeds the stochastic heuristics (anneal, genetic, tabu);
-	// deterministic heuristics ignore it. Zero keeps the heuristic's
-	// default seed.
+	// Seed reseeds the stochastic heuristic, tabu; the deterministic
+	// heuristics ignore it. Zero keeps tabu's default seed.
 	Seed uint64 `json:"seed,omitempty"`
 	// Workers bounds the search's worker pool; 0 means the server
 	// default. Results are identical for any value.

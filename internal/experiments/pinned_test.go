@@ -47,12 +47,12 @@ func TestScenario4FirstTechniqueBitsPinned(t *testing.T) {
 	}
 }
 
-// TestMetaheuristicBitsPinned pins the allocation and phi_1 that anneal,
-// genetic and tabu return at their default settings, under the default
-// seed and under seed 7, on the paper instance and on the slack-1.2
-// synthetic instances SyntheticInstance(1000+apps, ...) at 6x24 and
-// 10x48. The walks are seeded, so any change to their move order, rng
-// stream or tabu bookkeeping shows up here.
+// TestMetaheuristicBitsPinned pins the allocation and phi_1 that tabu
+// returns at its default settings, under the default seed and under
+// seed 7, on the paper instance and on the slack-1.2 synthetic
+// instances SyntheticInstance(1000+apps, ...) at 6x24 and 10x48. The
+// walk is seeded, so any change to its move order, rng stream or tabu
+// bookkeeping shows up here.
 func TestMetaheuristicBitsPinned(t *testing.T) {
 	pinned := []struct {
 		inst, heuristic string
@@ -60,22 +60,10 @@ func TestMetaheuristicBitsPinned(t *testing.T) {
 		alloc           string
 		phi1            float64
 	}{
-		{"paper", "anneal", 0, "app0->T0x1 app1->T0x2 app2->T1x8", 0x1.7d70a3d70a3dbp-01},
-		{"paper", "anneal", 7, "app0->T0x1 app1->T0x2 app2->T1x8", 0x1.7d70a3d70a3dbp-01},
-		{"paper", "genetic", 0, "app0->T0x1 app1->T0x2 app2->T1x8", 0x1.7d70a3d70a3dbp-01},
-		{"paper", "genetic", 7, "app0->T0x1 app1->T0x2 app2->T1x8", 0x1.7d70a3d70a3dbp-01},
 		{"paper", "tabu", 0, "app0->T0x2 app1->T0x2 app2->T1x8", 0x1.7d70a3d70a3dbp-01},
 		{"paper", "tabu", 7, "app0->T0x2 app1->T0x2 app2->T1x8", 0x1.7d70a3d70a3dbp-01},
-		{"6x24", "anneal", 0, "app0->T1x8 app1->T1x2 app2->T0x4 app3->T1x2 app4->T0x2 app5->T0x2", 0x1.c761cde5d1719p-01},
-		{"6x24", "anneal", 7, "app0->T1x4 app1->T0x1 app2->T0x4 app3->T1x4 app4->T1x8 app5->T0x2", 0x1.e53dd97f62a66p-01},
-		{"6x24", "genetic", 0, "app0->T1x4 app1->T1x4 app2->T0x4 app3->T0x2 app4->T0x2 app5->T1x8", 0x1.e53dd97f62a67p-01},
-		{"6x24", "genetic", 7, "app0->T1x8 app1->T1x4 app2->T0x4 app3->T1x4 app4->T0x2 app5->T0x2", 0x1.fd70a3d70a2cp-01},
 		{"6x24", "tabu", 0, "app0->T1x8 app1->T1x4 app2->T0x4 app3->T1x4 app4->T0x2 app5->T0x2", 0x1.fd70a3d70a2cp-01},
 		{"6x24", "tabu", 7, "app0->T1x8 app1->T1x4 app2->T0x4 app3->T1x4 app4->T0x2 app5->T0x2", 0x1.fd70a3d70a2cp-01},
-		{"10x48", "anneal", 0, "app0->T1x8 app1->T0x4 app2->T0x1 app3->T0x1 app4->T1x16 app5->T0x2 app6->T0x2 app7->T0x2 app8->T0x4 app9->T1x2", 0x1.7e147ae147a29p-01},
-		{"10x48", "anneal", 7, "app0->T1x4 app1->T0x4 app2->T0x2 app3->T0x1 app4->T1x16 app5->T0x2 app6->T0x2 app7->T1x8 app8->T0x4 app9->T0x1", 0x1.7e147ae147a29p-01},
-		{"10x48", "genetic", 0, "app0->T1x4 app1->T0x4 app2->T0x2 app3->T0x1 app4->T1x8 app5->T0x2 app6->T0x1 app7->T0x2 app8->T1x16 app9->T0x2", 0x1.5eecbfb15b4cdp-01},
-		{"10x48", "genetic", 7, "app0->T1x4 app1->T1x16 app2->T0x1 app3->T0x2 app4->T0x4 app5->T0x2 app6->T0x1 app7->T1x8 app8->T0x4 app9->T0x1", 0x1.01e76c8b438ddp-01},
 		{"10x48", "tabu", 0, "app0->T1x4 app1->T0x4 app2->T0x1 app3->T0x1 app4->T1x16 app5->T0x2 app6->T0x1 app7->T0x2 app8->T0x4 app9->T0x1", 0x1.7e147ae147a7p-01},
 		{"10x48", "tabu", 7, "app0->T1x4 app1->T0x4 app2->T0x1 app3->T0x2 app4->T1x16 app5->T0x2 app6->T0x1 app7->T0x2 app8->T0x4 app9->T1x8", 0x1.7e147ae147a29p-01},
 	}

@@ -29,14 +29,11 @@ import (
 // hypothesis of Section IV established statistically instead of by a
 // single example.
 
-// SyntheticInstance generates a random CDSF instance: `apps`
-// applications over a two-type system with the paper's reference
-// availability PMFs. Mean execution times are drawn uniformly in
-// [600, 4800] per type, serial fractions in [2%, 30%]. The deadline is
-// calibrated per instance to `slack` times the best allocation's
-// expected makespan found by the two-phase heuristic, so instances are
-// comparably tight across sizes.
-func SyntheticInstance(seed uint64, apps, type1, type2 int, slack float64) (*ra.Problem, error) {
+// SyntheticBatch draws a random CDSF system and batch: `apps`
+// applications over a two-type system of type1 + type2 processors with
+// the paper's case-1 availability PMFs. Mean execution times are drawn
+// uniformly in [600, 4800] per type, serial fractions in [2%, 30%].
+func SyntheticBatch(seed uint64, apps, type1, type2 int) (*sysmodel.System, sysmodel.Batch) {
 	r := rng.New(seed)
 	sys := &sysmodel.System{Types: []sysmodel.ProcType{
 		{Name: "Type 1", Count: type1, Avail: availCase1Type1},
@@ -62,6 +59,15 @@ func SyntheticInstance(seed uint64, apps, type1, type2 int, slack float64) (*ra.
 			ExecTime:      exec,
 		}
 	}
+	return sys, b
+}
+
+// SyntheticInstance is the SyntheticBatch draw with a deadline
+// calibrated per instance to `slack` times the expected makespan of the
+// two-phase heuristic's allocation, so instances are comparably tight
+// across sizes.
+func SyntheticInstance(seed uint64, apps, type1, type2 int, slack float64) (*ra.Problem, error) {
+	sys, b := SyntheticBatch(seed, apps, type1, type2)
 	// Calibrate the deadline with a provisional problem (deadline only
 	// influences tie-breaking in the calibration allocation).
 	prov := &ra.Problem{Sys: sys, Batch: b, Deadline: 1e12}
@@ -88,9 +94,6 @@ type ScaleConfig struct {
 	// Slack calibrates deadline tightness (see SyntheticInstance);
 	// 1.2 gives instances where naive policies routinely fail.
 	Slack float64
-	// RobustIM is the scalable Stage-I heuristic representing "robust"
-	// (the exhaustive search is infeasible at these sizes).
-	RobustIM ra.Heuristic
 	// Scale degrades the runtime availability relative to Stage I's
 	// expectation (A <= E[A-hat], per the paper's Stage-II assumption).
 	Scale float64
@@ -126,7 +129,6 @@ func DefaultScaleConfig(seed uint64) ScaleConfig {
 		Instances: 10,
 		Sizes:     [][3]int{{3, 4, 8}, {6, 8, 16}, {10, 16, 32}},
 		Slack:     1.5,
-		RobustIM:  ra.TwoPhaseGreedy{},
 		Scale:     0.8,
 		Reps:      10,
 		Seed:      seed,
@@ -153,14 +155,14 @@ func RunScaleStudyContext(ctx context.Context, cfg ScaleConfig) (*report.Table, 
 	if cfg.Instances <= 0 || cfg.Reps <= 0 || cfg.Slack <= 0 {
 		return nil, fmt.Errorf("experiments: invalid scale config %+v", cfg)
 	}
-	if cfg.RobustIM == nil {
-		cfg.RobustIM = ra.TwoPhaseGreedy{}
-	}
+	// Robust IM is the paper's: the exhaustive optimum, one worker per
+	// search since the study's cells are its parallel unit.
+	robust := ra.Exhaustive{Workers: 1}
 	quadrants := []quadrant{
 		{"naive IM + STATIC", ra.NaiveLoadBalance{}, []string{"STATIC"}},
-		{"robust IM + STATIC", cfg.RobustIM, []string{"STATIC"}},
+		{"robust IM + STATIC", robust, []string{"STATIC"}},
 		{"naive IM + robust DLS", ra.NaiveLoadBalance{}, []string{"FAC", "WF", "AWF-B", "AF"}},
-		{"robust IM + robust DLS", cfg.RobustIM, []string{"FAC", "WF", "AWF-B", "AF"}},
+		{"robust IM + robust DLS", robust, []string{"FAC", "WF", "AWF-B", "AF"}},
 	}
 	t := report.NewTable(
 		fmt.Sprintf("Scale study: %d instances per size, runtime availability scaled to %.0f%%, deadline slack %.2f",

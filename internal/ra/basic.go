@@ -91,18 +91,24 @@ func (NaiveLoadBalance) AllocateContext(ctx context.Context, p *Problem) (sysmod
 	return nil, fmt.Errorf("ra: no feasible equal-share allocation")
 }
 
-// Exhaustive enumerates every feasible allocation and returns the one
-// maximizing phi_1 — the paper's "robust IM" (optimal at small scale;
-// exponential in batch size). Ties in phi_1 (common once discretized
-// PMFs saturate at probability 1) are broken by the smaller expected
-// system makespan (max of E[T_i]), then by the smaller sum of expected
-// completion times, so the chosen allocation is also the most efficient
-// among the equally robust ones.
+// Exhaustive returns the feasible allocation maximizing phi_1 — the
+// paper's "robust IM", exact at every size it is run on. Ties in phi_1
+// (common once discretized PMFs saturate at probability 1) are broken
+// by the smaller expected system makespan (max of E[T_i]), then by the
+// smaller sum of expected completion times, so the chosen allocation is
+// also the most efficient among the equally robust ones.
 //
 // The enumeration is partitioned by the first application's assignment
-// across a worker pool; each partition is scanned in sequential order
-// and the partition winners are max-reduced in that same order, so the
-// result is bit-identical for every worker count.
+// across a worker pool; each partition keeps its own incumbent and the
+// partition winners are max-reduced in enumeration order, so the result
+// is bit-identical for every worker count. On an independent batch the
+// scan is a branch-and-bound: it skips a subtree only when the bound
+// table (bound.go) proves that none of its allocations would replace
+// the partition's incumbent, so it returns exactly what the full scan
+// returns while scoring 72 of the paper instance's 153 allocations and
+// at most ~200,000 of the 647,993,773 of a 10x48 tournament instance.
+// DAG objectives, and capacities too large for the bound table, are
+// scanned in full: exponential in batch size.
 type Exhaustive struct {
 	// Workers bounds the search's worker pool; non-positive means
 	// runtime.NumCPU(). The result never depends on it.
@@ -114,6 +120,13 @@ func (Exhaustive) Name() string { return "exhaustive" }
 
 // SetWorkers implements WorkerSettable.
 func (h *Exhaustive) SetWorkers(workers int) { h.Workers = workers }
+
+// phiTol and expTol are score.better's tie tolerances on phi_1 and on
+// the expected-time criteria.
+const (
+	phiTol = 1e-12
+	expTol = 1e-9
+)
 
 // score orders allocations: higher phi_1 first, then lower expected
 // makespan, then lower total expected time.
@@ -128,32 +141,38 @@ func (s score) better(o score) bool {
 	if !o.defined {
 		return true
 	}
-	const tol = 1e-12
-	if s.phi > o.phi+tol {
+	if s.phi > o.phi+phiTol {
 		return true
 	}
-	if s.phi < o.phi-tol {
+	if s.phi < o.phi-phiTol {
 		return false
 	}
-	if s.maxExp < o.maxExp-1e-9 {
+	if s.maxExp < o.maxExp-expTol {
 		return true
 	}
-	if s.maxExp > o.maxExp+1e-9 {
+	if s.maxExp > o.maxExp+expTol {
 		return false
 	}
-	return s.sumExp < o.sumExp-1e-9
+	return s.sumExp < o.sumExp-expTol
 }
 
+// with folds one more application's cell into the score.
+func (s score) with(c memoVal) score {
+	s.phi *= c.prob
+	s.sumExp += c.expected
+	if c.expected > s.maxExp {
+		s.maxExp = c.expected
+	}
+	return s
+}
+
+// emptyScore is the fold of no application.
+var emptyScore = score{phi: 1, defined: true}
+
 func (p *Problem) scoreOf(al sysmodel.Allocation) score {
-	s := score{phi: 1, defined: true}
+	s := emptyScore
 	for i := range p.Batch {
-		prob := p.appProb(i, al[i])
-		exp := p.appExpected(i, al[i])
-		s.phi *= prob
-		s.sumExp += exp
-		if exp > s.maxExp {
-			s.maxExp = exp
-		}
+		s = s.with(p.evalCell(i, al[i]))
 	}
 	if len(p.Edges) > 0 {
 		// Precedence edges change the objective: phi_1 is the composed
@@ -164,21 +183,22 @@ func (p *Problem) scoreOf(al sysmodel.Allocation) score {
 	return s
 }
 
-// AllocateContext implements Heuristic. The feasible space is
-// partitioned by the first application's assignment (in enumeration
-// order); workers scan partitions concurrently against the shared
-// evaluation table, and the per-partition winners are reduced in
-// partition order with the same first-wins tie-break the sequential
-// scan uses. Each partition scan checks ctx every cancelCheckStride
-// enumerated allocations and the partition pool drains at the next
-// partition boundary, so cancelling a multi-billion-allocation search
-// returns within milliseconds.
+// AllocateContext implements Heuristic. Workers scan partitions
+// concurrently against the shared evaluation table and the search's
+// bound table, built per search. Each partition scan checks ctx every
+// cancelCheckStride visited enumeration nodes and the partition pool
+// drains at the next partition boundary, so cancelling a
+// multi-billion-allocation search returns within milliseconds.
 func (h Exhaustive) AllocateContext(ctx context.Context, p *Problem) (sysmodel.Allocation, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	if err := p.PrecomputeContext(ctx, h.Workers); err != nil {
 		return nil, err
+	}
+	var b *bound
+	if len(p.Edges) == 0 {
+		b = p.newBound()
 	}
 	// Partitions: every capacity-feasible assignment of application 0,
 	// in the order the sequential enumeration would try them.
@@ -188,12 +208,8 @@ func (h Exhaustive) AllocateContext(ctx context.Context, p *Problem) (sysmodel.A
 			opts = append(opts, sysmodel.Assignment{Type: j, Procs: c})
 		}
 	}
-	type partBest struct {
-		al sysmodel.Allocation
-		s  score
-	}
 	results := make([]partBest, len(opts))
-	// scanned tallies enumerated allocations; each partition counts in a
+	// scanned tallies scored allocations; each partition counts in a
 	// local integer and flushes once, so the scan loop stays free of
 	// atomic traffic.
 	scanned := p.Obs.Metrics.Counter("ra.exhaustive_scanned")
@@ -201,37 +217,75 @@ func (h Exhaustive) AllocateContext(ctx context.Context, p *Problem) (sysmodel.A
 	poolErr := runParallel(ctx, h.Workers, len(opts), func(k int) {
 		defer tr.Begin(fmt.Sprintf("stage1/exhaustive/p%02d", k),
 			fmt.Sprintf("partition app0=%dx type%d", opts[k].Procs, opts[k].Type+1), "stage1").End()
-		var best sysmodel.Allocation
-		var bestScore score
 		var n int64
-		sysmodel.EnumerateAllocationsFrom(p.Sys, p.Batch, sysmodel.Allocation{opts[k]}, func(al sysmodel.Allocation) bool {
-			n++
-			if n%cancelCheckStride == 0 && ctx.Err() != nil {
-				return false
-			}
-			if s := p.scoreOf(al); s.better(bestScore) {
-				bestScore = s
-				best = al.Clone()
-			}
-			return true
-		})
+		results[k], n = p.scanPartition(ctx, b, opts[k])
 		scanned.Add(n)
-		results[k] = partBest{al: best, s: bestScore}
 	})
 	if poolErr != nil {
 		return nil, searchErr("exhaustive", poolErr)
 	}
-	var best sysmodel.Allocation
-	var bestScore score
+	var best partBest
 	for _, r := range results {
-		if r.al != nil && r.s.better(bestScore) {
-			best, bestScore = r.al, r.s
+		if r.al != nil && r.s.better(best.s) {
+			best = r
 		}
 	}
-	if best == nil {
+	if best.al == nil {
 		return nil, fmt.Errorf("ra: no feasible allocation")
 	}
-	return best, nil
+	return best.al, nil
+}
+
+// partBest is one partition's winner.
+type partBest struct {
+	al sysmodel.Allocation
+	s  score
+}
+
+// scanPartition returns what a sequential scan of the completions of
+// the one-assignment prefix first ends with — an incumbent replaced
+// only by a later allocation that score.better ranks above it — and
+// the number of allocations it scored. With a bound table it skips the
+// subtrees the table proves hold no such allocation; with b nil it
+// scores every completion. ctx is checked every cancelCheckStride
+// visited nodes; once it is done the scan unwinds and the caller's pool
+// reports the error.
+func (p *Problem) scanPartition(ctx context.Context, b *bound, first sysmodel.Assignment) (partBest, int64) {
+	var best partBest
+	var scored, nodes int64
+	stopped := false
+	tick := func() bool {
+		if nodes++; nodes%cancelCheckStride == 0 && ctx.Err() != nil {
+			stopped = true
+		}
+		return !stopped
+	}
+	// pre[i] is scoreOf's fold over the node's applications 0..i-1;
+	// enter(i) always follows enter(i-1) on the same prefix (or, at the
+	// partition root i = 1, the empty fold pre[0]).
+	pre := make([]score, len(p.Batch)+1)
+	pre[0] = emptyScore
+	enter := func(i int, al sysmodel.Allocation, remaining []int) bool {
+		if !tick() {
+			return false
+		}
+		if b == nil {
+			return true
+		}
+		pre[i] = pre[i-1].with(p.table.cell(i-1, al[i-1]))
+		return !b.prunes(i, remaining, pre[i], best.s)
+	}
+	sysmodel.EnumerateAllocationsFrom(p.Sys, p.Batch, sysmodel.Allocation{first}, enter, func(al sysmodel.Allocation) bool {
+		if !tick() {
+			return false
+		}
+		scored++
+		if s := p.scoreOf(al); s.better(best.s) {
+			best = partBest{al: al.Clone(), s: s}
+		}
+		return true
+	})
+	return best, scored
 }
 
 // Greedy assigns applications in decreasing order of their best

@@ -12,21 +12,19 @@ import (
 // one entry point the CLIs, the service and the Stage-II framework use.
 // Cancellation is cooperative: the worker pools stop claiming tasks,
 // the tight enumeration loops check the context every
-// cancelCheckStride evaluations, and an interrupted search returns an
+// cancelCheckStride visited nodes, and an interrupted search returns an
 // error wrapping context.Canceled or context.DeadlineExceeded instead
 // of a (possibly non-deterministic) partial winner. A context that is
 // never cancelled costs a periodic ctx.Err() call and changes no
 // result: seeded searches are bit-identical under any such context.
 
-// cancelCheckStride is the number of leaf evaluations between context
-// checks in the tight scan loops (exhaustive enumeration, naive
-// equal-share recursion). At roughly a microsecond per evaluation this
-// bounds the per-partition drain to a few milliseconds.
+// cancelCheckStride is the number of visited nodes between context
+// checks in the tight scan loops (exhaustive enumeration nodes, naive
+// equal-share leaves). At roughly a microsecond per node this bounds
+// the per-partition drain to a few milliseconds.
 const cancelCheckStride = 4096
 
-// metaCheckStride is the number of iterations between context checks
-// in the metaheuristic walks (annealing moves, tabu steps, genetic
-// generations are checked every generation).
+// metaCheckStride is the number of tabu steps between context checks.
 const metaCheckStride = 64
 
 // SolveContext runs heuristic h on p under ctx, refusing an already

@@ -41,15 +41,3 @@ func TestPrecomputeContextCancelled(t *testing.T) {
 		t.Fatalf("fresh precompute after cancel failed: %v", err)
 	}
 }
-
-// Cancellation mid-search (via a deadline that expires during the
-// exhaustive scan) must surface context.DeadlineExceeded.
-func TestExhaustiveDeadlineMidSearch(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 1)
-	defer cancel()
-	<-ctx.Done() // the 1ns deadline has certainly expired
-	p := randomProblem(7, 5)
-	if _, err := (&Exhaustive{Workers: 4}).AllocateContext(ctx, p); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want DeadlineExceeded", err)
-	}
-}

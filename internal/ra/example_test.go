@@ -45,7 +45,7 @@ func ExampleExhaustive() {
 // objective and is interchangeable behind the Heuristic interface, and
 // an unregistered name is refused with the list of registered ones.
 func ExampleByName() {
-	for _, n := range []string{"naive", "twophase", "genetic", "portfolio"} {
+	for _, n := range []string{"naive", "twophase", "tabu", "genetic"} {
 		if _, err := ra.ByName(n); err != nil {
 			fmt.Println(err)
 		} else {
@@ -55,6 +55,6 @@ func ExampleByName() {
 	// Output:
 	// naive registered
 	// twophase registered
-	// genetic registered
-	// ra: unknown heuristic "portfolio" (have anneal, dag-greedy, exhaustive, genetic, greedy, heft, minmin, naive, tabu, twophase)
+	// tabu registered
+	// ra: unknown heuristic "genetic" (have dag-greedy, exhaustive, greedy, heft, minmin, naive, tabu, twophase)
 }

@@ -5,39 +5,22 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 
 	"cdsf/internal/rng"
 	"cdsf/internal/sysmodel"
 )
 
-// This file implements the metaheuristic allocators:
-// SimulatedAnnealing, GeneticAlgorithm, and TabuSearch. All optimize
-// phi_1 over the same feasible space as the exhaustive search (power-of-2
-// counts, single type per application, capacity limits), start from
-// random feasible allocations, and share a repair operator that shrinks
-// oversubscribed allocations.
+// This file implements the tabu-search allocator. It optimizes phi_1
+// over the same feasible space as the exhaustive search (power-of-2
+// counts, single type per application, capacity limits), starts from
+// a random feasible allocation, and repairs oversubscribed neighbors.
+// On a DAG objective, where exhaustive scans unpruned, it is the
+// registry's search (EXPERIMENTS.md "DAG tournament").
 //
-// Each metaheuristic is one seeded walk. Its search parameters are the
-// constants below; only the seed and the worker count of the
-// evaluation-table build are settable, and the result never depends on
-// the worker count.
-
-// Simulated annealing: proposed moves, starting temperature in phi_1
-// units, and the per-move temperature multiplier.
-const (
-	annealIterations  = 2000
-	annealInitialTemp = 0.2
-	annealCooling     = 0.998
-)
-
-// Genetic algorithm: population size, generations, and the per-child
-// mutation probability.
-const (
-	geneticPopulation   = 32
-	geneticGenerations  = 60
-	geneticMutationRate = 0.3
-)
+// The search is one seeded walk. Its parameters are the constants
+// below; only the seed and the worker count of the evaluation-table
+// build are settable, and the result never depends on the worker
+// count.
 
 // Tabu search: search steps, tabu list length, and neighbors sampled
 // per step.
@@ -48,8 +31,6 @@ const (
 )
 
 func init() {
-	registerHeuristic("anneal", func() Heuristic { return &SimulatedAnnealing{} })
-	registerHeuristic("genetic", func() Heuristic { return &GeneticAlgorithm{} })
 	registerHeuristic("tabu", func() Heuristic { return &TabuSearch{} })
 }
 
@@ -181,165 +162,6 @@ func largestPow2LE(n int) int {
 		c *= 2
 	}
 	return c
-}
-
-// SimulatedAnnealing optimizes phi_1 with a geometric cooling schedule
-// over the neighbor move set.
-type SimulatedAnnealing struct {
-	// Seed drives the walk.
-	Seed uint64
-	// Workers bounds the evaluation-table build; non-positive means
-	// runtime.NumCPU(). The result never depends on it.
-	Workers int
-}
-
-// Name returns "anneal".
-func (h *SimulatedAnnealing) Name() string { return "anneal" }
-
-// SetWorkers implements WorkerSettable.
-func (h *SimulatedAnnealing) SetWorkers(workers int) { h.Workers = workers }
-
-// SetSeed implements SeedSettable.
-func (h *SimulatedAnnealing) SetSeed(seed uint64) { h.Seed = seed }
-
-// AllocateContext implements Heuristic: the walk checks ctx every
-// metaCheckStride proposed moves.
-func (h *SimulatedAnnealing) AllocateContext(ctx context.Context, p *Problem) (sysmodel.Allocation, error) {
-	return runWalk(ctx, p, "anneal", h.Workers, h.Seed+0x5a5a, anneal)
-}
-
-// anneal runs one annealing walk on r.
-func anneal(ctx context.Context, p *Problem, r *rng.Source) (sysmodel.Allocation, error) {
-	temp := annealInitialTemp
-	cur, ok := randomAllocation(p, r)
-	if !ok {
-		return nil, fmt.Errorf("ra: anneal could not build an initial allocation")
-	}
-	curPhi, err := p.Objective(cur)
-	if err != nil {
-		return nil, err
-	}
-	best, bestPhi := cur.Clone(), curPhi
-	for k := 0; k < annealIterations; k++ {
-		if k%metaCheckStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		cand, ok := neighbor(p, cur, r)
-		if !ok {
-			continue
-		}
-		phi, err := p.Objective(cand)
-		if err != nil {
-			continue
-		}
-		if phi >= curPhi || r.Float64() < math.Exp((phi-curPhi)/temp) {
-			cur, curPhi = cand, phi
-			if phi > bestPhi {
-				best, bestPhi = cand.Clone(), phi
-			}
-		}
-		temp *= annealCooling
-	}
-	return best, nil
-}
-
-// GeneticAlgorithm evolves a population of allocations with tournament
-// selection, uniform per-application crossover, mutation via the
-// neighbor move, and elitism.
-type GeneticAlgorithm struct {
-	// Seed drives the evolution.
-	Seed uint64
-	// Workers bounds the evaluation-table build; non-positive means
-	// runtime.NumCPU(). The result never depends on it.
-	Workers int
-}
-
-// Name returns "genetic".
-func (h *GeneticAlgorithm) Name() string { return "genetic" }
-
-// SetWorkers implements WorkerSettable.
-func (h *GeneticAlgorithm) SetWorkers(workers int) { h.Workers = workers }
-
-// SetSeed implements SeedSettable.
-func (h *GeneticAlgorithm) SetSeed(seed uint64) { h.Seed = seed }
-
-// AllocateContext implements Heuristic: the evolution checks ctx once
-// per generation.
-func (h *GeneticAlgorithm) AllocateContext(ctx context.Context, p *Problem) (sysmodel.Allocation, error) {
-	return runWalk(ctx, p, "genetic", h.Workers, h.Seed+0x6e6e, evolve)
-}
-
-// evolve runs one evolution on r.
-func evolve(ctx context.Context, p *Problem, r *rng.Source) (sysmodel.Allocation, error) {
-	type indiv struct {
-		al  sysmodel.Allocation
-		phi float64
-	}
-	eval := func(al sysmodel.Allocation) (indiv, bool) {
-		phi, err := p.Objective(al)
-		if err != nil {
-			return indiv{}, false
-		}
-		return indiv{al: al, phi: phi}, true
-	}
-	var cur []indiv
-	for len(cur) < geneticPopulation {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		al, ok := randomAllocation(p, r)
-		if !ok {
-			continue
-		}
-		if in, ok := eval(al); ok {
-			cur = append(cur, in)
-		}
-	}
-	tournament := func() indiv {
-		a := cur[r.Intn(len(cur))]
-		b := cur[r.Intn(len(cur))]
-		if a.phi >= b.phi {
-			return a
-		}
-		return b
-	}
-	for g := 0; g < geneticGenerations; g++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		sort.Slice(cur, func(i, j int) bool { return cur[i].phi > cur[j].phi })
-		next := []indiv{cur[0], cur[1%len(cur)]} // elitism
-		for len(next) < geneticPopulation {
-			a, b := tournament(), tournament()
-			child := a.al.Clone()
-			for i := range child {
-				if r.Intn(2) == 0 {
-					child[i] = b.al[i]
-				}
-			}
-			if !repair(p, child) {
-				continue
-			}
-			if r.Float64() < geneticMutationRate {
-				if m, ok := neighbor(p, child, r); ok {
-					child = m
-				}
-			}
-			if in, ok := eval(child); ok {
-				next = append(next, in)
-			}
-		}
-		cur = next
-	}
-	best := cur[0]
-	for _, in := range cur[1:] {
-		if in.phi > best.phi {
-			best = in
-		}
-	}
-	return best.al, nil
 }
 
 // TabuSearch is a best-improvement local search over the neighbor move

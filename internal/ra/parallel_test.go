@@ -97,13 +97,11 @@ func TestExhaustiveDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestMetaheuristicsDeterministicAcrossWorkers checks that the seeded
-// metaheuristics return identical allocations for every worker count of
+// tabu search returns identical allocations for every worker count of
 // the evaluation-table build.
 func TestMetaheuristicsDeterministicAcrossWorkers(t *testing.T) {
 	mk := func(w int) []Heuristic {
 		return []Heuristic{
-			&SimulatedAnnealing{Seed: 5, Workers: w},
-			&GeneticAlgorithm{Seed: 5, Workers: w},
 			&TabuSearch{Seed: 5, Workers: w},
 		}
 	}
@@ -140,7 +138,6 @@ func TestConcurrentAllocateSharedProblem(t *testing.T) {
 	hs := []Heuristic{
 		&Exhaustive{Workers: 2},
 		Greedy{},
-		&SimulatedAnnealing{Seed: 9, Workers: 2},
 		&TabuSearch{Seed: 9, Workers: 2},
 	}
 	var wg sync.WaitGroup

@@ -10,14 +10,16 @@
 // The paper uses two policies at its small scale — a naive equal-share
 // load balancer and an exhaustive search for the optimum — and calls for
 // scalable robust heuristics as future work. This package provides both
-// paper policies plus the scalable family its future-work section
-// anticipates (greedy, a min-min adaptation of Ibarra & Kim, two-phase
-// greedy in the spirit of Shestak et al., the DAG list schedulers heft
-// and dag-greedy, and simulated annealing / genetic / tabu
-// metaheuristics), all optimizing the same stochastic objective so they
-// can be ablated against the exhaustive optimum. The tournament
-// recorded in EXPERIMENTS.md ran these ten and five more; none of the
-// five ever beat the best of these ten, so only these are registered.
+// paper policies, with the exhaustive search made a branch-and-bound
+// that stays exact and fast on independent batches of the scale
+// study's sizes, plus cheap constructive heuristics (greedy, a min-min
+// adaptation of Ibarra & Kim, two-phase greedy in the spirit of
+// Shestak et al.), the DAG list schedulers heft and dag-greedy, and a
+// tabu search for DAG objectives, all optimizing the same stochastic
+// objective so they can be ablated against the exhaustive optimum. The
+// tournaments recorded in EXPERIMENTS.md ran these eight and seven
+// more; none of the seven ever beat the best of these eight, so only
+// these are registered.
 //
 // The package is a parallel search engine: Problem.PrecomputeContext
 // builds an immutable evaluation table with a bounded worker pool,
@@ -80,9 +82,10 @@ type Problem struct {
 	Backend pmf.Backend
 
 	// Obs receives the search's instrumentation: counters (cell
-	// evaluations, table hits/misses, precompute wall time, exhaustive
-	// scans) in Obs.Metrics, and wall-clock spans of the precompute
-	// build, each exhaustive partition and each metaheuristic walk, on
+	// evaluations, table hits/misses, precompute wall time, and
+	// ra.exhaustive_scanned, the allocations exhaustive scored) in
+	// Obs.Metrics, and wall-clock spans of the precompute
+	// build, each exhaustive partition and the tabu walk, on
 	// lanes under "stage1/", in Obs.Tracer.
 	// The zero Scope records nothing. Set it before PrecomputeContext —
 	// the hot-path counters are cached when the table is built,
@@ -276,7 +279,7 @@ type WorkerSettable interface {
 }
 
 // SetWorkers configures the worker-pool bound on heuristics
-// implementing WorkerSettable (exhaustive and the metaheuristics),
+// implementing WorkerSettable (exhaustive and tabu),
 // returning true if h supports the knob. It is how the CLIs thread
 // their -workers flag through to registry-constructed heuristics.
 func SetWorkers(h Heuristic, workers int) bool {
@@ -288,7 +291,7 @@ func SetWorkers(h Heuristic, workers int) bool {
 }
 
 // SeedSettable is implemented by heuristics whose search is driven by
-// a random seed (anneal, genetic, tabu). Like WorkerSettable it is
+// a random seed (tabu). Like WorkerSettable it is
 // implemented on the pointer receiver, so registry-constructed
 // instances pick up a caller-supplied seed without a central type
 // switch. Reseeding changes which allocation a stochastic search

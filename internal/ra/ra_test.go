@@ -69,7 +69,7 @@ func randomProblem(seed uint64, apps int) *Problem {
 }
 
 func TestGetAndNames(t *testing.T) {
-	want := []string{"anneal", "dag-greedy", "exhaustive", "genetic", "greedy", "heft", "minmin", "naive", "tabu", "twophase"}
+	want := []string{"dag-greedy", "exhaustive", "greedy", "heft", "minmin", "naive", "tabu", "twophase"}
 	if got := Names(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Names() = %v, want %v", got, want)
 	}
@@ -84,7 +84,7 @@ func TestGetAndNames(t *testing.T) {
 	if _, err := ByName("EXHAUSTIVE"); err != nil {
 		t.Error("lookup not case-insensitive")
 	}
-	for _, gone := range []string{"bogus", "random", "maxmin", "duplex", "minimal", "portfolio"} {
+	for _, gone := range []string{"bogus", "random", "maxmin", "duplex", "minimal", "portfolio", "anneal", "genetic"} {
 		_, err := ByName(gone)
 		if err == nil || !strings.Contains(err.Error(), strings.Join(want, ", ")) {
 			t.Errorf("ByName(%q) = %v, want an error listing the registry", gone, err)
@@ -126,6 +126,30 @@ func TestExhaustiveIsOptimal(t *testing.T) {
 		}
 		return true
 	})
+}
+
+// A capacity space whose bound table would exceed maxBoundCells is
+// scanned unpruned, with the full scan's result.
+func TestExhaustiveAboveBoundCap(t *testing.T) {
+	p := smallProblem()
+	p.Sys.Types[1].Count = maxBoundCells
+	if err := p.PrecomputeContext(context.Background(), 1); err != nil {
+		t.Fatal(err)
+	}
+	if p.newBound() != nil {
+		t.Fatal("bound table built above its cap")
+	}
+	got, err := (&Exhaustive{Workers: 1}).AllocateContext(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := UnprunedExhaustive(context.Background(), p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Errorf("exhaustive %v, full scan %v", got, want)
+	}
 }
 
 func TestAllHeuristicsFeasibleOnRandomInstances(t *testing.T) {
@@ -186,16 +210,12 @@ func TestMetaheuristicsReachOptimumOnSmall(t *testing.T) {
 		t.Fatal(err)
 	}
 	optPhi, _ := p.Objective(opt)
-	for _, name := range []string{"anneal", "genetic", "tabu"} {
-		h, _ := ByName(name)
-		al, err := h.AllocateContext(context.Background(), p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		phi, _ := p.Objective(al)
-		if phi < optPhi-0.02 {
-			t.Errorf("%s phi %v far from optimum %v on a tiny instance", name, phi, optPhi)
-		}
+	al, err := (&TabuSearch{}).AllocateContext(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if phi, _ := p.Objective(al); phi < optPhi-0.02 {
+		t.Errorf("tabu phi %v far from optimum %v on a tiny instance", phi, optPhi)
 	}
 }
 

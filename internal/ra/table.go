@@ -2,6 +2,7 @@ package ra
 
 import (
 	"context"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -33,6 +34,13 @@ type evalTable struct {
 	// whole distributions, not just the (prob, expected) pair, so the
 	// table retains what it computed instead of discarding it.
 	dists []pmf.Dist
+}
+
+// cell returns the cell of application i under a power-of-2
+// assignment within capacity: the unchecked, uncounted read of
+// evalCell's table path, for the exhaustive scan's prefix folds.
+func (t *evalTable) cell(i int, as sysmodel.Assignment) memoVal {
+	return t.cells[(i*t.types+as.Type)*t.logs+bits.TrailingZeros(uint(as.Procs))]
 }
 
 // log2of returns (log2(n), true) when n is a positive power of two.

@@ -107,7 +107,7 @@ func TestCachedSolveRepeatBitIdentical(t *testing.T) {
 	c := cache.New(cache.Options{Metrics: reg})
 	_, ts := newTestServer(t, Options{Cache: c, Metrics: reg})
 
-	req := api.SolveRequest{Heuristic: "genetic", Seed: 11}
+	req := api.SolveRequest{Heuristic: "tabu", Seed: 11}
 	var first api.Job
 	if resp := post(t, ts.URL+"/v1/solve", req, &first); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status %d", resp.StatusCode)
@@ -146,7 +146,7 @@ func TestCachedSolveRepeatBitIdentical(t *testing.T) {
 
 	// A different seed is a different key: it must run, not replay.
 	var other api.Job
-	post(t, ts.URL+"/v1/solve", api.SolveRequest{Heuristic: "genetic", Seed: 12}, &other)
+	post(t, ts.URL+"/v1/solve", api.SolveRequest{Heuristic: "tabu", Seed: 12}, &other)
 	if other.State == api.JobDone {
 		t.Error("different seed was served from cache")
 	}

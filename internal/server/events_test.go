@@ -425,7 +425,7 @@ func TestJobEventsSurviveRestart(t *testing.T) {
 // its log keeps the pre-crash events, continues with the recovery
 // re-queue under the next seq, and ends at done.
 func TestRecoveredJobEventsContinue(t *testing.T) {
-	raw, err := json.Marshal(api.SolveRequest{Heuristic: "genetic", Seed: 7})
+	raw, err := json.Marshal(api.SolveRequest{Heuristic: "tabu", Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

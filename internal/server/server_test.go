@@ -155,7 +155,7 @@ func TestSolveBitIdentical(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	var j api.Job
 	resp := post(t, ts.URL+"/v1/solve", api.SolveRequest{
-		Instance: inst, Heuristic: "genetic", Seed: 7, Workers: 3,
+		Instance: inst, Heuristic: "tabu", Seed: 7, Workers: 3,
 	}, &j)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status %d, want 202", resp.StatusCode)
@@ -170,7 +170,7 @@ func TestSolveBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := ra.ByName("genetic")
+	h, err := ra.ByName("tabu")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,13 +531,15 @@ func TestBadRequests(t *testing.T) {
 	checkStatus("/v1/scenario", `{"ras": ["NOPE"]}`, http.StatusBadRequest, "ras[0]")
 	checkStatus("/v1/solve", `{"pmf_backend": "nope"}`, http.StatusBadRequest, "pmf_backend")
 	checkStatus("/v1/scenario", `{"pmf_backend": "nope"}`, http.StatusBadRequest, "pmf_backend")
-	// The heuristics the EXPERIMENTS.md tournament dropped answer like
-	// any unknown name, with the registry list.
-	for _, gone := range []string{"random", "maxmin", "duplex", "minimal", "portfolio"} {
+	// The heuristics the EXPERIMENTS.md tournaments dropped answer like
+	// any unknown name, with the registry list, on solve and as a
+	// scenario's IM.
+	for _, gone := range []string{"random", "maxmin", "duplex", "minimal", "portfolio", "anneal", "genetic"} {
 		e := checkStatus("/v1/solve", `{"heuristic": "`+gone+`"}`, http.StatusBadRequest, "heuristic")
 		if e.Code != api.ErrBadRequest || !strings.Contains(e.Message, strings.Join(ra.Names(), ", ")) {
 			t.Errorf("solve %s: error %+v, want bad_request listing the registry", gone, e)
 		}
+		checkStatus("/v1/scenario", `{"im": "`+gone+`"}`, http.StatusBadRequest, "im")
 	}
 
 	resp, err := http.Get(ts.URL + "/v1/jobs/job-999999")

@@ -126,7 +126,7 @@ func TestServerRecoversInterruptedJobs(t *testing.T) {
 	// state a kill -9 mid-job leaves behind — then hand the store to a
 	// fresh server: the job re-runs under its own id to the exact bytes
 	// of an uninterrupted run.
-	req := api.SolveRequest{Heuristic: "genetic", Seed: 7}
+	req := api.SolveRequest{Heuristic: "tabu", Seed: 7}
 	raw, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)

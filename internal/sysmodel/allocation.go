@@ -105,7 +105,7 @@ func PowerOfTwoCounts(max int) []int {
 // allocations grows exponentially with the batch size, so this is only
 // for small instances and for validating heuristics.
 func EnumerateAllocations(sys *System, batch Batch, visit func(Allocation) bool) {
-	EnumerateAllocationsFrom(sys, batch, nil, visit)
+	EnumerateAllocationsFrom(sys, batch, nil, nil, visit)
 }
 
 // EnumerateAllocationsFrom enumerates the feasible completions of a
@@ -117,7 +117,16 @@ func EnumerateAllocations(sys *System, batch Batch, visit func(Allocation) bool)
 // search partition the space by prefix and still reduce in the
 // sequential tie-break order. A nil or empty prefix enumerates
 // everything. It panics if the prefix is longer than the batch.
-func EnumerateAllocationsFrom(sys *System, batch Batch, prefix Allocation, visit func(Allocation) bool) {
+//
+// enter, when non-nil, is called at every interior node of the
+// enumeration tree, before application i's options are tried: al[:i]
+// holds the node's assignments and remaining the processors of each
+// type they leave free. Returning false skips the node's subtree —
+// every completion of al[:i] — and the enumeration goes on with the
+// node's next sibling; this is how a branch-and-bound search prunes
+// without a recursion of its own. enter must not retain al or
+// remaining.
+func EnumerateAllocationsFrom(sys *System, batch Batch, prefix Allocation, enter func(i int, al Allocation, remaining []int) bool, visit func(Allocation) bool) {
 	if len(prefix) > len(batch) {
 		panic(fmt.Sprintf("sysmodel: prefix of %d assignments for %d applications", len(prefix), len(batch)))
 	}
@@ -138,8 +147,11 @@ func EnumerateAllocationsFrom(sys *System, batch Batch, prefix Allocation, visit
 		if i == len(batch) {
 			return visit(al)
 		}
+		if enter != nil && !enter(i, al, remaining) {
+			return true
+		}
 		for j := range sys.Types {
-			for _, c := range PowerOfTwoCounts(remaining[j]) {
+			for c := 1; c <= remaining[j]; c *= 2 {
 				al[i] = Assignment{Type: j, Procs: c}
 				remaining[j] -= c
 				ok := rec(i + 1)
