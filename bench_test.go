@@ -247,7 +247,7 @@ func BenchmarkPMFOps(b *testing.B) {
 func BenchmarkAvailabilityModel(b *testing.B) {
 	avail := pmf.MustNew([]pmf.Pulse{
 		{Value: 0.25, Prob: 0.25}, {Value: 0.5, Prob: 0.25}, {Value: 1, Prob: 0.5}})
-	af, _ := dls.Get("AF")
+	af, _ := dls.ByName("AF")
 	models := []availability.Model{
 		availability.Static{PMF: avail},
 		availability.Redraw{PMF: avail, Interval: 812.5},
@@ -278,7 +278,7 @@ func BenchmarkAvailabilityModel(b *testing.B) {
 
 func BenchmarkOverheadSensitivity(b *testing.B) {
 	for _, name := range []string{"SS", "FAC", "AF"} {
-		tech, _ := dls.Get(name)
+		tech, _ := dls.ByName(name)
 		for _, h := range []float64{0, 1, 10} {
 			b.Run(fmt.Sprintf("%s/h=%g", name, h), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {

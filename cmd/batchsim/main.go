@@ -20,7 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"strings"
 
 	"cdsf/internal/batch"
 	"cdsf/internal/core"
@@ -79,9 +78,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		case "expected":
 			// Default analytic executor.
 		case "sim":
-			dt, ok := dls.Get(*tech)
-			if !ok {
-				return fmt.Errorf("unknown technique %q (have %s)", *tech, strings.Join(dls.Names(), ", "))
+			dt, err := dls.ByName(*tech)
+			if err != nil {
+				return err
 			}
 			simCfg := core.DefaultStageII(*deadline, *seed)
 			simCfg.PMFBackend = rf.PMF

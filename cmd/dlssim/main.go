@@ -133,9 +133,9 @@ func simulate(ctx context.Context, s *runner.Session, stdout io.Writer,
 		techniques = dls.All()
 	} else {
 		for _, name := range strings.Split(techs, ",") {
-			t, ok := dls.Get(strings.TrimSpace(name))
-			if !ok {
-				return fmt.Errorf("unknown technique %q (have %s)", name, strings.Join(dls.Names(), ", "))
+			t, err := dls.ByName(name)
+			if err != nil {
+				return err
 			}
 			techniques = append(techniques, t)
 		}

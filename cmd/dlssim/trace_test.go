@@ -227,9 +227,9 @@ func TestWriteCSV(t *testing.T) {
 // Elapsed: a real chunk log (irrational-looking simulated times) plus
 // adversarial values must read back exactly.
 func TestCSVRoundTripBitExact(t *testing.T) {
-	fac, ok := dls.Get("FAC")
-	if !ok {
-		t.Fatal("FAC missing")
+	fac, err := dls.ByName("FAC")
+	if err != nil {
+		t.Fatal(err)
 	}
 	r, err := sim.RunContext(context.Background(), sim.Config{
 		ParallelIters: 500,

@@ -109,14 +109,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		var optPhi float64
 		haveOpt := false
 		if *exhaustiveRef {
-			// A DAG objective composes completion PMFs per evaluation
-			// instead of reading the table product, so the exhaustive
-			// reference is only affordable on much smaller spaces.
-			limit := 2_000_000
-			if len(prob.Edges) > 0 {
-				limit = 1_000
-			}
-			if sysmodel.CountAllocations(prob.Sys, prob.Batch, limit) <= limit {
+			// On an independent batch exhaustive is a branch-and-bound
+			// and always affordable. On a DAG it scans the whole space
+			// and composes completion PMFs per evaluation, so the
+			// reference runs only on small DAG spaces.
+			const dagLimit = 1_000
+			if len(prob.Edges) == 0 || sysmodel.CountAllocations(prob.Sys, prob.Batch, dagLimit) <= dagLimit {
 				al, err := (&ra.Exhaustive{Workers: rf.Workers}).AllocateContext(ctx, prob)
 				if err != nil {
 					if ctxErr := ctx.Err(); ctxErr != nil {
@@ -127,7 +125,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 					haveOpt = true
 				}
 			} else {
-				fmt.Fprintf(stderr, "ratool: skipping exhaustive reference (more than %d allocations)\n", limit)
+				fmt.Fprintf(stderr, "ratool: skipping exhaustive reference (more than %d allocations)\n", dagLimit)
 			}
 		}
 

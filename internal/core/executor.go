@@ -65,8 +65,8 @@ func (e SimExecutor) Execute(ctx context.Context, sys *sysmodel.System, b sysmod
 			IterTime:         stats.NewNormal(iterMean, e.Config.IterCV*iterMean),
 			Avail:            mkModel(avail),
 			Technique:        e.Technique,
-			WeightsFromAvail: e.Config.WeightsFromAvail,
-			BestMaster:       e.Config.BestMaster,
+			WeightsFromAvail: true,
+			BestMaster:       true,
 			Overhead:         e.Config.Overhead,
 			Seed:             seed ^ uint64(i)<<32,
 		}, e.Config.Reps)

@@ -14,7 +14,7 @@ import (
 
 func TestSimExecutorBasics(t *testing.T) {
 	f := testFramework()
-	af, _ := dls.Get("AF")
+	af, _ := dls.ByName("AF")
 	e := SimExecutor{Technique: af, Config: quickCfg(2)}
 	alloc := sysmodel.Allocation{{Type: 0, Procs: 2}, {Type: 1, Procs: 4}}
 	mk, err := e.Execute(context.Background(), f.Sys, f.Batch, alloc, 7)
@@ -38,7 +38,7 @@ func TestSimExecutorBasics(t *testing.T) {
 
 func TestSimExecutorValidation(t *testing.T) {
 	f := testFramework()
-	af, _ := dls.Get("AF")
+	af, _ := dls.ByName("AF")
 	alloc := sysmodel.Allocation{{Type: 0, Procs: 2}, {Type: 1, Procs: 4}}
 	ctx := context.Background()
 	if _, err := (SimExecutor{Config: quickCfg(1)}).Execute(ctx, f.Sys, f.Batch, alloc, 1); err == nil {
@@ -58,7 +58,7 @@ func TestSimExecutorValidation(t *testing.T) {
 // the batch substrate end-to-end.
 func TestSimExecutorWithResourceManager(t *testing.T) {
 	f := testFramework()
-	af, _ := dls.Get("AF")
+	af, _ := dls.ByName("AF")
 	res, err := batch.RunContext(context.Background(), batch.Config{
 		Sys: f.Sys,
 		Arrivals: batch.ArrivalProcess{

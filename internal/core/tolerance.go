@@ -65,8 +65,8 @@ func (f *Framework) SimTolerance(alloc sysmodel.Allocation, ras []dls.Technique,
 				Workers:          as.Procs,
 				IterTime:         stats.NewNormal(iterMean, cfg.IterCV*iterMean),
 				Avail:            mkModel(f.Sys.Types[as.Type].Avail.Scale(scale)),
-				WeightsFromAvail: cfg.WeightsFromAvail,
-				BestMaster:       cfg.BestMaster,
+				WeightsFromAvail: true,
+				BestMaster:       true,
 				Overhead:         cfg.Overhead,
 				Seed:             cfg.Seed ^ uint64(i)<<20,
 			}, arms, cfg.Reps)

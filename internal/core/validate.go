@@ -64,9 +64,9 @@ func (f *Framework) ValidateStageI(alloc sysmodel.Allocation, i, reps int, seed 
 	avail := f.Sys.Types[as.Type].Avail
 	analytic := app.CompletionPMF(as.Type, as.Procs, avail)
 
-	wf, ok := dls.Get("WF")
-	if !ok {
-		return nil, fmt.Errorf("core: WF technique missing")
+	wf, err := dls.ByName("WF")
+	if err != nil {
+		return nil, err
 	}
 	r := rng.New(seed)
 	makespans := make([]float64, 0, reps)

@@ -4,15 +4,26 @@ import (
 	"math"
 )
 
-// This file implements the adaptive techniques AWF-B, AWF-C, and AF.
+// This file implements the adaptive techniques: the adaptive weighted
+// factoring family and AF.
 //
 // AWF (adaptive weighted factoring, Carino & Banicescu) keeps weighted
 // factoring's batch structure but learns the worker weights at runtime
 // from measured performance instead of trusting a-priori estimates. The
-// B and C variants differ in update granularity: AWF-B recomputes the
-// weights at every batch boundary, AWF-C after every completed chunk.
-// The weight of worker i is proportional to its measured execution rate
-// (iterations per unit time), normalized so the weights sum to P.
+// weight of worker i is proportional to its measured execution rate
+// (iterations per unit time), normalized so the weights sum to P. The
+// variants differ in when the weights are re-learned and in what a
+// chunk's measured cost includes (Carino & Banicescu, "Dynamic load
+// balancing with adaptive factoring methods in scientific
+// applications", J. Supercomputing 2008):
+//
+//   - AWF-B re-learns at every batch boundary, AWF-C after every
+//     completed chunk;
+//   - AWF-D and AWF-E are AWF-B and AWF-C with the scheduling overhead h
+//     added to every chunk's measured time, so the weights account for
+//     dispatch cost and not just execution speed;
+//   - AWF, the original time-stepping variant, re-learns only at
+//     application time-step boundaries (see TimeStepper).
 //
 // AF (adaptive factoring, Banicescu & Liu) drops the fixed batch ratio
 // entirely: it estimates the per-iteration mean mu_i and variance
@@ -30,9 +41,22 @@ import (
 // first-batch share) is used.
 
 func init() {
-	register(Technique{Name: "AWF-B", Adaptive: true, New: newAWFB})
-	register(Technique{Name: "AWF-C", Adaptive: true, New: newAWFC})
-	register(Technique{Name: "AF", Adaptive: true, New: newAF})
+	register(Technique{Name: "AWF-B", New: newAWFB})
+	register(Technique{Name: "AWF-C", New: newAWFC})
+	register(Technique{Name: "AWF-D", New: newAWFD})
+	register(Technique{Name: "AWF-E", New: newAWFE})
+	register(Technique{Name: "AWF", New: newAWFT})
+	register(Technique{Name: "AF", New: newAF})
+}
+
+// TimeStepper is implemented by schedulers that support time-stepping
+// applications: loops executed repeatedly over the same iteration
+// space. EndStep resets the iteration space for the next sweep while
+// retaining learned state (the original AWF's defining behaviour).
+type TimeStepper interface {
+	// EndStep finishes the current sweep and re-arms the scheduler for
+	// the next one with the same iteration count.
+	EndStep()
 }
 
 // perfTracker accumulates per-worker measured execution rates.
@@ -83,48 +107,9 @@ func (p *perfTracker) weights() []float64 {
 	return w
 }
 
-// awf implements AWF-B and AWF-C, differing only in when weights are
-// refreshed.
-type awf struct {
-	name     string
-	perBatch bool // true: refresh at batch boundaries (AWF-B); false: every chunk (AWF-C)
-	b        batcher
-	weights  []float64
-	perf     perfTracker
-}
-
-func newAWFB(s Setup) (Scheduler, error) { return newAWF(s, "AWF-B", true) }
-func newAWFC(s Setup) (Scheduler, error) { return newAWF(s, "AWF-C", false) }
-
-func newAWF(s Setup, name string, perBatch bool) (Scheduler, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	return &awf{
-		name:     name,
-		perBatch: perBatch,
-		b:        batcher{remaining: s.Iterations, workers: s.Workers},
-		weights:  s.normWeights(),
-		perf:     newPerfTracker(s.Workers),
-	}, nil
-}
-
-func (a *awf) Name() string   { return a.name }
-func (a *awf) Remaining() int { return a.b.remaining }
-
-func (a *awf) Next(worker int) int {
-	if a.b.batchLeft <= 0 && a.b.remaining > 0 {
-		if a.perBatch && a.anyMeasured() {
-			a.weights = a.perf.weights()
-		}
-		a.b.openBatch()
-	}
-	k := int(math.Round(float64(a.b.batchChunk) * a.weights[worker]))
-	return a.b.take(k)
-}
-
-func (a *awf) anyMeasured() bool {
-	for _, it := range a.perf.iters {
+// measured reports whether any worker has reported a chunk.
+func (p *perfTracker) measured() bool {
+	for _, it := range p.iters {
 		if it > 0 {
 			return true
 		}
@@ -132,11 +117,78 @@ func (a *awf) anyMeasured() bool {
 	return false
 }
 
+// awf implements AWF-B, AWF-C, AWF-D and AWF-E: weighted factoring
+// whose weights are re-learned at every batch boundary (perBatch) or
+// after every completed chunk.
+type awf struct {
+	wf
+	perBatch bool
+	overhead float64 // added to every measured chunk time: h for AWF-D/E, 0 for AWF-B/C
+	perf     perfTracker
+}
+
+func newAWFB(s Setup) (Scheduler, error) { return newAWF(s, true, 0) }
+func newAWFC(s Setup) (Scheduler, error) { return newAWF(s, false, 0) }
+func newAWFD(s Setup) (Scheduler, error) { return newAWF(s, true, s.Overhead) }
+func newAWFE(s Setup) (Scheduler, error) { return newAWF(s, false, s.Overhead) }
+
+func newAWF(s Setup, perBatch bool, overhead float64) (Scheduler, error) {
+	if err := s.validate(); err != nil {
+		return nil, err
+	}
+	return &awf{
+		wf:       makeWF(s),
+		perBatch: perBatch,
+		overhead: overhead,
+		perf:     newPerfTracker(s.Workers),
+	}, nil
+}
+
+func (a *awf) Next(worker int) int {
+	if a.perBatch && a.b.batchLeft <= 0 && a.b.remaining > 0 && a.perf.measured() {
+		a.weights = a.perf.weights()
+	}
+	return a.wf.Next(worker)
+}
+
 func (a *awf) Report(w, size int, elapsed float64) {
-	a.perf.observe(w, size, elapsed)
+	a.perf.observe(w, size, elapsed+a.overhead)
 	if !a.perBatch {
 		a.weights = a.perf.weights()
 	}
+}
+
+// awfTimestep is the original AWF: within a sweep it is weighted
+// factoring with the current weights, which are re-learned from
+// cumulative measured performance only at EndStep.
+type awfTimestep struct {
+	wf
+	iterations int
+	perf       perfTracker
+}
+
+func newAWFT(s Setup) (Scheduler, error) {
+	if err := s.validate(); err != nil {
+		return nil, err
+	}
+	return &awfTimestep{
+		wf:         makeWF(s),
+		iterations: s.Iterations,
+		perf:       newPerfTracker(s.Workers),
+	}, nil
+}
+
+func (a *awfTimestep) Report(w, size int, elapsed float64) {
+	a.perf.observe(w, size, elapsed)
+}
+
+// EndStep implements TimeStepper: re-learn the weights from everything
+// measured so far and re-arm the iteration space.
+func (a *awfTimestep) EndStep() {
+	if a.perf.measured() {
+		a.weights = a.perf.weights()
+	}
+	a.b = batcher{remaining: a.iterations, workers: a.b.workers}
 }
 
 // afChunk is one completed chunk's measurement: size and mean
@@ -180,7 +232,6 @@ func (a *af) bootChunk(worker int) int {
 	return clampChunk(k, a.remaining)
 }
 
-func (a *af) Name() string   { return "AF" }
 func (a *af) Remaining() int { return a.remaining }
 
 // workerMoments estimates worker w's per-iteration mean and variance

@@ -2,14 +2,15 @@ package dls
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
 func mustAnalyze(t *testing.T, name string, n, p int, h float64) *ScheduleAnalysis {
 	t.Helper()
-	tech, ok := Get(name)
-	if !ok {
-		t.Fatalf("technique %q missing", name)
+	tech, err := ByName(name)
+	if err != nil {
+		t.Fatal(err)
 	}
 	a, err := AnalyzeSchedule(tech, n, p, h, 1)
 	if err != nil {
@@ -85,11 +86,104 @@ func TestCompareSchedules(t *testing.T) {
 }
 
 func TestAnalyzeScheduleErrors(t *testing.T) {
-	tech, _ := Get("FAC")
+	tech, _ := ByName("FAC")
 	if _, err := AnalyzeSchedule(tech, 100, 4, 0, 0); err == nil {
 		t.Error("zero iterMean accepted")
 	}
 	if _, err := AnalyzeSchedule(tech, 0, 4, 0, 1); err == nil {
 		t.Error("zero iterations accepted")
+	}
+}
+
+// TestGoldenChunkSequences drives every registered technique through
+// AnalyzeSchedule's idealized equal-speed loop on N = 4096 iterations
+// at P = 2, 4, 8 and 16 with overhead h = 1, and checks its chunk sizes
+// against the technique's closed form, computed here from the formula.
+func TestGoldenChunkSequences(t *testing.T) {
+	const n, h = 4096, 1.0
+	repeat := func(k, times int) []int {
+		out := make([]int, times)
+		for i := range out {
+			out[i] = k
+		}
+		return out
+	}
+	// Factoring's FAC2 rule: each batch holds half the remaining
+	// iterations (rounded up) in P chunks of ceil(batch/P), the batch's
+	// last chunk taking what is left of it.
+	fac := func(p int) []int {
+		var out []int
+		for r := n; r > 0; {
+			batch := (r + 1) / 2
+			chunk := (batch + p - 1) / p
+			for left := batch; left > 0; left -= chunk {
+				out = append(out, min(chunk, left))
+			}
+			r -= batch
+		}
+		return out
+	}
+	closed := map[string]func(p int) []int{
+		"STATIC": func(p int) []int { return repeat(n/p, p) },
+		"SS":     func(int) []int { return repeat(1, n) },
+		// AnalyzeSchedule sets no iteration sigma, so FSC takes its
+		// N/(2P) fallback; TestFSCUsesOverheadFormula covers the
+		// Kruskal-Weiss size.
+		"FSC": func(p int) []int { return repeat(n/(2*p), 2*p) },
+		// Tzen & Ni: sizes fall linearly from f = N/(2P) to l = 1 in
+		// steps of (f-l)/(C-1), C = ceil(2N/(f+l)); the last chunk
+		// takes what remains.
+		"TSS": func(p int) []int {
+			f, l := float64(n)/float64(2*p), 1.0
+			d := (f - l) / (math.Ceil(2*n/(f+l)) - 1)
+			var out []int
+			for i, left := 0, n; left > 0; i++ {
+				k := min(int(math.Round(math.Max(f-float64(i)*d, l))), left)
+				out = append(out, k)
+				left -= k
+			}
+			return out
+		},
+		"FAC": fac,
+		// WF with equal weights is FAC; equal speeds teach the AWF
+		// family equal weights (AWF-D and AWF-E add the same h to
+		// equal chunks), so it dispatches FAC's sequence too.
+		"WF":    fac,
+		"AWF":   fac,
+		"AWF-B": fac,
+		"AWF-C": fac,
+		"AWF-D": fac,
+		"AWF-E": fac,
+		// At equal speeds AF measures no variance, so its batch cap,
+		// ceil(R/(2P)) of the R iterations remaining, sizes every chunk.
+		"AF": func(p int) []int {
+			var out []int
+			for r := n; r > 0; {
+				k := (r + 2*p - 1) / (2 * p)
+				out = append(out, k)
+				r -= k
+			}
+			return out
+		},
+	}
+	for _, tech := range All() {
+		want, ok := closed[tech.Name]
+		if !ok {
+			t.Errorf("%s has no closed form here", tech.Name)
+			continue
+		}
+		for _, p := range []int{2, 4, 8, 16} {
+			a, err := AnalyzeSchedule(tech, n, p, h, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sizes := make([]int, len(a.Entries))
+			for i, e := range a.Entries {
+				sizes[i] = e.Size
+			}
+			if !slices.Equal(sizes, want(p)) {
+				t.Errorf("%s P=%d: chunks %v, want %v", tech.Name, p, sizes, want(p))
+			}
+		}
 	}
 }

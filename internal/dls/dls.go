@@ -10,19 +10,20 @@
 // into:
 //
 //   - Non-adaptive, static chunk rules: STATIC, SS (self-scheduling),
-//     FSC (fixed-size chunking), GSS (guided self-scheduling),
-//     TSS (trapezoid self-scheduling).
+//     FSC (fixed-size chunking), TSS (trapezoid self-scheduling).
 //   - Non-adaptive probabilistic rules: FAC (factoring, Hummel et al.)
 //     and WF (weighted factoring, Hummel/Banicescu et al.), which
 //     schedule batches of shrinking size.
-//   - Adaptive rules: AWF-B and AWF-C (adaptive weighted factoring with
-//     batch- and chunk-level weight updates, Carino & Banicescu) and AF
-//     (adaptive factoring, Banicescu & Liu), which re-estimate
+//   - Adaptive rules: the adaptive weighted factoring family (Carino &
+//     Banicescu), which learns WF's weights at runtime — per batch
+//     (AWF-B, AWF-D), per chunk (AWF-C, AWF-E) or per time step (AWF) —
+//     and AF (adaptive factoring, Banicescu & Liu), which re-estimates
 //     per-worker iteration moments at runtime.
 //
 // The paper's Stage-II sets are {STATIC} (naive) and {FAC, WF, AWF-B,
-// AF} (robust); the remaining techniques serve as baselines and for
-// ablation studies.
+// AF} (robust). The other seven stay registered because each is the
+// strict best of every registered technique on some cell of the DLS
+// tournament (EXPERIMENTS.md "DLS tournament").
 //
 // A Scheduler is single-goroutine state driven by the Stage-II simulator
 // (package sim): the simulator calls Next when a worker goes idle and
@@ -100,8 +101,6 @@ func (s Setup) normWeights() []float64 {
 // is not safe for concurrent use; the simulator serializes access (a
 // real master would, too).
 type Scheduler interface {
-	// Name returns the technique name (e.g. "FAC").
-	Name() string
 	// Remaining returns the number of iterations not yet handed out.
 	Remaining() int
 	// Next returns the chunk size for the idle worker w in [0, Workers).
@@ -119,9 +118,6 @@ type Scheduler interface {
 type Technique struct {
 	// Name is the canonical technique name, e.g. "AWF-B".
 	Name string
-	// Adaptive reports whether the technique updates its decisions from
-	// runtime measurements.
-	Adaptive bool
 	// New creates a fresh Scheduler for one loop execution. It returns
 	// an error for invalid setups.
 	New func(Setup) (Scheduler, error)
@@ -138,10 +134,14 @@ func register(t Technique) {
 	registry[key] = t
 }
 
-// Get looks up a technique by case-insensitive name.
-func Get(name string) (Technique, bool) {
-	t, ok := registry[strings.ToUpper(name)]
-	return t, ok
+// ByName looks up a technique by name, ignoring case and surrounding
+// spaces. An unknown name's error lists the registered names.
+func ByName(name string) (Technique, error) {
+	t, ok := registry[strings.ToUpper(strings.TrimSpace(name))]
+	if !ok {
+		return Technique{}, fmt.Errorf("dls: unknown technique %q (have %s)", name, strings.Join(Names(), ", "))
+	}
+	return t, nil
 }
 
 // All returns every registered technique sorted by name.
@@ -170,9 +170,9 @@ func PaperRobustSet() []Technique {
 	names := []string{"FAC", "WF", "AWF-B", "AF"}
 	out := make([]Technique, len(names))
 	for i, n := range names {
-		t, ok := Get(n)
-		if !ok {
-			panic("dls: missing paper technique " + n)
+		t, err := ByName(n)
+		if err != nil {
+			panic(err)
 		}
 		out[i] = t
 	}

@@ -2,15 +2,17 @@ package dls
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
 
-// drain runs a scheduler round-robin until exhaustion, returning every
-// chunk in dispatch order as (worker, size) pairs. report, when
-// non-nil, maps (worker, size) to the elapsed time fed back to the
-// scheduler.
-func drain(t *testing.T, s Scheduler, workers int, report func(w, size int) float64) [][2]int {
+// drain runs technique name's scheduler s round-robin until
+// exhaustion, returning every chunk in dispatch order as (worker, size)
+// pairs. report, when non-nil, maps (worker, size) to the elapsed time
+// fed back to the scheduler.
+func drain(t *testing.T, name string, s Scheduler, workers int, report func(w, size int) float64) [][2]int {
 	t.Helper()
 	var chunks [][2]int
 	active := workers
@@ -29,14 +31,14 @@ func drain(t *testing.T, s Scheduler, workers int, report func(w, size int) floa
 			}
 			progressed = true
 			if k < 0 {
-				t.Fatalf("%s returned negative chunk %d", s.Name(), k)
+				t.Fatalf("%s returned negative chunk %d", name, k)
 			}
 			chunks = append(chunks, [2]int{w, k})
 			if report != nil {
 				s.Report(w, k, report(w, k))
 			}
 			if len(chunks) > 1_000_000 {
-				t.Fatalf("%s did not terminate", s.Name())
+				t.Fatalf("%s did not terminate", name)
 			}
 		}
 		if !progressed && active > 0 {
@@ -57,9 +59,9 @@ func sumChunks(chunks [][2]int) int {
 
 func newScheduler(t *testing.T, name string, s Setup) Scheduler {
 	t.Helper()
-	tech, ok := Get(name)
-	if !ok {
-		t.Fatalf("technique %q not registered", name)
+	tech, err := ByName(name)
+	if err != nil {
+		t.Fatal(err)
 	}
 	sched, err := tech.New(s)
 	if err != nil {
@@ -70,21 +72,22 @@ func newScheduler(t *testing.T, name string, s Setup) Scheduler {
 
 func TestRegistry(t *testing.T) {
 	want := []string{"AF", "AWF", "AWF-B", "AWF-C", "AWF-D", "AWF-E",
-		"FAC", "FISS", "FSC", "GSS", "SS", "STATIC", "TFSS", "TSS", "VISS", "WF"}
-	got := Names()
-	if len(got) != len(want) {
+		"FAC", "FSC", "SS", "STATIC", "TSS", "WF"}
+	if got := Names(); !slices.Equal(got, want) {
 		t.Fatalf("registered %v, want %v", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("registered %v, want %v", got, want)
+	for _, name := range []string{"fac", " FAC ", "awf-b\t"} {
+		if _, err := ByName(name); err != nil {
+			t.Errorf("ByName(%q): %v", name, err)
 		}
 	}
-	if _, ok := Get("fac"); !ok {
-		t.Error("lookup is not case-insensitive")
-	}
-	if _, ok := Get("nope"); ok {
-		t.Error("unknown technique found")
+	// Unknown names, the removed techniques among them, list the
+	// registered ones.
+	for _, name := range []string{"nope", "", "GSS", "TFSS", "FISS", "VISS"} {
+		_, err := ByName(name)
+		if err == nil || !strings.Contains(err.Error(), strings.Join(want, ", ")) {
+			t.Errorf("ByName(%q) = %v, want an error listing %v", name, err, want)
+		}
 	}
 }
 
@@ -107,7 +110,7 @@ func TestAllTechniquesScheduleEveryIteration(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s(%d,%d): %v", tech.Name, cfg.n, cfg.p, err)
 			}
-			chunks := drain(t, s, cfg.p, func(w, k int) float64 { return float64(k) })
+			chunks := drain(t, tech.Name, s, cfg.p, func(w, k int) float64 { return float64(k) })
 			if got := sumChunks(chunks); got != cfg.n {
 				t.Errorf("%s(%d,%d): scheduled %d iterations", tech.Name, cfg.n, cfg.p, got)
 			}
@@ -136,7 +139,7 @@ func TestSetupValidation(t *testing.T) {
 
 func TestStaticOneChunkPerWorker(t *testing.T) {
 	s := newScheduler(t, "STATIC", Setup{Iterations: 100, Workers: 4})
-	chunks := drain(t, s, 4, nil)
+	chunks := drain(t, "STATIC", s, 4, nil)
 	if len(chunks) != 4 {
 		t.Fatalf("STATIC dispatched %d chunks, want 4", len(chunks))
 	}
@@ -158,7 +161,7 @@ func TestStaticOneChunkPerWorker(t *testing.T) {
 
 func TestSSUnitChunks(t *testing.T) {
 	s := newScheduler(t, "SS", Setup{Iterations: 10, Workers: 3})
-	chunks := drain(t, s, 3, nil)
+	chunks := drain(t, "SS", s, 3, nil)
 	if len(chunks) != 10 {
 		t.Fatalf("SS dispatched %d chunks", len(chunks))
 	}
@@ -166,29 +169,6 @@ func TestSSUnitChunks(t *testing.T) {
 		if c[1] != 1 {
 			t.Errorf("SS chunk = %d", c[1])
 		}
-	}
-}
-
-func TestGSSDecreasingGuided(t *testing.T) {
-	s := newScheduler(t, "GSS", Setup{Iterations: 1000, Workers: 4})
-	// First chunk is ceil(1000/4) = 250, then ceil(750/4) = 188, ...
-	if k := s.Next(0); k != 250 {
-		t.Errorf("GSS first chunk = %d, want 250", k)
-	}
-	if k := s.Next(1); k != 188 {
-		t.Errorf("GSS second chunk = %d, want 188", k)
-	}
-	prev := math.MaxInt
-	s2 := newScheduler(t, "GSS", Setup{Iterations: 1000, Workers: 4})
-	for {
-		k := s2.Next(0)
-		if k == 0 {
-			break
-		}
-		if k > prev {
-			t.Fatalf("GSS chunk grew: %d after %d", k, prev)
-		}
-		prev = k
 	}
 }
 
@@ -372,25 +352,13 @@ func TestAFBatchCap(t *testing.T) {
 	}
 }
 
-func TestAdaptiveFlag(t *testing.T) {
-	adaptive := map[string]bool{
-		"AF": true, "AWF": true, "AWF-B": true, "AWF-C": true,
-		"AWF-D": true, "AWF-E": true,
-	}
-	for _, tech := range All() {
-		if tech.Adaptive != adaptive[tech.Name] {
-			t.Errorf("%s Adaptive = %v", tech.Name, tech.Adaptive)
-		}
-	}
-}
-
 func TestReportIgnoresGarbage(t *testing.T) {
 	for _, name := range []string{"AF", "AWF-B", "AWF-C"} {
 		s := newScheduler(t, name, Setup{Iterations: 100, Workers: 2})
 		s.Report(0, 0, 5)  // zero size
 		s.Report(0, 5, -1) // negative elapsed
 		s.Report(1, -3, 2) // negative size
-		chunks := drain(t, s, 2, func(w, k int) float64 { return float64(k) })
+		chunks := drain(t, name, s, 2, func(w, k int) float64 { return float64(k) })
 		if sumChunks(chunks) != 100 {
 			t.Errorf("%s lost iterations after garbage reports", name)
 		}

@@ -6,10 +6,10 @@ import (
 	"cdsf/internal/dls"
 )
 
-// ExampleGet drives one scheduler by hand: factoring on 1000 iterations
-// and 4 workers dispatches geometrically shrinking batches.
-func ExampleGet() {
-	tech, _ := dls.Get("FAC")
+// ExampleByName drives one scheduler by hand: factoring on 1000
+// iterations and 4 workers dispatches geometrically shrinking batches.
+func ExampleByName() {
+	tech, _ := dls.ByName("FAC")
 	s, err := tech.New(dls.Setup{Iterations: 1000, Workers: 4})
 	if err != nil {
 		panic(err)
@@ -30,7 +30,7 @@ func ExampleGet() {
 // imbalance: the worker that reported 4x slower execution receives a
 // proportionally smaller share of the next batch.
 func ExampleTechnique_adaptive() {
-	tech, _ := dls.Get("AWF-B")
+	tech, _ := dls.ByName("AWF-B")
 	s, _ := tech.New(dls.Setup{Iterations: 800, Workers: 2})
 	k0 := s.Next(0)
 	k1 := s.Next(1)

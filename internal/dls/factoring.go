@@ -22,9 +22,9 @@ func init() {
 	register(Technique{Name: "WF", New: newWF})
 }
 
-// batcher carries the shared batch bookkeeping for FAC, WF, and the AWF
-// variants: a batch is opened over ceil(R/2) iterations and closed when
-// its iterations have all been handed out.
+// batcher carries the shared batch bookkeeping for FAC and WF (and so
+// for the AWF variants built on WF): a batch is opened over ceil(R/2)
+// iterations and closed when its iterations have all been handed out.
 type batcher struct {
 	remaining  int // iterations not yet handed out (loop-wide)
 	batchLeft  int // iterations of the current batch not yet handed out
@@ -71,7 +71,6 @@ func newFAC(s Setup) (Scheduler, error) {
 	return &fac{b: batcher{remaining: s.Iterations, workers: s.Workers}}, nil
 }
 
-func (f *fac) Name() string   { return "FAC" }
 func (f *fac) Remaining() int { return f.b.remaining }
 
 func (f *fac) Next(int) int {
@@ -94,13 +93,19 @@ func newWF(s Setup) (Scheduler, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	return &wf{
-		b:       batcher{remaining: s.Iterations, workers: s.Workers},
-		weights: s.normWeights(),
-	}, nil
+	w := makeWF(s)
+	return &w, nil
 }
 
-func (w *wf) Name() string   { return "WF" }
+// makeWF returns weighted factoring's initial state for a valid setup;
+// the AWF variants start from it and change only the weights.
+func makeWF(s Setup) wf {
+	return wf{
+		b:       batcher{remaining: s.Iterations, workers: s.Workers},
+		weights: s.normWeights(),
+	}
+}
+
 func (w *wf) Remaining() int { return w.b.remaining }
 
 func (w *wf) Next(worker int) int {

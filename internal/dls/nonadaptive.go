@@ -5,13 +5,12 @@ import (
 )
 
 // This file implements the non-adaptive, deterministic chunk rules:
-// STATIC, SS, FSC, GSS, and TSS.
+// STATIC, SS, FSC, and TSS.
 
 func init() {
 	register(Technique{Name: "STATIC", New: newStatic})
 	register(Technique{Name: "SS", New: newSS})
 	register(Technique{Name: "FSC", New: newFSC})
-	register(Technique{Name: "GSS", New: newGSS})
 	register(Technique{Name: "TSS", New: newTSS})
 }
 
@@ -35,7 +34,6 @@ func newStatic(s Setup) (Scheduler, error) {
 	}, nil
 }
 
-func (st *static) Name() string   { return "STATIC" }
 func (st *static) Remaining() int { return st.remaining }
 
 func (st *static) Next(w int) int {
@@ -65,7 +63,6 @@ func newSS(s Setup) (Scheduler, error) {
 	return &ss{remaining: s.Iterations}, nil
 }
 
-func (s *ss) Name() string   { return "SS" }
 func (s *ss) Remaining() int { return s.remaining }
 
 func (s *ss) Next(int) int {
@@ -107,7 +104,6 @@ func newFSC(s Setup) (Scheduler, error) {
 	return &fsc{remaining: s.Iterations, chunk: chunk}, nil
 }
 
-func (f *fsc) Name() string   { return "FSC" }
 func (f *fsc) Remaining() int { return f.remaining }
 
 func (f *fsc) Next(int) int {
@@ -117,32 +113,6 @@ func (f *fsc) Next(int) int {
 }
 
 func (f *fsc) Report(int, int, float64) {}
-
-// gss implements guided self-scheduling (Polychronopoulos & Kuck): each
-// chunk is ceil(R/P) of the remaining iterations, producing
-// exponentially decreasing chunk sizes.
-type gss struct {
-	remaining int
-	workers   int
-}
-
-func newGSS(s Setup) (Scheduler, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	return &gss{remaining: s.Iterations, workers: s.Workers}, nil
-}
-
-func (g *gss) Name() string   { return "GSS" }
-func (g *gss) Remaining() int { return g.remaining }
-
-func (g *gss) Next(int) int {
-	k := clampChunk(ceilDiv(g.remaining, g.workers), g.remaining)
-	g.remaining -= k
-	return k
-}
-
-func (g *gss) Report(int, int, float64) {}
 
 // tss implements trapezoid self-scheduling (Tzen & Ni): chunk sizes
 // decrease linearly from f = N/(2P) to l = 1 in steps of
@@ -170,7 +140,6 @@ func newTSS(s Setup) (Scheduler, error) {
 	return &tss{remaining: s.Iterations, next: first, delta: delta}, nil
 }
 
-func (t *tss) Name() string   { return "TSS" }
 func (t *tss) Remaining() int { return t.remaining }
 
 func (t *tss) Next(int) int {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"cdsf/internal/availability"
 	"cdsf/internal/core"
 	"cdsf/internal/pmf"
 	"cdsf/internal/ra"
@@ -251,14 +250,7 @@ func evalDAGCell(ctx context.Context, base *ra.Problem, edges []sysmodel.Edge, h
 	simCfg.PMFBackend = cfg.Backend
 	simCfg.Obs = cfg.Obs
 	simCfg.Reps = cfg.Reps
-	simCfg.Model = func(p pmf.PMF) availability.Model {
-		return availability.Markov{PMF: p, Interval: base.Deadline / 4, Persistence: 0.5}
-	}
-	ras, err := techSet([]string{"FAC", "WF", "AWF-B", "AF"})
-	if err != nil {
-		return 0, 0, false, err
-	}
-	sc := core.Scenario{Name: "dag: " + heuristic, IM: fixedAlloc{alloc}, RAS: ras}
+	sc := core.Scenario{Name: "dag: " + heuristic, IM: fixedAlloc{alloc}, RAS: core.RobustRAS()}
 	res, err := f.RunScenarioContext(ctx, sc, []core.Case{{Name: "degraded", Avail: scaled}}, simCfg)
 	if err != nil {
 		return 0, 0, false, err

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"cdsf/internal/availability"
 	"cdsf/internal/cache"
 	"cdsf/internal/core"
 	"cdsf/internal/dls"
@@ -139,7 +138,7 @@ func DefaultScaleConfig(seed uint64) ScaleConfig {
 type quadrant struct {
 	name string
 	im   ra.Heuristic
-	ras  []string // technique names
+	ras  []dls.Technique
 }
 
 // RunScaleStudyContext is RunScaleStudy under a context: cancellation
@@ -159,10 +158,10 @@ func RunScaleStudyContext(ctx context.Context, cfg ScaleConfig) (*report.Table, 
 	// search since the study's cells are its parallel unit.
 	robust := ra.Exhaustive{Workers: 1}
 	quadrants := []quadrant{
-		{"naive IM + STATIC", ra.NaiveLoadBalance{}, []string{"STATIC"}},
-		{"robust IM + STATIC", robust, []string{"STATIC"}},
-		{"naive IM + robust DLS", ra.NaiveLoadBalance{}, []string{"FAC", "WF", "AWF-B", "AF"}},
-		{"robust IM + robust DLS", robust, []string{"FAC", "WF", "AWF-B", "AF"}},
+		{"naive IM + STATIC", ra.NaiveLoadBalance{}, core.NaiveRAS()},
+		{"robust IM + STATIC", robust, core.NaiveRAS()},
+		{"naive IM + robust DLS", ra.NaiveLoadBalance{}, core.RobustRAS()},
+		{"robust IM + robust DLS", robust, core.RobustRAS()},
 	}
 	t := report.NewTable(
 		fmt.Sprintf("Scale study: %d instances per size, runtime availability scaled to %.0f%%, deadline slack %.2f",
@@ -301,14 +300,7 @@ func evalQuadrant(ctx context.Context, prob *ra.Problem, q quadrant, cfg ScaleCo
 	simCfg.Cache = cfg.Cache
 	simCfg.Obs = cfg.Obs
 	simCfg.Reps = cfg.Reps
-	simCfg.Model = func(p pmf.PMF) availability.Model {
-		return availability.Markov{PMF: p, Interval: prob.Deadline / 4, Persistence: 0.5}
-	}
-	ras, err := techSet(q.ras)
-	if err != nil {
-		return false, 0, err
-	}
-	sc := core.Scenario{Name: q.name, IM: fixedAlloc{alloc}, RAS: ras}
+	sc := core.Scenario{Name: q.name, IM: fixedAlloc{alloc}, RAS: q.ras}
 	res, err := f.RunScenarioContext(ctx, sc, []core.Case{{Name: "degraded", Avail: scaled}}, simCfg)
 	if err != nil {
 		return false, 0, err
@@ -324,17 +316,4 @@ type fixedAlloc struct{ al sysmodel.Allocation }
 func (f fixedAlloc) Name() string { return "fixed" }
 func (f fixedAlloc) AllocateContext(context.Context, *ra.Problem) (sysmodel.Allocation, error) {
 	return f.al, nil
-}
-
-// techSet resolves technique names from the registry.
-func techSet(names []string) ([]dls.Technique, error) {
-	out := make([]dls.Technique, len(names))
-	for i, n := range names {
-		t, ok := dls.Get(n)
-		if !ok {
-			return nil, fmt.Errorf("experiments: technique %q missing", n)
-		}
-		out[i] = t
-	}
-	return out, nil
 }

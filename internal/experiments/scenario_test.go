@@ -220,7 +220,7 @@ func TestStaticRuntimeModelMatchesSimulator(t *testing.T) {
 	avail := f.Sys.Types[1].Avail
 	analytic := robustness.StaticRuntimePMF(app, 1, 8, avail, 400)
 
-	static, _ := dls.Get("STATIC")
+	static, _ := dls.ByName("STATIC")
 	iterMean := app.ExecTime[1].Mean() / float64(app.TotalIters())
 	s, err := sim.RunManyContext(context.Background(), sim.Config{
 		SerialIters:   app.SerialIters,

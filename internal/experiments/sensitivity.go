@@ -54,9 +54,9 @@ func sensConfig(overhead, cv float64, model availability.Model, seed uint64) sim
 func techniques(names ...string) ([]dls.Technique, error) {
 	out := make([]dls.Technique, len(names))
 	for i, name := range names {
-		tech, ok := dls.Get(name)
-		if !ok {
-			return nil, fmt.Errorf("experiments: technique %q missing", name)
+		tech, err := dls.ByName(name)
+		if err != nil {
+			return nil, err
 		}
 		out[i] = tech
 	}
@@ -99,7 +99,7 @@ func GenerateOverheadSensitivity(seed uint64, reps int) (*report.Table, error) {
 	for i, h := range overheads {
 		cols[i] = fmt.Sprintf("h=%g", h)
 	}
-	techs, err := techniques("SS", "GSS", "FAC", "WF", "AWF-B", "AF")
+	techs, err := techniques("SS", "FAC", "WF", "AWF-B", "AF")
 	if err != nil {
 		return nil, err
 	}

@@ -57,9 +57,9 @@ func GenerateProfileSensitivity(seed uint64, reps int) (*report.Table, error) {
 		profiles[i] = p
 	}
 	model := availability.Markov{PMF: avail, Interval: Deadline / 4, Persistence: 0.5}
-	techs := append([]dls.Technique{}, dls.PaperRobustSet()...)
-	if static, ok := dls.Get("STATIC"); ok {
-		techs = append([]dls.Technique{static}, techs...)
+	techs, err := techniques("STATIC", "FAC", "WF", "AWF-B", "AF")
+	if err != nil {
+		return nil, err
 	}
 	return techTable("Iteration-profile sensitivity: mean makespan of App 3",
 		techs, names, reps, func(c int) sim.Config {

@@ -215,8 +215,11 @@ func (h Exhaustive) AllocateContext(ctx context.Context, p *Problem) (sysmodel.A
 	scanned := p.Obs.Metrics.Counter("ra.exhaustive_scanned")
 	tr := p.Obs.Tracer
 	poolErr := runParallel(ctx, h.Workers, len(opts), func(k int) {
-		defer tr.Begin(fmt.Sprintf("stage1/exhaustive/p%02d", k),
-			fmt.Sprintf("partition app0=%dx type%d", opts[k].Procs, opts[k].Type+1), "stage1").End()
+		// Span names are formatted only when a tracer records them.
+		if tr != nil {
+			defer tr.Begin(fmt.Sprintf("stage1/exhaustive/p%02d", k),
+				fmt.Sprintf("partition app0=%dx type%d", opts[k].Procs, opts[k].Type+1), "stage1").End()
+		}
 		var n int64
 		results[k], n = p.scanPartition(ctx, b, opts[k])
 		scanned.Add(n)

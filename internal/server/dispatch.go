@@ -321,10 +321,9 @@ func (s *Server) prepareSimulate(req *api.SimulateRequest) (*jobSpec, error) {
 		techs = core.RobustRAS()
 	} else {
 		for k, name := range req.Techniques {
-			t, ok := dls.Get(strings.TrimSpace(name))
-			if !ok {
-				return nil, &core.FieldError{Field: fmt.Sprintf("techniques[%d]", k), Err: fmt.Errorf(
-					"unknown technique %q (have %s)", name, strings.Join(dls.Names(), ", "))}
+			t, err := dls.ByName(name)
+			if err != nil {
+				return nil, &core.FieldError{Field: fmt.Sprintf("techniques[%d]", k), Err: err}
 			}
 			techs = append(techs, t)
 		}

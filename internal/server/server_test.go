@@ -15,6 +15,7 @@ import (
 	"cdsf/internal/cache"
 	"cdsf/internal/config"
 	"cdsf/internal/core"
+	"cdsf/internal/dls"
 	"cdsf/internal/experiments"
 	"cdsf/internal/metrics"
 	"cdsf/internal/ra"
@@ -540,6 +541,19 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("solve %s: error %+v, want bad_request listing the registry", gone, e)
 		}
 		checkStatus("/v1/scenario", `{"im": "`+gone+`"}`, http.StatusBadRequest, "im")
+	}
+	// So do the DLS techniques the DLS tournament dropped, as a
+	// scenario's RAS and as a simulation's techniques.
+	for _, gone := range []string{"GSS", "TFSS", "FISS", "VISS"} {
+		for _, c := range []struct{ path, body, field string }{
+			{"/v1/scenario", `{"ras": ["` + gone + `"]}`, "ras[0]"},
+			{"/v1/simulate", `{` + alloc + `, "techniques": ["` + gone + `"]}`, "techniques[0]"},
+		} {
+			e := checkStatus(c.path, c.body, http.StatusBadRequest, c.field)
+			if e.Code != api.ErrBadRequest || !strings.Contains(e.Message, strings.Join(dls.Names(), ", ")) {
+				t.Errorf("%s %s: error %+v, want bad_request listing the registry", c.path, gone, e)
+			}
+		}
 	}
 
 	resp, err := http.Get(ts.URL + "/v1/jobs/job-999999")

@@ -15,7 +15,7 @@ import (
 // processors; with deterministic iteration costs the makespan is the
 // ideal N/P plus dispatch overheads on the critical path.
 func ExampleRunContext() {
-	fac, _ := dls.Get("FAC")
+	fac, _ := dls.ByName("FAC")
 	r, err := sim.RunContext(context.Background(), sim.Config{
 		ParallelIters: 1000,
 		Workers:       4,
@@ -39,7 +39,7 @@ func ExampleRunContext() {
 // ExampleRunMany aggregates repetitions into a makespan sample with
 // deadline statistics.
 func ExampleRunManyContext() {
-	af, _ := dls.Get("AF")
+	af, _ := dls.ByName("AF")
 	s, err := sim.RunManyContext(context.Background(), sim.Config{
 		ParallelIters: 500,
 		Workers:       4,

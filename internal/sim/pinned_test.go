@@ -53,9 +53,9 @@ func pinnedRuns() []pinnedRun {
 func pinnedBits(t *testing.T, p pinnedRun) []uint64 {
 	t.Helper()
 	const reps = 6
-	tech, ok := dls.Get(p.tech)
-	if !ok {
-		t.Fatalf("no technique %s", p.tech)
+	tech, err := dls.ByName(p.tech)
+	if err != nil {
+		t.Fatal(err)
 	}
 	cfg := Config{
 		SerialIters:      12,

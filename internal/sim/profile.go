@@ -30,8 +30,7 @@ func IncreasingProfile(i, n int) float64 {
 }
 
 // DecreasingProfile is the mirrored triangle: expensive iterations
-// first. Decreasing workloads are the friendly case for GSS-style
-// shrinking chunks and the unfriendly one for increasing-chunk rules.
+// first.
 func DecreasingProfile(i, n int) float64 {
 	if n <= 1 {
 		return 1

@@ -14,9 +14,9 @@ import (
 
 func tech(t testing.TB, name string) dls.Technique {
 	t.Helper()
-	tc, ok := dls.Get(name)
-	if !ok {
-		t.Fatalf("technique %q missing", name)
+	tc, err := dls.ByName(name)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return tc
 }
@@ -112,7 +112,7 @@ func TestNoSerialPhase(t *testing.T) {
 }
 
 func TestChunkLogConsistency(t *testing.T) {
-	cfg := baseConfig(t, "GSS")
+	cfg := baseConfig(t, "TSS")
 	cfg.CollectChunks = true
 	r, err := RunContext(context.Background(), cfg)
 	if err != nil {

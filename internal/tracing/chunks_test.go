@@ -21,9 +21,9 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 func runWithChunks(t *testing.T, overhead float64) *sim.Result {
 	t.Helper()
-	fac, ok := dls.Get("FAC")
-	if !ok {
-		t.Fatal("FAC missing")
+	fac, err := dls.ByName("FAC")
+	if err != nil {
+		t.Fatal(err)
 	}
 	r, err := sim.RunContext(context.Background(), sim.Config{
 		ParallelIters: 500,

@@ -33,17 +33,11 @@ var reachAllowed = map[string]string{
 	"internal/pmf.Grid.ToPMF":                          "test helper: the grid tests compare grid results against the sparse reference",
 	"internal/tracing.New":                             "test helper: the span tests of ra, sim, core and server record into it",
 	"internal/dls.af.Remaining":                        "TestAllTechniquesScheduleEveryIteration (internal/dls) checks the drain invariant",
-	"internal/dls.awf.Remaining":                       "TestAllTechniquesScheduleEveryIteration (internal/dls) checks the drain invariant",
-	"internal/dls.awfTimestep.Remaining":               "TestAllTechniquesScheduleEveryIteration (internal/dls) checks the drain invariant",
 	"internal/dls.fac.Remaining":                       "TestAllTechniquesScheduleEveryIteration (internal/dls) checks the drain invariant",
-	"internal/dls.fiss.Remaining":                      "TestAllTechniquesScheduleEveryIteration (internal/dls) checks the drain invariant",
 	"internal/dls.fsc.Remaining":                       "TestAllTechniquesScheduleEveryIteration (internal/dls) checks the drain invariant",
-	"internal/dls.gss.Remaining":                       "TestAllTechniquesScheduleEveryIteration (internal/dls) checks the drain invariant",
 	"internal/dls.ss.Remaining":                        "TestAllTechniquesScheduleEveryIteration (internal/dls) checks the drain invariant",
 	"internal/dls.static.Remaining":                    "TestAllTechniquesScheduleEveryIteration (internal/dls) checks the drain invariant",
-	"internal/dls.tfss.Remaining":                      "TestAllTechniquesScheduleEveryIteration (internal/dls) checks the drain invariant",
 	"internal/dls.tss.Remaining":                       "TestAllTechniquesScheduleEveryIteration (internal/dls) checks the drain invariant",
-	"internal/dls.viss.Remaining":                      "TestAllTechniquesScheduleEveryIteration (internal/dls) checks the drain invariant",
 	"internal/dls.wf.Remaining":                        "TestAllTechniquesScheduleEveryIteration (internal/dls) checks the drain invariant",
 }
 
