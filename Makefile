@@ -29,7 +29,8 @@
 #                BENCH_CACHE.json (result-tier replay, warm tables,
 #                delta-solve)
 #   make fuzz    run each fuzz target briefly (pmf kernels including
-#                the binned AddCompact, DAG validation, WAL replay)
+#                the binned AddCompact, DAG validation, WAL replay, the
+#                batched Stage-II cost draws)
 #   make serve   build and run the cdsfd scheduling service locally
 #   make smoke-sse  end-to-end smoke: a real cdsfd subprocess streams a
 #                seeded solve job's full event log (derived from its
@@ -125,6 +126,7 @@ fuzz:
 	$(GO) test -run=xxx -fuzz=FuzzAddCompact -fuzztime=10s ./internal/pmf
 	$(GO) test -run=xxx -fuzz=FuzzDAGValidate -fuzztime=10s ./internal/sysmodel
 	$(GO) test -run=xxx -fuzz=FuzzWALReplay -fuzztime=10s ./internal/store
+	$(GO) test -run=xxx -fuzz=FuzzFill -fuzztime=10s ./internal/stats
 
 serve:
 	$(GO) run ./cmd/cdsfd -addr $(SERVE_ADDR)

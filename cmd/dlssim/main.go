@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -142,7 +143,7 @@ func simulate(ctx context.Context, s *runner.Session, stdout io.Writer,
 	}
 
 	if schedule {
-		analyses, err := dls.CompareSchedules(techniques, iters, workers, overhead, mean)
+		analyses, err := dls.CompareSchedules(techniques, iters, workers, overhead, mean, math.Sqrt(iterDist.Var()))
 		if err != nil {
 			return err
 		}

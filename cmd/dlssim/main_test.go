@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"math"
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -120,5 +121,33 @@ func TestRunMetricsOutput(t *testing.T) {
 	}
 	if snap.Counters["trace.fac.chunks"] == 0 {
 		t.Errorf("trace summary missing from metrics: %v", snap.Counters)
+	}
+}
+
+// TestScheduleAgreesWithSimulation checks that -schedule analyzes FSC
+// with the iteration sigma the simulation runs it with: FSC's chunk
+// count is fixed by N, P, h and sigma, so the schedule table and the
+// simulated table must report the same count, for the normal and the
+// log-normal iteration times.
+func TestScheduleAgreesWithSimulation(t *testing.T) {
+	for _, dist := range []string{"normal", "lognormal"} {
+		out, err := runArgs("-schedule", "-tech", "FSC", "-dist", dist, "-cv", "0.4", "-reps", "2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The first FSC row is the schedule table's (Chunks is its
+		// second column), the second the simulated table's (fifth).
+		var rows [][]string
+		for _, line := range strings.Split(out, "\n") {
+			if f := strings.Fields(line); len(f) > 0 && f[0] == "FSC" {
+				rows = append(rows, f)
+			}
+		}
+		if len(rows) != 2 {
+			t.Fatalf("%s: %d FSC rows in\n%s", dist, len(rows), out)
+		}
+		if scheduled, simulated := rows[0][1], rows[1][4]; scheduled+".0" != simulated {
+			t.Errorf("%s: FSC schedules %s chunks but runs %s per repetition:\n%s", dist, scheduled, simulated, out)
+		}
 	}
 }

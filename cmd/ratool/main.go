@@ -22,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"cdsf/internal/config"
@@ -121,8 +122,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 						return err
 					}
 				} else {
-					optPhi, _ = prob.Objective(al)
-					haveOpt = true
+					// Evaluated as the rows are.
+					res, err := robustness.EvaluateStageIDAG(prob.Sys, prob.Batch, prob.Edges, al, prob.Deadline)
+					if err != nil {
+						return err
+					}
+					optPhi, haveOpt = res.Phi1, true
 				}
 			} else {
 				fmt.Fprintf(stderr, "ratool: skipping exhaustive reference (more than %d allocations)\n", dagLimit)
@@ -172,7 +177,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 				dt.Round(time.Millisecond).String(),
 			}
 			if haveOpt {
-				row = append(row, fmt.Sprintf("%.2f", (optPhi-res.Phi1)*100))
+				gap := optPhi - res.Phi1
+				if math.Abs(gap) <= ra.PhiTol {
+					// A phi_1 within exhaustive's tie tolerance of the
+					// optimum, on either side, ties it.
+					gap = 0
+				}
+				row = append(row, fmt.Sprintf("%.2f", gap*100))
 			}
 			tbl.AddRow(row...)
 		}

@@ -166,3 +166,32 @@ func TestSigintCancelsAndFlushesMetrics(t *testing.T) {
 		t.Fatalf("flushed metrics invalid: %v\n%s", err, data)
 	}
 }
+
+// TestGapColumnPinned pins the Gap column of a synthetic 10-application
+// instance on which tabu finds an allocation whose phi_1 lies 1e-14
+// above exhaustive's: the two tie within exhaustive's tolerance
+// (exhaustive takes the tied allocation with the lower expected
+// makespan), so tabu's gap is 0.00, not -0.00.
+func TestGapColumnPinned(t *testing.T) {
+	out, err := runArgs("-apps", "10", "-type1", "16", "-type2", "32", "-deadline", "3000", "-seed", "1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{
+		"dag-greedy": "100.00", "exhaustive": "0.00", "greedy": "100.00", "heft": "99.39",
+		"minmin": "100.00", "naive": "50.27", "tabu": "0.00", "twophase": "42.01",
+	}
+	got := map[string]string{}
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) > 1 {
+			if _, ok := want[f[0]]; ok {
+				got[f[0]] = f[len(f)-1]
+			}
+		}
+	}
+	for name, gap := range want {
+		if got[name] != gap {
+			t.Errorf("%s: gap %q, pinned %q\n%s", name, got[name], gap, out)
+		}
+	}
+}

@@ -198,11 +198,20 @@ type afChunk struct {
 	m float64
 }
 
+// afMoments is one worker's per-iteration (mu, sigma^2) estimate;
+// ok is false until the worker has reported a chunk.
+type afMoments struct {
+	mu, varc float64
+	ok       bool
+}
+
 // af implements adaptive factoring.
 type af struct {
 	remaining int
 	workers   int
 	chunks    [][]afChunk // per-worker completed-chunk measurements
+	est       []afMoments // workerMoments of each worker, refreshed in Report
+	mu, varc  []float64   // moments' result, reused by every Next
 	bootstrap int         // base chunk used before a worker has estimates
 	weights   []float64   // a-priori weights scaling the bootstrap chunks
 }
@@ -219,6 +228,9 @@ func newAF(s Setup) (Scheduler, error) {
 		remaining: s.Iterations,
 		workers:   s.Workers,
 		chunks:    make([][]afChunk, s.Workers),
+		est:       make([]afMoments, s.Workers),
+		mu:        make([]float64, s.Workers),
+		varc:      make([]float64, s.Workers),
 		bootstrap: boot,
 		weights:   s.normWeights(),
 	}, nil
@@ -266,18 +278,16 @@ func (a *af) workerMoments(w int) (mu, varc float64, ok bool) {
 }
 
 // moments returns the current (mu, sigma^2) estimates for all workers,
-// falling back to the average over measured workers.
+// falling back to the average over measured workers. The slices are
+// a.mu and a.varc, overwritten by the next call.
 func (a *af) moments() (mu, varc []float64, haveAny bool) {
-	mu = make([]float64, a.workers)
-	varc = make([]float64, a.workers)
+	mu, varc = a.mu, a.varc
 	sumMu, sumVar, measured := 0.0, 0.0, 0
-	seen := make([]bool, a.workers)
-	for i := range a.chunks {
-		if m, v, ok := a.workerMoments(i); ok {
-			mu[i], varc[i] = m, v
-			seen[i] = true
-			sumMu += m
-			sumVar += v
+	for i, e := range a.est {
+		if e.ok {
+			mu[i], varc[i] = e.mu, e.varc
+			sumMu += e.mu
+			sumVar += e.varc
 			measured++
 		}
 	}
@@ -285,8 +295,8 @@ func (a *af) moments() (mu, varc []float64, haveAny bool) {
 		return mu, varc, false
 	}
 	mMu, mVar := sumMu/float64(measured), sumVar/float64(measured)
-	for i := range mu {
-		if !seen[i] {
+	for i, e := range a.est {
+		if !e.ok {
 			mu[i], varc[i] = mMu, mVar
 		}
 	}
@@ -341,4 +351,6 @@ func (a *af) Report(w, size int, elapsed float64) {
 		return
 	}
 	a.chunks[w] = append(a.chunks[w], afChunk{k: size, m: elapsed / float64(size)})
+	e := &a.est[w]
+	e.mu, e.varc, e.ok = a.workerMoments(w)
 }

@@ -40,10 +40,12 @@ type ScheduleAnalysis struct {
 // AnalyzeSchedule drives a fresh scheduler on an idealized homogeneous
 // system: all workers identical, every iteration costing iterMean, so
 // workers request chunks in an order determined only by accumulated
-// work. It returns the resulting schedule statistics. The scheduler's
+// work. It returns the resulting schedule statistics. The scheduler is
+// set up with the a-priori iteration standard deviation iterStdDev, as
+// the simulator sets it up (FSC sizes its chunks from it), while its
 // measurements are fed back with exact proportional times, so adaptive
 // techniques behave as with perfect equal estimates.
-func AnalyzeSchedule(tech Technique, iterations, workers int, overhead, iterMean float64) (*ScheduleAnalysis, error) {
+func AnalyzeSchedule(tech Technique, iterations, workers int, overhead, iterMean, iterStdDev float64) (*ScheduleAnalysis, error) {
 	if iterMean <= 0 {
 		return nil, fmt.Errorf("dls: non-positive iterMean %v", iterMean)
 	}
@@ -52,6 +54,7 @@ func AnalyzeSchedule(tech Technique, iterations, workers int, overhead, iterMean
 		Workers:    workers,
 		Overhead:   overhead,
 		IterMean:   iterMean,
+		IterStdDev: iterStdDev,
 	})
 	if err != nil {
 		return nil, err
@@ -101,10 +104,10 @@ func AnalyzeSchedule(tech Technique, iterations, workers int, overhead, iterMean
 
 // CompareSchedules analyzes every given technique on the same loop and
 // returns the results in input order.
-func CompareSchedules(techs []Technique, iterations, workers int, overhead, iterMean float64) ([]*ScheduleAnalysis, error) {
+func CompareSchedules(techs []Technique, iterations, workers int, overhead, iterMean, iterStdDev float64) ([]*ScheduleAnalysis, error) {
 	out := make([]*ScheduleAnalysis, len(techs))
 	for i, tech := range techs {
-		a, err := AnalyzeSchedule(tech, iterations, workers, overhead, iterMean)
+		a, err := AnalyzeSchedule(tech, iterations, workers, overhead, iterMean, iterStdDev)
 		if err != nil {
 			return nil, err
 		}

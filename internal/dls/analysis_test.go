@@ -12,7 +12,7 @@ func mustAnalyze(t *testing.T, name string, n, p int, h float64) *ScheduleAnalys
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := AnalyzeSchedule(tech, n, p, h, 1)
+	a, err := AnalyzeSchedule(tech, n, p, h, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestOverheadRatio(t *testing.T) {
 }
 
 func TestCompareSchedules(t *testing.T) {
-	res, err := CompareSchedules(PaperRobustSet(), 2048, 8, 1, 1)
+	res, err := CompareSchedules(PaperRobustSet(), 2048, 8, 1, 1, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,10 +87,10 @@ func TestCompareSchedules(t *testing.T) {
 
 func TestAnalyzeScheduleErrors(t *testing.T) {
 	tech, _ := ByName("FAC")
-	if _, err := AnalyzeSchedule(tech, 100, 4, 0, 0); err == nil {
+	if _, err := AnalyzeSchedule(tech, 100, 4, 0, 0, 0); err == nil {
 		t.Error("zero iterMean accepted")
 	}
-	if _, err := AnalyzeSchedule(tech, 0, 4, 0, 1); err == nil {
+	if _, err := AnalyzeSchedule(tech, 0, 4, 0, 1, 0); err == nil {
 		t.Error("zero iterations accepted")
 	}
 }
@@ -126,9 +126,8 @@ func TestGoldenChunkSequences(t *testing.T) {
 	closed := map[string]func(p int) []int{
 		"STATIC": func(p int) []int { return repeat(n/p, p) },
 		"SS":     func(int) []int { return repeat(1, n) },
-		// AnalyzeSchedule sets no iteration sigma, so FSC takes its
-		// N/(2P) fallback; TestFSCUsesOverheadFormula covers the
-		// Kruskal-Weiss size.
+		// At sigma = 0 FSC takes its N/(2P) fallback;
+		// TestAnalyzeScheduleFSCSigma covers the Kruskal-Weiss size.
 		"FSC": func(p int) []int { return repeat(n/(2*p), 2*p) },
 		// Tzen & Ni: sizes fall linearly from f = N/(2P) to l = 1 in
 		// steps of (f-l)/(C-1), C = ceil(2N/(f+l)); the last chunk
@@ -173,7 +172,7 @@ func TestGoldenChunkSequences(t *testing.T) {
 			continue
 		}
 		for _, p := range []int{2, 4, 8, 16} {
-			a, err := AnalyzeSchedule(tech, n, p, h, 1)
+			a, err := AnalyzeSchedule(tech, n, p, h, 1, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -185,5 +184,25 @@ func TestGoldenChunkSequences(t *testing.T) {
 				t.Errorf("%s P=%d: chunks %v, want %v", tech.Name, p, sizes, want(p))
 			}
 		}
+	}
+}
+
+// TestAnalyzeScheduleFSCSigma checks that AnalyzeSchedule hands the
+// iteration sigma to the technique: FSC then dispatches chunks of the
+// Kruskal-Weiss size k = ceil((sqrt(2)*N*h/(sigma*P*sqrt(ln P)))^(2/3)),
+// the last taking what remains.
+func TestAnalyzeScheduleFSCSigma(t *testing.T) {
+	const n, p, h, sigma = 4096, 8, 1.0, 0.3
+	tech, err := ByName("FSC")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := AnalyzeSchedule(tech, n, p, h, 1, sigma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := int(math.Ceil(math.Pow(math.Sqrt2*n*h/(sigma*p*math.Sqrt(math.Log(p))), 2.0/3.0)))
+	if a.Chunks != (n+k-1)/k || a.FirstChunk != k || a.LastChunk != n-(a.Chunks-1)*k {
+		t.Errorf("FSC at sigma %v: %d chunks, first %d, last %d; want chunks of %d", sigma, a.Chunks, a.FirstChunk, a.LastChunk, k)
 	}
 }

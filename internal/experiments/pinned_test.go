@@ -2,10 +2,15 @@ package experiments
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"math"
 	"testing"
 
+	"cdsf/internal/api"
+	"cdsf/internal/core"
 	"cdsf/internal/ra"
 )
 
@@ -95,6 +100,46 @@ func TestMetaheuristicBitsPinned(t *testing.T) {
 		}
 		if al.String() != c.alloc || math.Float64bits(phi) != math.Float64bits(c.phi1) {
 			t.Errorf("%s %s seed %d: %s phi1 %x, pinned %s %x", c.inst, c.heuristic, c.seed, al, phi, c.alloc, c.phi1)
+		}
+	}
+}
+
+// TestStageIIDocumentsPinned pins every bit of paper scenario 4's
+// result document (api.FromScenarioResult, JSON-encoded: every
+// technique of every cell, the Stage-I block and the robustness
+// tuple) at seeds 42 and 7, and of scenario 4 on a fork-join DAG whose
+// arms are release-gated, as SHA-256 digests recorded when every
+// iteration cost was drawn by its own Sample call.
+func TestStageIIDocumentsPinned(t *testing.T) {
+	pinned := []struct {
+		name   string
+		seed   uint64
+		dag    bool
+		digest string
+	}{
+		{"scenario 4 seed 42", 42, false, "06ea82a50f81097b0c73c947a5f55197081565741400760c9c11c8a2eb4e0a0a"},
+		{"scenario 4 seed 7", 7, false, "7112d249f5a0919e5c71815081457c621f71420377c25ee76e7e0191bf541f9c"},
+		{"scenario 4 fork-join DAG seed 5", 5, true, "9c79202543b0c2363db66b5e2e5d9d2493785de609ae7fb4d722ee0793925600"},
+	}
+	for _, p := range pinned {
+		// RunPaperScenarioContext's run, on the DAG at 20 reps.
+		f := Framework()
+		cfg := core.DefaultStageII(Deadline, p.seed)
+		if p.dag {
+			f.Edges = ForkJoinEdges(len(f.Batch))
+			cfg.Reps = 20
+		}
+		res, err := f.RunScenarioContext(context.Background(), scenarioByNumber(4), Cases(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc, err := json.Marshal(api.FromScenarioResult(res))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(doc)
+		if d := hex.EncodeToString(sum[:]); d != p.digest {
+			t.Errorf("%s: document digest %s, pinned %s; document:\n%s", p.name, d, p.digest, doc)
 		}
 	}
 }

@@ -121,10 +121,12 @@ func (Exhaustive) Name() string { return "exhaustive" }
 // SetWorkers implements WorkerSettable.
 func (h *Exhaustive) SetWorkers(workers int) { h.Workers = workers }
 
-// phiTol and expTol are score.better's tie tolerances on phi_1 and on
-// the expected-time criteria.
+// PhiTol and expTol are score.better's tie tolerances on phi_1 and on
+// the expected-time criteria. Exhaustive is optimal up to PhiTol: among
+// allocations whose phi_1 values lie within it of each other, it
+// returns the one with the lower expected makespan.
 const (
-	phiTol = 1e-12
+	PhiTol = 1e-12
 	expTol = 1e-9
 )
 
@@ -141,10 +143,10 @@ func (s score) better(o score) bool {
 	if !o.defined {
 		return true
 	}
-	if s.phi > o.phi+phiTol {
+	if s.phi > o.phi+PhiTol {
 		return true
 	}
-	if s.phi < o.phi-phiTol {
+	if s.phi < o.phi-PhiTol {
 		return false
 	}
 	if s.maxExp < o.maxExp-expTol {

@@ -102,10 +102,10 @@ func (b *bound) prunes(i int, remaining []int, pre, inc score) bool {
 		return false
 	}
 	phi := pre.phi * b.u[k] * (1 + boundEps)
-	if phi < inc.phi-phiTol {
+	if phi < inc.phi-PhiTol {
 		return true
 	}
-	if !(phi <= inc.phi+phiTol) {
+	if !(phi <= inc.phi+PhiTol) {
 		return false
 	}
 	// Every completion ties inc on phi_1 at best; it must then lose on

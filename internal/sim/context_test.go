@@ -3,9 +3,11 @@ package sim
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestRunContextCancelled(t *testing.T) {
@@ -46,5 +48,24 @@ func TestRunManyContextMatchesRunMany(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a.Makespans, b.Makespans) {
 		t.Errorf("RunMany %v != RunManyContext %v", a.Makespans, b.Makespans)
+	}
+}
+
+// A client may send any sweep count. A run whose sweeps times
+// iterations overflows an int sizes its cost window from one sweep, so
+// it runs until cancelled instead of panicking, on the windowed
+// single-arm path and on the multi-arm path that sharedCostsFit keeps
+// off the shared vector.
+func TestHugeSweepCountRunsUntilCancelled(t *testing.T) {
+	cfg := replCfg(t)
+	cfg.TimeSteps = math.MaxInt / 2
+	arms := []Arm{{Technique: cfg.Technique}, {Technique: tech(t, "STATIC")}}
+	for _, arms := range [][]Arm{arms[:1], arms} {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		_, err := RunArmsContext(ctx, cfg, arms, 1)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%d arms: err = %v, want context.DeadlineExceeded", len(arms), err)
+		}
 	}
 }

@@ -2,6 +2,9 @@ package sim
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"slices"
 	"testing"
@@ -105,6 +108,109 @@ func TestRunManyBitsPinned(t *testing.T) {
 	for _, p := range pinnedRuns() {
 		if got := pinnedBits(t, p); !slices.Equal(got, want[p.name]) {
 			t.Errorf("%s: RunManyContext bits %#x, pinned %#x", p.name, got, want[p.name])
+		}
+	}
+}
+
+// armsPin is one RunArmsContext (or, with a single technique,
+// RunManyContext) configuration pinned by TestArmsBitsPinned.
+type armsPin struct {
+	name  string
+	techs []string
+	cfg   Config
+	reps  int
+	gated bool // give every arm its own per-repetition release times
+}
+
+// armsPins covers what the draw path distinguishes: shared and
+// dispatch-time costs, multi-sweep runs with AWF's carried weights, an
+// iteration profile on a distribution whose non-positive draws are
+// redrawn, release-gated arms, a truncated normal wide enough that
+// Truncated falls back to its quantile transform, and a run above
+// maxSharedCosts.
+func armsPins() []armsPin {
+	load := pmf.MustNew([]pmf.Pulse{{Value: 0.25, Prob: 0.25}, {Value: 0.5, Prob: 0.25}, {Value: 1, Prob: 0.5}})
+	// The truncation core.RunScenarioContext applies to a Stage-II cell's
+	// iteration times, at a coefficient of variation cv.
+	truncated := func(cv float64) stats.Dist {
+		return stats.Truncated{Dist: stats.NewNormal(1, cv), Lo: 1e-3, Hi: 1e3}
+	}
+	base := Config{
+		SerialIters:      12,
+		ParallelIters:    240,
+		Workers:          4,
+		IterTime:         truncated(0.3),
+		Avail:            availability.Markov{PMF: load, Interval: 25, Persistence: 0.5},
+		Overhead:         0.5,
+		WeightsFromAvail: true,
+		BestMaster:       true,
+	}
+	awf := base
+	awf.TimeSteps, awf.Seed = 3, 21
+	profiled := base
+	profiled.IterTime = stats.NewNormal(1, 0.5)
+	profiled.IterProfile = PeakedProfile
+	profiled.Avail = availability.Redraw{PMF: load, Interval: 30}
+	profiled.Seed = 22
+	gated := base
+	gated.Seed = 23
+	fallback := base
+	fallback.SerialIters, fallback.ParallelIters = 3, 41
+	fallback.IterTime = truncated(1e7)
+	fallback.Seed = 24
+	large := base
+	large.SerialIters, large.ParallelIters, large.Workers = 101, maxSharedCosts+4465, 8
+	large.IterTime = stats.NewNormal(1, 0.5)
+	large.Avail = availability.Static{PMF: load}
+	large.Seed = 25
+	return []armsPin{
+		{"AWF family 3 sweeps", []string{"AWF", "AWF-B", "AWF-C", "AF", "FAC"}, awf, 6, false},
+		{"profiled with redraws", []string{"STATIC", "FSC", "WF", "AWF-D", "TSS"}, profiled, 6, false},
+		{"release-gated arms", []string{"FAC", "AF", "AWF-E", "SS"}, gated, 6, true},
+		{"quantile fallback shared", []string{"FAC", "AF"}, fallback, 4, false},
+		{"quantile fallback single", []string{"AF"}, fallback, 4, false},
+		{"above maxSharedCosts", []string{"FAC", "STATIC", "AF"}, large, 2, false},
+	}
+}
+
+// TestArmsBitsPinned pins every arm's outputs of the armsPins runs,
+// as a SHA-256 over sampleBits of each arm in turn, to values recorded
+// when every iteration cost was drawn by its own Sample call.
+func TestArmsBitsPinned(t *testing.T) {
+	want := map[string]string{
+		"AWF family 3 sweeps":      "01b5f2fd6d7b8fbafd0e397a98c440f1b0b50800f6d6864b45e0ef752c611321",
+		"profiled with redraws":    "3c100c90640e21033c5d456605d0a7a1e9119b51d642ca0a130f0fb46b9a0738",
+		"release-gated arms":       "0a79b7dc92cbd1e43ce8ab6506bcf7866a56a2fd802639dd36d75c06dd3f59bd",
+		"quantile fallback shared": "f4f0625cbb1d0c70f3567807cc77fdcc50034033159e147becea5db0d1057eda",
+		"quantile fallback single": "8ee3431c4e758d0398efaf0902bc947863e1d86312f87cddd8341530c7bdb7c6",
+		"above maxSharedCosts":     "d3e9982709d582cb27abe8dcd73368043f0990479cb8c63876e62e8b53905f90",
+	}
+	for _, p := range armsPins() {
+		arms := make([]Arm, len(p.techs))
+		for ti, name := range p.techs {
+			arms[ti].Technique = tech(t, name)
+			if p.gated {
+				arms[ti].Releases = make([]float64, p.reps)
+				for r := range arms[ti].Releases {
+					arms[ti].Releases[r] = float64(ti*11+r*4) + 0.75
+				}
+			}
+		}
+		got, err := RunArmsContext(context.Background(), p.cfg, arms, p.reps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		var bits [][]uint64
+		for _, s := range got {
+			b := sampleBits(s)
+			bits = append(bits, b)
+			for _, x := range b {
+				binary.Write(h, binary.LittleEndian, x)
+			}
+		}
+		if d := hex.EncodeToString(h.Sum(nil)); d != want[p.name] {
+			t.Errorf("%s: digest %s, pinned %s (bits %#x)", p.name, d, want[p.name], bits)
 		}
 	}
 }

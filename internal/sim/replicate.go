@@ -233,7 +233,7 @@ func RunArmsContext(ctx context.Context, cfg Config, arms []Arm, reps int) ([]*S
 	runRep := func(i int, buf []float64) []float64 {
 		if share {
 			_, work := streams(runSeeds[i])
-			buf = fillCosts(&cfg, work, buf[:0])
+			buf = fillCosts(&cfg, work, buf)
 		}
 		for a, arm := range arms {
 			c := cfg

@@ -255,74 +255,104 @@ func (c *Config) steps() int {
 }
 
 // costStream hands a run its dedicated-time iteration costs in the
-// order the run consumes them: per sweep, the serial iterations and
-// then the parallel ones in index order (iterations are dispatched in
-// index order whatever the technique). Each cost is a strictly
-// positive draw from IterTime (non-positive draws are redrawn), times
-// the profile multiplier for a parallel iteration. A run draws its
-// costs from its work stream as it dispatches them; RunArmsContext
-// instead draws a repetition's whole vector once (fillCosts) and every
-// technique reads it in turn. next sums the same values in the same
-// order either way, so the bits are the same.
+// order the run consumes them, which is the order drawCosts lays them
+// out: per sweep, the serial iterations and then the parallel ones in
+// index order (iterations are dispatched in index order whatever the
+// technique). RunArmsContext draws a repetition's whole layout once
+// (fillCosts) and every technique reads it in turn; any other run
+// draws it from its work stream a window of at most costBlock costs at
+// a time, as it consumes them. Nothing else draws from the work
+// stream, so both give the same values, and next sums a chunk's
+// costs in layout order either way: the bits are the same.
 type costStream struct {
-	cfg *Config
-	r   *rng.Source
-	vec []float64 // the costs not yet consumed, or nil to draw them
+	cfg    *Config
+	r      *rng.Source
+	vec    []float64 // the drawn costs not yet consumed
+	buf    []float64 // the window next draws into; nil when vec is the whole layout
+	pos    int       // position in its sweep of the next cost a window draws
+	sweeps int       // sweeps with costs left to draw into windows
 }
 
-// next returns the summed cost of the next k iterations: the serial
-// phase when parallel is false, else iterations [start, start+k) of the
-// parallel loop.
-func (s *costStream) next(k, start int, parallel bool) float64 {
+// costBlock bounds the window a run draws its costs into, so its
+// memory stays constant whatever the instance size.
+const costBlock = 256
+
+// newCostStream returns the cost stream of one run: cfg.costs when
+// RunArmsContext drew them, else windows drawn from the work stream r.
+func newCostStream(cfg *Config, r *rng.Source) *costStream {
+	s := &costStream{cfg: cfg, r: r, vec: cfg.costs}
+	if s.vec == nil {
+		s.buf = make([]float64, min(costBlock, cfg.SerialIters+cfg.ParallelIters))
+		s.sweeps = cfg.steps()
+	}
+	return s
+}
+
+// next returns the summed cost of the run's next k iterations.
+func (s *costStream) next(k int) float64 {
 	w := 0.0
-	if s.vec != nil {
-		for _, x := range s.vec[:k] {
-			w += x
-		}
-		s.vec = s.vec[k:]
-		return w
-	}
-	dist, r := s.cfg.IterTime, s.r
-	var profile Profile
-	if parallel {
-		profile = s.cfg.IterProfile
-	}
-	if profile == nil {
-		for i := 0; i < k; i++ {
-			x := dist.Sample(r)
-			for x <= 0 {
-				x = dist.Sample(r)
+	for k > 0 {
+		if len(s.vec) == 0 {
+			if s.sweeps == 0 {
+				panic("sim: cost stream consumed past its layout")
 			}
+			// A window stays within one sweep, so no position is ever
+			// a product of the client-sized sweep and iteration counts.
+			sweep := s.cfg.SerialIters + s.cfg.ParallelIters
+			s.vec = s.buf[:min(len(s.buf), sweep-s.pos)]
+			drawCosts(s.cfg, s.r, s.vec, s.pos)
+			if s.pos += len(s.vec); s.pos == sweep {
+				s.pos = 0
+				s.sweeps--
+			}
+		}
+		n := min(k, len(s.vec))
+		for _, x := range s.vec[:n] {
 			w += x
 		}
-		return w
-	}
-	n := s.cfg.ParallelIters
-	for i := 0; i < k; i++ {
-		x := dist.Sample(r)
-		for x <= 0 {
-			x = dist.Sample(r)
-		}
-		// Round the product before adding it, as storing it in a
-		// vector does: a compiler may not fuse it into the sum.
-		w += float64(x * profile(start+i, n))
+		s.vec = s.vec[n:]
+		k -= n
 	}
 	return w
 }
 
-// fillCosts appends a run's whole cost vector, as costStream draws it
-// from the work stream r, to buf.
-func fillCosts(cfg *Config, r *rng.Source, buf []float64) []float64 {
-	s := costStream{cfg: cfg, r: r}
-	buf = slices.Grow(buf, cfg.steps()*(cfg.SerialIters+cfg.ParallelIters))
-	for step := cfg.steps(); step > 0; step-- {
-		for i := 0; i < cfg.SerialIters; i++ {
-			buf = append(buf, s.next(1, i, false))
-		}
-		for i := 0; i < cfg.ParallelIters; i++ {
-			buf = append(buf, s.next(1, i, true))
+// drawCosts fills xs with the costs at layout positions
+// [pos, pos+len(xs)) from the work stream r, as successive IterTime
+// samples would give them: each iteration takes the next positive draw
+// (a shortfall is topped up from the same stream), and a parallel one
+// is then scaled by the profile multiplier of its index.
+func drawCosts(cfg *Config, r *rng.Source, xs []float64, pos int) {
+	for filled := 0; filled < len(xs); {
+		rest := xs[filled:]
+		stats.Fill(cfg.IterTime, r, rest)
+		for _, x := range rest {
+			if !(x <= 0) {
+				xs[filled] = x
+				filled++
+			}
 		}
 	}
+	profile := cfg.IterProfile
+	if profile == nil {
+		return
+	}
+	serial, sweep := cfg.SerialIters, cfg.SerialIters+cfg.ParallelIters
+	for i, x := range xs {
+		if q := (pos + i) % sweep; q >= serial {
+			// Round the product here: a compiler may not fuse it into
+			// the sum next makes of xs.
+			xs[i] = float64(x * profile(q-serial, cfg.ParallelIters))
+		}
+	}
+}
+
+// fillCosts draws a run's whole cost layout from the work stream r into
+// buf, reusing its capacity. RunArmsContext calls it only on runs that
+// sharedCostsFit, so the layout's length cannot overflow.
+func fillCosts(cfg *Config, r *rng.Source, buf []float64) []float64 {
+	n := cfg.steps() * (cfg.SerialIters + cfg.ParallelIters)
+	buf = slices.Grow(buf[:0], n)[:n]
+	drawCosts(cfg, r, buf, 0)
 	return buf
 }
 
@@ -362,7 +392,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		t0 = time.Now()
 	}
 	availRng, workRng := streams(cfg.Seed)
-	costs := costStream{cfg: &cfg, r: workRng, vec: cfg.costs}
+	costs := newCostStream(&cfg, workRng)
 
 	// Group-scoped availability models (e.g. availability.SharedLoad)
 	// reset their shared state per run so repetitions stay independent.
@@ -435,11 +465,11 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		}
 		start := clock
 		if cfg.SerialIters > 0 {
-			start = procs[master].FinishTime(clock, costs.next(cfg.SerialIters, 0, false))
+			start = procs[master].FinishTime(clock, costs.next(cfg.SerialIters))
 		}
 		res.SerialTime += start - clock
 
-		clock, err = runSweep(ctx, &cfg, sched, procs, &costs, start, res, &st)
+		clock, err = runSweep(ctx, &cfg, sched, procs, costs, start, res, &st)
 		if err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
 		}
@@ -590,7 +620,7 @@ func runSweep(ctx context.Context, cfg *Config, sched dls.Scheduler, procs []ava
 		if k > cfg.ParallelIters-nextIter {
 			return 0, fmt.Errorf("technique %q dispatched %d iterations past the loop end", cfg.Technique.Name, k-(cfg.ParallelIters-nextIter))
 		}
-		work := costs.next(k, nextIter, true)
+		work := costs.next(k)
 		nextIter += k
 		execStart := e.t + cfg.Overhead
 		end := procs[e.worker].FinishTime(execStart, work)

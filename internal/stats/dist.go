@@ -69,6 +69,28 @@ func (n Normal) Sample(r *rng.Source) float64 {
 	return n.Mu + n.Sigma*r.NormFloat64()
 }
 
+// Fill sets dst to the values len(dst) successive d.Sample(r) calls
+// return, in order, and leaves r in the state those calls leave, so
+// fills and Sample calls interleave freely on one stream. A Normal
+// draws through rng's batched polar method, a Truncated rejects over
+// blocks of its inner distribution's fill, and any other Dist samples
+// one value at a time.
+func Fill(d Dist, r *rng.Source, dst []float64) {
+	switch d := d.(type) {
+	case Normal:
+		r.NormFloat64s(dst)
+		for i, z := range dst {
+			dst[i] = d.Mu + d.Sigma*z
+		}
+	case Truncated:
+		d.fill(r, dst)
+	default:
+		for i := range dst {
+			dst[i] = d.Sample(r)
+		}
+	}
+}
+
 // erfinv returns the inverse error function of x in (-1, 1), accurate to
 // roughly 1e-12 after one Newton refinement of a rational initial guess
 // (Giles, 2010).
@@ -231,10 +253,14 @@ func (t Truncated) Quantile(p float64) float64 {
 	return t.Dist.Quantile(lo + p*(hi-lo))
 }
 
+// truncAttempts is how many draws Truncated.Sample rejects before it
+// falls back to the quantile transform.
+const truncAttempts = 1000
+
 // Sample draws by rejection; for the narrow truncations used here the
 // expected number of attempts is ~1.
 func (t Truncated) Sample(r *rng.Source) float64 {
-	for i := 0; i < 1000; i++ {
+	for i := 0; i < truncAttempts; i++ {
 		x := t.Dist.Sample(r)
 		if x >= t.Lo && x <= t.Hi {
 			return x
@@ -242,4 +268,31 @@ func (t Truncated) Sample(r *rng.Source) float64 {
 	}
 	// Pathological truncation: fall back to the quantile transform.
 	return t.Quantile(r.Float64())
+}
+
+// fill is Fill for a Truncated: it fills blocks of dst from the inner
+// distribution and keeps each accepted draw in the next open slot. A
+// block never holds more draws than slots are open, nor more than the
+// current slot has attempts left, so Sample would make every draw of
+// it, and the quantile fallback draws its uniform where Sample does.
+func (t Truncated) fill(r *rng.Source, dst []float64) {
+	filled, tries := 0, 0
+	for filled < len(dst) {
+		block := dst[filled:min(len(dst), filled+truncAttempts-tries)]
+		Fill(t.Dist, r, block)
+		for _, x := range block {
+			if x >= t.Lo && x <= t.Hi {
+				dst[filled] = x
+				filled++
+				tries = 0
+			} else {
+				tries++
+			}
+		}
+		if tries == truncAttempts {
+			dst[filled] = t.Quantile(r.Float64())
+			filled++
+			tries = 0
+		}
+	}
 }
