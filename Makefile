@@ -8,7 +8,7 @@
 #   make cover   enforce the coverage floor on the observability and
 #                service packages (internal/tracing, internal/metrics,
 #                internal/runner, internal/api, internal/server,
-#                internal/log, internal/events, internal/store), the
+#                internal/events, internal/store), the
 #                PMF kernels (internal/pmf), the solve cache
 #                (internal/cache), the Stage-II simulator (internal/sim)
 #                and its DLS techniques (internal/dls), and the DAG code
@@ -53,7 +53,7 @@ GO ?= go
 COVER_FLOOR ?= 85
 
 # Packages held to the coverage floor.
-COVER_PKGS ?= ./internal/tracing ./internal/metrics ./internal/runner ./internal/api ./internal/server ./internal/pmf ./internal/cache ./internal/log ./internal/events ./internal/store ./internal/sim ./internal/dls ./internal/sysmodel ./internal/ra ./internal/robustness
+COVER_PKGS ?= ./internal/tracing ./internal/metrics ./internal/runner ./internal/api ./internal/server ./internal/pmf ./internal/cache ./internal/events ./internal/store ./internal/sim ./internal/dls ./internal/sysmodel ./internal/ra ./internal/robustness
 
 # Listen address for `make serve`.
 SERVE_ADDR ?= 127.0.0.1:8080

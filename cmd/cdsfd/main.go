@@ -8,6 +8,7 @@
 //	cdsfd -addr 127.0.0.1:9090 -queue 32 -executors 4
 //	cdsfd -store /var/lib/cdsfd    # WAL-backed: jobs survive kill -9
 //	cdsfd -metrics m.json -trace t.json -drain-timeout 1m
+//	cdsfd -log cdsfd.log -log-level debug
 //
 // Submit work with POST /v1/solve, /v1/simulate, or /v1/scenario (202
 // plus a job envelope; 429 with Retry-After when the queue is full),
@@ -19,7 +20,10 @@
 // Last-Event-ID to resume). GET /v1/healthz reports queue depth,
 // inflight jobs, drain or degraded state, cache counters, and the job
 // store's backend and replay stats. With -log, the service also writes
-// structured JSON-lines logs, one line per transition of every job.
+// a log/slog JSON log: one line per lifecycle record of every job
+// ("job accepted", "job queued", ... at -log-level info; "job progress"
+// and one line per request at debug). cdsfd is the one program in cmd/
+// that logs, so -log and -log-level are its own flags.
 // The debug endpoints every CLI exposes behind -debug-addr (/metrics,
 // /progress, /trace, /debug/pprof/*) are mounted on the same address.
 //
@@ -39,11 +43,14 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
+	"os"
 	"time"
 
 	"cdsf/internal/api"
@@ -62,11 +69,27 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	executors := fs.Int("executors", 2, "number of jobs executed concurrently")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long running jobs may finish after a shutdown signal before their contexts are cancelled")
 	storeDir := fs.String("store", "", "journal the job lifecycle to an append-only WAL under this directory and recover interrupted jobs on restart (empty: jobs live in process memory)")
+	logDest := fs.String("log", "", `write the service's JSON log (one line per job transition) to this destination: "-" for stderr or a file path (empty: no log; stdout is never touched)`)
+	var logLevel slog.Level
+	fs.TextVar(&logLevel, "log-level", slog.LevelInfo, `minimum severity of -log lines: "debug", "info", "warn" or "error"`)
 	rf := runner.RegisterWorkerFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	return rf.Run(ctx, "cdsfd", stderr, func(ctx context.Context, s *runner.Session) error {
+	return rf.Run(ctx, "cdsfd", stderr, func(ctx context.Context, s *runner.Session) (err error) {
+		var logger *slog.Logger
+		if *logDest != "" {
+			sink := stderr
+			if *logDest != "-" {
+				f, err := os.Create(*logDest)
+				if err != nil {
+					return fmt.Errorf("-log: %w", err)
+				}
+				defer func() { err = errors.Join(err, f.Close()) }()
+				sink = f
+			}
+			logger = slog.New(slog.NewJSONHandler(sink, &slog.HandlerOptions{Level: logLevel}))
+		}
 		var js store.JobStore
 		if *storeDir != "" {
 			w, err := store.OpenWAL(*storeDir, store.WALOptions{Metrics: s.Obs.Metrics})
@@ -87,7 +110,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			Metrics:    s.Obs.Metrics,
 			Tracer:     s.Obs.Tracer,
 			Cache:      s.Cache,
-			Logger:     s.Log,
+			Logger:     logger,
 			Store:      js,
 		})
 		ln, err := net.Listen("tcp", *addr)

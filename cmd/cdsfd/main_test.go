@@ -51,6 +51,67 @@ func TestRunTimeoutStopsServing(t *testing.T) {
 	}
 }
 
+// -log writes JSON lines to the named file, closed and complete even
+// when the run ends in an error.
+func TestRunLogToFile(t *testing.T) {
+	lpath := t.TempDir() + "/cdsfd.log"
+	var stdout, stderr bytes.Buffer
+	err := run(context.Background(), []string{"-addr", "127.0.0.1:0", "-timeout", "50ms",
+		"-log", lpath, "-log-level", "DEBUG"}, &stdout, &stderr)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want DeadlineExceeded", err)
+	}
+	data, readErr := os.ReadFile(lpath)
+	if readErr != nil {
+		t.Fatalf("log not written: %v", readErr)
+	}
+	var line map[string]any
+	if err := json.Unmarshal(data, &line); err != nil || line["level"] != "INFO" || line["msg"] != "draining" {
+		t.Errorf("log %q (%v), want the one INFO draining line", data, err)
+	}
+}
+
+// -log - sends the log to stderr: stdout stays reserved for result
+// documents. Lines below -log-level are dropped.
+func TestRunLogDashGoesToStderr(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	err := run(context.Background(), []string{"-addr", "127.0.0.1:0", "-timeout", "50ms",
+		"-log", "-", "-log-level", "error"}, &stdout, &stderr)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want DeadlineExceeded", err)
+	}
+	if strings.Contains(stderr.String(), `"msg":"draining"`) {
+		t.Errorf("info line written at -log-level error:\n%s", stderr.String())
+	}
+	stderr.Reset()
+	err = run(context.Background(), []string{"-addr", "127.0.0.1:0", "-timeout", "50ms",
+		"-log", "-"}, &stdout, &stderr)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want DeadlineExceeded", err)
+	}
+	if stdout.Len() != 0 || !strings.Contains(stderr.String(), `"level":"INFO","msg":"draining"`) {
+		t.Errorf("stdout %q stderr %q, want the draining line on stderr only", stdout.String(), stderr.String())
+	}
+}
+
+// A bad -log-level or an uncreatable -log file fails the run before it
+// serves.
+func TestRunLogBadLevel(t *testing.T) {
+	for _, args := range [][]string{
+		{"-log", "-", "-log-level", "loud"},
+		{"-log", t.TempDir() + "/no/such/dir/cdsfd.log"},
+	} {
+		var stdout, stderr bytes.Buffer
+		err := run(context.Background(), append([]string{"-addr", "127.0.0.1:0"}, args...), &stdout, &stderr)
+		if err == nil || !strings.Contains(err.Error(), args[len(args)-2]) {
+			t.Errorf("%v: err = %v, want a %s error", args, err, args[len(args)-2])
+		}
+		if strings.Contains(stderr.String(), "cdsfd: serving") {
+			t.Errorf("%v: served despite the error:\n%s", args, stderr.String())
+		}
+	}
+}
+
 // startDaemon launches the daemon subprocess and waits for its
 // readiness line, returning the base URL and the stderr collector.
 func startDaemon(t *testing.T, extraArgs ...string) (*exec.Cmd, string, *strings.Builder) {

@@ -269,8 +269,12 @@ type SolveResult struct {
 	Heuristic string `json:"heuristic"`
 	// Allocation maps each application (by batch index) to its group.
 	Allocation []Assignment `json:"allocation"`
-	// Phi1 is the Stage-I robustness: the joint probability that every
-	// application meets the deadline under the reference availability.
+	// Phi1 is the Stage-I robustness: on an independent batch, the
+	// joint probability that every application meets the deadline under
+	// the reference availability. On a DAG it is a lower bound on that
+	// probability (up to compaction error): the composition treats
+	// paths through a shared ancestor as independent, and for
+	// completion times that grow with independent inputs that errs low.
 	Phi1 float64 `json:"phi1"`
 	// PerApp[i] is Pr(T_i <= deadline) for application i.
 	PerApp []float64 `json:"perApp"`

@@ -69,35 +69,6 @@ type GroupScoped interface {
 	ResetGroup()
 }
 
-// Wrapper is implemented by models that decorate another Model
-// (logging, perturbation, metric shims, ...). Unwrap exposes the
-// decorated model so properties like GroupScoped survive wrapping —
-// a decorator that hides its inner model re-enables the concurrent-run
-// data race ResetGroup exists to prevent.
-type Wrapper interface {
-	// Unwrap returns the decorated model.
-	Unwrap() Model
-}
-
-// AsGroupScoped reports whether m — or any model it wraps, following
-// the Unwrap chain — carries group-scoped per-run state, returning the
-// innermost GroupScoped implementation. Callers that fan runs out
-// across goroutines must consult this instead of asserting on m
-// directly, so wrapped models keep their sequential-execution contract.
-func AsGroupScoped(m Model) (GroupScoped, bool) {
-	for m != nil {
-		if g, ok := m.(GroupScoped); ok {
-			return g, true
-		}
-		w, ok := m.(Wrapper)
-		if !ok {
-			return nil, false
-		}
-		m = w.Unwrap()
-	}
-	return nil, false
-}
-
 // ---------------------------------------------------------------------
 // Static model
 

@@ -82,8 +82,8 @@ func (m *SharedLoad) Name() string {
 // fresh one. The simulator calls this at the start of every run, which
 // keeps repetitions independent while processes within one run stay
 // correlated. SharedLoad is therefore not safe for concurrent runs —
-// it implements GroupScoped, and sim.RunMany detects that (through any
-// Wrapper chain) and executes its repetitions sequentially.
+// it implements GroupScoped, and sim.RunMany detects that and executes
+// its repetitions sequentially.
 func (m *SharedLoad) ResetGroup() { m.shared = nil }
 
 var _ GroupScoped = (*SharedLoad)(nil)

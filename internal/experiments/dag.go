@@ -6,6 +6,7 @@ import (
 
 	"cdsf/internal/core"
 	"cdsf/internal/pmf"
+	"cdsf/internal/pool"
 	"cdsf/internal/ra"
 	"cdsf/internal/report"
 	"cdsf/internal/rng"
@@ -187,7 +188,7 @@ func RunDAGStudyContext(ctx context.Context, cfg DAGStudyConfig) (*report.Table,
 		}
 	}
 	results := make([]cellResult, len(jobs))
-	if err := forEachParallel(ctx, cfg.Workers, len(jobs), func(i int) {
+	if err := pool.ForEach(ctx, cfg.Workers, len(jobs), func(_, i int) {
 		j := jobs[i]
 		phi, ratio, met, err := evalDAGCell(ctx, base, topos[j.topo].edges, cfg.Heuristics[j.heur], cfg)
 		results[i] = cellResult{phi: phi, ratio: ratio, met: met, err: err}

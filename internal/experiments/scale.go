@@ -3,14 +3,12 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"cdsf/internal/cache"
 	"cdsf/internal/core"
 	"cdsf/internal/dls"
 	"cdsf/internal/pmf"
+	"cdsf/internal/pool"
 	"cdsf/internal/ra"
 	"cdsf/internal/report"
 	"cdsf/internal/rng"
@@ -191,7 +189,7 @@ func RunScaleStudyContext(ctx context.Context, cfg ScaleConfig) (*report.Table, 
 		}
 	}
 	results := make([]cellResult, len(jobs))
-	if err := forEachParallel(ctx, cfg.Workers, len(jobs), func(i int) {
+	if err := pool.ForEach(ctx, cfg.Workers, len(jobs), func(_, i int) {
 		j := jobs[i]
 		apps, t1, t2 := j.size[0], j.size[1], j.size[2]
 		seed := cfg.Seed ^ uint64(j.inst)<<16 ^ uint64(apps)<<40
@@ -235,46 +233,6 @@ func RunScaleStudyContext(ctx context.Context, cfg ScaleConfig) (*report.Table, 
 		}
 	}
 	return t, nil
-}
-
-// forEachParallel runs fn(0..n-1) across a bounded worker pool (the
-// experiments-layer twin of ra's internal helper). workers <= 1 runs
-// inline; non-positive workers means runtime.NumCPU(). Cancellation
-// stops workers from claiming further indices; the pool drains and the
-// context's error is returned.
-func forEachParallel(ctx context.Context, workers, n int, fn func(int)) error {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			fn(i)
-		}
-		return ctx.Err()
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	return ctx.Err()
 }
 
 // evalQuadrant runs one quadrant on one instance: Stage I allocation,

@@ -34,7 +34,7 @@ type Pulse struct {
 }
 
 // PMF is a finite discrete probability distribution. The zero value is
-// an empty, invalid PMF; construct with New, FromPairs, or a sampler.
+// an empty, invalid PMF; construct with New, MustNew, or a sampler.
 type PMF struct {
 	pulses []Pulse
 	// cdf caches the running sum of pulse probabilities (cdf[i] =
@@ -116,20 +116,6 @@ func MustNew(pulses []Pulse) PMF {
 		panic(err)
 	}
 	return p
-}
-
-// FromPairs builds a PMF from parallel slices of values and
-// probabilities. It returns an error if the slices differ in length, or
-// under the same conditions as New.
-func FromPairs(values, probs []float64) (PMF, error) {
-	if len(values) != len(probs) {
-		return PMF{}, fmt.Errorf("pmf: %d values but %d probabilities", len(values), len(probs))
-	}
-	ps := make([]Pulse, len(values))
-	for i := range values {
-		ps[i] = Pulse{Value: values[i], Prob: probs[i]}
-	}
-	return New(ps)
 }
 
 // Point returns the degenerate PMF with all mass at v.

@@ -243,19 +243,6 @@ func TestString(t *testing.T) {
 	}
 }
 
-func TestFromPairs(t *testing.T) {
-	p, err := FromPairs([]float64{1, 2}, []float64{0.4, 0.6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Len() != 2 {
-		t.Errorf("len = %d", p.Len())
-	}
-	if _, err := FromPairs([]float64{1}, []float64{0.5, 0.5}); err == nil {
-		t.Error("mismatched lengths accepted")
-	}
-}
-
 // quickPulses converts raw quick-generated data into a valid pulse set,
 // or nil when impossible.
 func quickPulses(raw []float64) []Pulse {

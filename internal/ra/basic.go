@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"cdsf/internal/pool"
 	"cdsf/internal/sysmodel"
 )
 
@@ -216,7 +217,7 @@ func (h Exhaustive) AllocateContext(ctx context.Context, p *Problem) (sysmodel.A
 	// atomic traffic.
 	scanned := p.Obs.Metrics.Counter("ra.exhaustive_scanned")
 	tr := p.Obs.Tracer
-	poolErr := runParallel(ctx, h.Workers, len(opts), func(k int) {
+	poolErr := pool.ForEach(ctx, h.Workers, len(opts), func(_, k int) {
 		// Span names are formatted only when a tracer records them.
 		if tr != nil {
 			defer tr.Begin(fmt.Sprintf("stage1/exhaustive/p%02d", k),

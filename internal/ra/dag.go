@@ -34,11 +34,13 @@ func (p *Problem) distFor(i int, as sysmodel.Assignment) pmf.Dist {
 	return p.computeDist(i, as)
 }
 
-// dagPhi returns the DAG phi_1 of an allocation: the probability that
-// every application of the precedence-constrained batch finishes by
-// the deadline, computed by composing the per-application completion
-// distributions along the edges and multiplying the sink
-// probabilities. The allocation must already be validated. Safe for
+// dagPhi returns the DAG phi_1 of an allocation, computed by composing
+// the per-application completion distributions along the edges and
+// multiplying the sink probabilities: a lower bound (up to compaction
+// error) on the probability that every application of the
+// precedence-constrained batch finishes by the deadline, because the
+// composition treats paths through a shared ancestor as independent
+// (sysmodel/dag.go). The allocation must already be validated. Safe for
 // concurrent use once the Problem is precomputed (compositions build
 // only private intermediates).
 func (p *Problem) dagPhi(al sysmodel.Allocation) float64 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"cdsf/internal/pool"
 	"cdsf/internal/sysmodel"
 )
 
@@ -25,7 +26,7 @@ func UnprunedExhaustive(ctx context.Context, p *Problem, workers int) (sysmodel.
 		}
 	}
 	results := make([]partBest, len(opts))
-	if err := runParallel(ctx, workers, len(opts), func(k int) {
+	if err := pool.ForEach(ctx, workers, len(opts), func(_, k int) {
 		var best partBest
 		sysmodel.EnumerateAllocationsFrom(p.Sys, p.Batch, sysmodel.Allocation{opts[k]}, nil, func(al sysmodel.Allocation) bool {
 			if s := p.scoreOf(al); s.better(best.s) {

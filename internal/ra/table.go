@@ -3,13 +3,11 @@ package ra
 import (
 	"context"
 	"math/bits"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"cdsf/internal/cache"
 	"cdsf/internal/pmf"
+	"cdsf/internal/pool"
 	"cdsf/internal/sysmodel"
 )
 
@@ -54,15 +52,6 @@ func log2of(n int) (int, bool) {
 		k++
 	}
 	return k, true
-}
-
-// normWorkers resolves a worker-count knob: non-positive means
-// runtime.NumCPU().
-func normWorkers(w int) int {
-	if w <= 0 {
-		return runtime.NumCPU()
-	}
-	return w
 }
 
 // PrecomputeContext eagerly builds the evaluation table with a bounded
@@ -165,7 +154,7 @@ func (p *Problem) PrecomputeContext(ctx context.Context, workers int) error {
 		dists = make([]pmf.Dist, len(t.cells))
 	}
 
-	if err := runParallel(ctx, workers, len(jobs), func(n int) {
+	if err := pool.ForEach(ctx, workers, len(jobs), func(_, n int) {
 		jb := jobs[n]
 		idx := (jb.i*t.types+jb.j)*t.logs + jb.k
 		if warm != nil {
@@ -269,47 +258,4 @@ func (p *Problem) computeDist(i int, as sysmodel.Assignment) pmf.Dist {
 // pins cache-on/off bit-identity.
 func cellFromDist(d pmf.Dist, deadline float64) memoVal {
 	return memoVal{prob: d.PrLE(deadline), expected: d.Mean()}
-}
-
-// runParallel executes fn(0..n-1) across a bounded worker pool. With
-// workers <= 1 (or n <= 1) it degenerates to a plain sequential loop.
-// Tasks are claimed from an atomic counter, so every task runs exactly
-// once; fn must write only to its own task's slot of any shared output.
-//
-// Cancellation: workers check ctx before claiming each task, so a
-// cancelled context drains the pool at the next task boundary (in-flight
-// tasks finish — or abort at their own internal checkpoints). runParallel
-// then returns ctx.Err(); callers must treat their shared output as
-// incomplete when it does.
-func runParallel(ctx context.Context, workers, n int, fn func(int)) error {
-	workers = normWorkers(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for k := 0; k < n; k++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			fn(k)
-		}
-		return ctx.Err()
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				k := int(next.Add(1)) - 1
-				if k >= n {
-					return
-				}
-				fn(k)
-			}
-		}()
-	}
-	wg.Wait()
-	return ctx.Err()
 }

@@ -63,9 +63,11 @@ func EvaluateStageI(sys *sysmodel.System, batch sysmodel.Batch, alloc sysmodel.A
 // batch: per-application completion PMFs are composed along the edges
 // (C_i = T_i + max over predecessors' C, sysmodel.ComposeDAG), PerApp
 // and ExpectedTimes report the composed distributions, and Phi1 is the
-// product over the sink applications — the probability that the whole
-// DAG finishes by the deadline under the PERT independence
-// approximation. With no edges it is exactly EvaluateStageI.
+// product over the sink applications. PERT's max and that product both
+// treat paths through a shared ancestor as independent, and both err
+// low (sysmodel/dag.go), so Phi1 is a lower bound on the probability
+// that the whole DAG finishes by the deadline, up to compaction error.
+// With no edges it is exactly EvaluateStageI.
 func EvaluateStageIDAG(sys *sysmodel.System, batch sysmodel.Batch, edges []sysmodel.Edge, alloc sysmodel.Allocation, deadline float64) (*StageIResult, error) {
 	if len(edges) == 0 {
 		return EvaluateStageI(sys, batch, alloc, deadline)

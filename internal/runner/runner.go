@@ -11,7 +11,10 @@
 // of each engine config. The runner installs no process-wide default
 // registry, tracer, progress board or logger; the only process-wide
 // hook it sets is pmf.SetMetrics, for the PMF kernels, which are free
-// functions without a config.
+// functions without a config. It owns no log either: cdsfd, the one
+// program that logs, registers -log and -log-level itself and hands a
+// log/slog logger to the server, which derives each job's log lines
+// (and its job counters) from the job's store records.
 //
 // A CLI built on the runner has the shape
 //
@@ -48,7 +51,6 @@ import (
 	"time"
 
 	"cdsf/internal/cache"
-	"cdsf/internal/log"
 	"cdsf/internal/metrics"
 	"cdsf/internal/pmf"
 	"cdsf/internal/tracing"
@@ -113,22 +115,16 @@ type Flags struct {
 	// run on either (sparse is the exact default; grid trades a
 	// bounded quantization error for faster kernels).
 	PMF pmf.Backend
-	// CacheSpec is -cache: "" disables the content-addressed solve
-	// cache, "on" enables it with the default bound, and a size like
-	// "256MiB" or "1GiB" sets the byte bound.
+	// CacheSpec is -cache (only when registered via
+	// RegisterWorkerFlags or RegisterWorkers): "" disables the
+	// content-addressed solve cache, "on" enables it with the default
+	// bound, and a size like "256MiB" or "1GiB" sets the byte bound.
 	CacheSpec string
-	// LogDest is -log: where the structured JSON-lines log goes. "-"
-	// means stderr (never stdout — result documents own stdout), any
-	// other value is a file path. Empty disables logging.
-	LogDest string
-	// LogLevel is -log-level: the minimum severity emitted (debug,
-	// info, warn, error). Ignored without -log.
-	LogLevel string
 }
 
 // RegisterFlags installs the shared observability and runtime flags
-// (-metrics, -trace, -debug-addr, -timeout, -pmf, -cache) on fs and
-// returns the struct their values land in.
+// (-metrics, -trace, -debug-addr, -timeout, -pmf) on fs and returns
+// the struct their values land in.
 func RegisterFlags(fs *flag.FlagSet) *Flags {
 	f := &Flags{PMF: pmf.BackendSparse}
 	fs.StringVar(&f.MetricsDest, "metrics", "", `collect runtime metrics and write them to this destination: "-" or "json" for JSON on stdout, "csv" for CSV on stdout, or a file path (.csv for CSV, JSON otherwise)`)
@@ -136,26 +132,26 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.DebugAddr, "debug-addr", "", `serve live debug endpoints (/debug/pprof/*, /metrics, /progress, /trace) on this address, e.g. ":6060"`)
 	fs.DurationVar(&f.Timeout, "timeout", 0, `abort the run after this wall-clock duration (e.g. 30s, 5m); the partial run still flushes -metrics and -trace (0: no limit)`)
 	fs.TextVar(&f.PMF, "pmf", pmf.BackendSparse, `PMF backend for the Stage-I engines: "sparse" (exact pulses, bit-identical to earlier releases) or "grid" (dense fixed-step lattice: faster kernels within the documented quantization-error bound)`)
-	fs.StringVar(&f.CacheSpec, "cache", "", `content-addressed solve cache: "on" for the default 32MiB bound, or a size like "64MiB"/"1GiB"; repeated identical work is replayed bit-identically from cache (empty: disabled)`)
-	fs.StringVar(&f.LogDest, "log", "", `write structured JSON-lines logs to this destination: "-" for stderr or a file path; flushed unconditionally, even when the run fails or is cancelled (empty: disabled — stdout is never touched)`)
-	fs.StringVar(&f.LogLevel, "log-level", "info", `minimum severity for -log records: "debug", "info", "warn", or "error"`)
 	return f
 }
 
-// RegisterWorkerFlags additionally installs -workers, for CLIs whose
-// -workers flag means the worker-pool size of the parallel engines
-// (dlssim's -workers is the simulated group size and is NOT this
-// flag). The default is runtime.NumCPU(); results are identical for
-// any value.
+// RegisterWorkerFlags additionally installs -workers and -cache, for
+// CLIs whose -workers flag means the worker-pool size of the parallel
+// engines (dlssim's -workers is the simulated group size and is NOT
+// this flag, and dlssim has no solve to cache). The default is
+// runtime.NumCPU(); results are identical for any value.
 func RegisterWorkerFlags(fs *flag.FlagSet) *Flags {
 	f := RegisterFlags(fs)
 	f.RegisterWorkers(fs)
 	return f
 }
 
-// RegisterWorkers installs the -workers pool-size flag on fs.
+// RegisterWorkers installs the -workers pool-size flag and the -cache
+// solve-cache flag on fs: the programs whose engines run a worker pool
+// are the ones that solve, and so the ones a cache serves.
 func (f *Flags) RegisterWorkers(fs *flag.FlagSet) {
 	fs.IntVar(&f.Workers, "workers", runtime.NumCPU(), "worker pool size for the parallel engines (results are identical for any value)")
+	fs.StringVar(&f.CacheSpec, "cache", "", `content-addressed solve cache: "on" for the default 32MiB bound, or a size like "64MiB"/"1GiB"; repeated identical work is replayed bit-identically from cache (empty: disabled)`)
 }
 
 // Session exposes the collectors Run created, for the body to thread
@@ -173,11 +169,6 @@ type Session struct {
 	// core.StageIIConfig.Cache, or server.Options.Cache; seeded results
 	// are bit-identical with it on or off.
 	Cache *cache.Cache
-	// Log is the structured logger, non-nil when -log was given. Bodies
-	// thread it into server.Options.Logger (or log directly). The sink
-	// is stderr or a file, never stdout, so result documents are
-	// byte-identical with logging on or off.
-	Log *log.Logger
 }
 
 // Run executes body inside an observability session derived from the
@@ -193,14 +184,11 @@ type Session struct {
 //     (readiness is announced on stderr);
 //   - with -timeout, ctx is bounded by context.WithTimeout.
 //
-// With -log, a structured JSON-lines logger is created (sink: stderr
-// for "-", else the named file) and exposed as Session.Log.
-//
-// The -metrics, -trace, and -log outputs are ALWAYS written — body
-// failing or being cancelled does not lose the observability of the
-// partial run — and the debug server is shut down gracefully (bounded
-// by shutdownGrace). The returned error joins the body's error with
-// any flush or shutdown error.
+// The -metrics and -trace outputs are ALWAYS written — body failing or
+// being cancelled does not lose the observability of the partial run —
+// and the debug server is shut down gracefully (bounded by
+// shutdownGrace). The returned error joins the body's error with any
+// flush or shutdown error.
 func (f *Flags) Run(ctx context.Context, name string, stderr io.Writer, body func(ctx context.Context, s *Session) error) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -220,24 +208,6 @@ func (f *Flags) Run(ctx context.Context, name string, stderr io.Writer, body fun
 			return err
 		}
 		s.Cache = c
-	}
-	var logFile *os.File
-	if f.LogDest != "" {
-		lvl, err := log.ParseLevel(f.LogLevel)
-		if err != nil {
-			return fmt.Errorf("-log-level: %w", err)
-		}
-		sink := io.Writer(stderr)
-		if f.LogDest != "-" {
-			file, err := os.Create(f.LogDest)
-			if err != nil {
-				return fmt.Errorf("-log: %w", err)
-			}
-			logFile = file
-			sink = file
-		}
-		s.Log = log.New(sink, log.Options{Level: lvl})
-		s.Log.Info("run starting", log.F("name", name))
 	}
 	var srv *tracing.DebugServer
 	var srvErr error
@@ -261,23 +231,10 @@ func (f *Flags) Run(ctx context.Context, name string, stderr io.Writer, body fun
 	}
 
 	// Flush observability unconditionally: a failed or cancelled run's
-	// partial metrics, trace, and log are exactly what a postmortem
-	// needs.
-	if s.Log != nil {
-		if bodyErr != nil {
-			s.Log.Error("run failed", log.F("name", name), log.F("error", bodyErr.Error()))
-		} else {
-			s.Log.Info("run finished", log.F("name", name))
-		}
-	}
-	var logErr error
-	if logFile != nil {
-		logErr = logFile.Close()
-	}
+	// partial metrics and trace are exactly what a postmortem needs.
 	flushErr := errors.Join(
 		metrics.WriteTo(s.Obs.Metrics, f.MetricsDest),
 		tracing.WriteTo(s.Obs.Tracer, f.TraceDest),
-		logErr,
 	)
 
 	var downErr error

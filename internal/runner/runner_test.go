@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"cdsf/internal/log"
 	"cdsf/internal/tracing"
 )
 
@@ -65,21 +64,24 @@ func TestRegisterFlags(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	f := RegisterWorkerFlags(fs)
 	err := fs.Parse([]string{"-metrics", "m.json", "-trace", "t.json",
-		"-debug-addr", "127.0.0.1:0", "-timeout", "90s", "-workers", "3"})
+		"-debug-addr", "127.0.0.1:0", "-timeout", "90s", "-workers", "3", "-cache", "on"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f.MetricsDest != "m.json" || f.TraceDest != "t.json" ||
-		f.DebugAddr != "127.0.0.1:0" || f.Timeout != 90*time.Second || f.Workers != 3 {
+		f.DebugAddr != "127.0.0.1:0" || f.Timeout != 90*time.Second || f.Workers != 3 || f.CacheSpec != "on" {
 		t.Errorf("parsed flags = %+v", f)
 	}
 
-	// Plain RegisterFlags must not define -workers (dlssim owns its own).
-	fs2 := flag.NewFlagSet("t", flag.ContinueOnError)
-	fs2.SetOutput(io.Discard)
-	RegisterFlags(fs2)
-	if err := fs2.Parse([]string{"-workers", "3"}); err == nil {
-		t.Error("RegisterFlags accepted -workers")
+	// Plain RegisterFlags must not define -workers (dlssim owns its own)
+	// or -cache (dlssim has no solve to cache).
+	for _, arg := range [][]string{{"-workers", "3"}, {"-cache", "on"}} {
+		fs2 := flag.NewFlagSet("t", flag.ContinueOnError)
+		fs2.SetOutput(io.Discard)
+		RegisterFlags(fs2)
+		if err := fs2.Parse(arg); err == nil {
+			t.Errorf("RegisterFlags accepted %s", arg[0])
+		}
 	}
 }
 
@@ -235,83 +237,5 @@ func TestRunDebugServerStartFailure(t *testing.T) {
 	}
 	if ran {
 		t.Error("body ran despite debug-server start failure")
-	}
-}
-
-// -log writes JSON-lines records to the named file, flushed even when
-// the body fails; the logger reaches the body only through the Session.
-func TestRunLogToFile(t *testing.T) {
-	dir := t.TempDir()
-	f := &Flags{LogDest: dir + "/run.log", LogLevel: "debug"}
-	bodyErr := errors.New("body failed")
-	err := f.Run(context.Background(), "t", io.Discard, func(ctx context.Context, s *Session) error {
-		if s.Log == nil {
-			t.Fatal("session logger missing despite -log")
-		}
-		if s.Obs != (tracing.Scope{}) || s.Cache != nil {
-			t.Errorf("-log alone created other collectors: %+v", s)
-		}
-		s.Log.Debug("inside body", log.F("k", 1))
-		return bodyErr
-	})
-	if !errors.Is(err, bodyErr) {
-		t.Fatalf("err = %v, want wrapped body error", err)
-	}
-
-	data, readErr := os.ReadFile(f.LogDest)
-	if readErr != nil {
-		t.Fatalf("log not written on failure: %v", readErr)
-	}
-	lines := strings.Split(strings.TrimRight(string(data), "\n"), "\n")
-	if len(lines) < 3 {
-		t.Fatalf("log has %d lines, want run starting / inside body / run failed:\n%s", len(lines), data)
-	}
-	for _, line := range lines {
-		if !json.Valid([]byte(line)) {
-			t.Errorf("log line is not valid JSON: %q", line)
-		}
-	}
-	for _, want := range []string{"run starting", "inside body", "run failed", "body failed"} {
-		if !strings.Contains(string(data), want) {
-			t.Errorf("log missing %q:\n%s", want, data)
-		}
-	}
-}
-
-// -log - sends records to stderr: stdout stays reserved for result
-// documents, so seeded output is byte-identical with logging on.
-func TestRunLogDashGoesToStderr(t *testing.T) {
-	var stderr bytes.Buffer
-	f := &Flags{LogDest: "-", LogLevel: "info"}
-	err := f.Run(context.Background(), "t", &stderr, func(ctx context.Context, s *Session) error {
-		s.Log.Info("hello")
-		s.Log.Debug("filtered out")
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := stderr.String()
-	if !strings.Contains(out, `"msg":"hello"`) || !strings.Contains(out, "run finished") {
-		t.Errorf("stderr missing log records:\n%s", out)
-	}
-	if strings.Contains(out, "filtered out") {
-		t.Errorf("debug record emitted at info level:\n%s", out)
-	}
-}
-
-// A bad -log-level fails before the body runs.
-func TestRunLogBadLevel(t *testing.T) {
-	f := &Flags{LogDest: "-", LogLevel: "loud"}
-	ran := false
-	err := f.Run(context.Background(), "t", io.Discard, func(ctx context.Context, s *Session) error {
-		ran = true
-		return nil
-	})
-	if err == nil || !strings.Contains(err.Error(), "-log-level") {
-		t.Fatalf("err = %v, want a -log-level error", err)
-	}
-	if ran {
-		t.Error("body ran despite an invalid -log-level")
 	}
 }

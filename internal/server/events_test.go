@@ -4,9 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,7 +19,6 @@ import (
 	"cdsf/internal/api"
 	"cdsf/internal/cache"
 	"cdsf/internal/events"
-	"cdsf/internal/log"
 	"cdsf/internal/metrics"
 	"cdsf/internal/store"
 )
@@ -319,7 +321,7 @@ func TestEventsDeterminism(t *testing.T) {
 	}
 	plain := run(Options{})
 	observed := run(Options{
-		Logger: log.New(&logBuf, log.Options{Level: log.LevelDebug}),
+		Logger: slog.New(slog.NewJSONHandler(&logBuf, &slog.HandlerOptions{Level: slog.LevelDebug})),
 	})
 	if !bytes.Equal(plain, observed) {
 		t.Errorf("result documents differ with observability on:\nplain:    %s\nobserved: %s", plain, observed)
@@ -332,6 +334,106 @@ func TestEventsDeterminism(t *testing.T) {
 		if !json.Valid([]byte(line)) {
 			t.Errorf("log line is not valid JSON: %q", line)
 		}
+	}
+}
+
+// TestJobLogLinesAreItsRecords pins that a job's log lines are derived
+// from its store records, one "job <type>" line per record, on every
+// path a job takes: run to done, answered from the result tier at
+// admission, cancelled while queued, cancelled while running (with
+// progress ticks at debug), and failed when its accepted append fails.
+// A job's lines are its event log without the derived cache events,
+// and the healthz tally counts the same transitions the lines do.
+func TestJobLogLinesAreItsRecords(t *testing.T) {
+	var logBuf syncBuffer
+	fs := newFaultStore()
+	reg := metrics.NewRegistry()
+	_, ts := newTestServer(t, Options{Store: fs, Metrics: reg, Queue: 4, Executors: 1,
+		Cache:  cache.New(cache.Options{Metrics: reg}),
+		Logger: slog.New(slog.NewJSONHandler(&logBuf, &slog.HandlerOptions{Level: slog.LevelDebug}))})
+
+	done := submitSolve(t, ts.URL, api.SolveRequest{Heuristic: "greedy"})
+	waitState(t, ts.URL, done.ID, api.JobDone)
+	cached := submitSolve(t, ts.URL, api.SolveRequest{Heuristic: "greedy"})
+	var running, queued api.Job
+	post(t, ts.URL+"/v1/simulate", longSimulate(), &running)
+	waitState(t, ts.URL, running.ID, api.JobRunning)
+	post(t, ts.URL+"/v1/simulate", longSimulate(), &queued)
+	cancelJob(t, ts.URL, queued.ID)
+	fs.failOn(events.TypeAccepted)
+	if resp := post(t, ts.URL+"/v1/solve", api.SolveRequest{Heuristic: "twophase"}, nil); resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("solve with a failing accepted append: status %d, want 500", resp.StatusCode)
+	}
+	const failedID = "job-000005" // the fifth job admitted
+	fs.failOn()
+	// Cancel the running job once it has recorded progress.
+	isProgress := func(ev events.Event) bool { return ev.Type == events.TypeProgress }
+	for deadline := time.Now().Add(30 * time.Second); !slices.ContainsFunc(getEvents(t, ts.URL, running.ID), isProgress); {
+		if time.Now().After(deadline) {
+			t.Fatal("running job recorded no progress")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	cancelJob(t, ts.URL, running.ID)
+	waitState(t, ts.URL, running.ID, api.JobCancelled)
+
+	lines := map[string][]map[string]any{}
+	tally := map[string]int64{}
+	for _, l := range strings.Split(strings.TrimSpace(logBuf.String()), "\n") {
+		var line map[string]any
+		if err := json.Unmarshal([]byte(l), &line); err != nil {
+			t.Fatalf("log line %q: %v", l, err)
+		}
+		msg, _ := line["msg"].(string)
+		typ, ok := strings.CutPrefix(msg, "job ")
+		if !ok || strings.Contains(typ, " ") {
+			continue // not a record's line
+		}
+		job, _ := line["job"].(string)
+		lines[job] = append(lines[job], line)
+		tally[typ]++
+		level := map[string]string{"progress": "DEBUG", "failed": "ERROR"}[typ]
+		if level == "" {
+			level = "INFO"
+		}
+		if line["level"] != level {
+			t.Errorf("%s line at level %v, want %s", msg, line["level"], level)
+		}
+	}
+
+	for _, id := range []string{done.ID, cached.ID, queued.ID, running.ID, failedID} {
+		var want []events.Type
+		for _, ev := range getEvents(t, ts.URL, id) {
+			if ev.Type != events.TypeCacheResultHit && ev.Type != events.TypeCacheWarm {
+				want = append(want, ev.Type)
+			}
+		}
+		var got []events.Type
+		for _, line := range lines[id] {
+			got = append(got, events.Type(strings.TrimPrefix(line["msg"].(string), "job ")))
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: log lines %v, want its records %v", id, got, want)
+		}
+	}
+	if t.Failed() {
+		return
+	}
+	if l := lines[done.ID][0]; l["kind"] != "solve" {
+		t.Errorf("accepted line %v, want kind solve", l)
+	}
+	if l := lines[cached.ID][1]; l["cache_key"] != getJob(t, ts.URL, cached.ID).Cache.Key {
+		t.Errorf("cached done line %v, want the job's cache key", l)
+	}
+	if l := lines[failedID][1]; !strings.Contains(fmt.Sprint(l["detail"]), errInjected.Error()) {
+		t.Errorf("failed line %v, want the store error as detail", l)
+	}
+
+	var h api.Health
+	getInto(t, ts.URL+"/v1/healthz", &h)
+	if want := (api.HealthJobs{Submitted: tally["accepted"], Done: tally["done"], Failed: tally["failed"],
+		Cancelled: tally["cancelled"] + tally["drained"]}); h.Jobs != want || want.Submitted != 5 {
+		t.Errorf("healthz jobs %+v, want the line tally %+v over 5 jobs", h.Jobs, want)
 	}
 }
 

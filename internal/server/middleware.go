@@ -2,10 +2,9 @@ package server
 
 import (
 	"fmt"
+	"log/slog"
 	"net/http"
 	"time"
-
-	"cdsf/internal/log"
 )
 
 // This file implements the HTTP-layer RED metrics (Rate, Errors,
@@ -82,8 +81,10 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		}
 		hist.Observe(elapsed.Seconds())
 		reg.Counter(fmt.Sprintf("http.requests.%s.%d", route, sw.status)).Inc()
-		s.opts.Logger.Debug("http request",
-			log.F("route", route), log.F("method", r.Method), log.F("path", r.URL.Path),
-			log.F("status", sw.status), log.F("elapsed_seconds", elapsed.Seconds()))
+		if lg := s.opts.Logger; lg.Enabled(r.Context(), slog.LevelDebug) {
+			lg.LogAttrs(r.Context(), slog.LevelDebug, "http request",
+				slog.String("route", route), slog.String("method", r.Method), slog.String("path", r.URL.Path),
+				slog.Int("status", sw.status), slog.Float64("elapsed_seconds", elapsed.Seconds()))
+		}
 	}
 }

@@ -15,13 +15,15 @@
 // the server maps to the cancelled state.
 //
 // Job state lives in a pluggable store.JobStore: every lifecycle
-// transition is one store record, and both the envelopes the API serves
-// and each job's event log are materialized from those records. The
-// default memory store reproduces the original in-process behaviour
-// exactly (jobs die with the process); the WAL store journals each
-// transition durably, and New replays interrupted jobs from the journal
-// after a crash — seeded jobs re-run to bit-identical result bytes
-// (DESIGN.md §12).
+// transition is one store record, written in one place (record). The
+// envelopes the API serves and each job's event log are materialized
+// from those records, and the server.jobs_* counters and the job's log
+// lines are derived from them as they are appended. The default
+// memory store reproduces the original in-process behaviour exactly
+// (jobs die with the process); the WAL store journals each transition
+// durably, and New replays interrupted jobs from the journal after a
+// crash — seeded jobs re-run to bit-identical result bytes (DESIGN.md
+// §12).
 package server
 
 import (
@@ -29,6 +31,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"log/slog"
 	"math"
 	"runtime"
 	"sync"
@@ -38,7 +42,6 @@ import (
 	"cdsf/internal/api"
 	"cdsf/internal/cache"
 	"cdsf/internal/events"
-	"cdsf/internal/log"
 	"cdsf/internal/metrics"
 	"cdsf/internal/pmf"
 	"cdsf/internal/store"
@@ -81,11 +84,12 @@ type Options struct {
 	// "cache" block with the job's key and hit counts. Nil disables
 	// caching; envelopes and behaviour are then unchanged.
 	Cache *cache.Cache
-	// Logger emits structured JSON-lines service logs: job lifecycle
-	// transitions at info, per-request lines at debug, failures at
-	// warn/error. Nil disables logging; results and response bodies are
+	// Logger receives the service's structured log: one line per job
+	// lifecycle record (progress at debug, failed at error, the rest at
+	// info), per-request lines at debug, and the few failures no record
+	// carries. Nil disables logging; results and response bodies are
 	// byte-identical either way.
-	Logger *log.Logger
+	Logger *slog.Logger
 	// Store is the job store behind the lifecycle: every transition is
 	// appended to it and envelopes are read back from it. Nil means a
 	// fresh in-memory store (the original non-durable behaviour); cdsfd
@@ -209,6 +213,10 @@ func New(opts Options) *Server {
 	if opts.Store == nil {
 		opts.Store = store.NewMemory()
 	}
+	if opts.Logger == nil {
+		// No record reaches this level, so nothing is ever encoded.
+		opts.Logger = slog.New(slog.NewJSONHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	interrupted := opts.Store.Interrupted()
 	s := &Server{
@@ -248,16 +256,12 @@ func (s *Server) recoverJob(rec store.Job) {
 	if err != nil {
 		s.record(store.Record{Job: id, Type: events.TypeFailed,
 			Detail: fmt.Sprintf("recovery: %v", err)})
-		s.opts.Metrics.Counter("server.jobs_failed").Inc()
-		s.opts.Logger.Error("recovered job failed re-validation",
-			log.F("job", id), log.F("error", err.Error()))
 		return
 	}
 	if spec.cached != nil {
 		// The result tier already holds this job's bytes (an identical
 		// job finished before the crash): complete it at recovery.
 		s.record(cachedDone(id, spec))
-		s.opts.Metrics.Counter("server.jobs_done").Inc()
 		return
 	}
 	j := &job{id: id, kind: spec.kind,
@@ -270,8 +274,6 @@ func (s *Server) recoverJob(rec store.Job) {
 	s.jobs[id] = j
 	s.mu.Unlock()
 	s.queue <- j
-	s.opts.Metrics.Counter("server.jobs_recovered").Inc()
-	s.opts.Logger.Info("job recovered from journal", log.F("job", id), log.F("kind", string(spec.kind)))
 }
 
 // enqueue admits a prepared job: it allocates an id, durably journals
@@ -296,7 +298,7 @@ func (s *Server) enqueue(spec *jobSpec) (api.Job, error) {
 		s.admitMu.Unlock()
 		s.opts.Metrics.Counter("server.jobs_rejected").Inc()
 		s.opts.Logger.Warn("job rejected: queue full",
-			log.F("kind", string(spec.kind)), log.F("queue_depth", len(s.queue)))
+			"kind", string(spec.kind), "queue_depth", len(s.queue))
 		return api.Job{}, errQueueFull
 	}
 	if err := s.accepted(id, spec); err != nil {
@@ -315,9 +317,6 @@ func (s *Server) enqueue(spec *jobSpec) (api.Job, error) {
 	s.admitMu.Unlock()
 
 	s.queueDepth.Set(float64(depth))
-	s.opts.Metrics.Counter("server.jobs_submitted").Inc()
-	s.opts.Logger.Info("job accepted", log.F("job", id),
-		log.F("kind", string(spec.kind)), log.F("queue_depth", depth))
 	env, _, err := s.snapshot(id)
 	return env, err
 }
@@ -343,11 +342,6 @@ func (s *Server) admitCached(spec *jobSpec) (api.Job, error) {
 	if err != nil {
 		return api.Job{}, err
 	}
-	s.opts.Metrics.Counter("server.jobs_submitted").Inc()
-	s.opts.Metrics.Counter("server.jobs_cached").Inc()
-	s.opts.Metrics.Counter("server.jobs_done").Inc()
-	s.opts.Logger.Info("job answered from cache", log.F("job", id),
-		log.F("kind", string(spec.kind)), log.F("key", spec.key.String()))
 	env, _, err := s.snapshot(id)
 	return env, err
 }
@@ -363,7 +357,6 @@ func (s *Server) accepted(id string, spec *jobSpec) error {
 	}
 	err = fmt.Errorf("job store: %w", err)
 	s.record(store.Record{Job: id, Type: events.TypeFailed, Detail: err.Error()})
-	s.opts.Metrics.Counter("server.jobs_failed").Inc()
 	return err
 }
 
@@ -374,17 +367,52 @@ func cachedDone(id string, spec *jobSpec) store.Record {
 		Cache: &api.CacheInfo{Key: spec.key.String(), ResultHit: true}}
 }
 
-// record appends one lifecycle record to the store. A failed append is
-// logged and counted (server.store_errors, which turns /v1/healthz
-// degraded) and returned; the store applies the record whatever the
-// outcome, so the job's served state still advances.
+// record appends one lifecycle record to the store, then derives the
+// transition's job counter and its one log line ("job <type>") from
+// the record alone. A failed append is also logged and counted
+// (server.store_errors, which turns /v1/healthz degraded) and
+// returned; the store applies the record whatever the outcome, so the
+// served state, the counters and the log always agree.
 func (s *Server) record(rec store.Record) error {
 	err := s.store.Append(rec)
 	if err != nil {
 		s.storeErrors.Inc()
-		s.opts.Logger.Error("job store append failed", log.F("job", rec.Job),
-			log.F("type", string(rec.Type)), log.F("error", err.Error()))
+		s.opts.Logger.Error("job store append failed",
+			"job", rec.Job, "type", string(rec.Type), "error", err.Error())
 	}
+	hit := rec.Cache != nil && rec.Cache.ResultHit
+	level := slog.LevelInfo
+	switch rec.Type {
+	case events.TypeAccepted:
+		s.opts.Metrics.Counter("server.jobs_submitted").Inc()
+	case events.TypeProgress:
+		level = slog.LevelDebug
+	case events.TypeDone:
+		s.opts.Metrics.Counter("server.jobs_done").Inc()
+		if hit {
+			s.opts.Metrics.Counter("server.jobs_cached").Inc()
+		}
+	case events.TypeFailed:
+		s.opts.Metrics.Counter("server.jobs_failed").Inc()
+		level = slog.LevelError
+	case events.TypeCancelled, events.TypeDrained:
+		s.opts.Metrics.Counter("server.jobs_cancelled").Inc()
+	}
+	ctx := context.Background()
+	if !s.opts.Logger.Enabled(ctx, level) {
+		return err
+	}
+	attrs := []slog.Attr{slog.String("job", rec.Job)}
+	if rec.Kind != "" {
+		attrs = append(attrs, slog.String("kind", string(rec.Kind)))
+	}
+	if hit {
+		attrs = append(attrs, slog.String("cache_key", rec.Cache.Key))
+	}
+	if rec.Detail != "" {
+		attrs = append(attrs, slog.String("detail", rec.Detail))
+	}
+	s.opts.Logger.LogAttrs(ctx, level, "job "+string(rec.Type), attrs...)
 	return err
 }
 
@@ -420,7 +448,6 @@ func (s *Server) runJob(j *job) {
 	s.inflight.Add(1)
 	s.inflightG.Set(float64(s.inflight.Load()))
 	s.queueDepth.Set(float64(len(s.queue)))
-	s.opts.Logger.Info("job started", log.F("job", j.id), log.F("kind", string(j.kind)))
 	stopSampler := s.startProgressSampler(j)
 
 	var raw []byte
@@ -447,9 +474,6 @@ func (s *Server) runJob(j *job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	done := time.Now().UTC()
-	wall := done.Sub(started)
-	jl := s.opts.Logger.With(log.F("job", j.id), log.F("kind", string(j.kind)),
-		log.F("wall_seconds", wall.Seconds()))
 	delete(s.jobs, j.id)
 	switch {
 	case err == nil:
@@ -462,9 +486,7 @@ func (s *Server) runJob(j *job) {
 			rec.Cache = j.cacheInfo
 		}
 		s.record(rec)
-		s.recordWall(wall)
-		s.opts.Metrics.Counter("server.jobs_done").Inc()
-		jl.Info("job done")
+		s.recordWall(done.Sub(started))
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		// Distinguish a drain (server shutdown) from a client cancel in
 		// the event log: clients watching the stream learn whether to
@@ -474,12 +496,8 @@ func (s *Server) runJob(j *job) {
 			typ = events.TypeDrained
 		}
 		s.record(store.Record{Job: j.id, Type: typ, Detail: err.Error(), Time: done})
-		s.opts.Metrics.Counter("server.jobs_cancelled").Inc()
-		jl.Info("job cancelled", log.F("error", err.Error()), log.F("draining", s.draining.Load()))
 	default:
 		s.record(store.Record{Job: j.id, Type: events.TypeFailed, Detail: err.Error(), Time: done})
-		s.opts.Metrics.Counter("server.jobs_failed").Inc()
-		jl.Error("job failed", log.F("error", err.Error()))
 	}
 }
 
@@ -663,7 +681,7 @@ func (s *Server) cancelJob(id string) (api.Job, bool, error) {
 			s.finalizeCancelledLocked(j, "cancelled while queued", events.TypeCancelled)
 		case api.JobRunning:
 			cancel = j.cancel
-			s.opts.Logger.Info("job cancel requested", log.F("job", id))
+			s.opts.Logger.Info("job cancel requested", "job", id)
 		}
 	}
 	s.mu.Unlock()
@@ -679,8 +697,6 @@ func (s *Server) cancelJob(id string) (api.Job, bool, error) {
 func (s *Server) finalizeCancelledLocked(j *job, why string, typ events.Type) {
 	s.record(store.Record{Job: j.id, Type: typ, Detail: why})
 	delete(s.jobs, j.id)
-	s.opts.Metrics.Counter("server.jobs_cancelled").Inc()
-	s.opts.Logger.Info("job cancelled before start", log.F("job", j.id), log.F("error", why))
 }
 
 // Draining reports whether the server has stopped admitting jobs.
@@ -697,8 +713,8 @@ func (s *Server) Drain(timeout time.Duration) {
 	s.draining.Store(true)
 	s.stopOnce.Do(func() {
 		close(s.stop)
-		s.opts.Logger.Info("draining", log.F("timeout_seconds", timeout.Seconds()),
-			log.F("queue_depth", len(s.queue)), log.F("inflight", s.inflight.Load()))
+		s.opts.Logger.Info("draining", "timeout_seconds", timeout.Seconds(),
+			"queue_depth", len(s.queue), "inflight", s.inflight.Load())
 	})
 	s.drainQueued()
 
@@ -723,7 +739,7 @@ func (s *Server) Drain(timeout time.Duration) {
 	s.drainQueued()
 	s.closeStore.Do(func() {
 		if err := s.store.Close(); err != nil {
-			s.opts.Logger.Error("closing job store", log.F("error", err.Error()))
+			s.opts.Logger.Error("closing job store", "error", err.Error())
 		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -15,7 +16,6 @@ import (
 	"cdsf/internal/api"
 	"cdsf/internal/cache"
 	"cdsf/internal/events"
-	"cdsf/internal/log"
 	"cdsf/internal/metrics"
 	"cdsf/internal/store"
 )
@@ -160,8 +160,8 @@ func TestServerRecoversInterruptedJobs(t *testing.T) {
 	if want := solveReference(t, req); string(done.Result) != string(want) {
 		t.Errorf("recovered result differs from uninterrupted run:\n%s\nvs\n%s", done.Result, want)
 	}
-	if reg.Counter("server.jobs_recovered").Value() != 1 {
-		t.Errorf("jobs_recovered = %d, want 1", reg.Counter("server.jobs_recovered").Value())
+	if n := w2.Stats().RecoveredJobs; n != 1 {
+		t.Errorf("store recovered %d jobs, want 1", n)
 	}
 }
 
@@ -259,7 +259,7 @@ func TestStoreAppendFailureDegradesHealth(t *testing.T) {
 	var logBuf syncBuffer
 	reg := metrics.NewRegistry()
 	fs := newFaultStore(events.TypeDone)
-	s, ts := newTestServer(t, Options{Store: fs, Metrics: reg, Logger: log.New(&logBuf, log.Options{})})
+	s, ts := newTestServer(t, Options{Store: fs, Metrics: reg, Logger: slog.New(slog.NewJSONHandler(&logBuf, nil))})
 	var h api.Health
 	if getInto(t, ts.URL+"/v1/healthz", &h); h.Status != "ok" {
 		t.Fatalf("healthz before any failure: %q", h.Status)
@@ -284,7 +284,7 @@ func TestStoreAppendFailureDegradesHealth(t *testing.T) {
 			}
 		}
 	}
-	if line["level"] != "error" || line["job"] != j.ID || line["type"] != "done" || line["error"] != errInjected.Error() {
+	if line["level"] != "ERROR" || line["job"] != j.ID || line["type"] != "done" || line["error"] != errInjected.Error() {
 		t.Errorf("store failure log line %v, want level error with job, type and error", line)
 	}
 

@@ -143,7 +143,7 @@ func fluidBound(t *testing.T, cfg *Config, interval float64, res *Result) float6
 	// then fails the assertion instead of querying backwards.
 	rebuild := func() []availability.Process {
 		availRng, _ := streams(cfg.Seed)
-		if gr, ok := availability.AsGroupScoped(cfg.Avail); ok {
+		if gr, ok := cfg.Avail.(availability.GroupScoped); ok {
 			gr.ResetGroup()
 		}
 		procs := make([]availability.Process, cfg.Workers)

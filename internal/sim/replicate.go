@@ -6,12 +6,11 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"cdsf/internal/availability"
 	"cdsf/internal/dls"
 	"cdsf/internal/pmf"
+	"cdsf/internal/pool"
 	"cdsf/internal/rng"
 	"cdsf/internal/stats"
 )
@@ -230,10 +229,19 @@ func RunArmsContext(ctx context.Context, cfg Config, arms []Arm, reps int) ([]*S
 	}
 	errs := make([]error, reps)
 	share := len(arms) > 1 && sharedCostsFit(&cfg)
-	runRep := func(i int, buf []float64) []float64 {
+	// A group-scoped model's shared state would race across concurrent
+	// repetitions, and below four repetitions a pool costs more than it
+	// saves.
+	workers := runtime.GOMAXPROCS(0)
+	if _, groupScoped := cfg.Avail.(availability.GroupScoped); groupScoped || reps < 4 {
+		workers = 1
+	}
+	// bufs[w] is worker w's shared cost vector, refilled per repetition.
+	bufs := make([][]float64, workers)
+	if err := pool.ForEach(ctx, workers, reps, func(w, i int) {
 		if share {
 			_, work := streams(runSeeds[i])
-			buf = fillCosts(&cfg, work, buf)
+			bufs[w] = fillCosts(&cfg, work, bufs[w])
 		}
 		for a, arm := range arms {
 			c := cfg
@@ -243,7 +251,7 @@ func RunArmsContext(ctx context.Context, cfg Config, arms []Arm, reps int) ([]*S
 			c.CollectChunks = false
 			c.Releases = nil
 			if share {
-				c.costs = buf
+				c.costs = bufs[w]
 			}
 			if arm.Releases != nil {
 				// Per-repetition release gate of a DAG batch: repetition i
@@ -265,40 +273,7 @@ func RunArmsContext(ctx context.Context, cfg Config, arms []Arm, reps int) ([]*S
 			}
 			results[a][i] = r
 		}
-		return buf
-	}
-
-	_, groupScoped := availability.AsGroupScoped(cfg.Avail)
-	workers := runtime.GOMAXPROCS(0)
-	if groupScoped || workers <= 1 || reps < 4 {
-		var buf []float64
-		for i := 0; i < reps && ctx.Err() == nil; i++ {
-			buf = runRep(i, buf)
-		}
-	} else {
-		if workers > reps {
-			workers = reps
-		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				var buf []float64
-				for ctx.Err() == nil {
-					i := int(next.Add(1)) - 1
-					if i >= reps {
-						return
-					}
-					buf = runRep(i, buf)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-
-	if err := ctx.Err(); err != nil {
+	}); err != nil {
 		done := 0
 		for i := 0; i < reps; i++ {
 			if errs[i] == nil && results[len(arms)-1][i] != nil {

@@ -8,7 +8,6 @@ import (
 	"cdsf/internal/availability"
 	"cdsf/internal/metrics"
 	"cdsf/internal/pmf"
-	"cdsf/internal/rng"
 	"cdsf/internal/stats"
 )
 
@@ -93,52 +92,6 @@ func TestAppendInvalidatesAfterTruncateRefill(t *testing.T) {
 	s.Append(7, 8, 9000)
 	if got := s.Quantile(0.5); got != 8 {
 		t.Errorf("median after second refill = %v, want 8", got)
-	}
-}
-
-// wrappedModel hides an inner model behind a decorator that only
-// exposes it via Unwrap — the shape that defeated the old anonymous
-// interface assertion in RunMany.
-type wrappedModel struct{ inner availability.Model }
-
-func (w wrappedModel) NewProcess(r *rng.Source) availability.Process {
-	return w.inner.NewProcess(r)
-}
-func (w wrappedModel) Name() string               { return "wrapped(" + w.inner.Name() + ")" }
-func (w wrappedModel) Unwrap() availability.Model { return w.inner }
-
-// TestRunManyWrappedSharedLoadSequential is the regression test for the
-// group-scoped detection fix: a SharedLoad hidden behind a wrapper must
-// still force sequential execution. Under -race the old behaviour
-// (parallel repetitions mutating the shared chain) is reported as a
-// data race; without -race the test still verifies the wrapped run
-// matches the direct run exactly.
-func TestRunManyWrappedSharedLoadSequential(t *testing.T) {
-	load, err := pmf.FromPairs([]float64{0.4, 0.6, 0.8, 1.0}, []float64{0.25, 0.25, 0.25, 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mkShared := func() *availability.SharedLoad {
-		return &availability.SharedLoad{
-			Shared: load, Idio: load, Mix: 1, Interval: 5, Persistence: 0.5,
-		}
-	}
-	cfg := replCfg(t)
-	const reps = 16
-
-	cfg.Avail = mkShared()
-	direct, err := RunManyContext(context.Background(), cfg, reps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Avail = wrappedModel{inner: mkShared()}
-	wrapped, err := RunManyContext(context.Background(), cfg, reps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(direct.Makespans, wrapped.Makespans) {
-		t.Errorf("wrapped SharedLoad diverged from direct run:\n%v\nvs\n%v",
-			direct.Makespans, wrapped.Makespans)
 	}
 }
 

@@ -56,12 +56,10 @@ type Config struct {
 	Avail availability.Model
 	// Technique schedules the parallel loop.
 	Technique dls.Technique
-	// Weights are optional a-priori worker weights handed to the
-	// technique (used by WF and as the AWF starting point).
-	Weights []float64
-	// WeightsFromAvail, when true and Weights is nil, derives the
-	// a-priori weights from each worker's availability at time zero —
-	// the "known current load" assumption behind weighted factoring in
+	// WeightsFromAvail, when true, derives the a-priori worker weights
+	// handed to the technique (used by WF and as the AWF starting
+	// point) from each worker's availability at time zero — the "known
+	// current load" assumption behind weighted factoring in
 	// non-dedicated systems.
 	WeightsFromAvail bool
 	// BestMaster, when true, runs the serial phase on the worker with
@@ -396,9 +394,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 
 	// Group-scoped availability models (e.g. availability.SharedLoad)
 	// reset their shared state per run so repetitions stay independent.
-	// Detection follows the Wrapper chain, so decorated models keep the
-	// contract.
-	if gr, ok := availability.AsGroupScoped(cfg.Avail); ok {
+	if gr, ok := cfg.Avail.(availability.GroupScoped); ok {
 		gr.ResetGroup()
 	}
 	procs := make([]availability.Process, cfg.Workers)
@@ -406,8 +402,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		procs[i] = cfg.Avail.NewProcess(availRng)
 	}
 
-	weights := cfg.Weights
-	if weights == nil && cfg.WeightsFromAvail {
+	var weights []float64
+	if cfg.WeightsFromAvail {
 		weights = make([]float64, cfg.Workers)
 		for i, p := range procs {
 			weights[i] = p.At(cfg.Release)

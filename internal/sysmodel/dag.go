@@ -20,13 +20,19 @@ package sysmodel
 // classical PERT approximation; the Stage-II simulator provides the
 // exact Monte-Carlo counterpart.
 //
-// phi_1 over a DAG is Pr(every application finishes by the deadline).
-// Because C_i is monotone along edges (execution times are strictly
-// positive), the event {all C_i <= Delta} equals {C_s <= Delta for
-// every sink s}, so phi_1 is the product of the sink probabilities
-// under the same independence approximation. An edge-free batch makes
-// every application a sink and recovers the paper's independent
-// product exactly.
+// phi_1 over a DAG estimates Pr(every application finishes by the
+// deadline). Because C_i is monotone along edges (execution times are
+// strictly positive), the event {all C_i <= Delta} equals {C_s <=
+// Delta for every sink s}, and phi_1 is the product of the sink
+// probabilities, which assumes the sinks independent too. Every C_i is
+// a nondecreasing function of independent inputs (the execution times
+// and the inverse availabilities), so by Harris's inequality the
+// events {C <= t} are positively correlated: the true Pr(max <= t) is
+// at least the product PERT's max computes, and Pr(all sinks <= Delta)
+// is at least the product over sinks. Each step errs low, so on a DAG
+// phi_1 is a lower bound on the joint probability, up to compaction
+// error. An edge-free batch makes every application a sink and
+// recovers the paper's independent product exactly.
 
 import (
 	"fmt"

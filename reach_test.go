@@ -29,7 +29,6 @@ var reachAllowed = map[string]string{
 	"internal/experiments.SampledBatch":                `EXPERIMENTS.md "Table V" note (TestSampledBatchAgreesWithDiscretized)`,
 	"internal/experiments.PaperPhi1":                   "the paper's published phi_1, compared in TestPaperTableVAndPhi1",
 	"internal/experiments.PaperDecreases":              "Table I's published availability decreases, compared in TestPaperTableI",
-	"internal/pmf.FromPairs":                           "test helper: builds the PMFs TestRunManyWrappedSharedLoadSequential simulates",
 	"internal/pmf.Grid.ToPMF":                          "test helper: the grid tests compare grid results against the sparse reference",
 	"internal/tracing.New":                             "test helper: the span tests of ra, sim, core and server record into it",
 	"internal/dls.af.Remaining":                        "TestAllTechniquesScheduleEveryIteration (internal/dls) checks the drain invariant",
