@@ -1,6 +1,9 @@
 # Standard development targets for the CDSF reproduction.
 #
-#   make check   default: build + vet + test + race + cover in one gate
+#   make check   default: build + vet + test + race + cover in one gate,
+#                then the Stage-II drill-down once (bench-stage2 at
+#                BENCHTIME=1x), so a Stage-II benchmark that stops
+#                compiling or fails its own sanity check fails the gate
 #   make build   compile every package and command
 #   make vet     run go vet across the module
 #   make test    run the full test suite
@@ -23,7 +26,8 @@
 #                every registered heuristic on the paper instance and
 #                the exhaustive search from 1 application to 10x48
 #   make bench-stage2  the Stage-II drill-down under the paper-scenario
-#                row: the paper's scenario 4 (Figure 6) and one
+#                row: the paper's scenario 4 (Figure 6), one of its
+#                cells (application 3, case 1, 60 repetitions) and one
 #                simulated run per DLS technique
 #   make bench-cache  refresh the solve-cache comparison behind
 #                BENCH_CACHE.json (result-tier replay, warm tables,
@@ -55,12 +59,16 @@ COVER_FLOOR ?= 85
 # Packages held to the coverage floor.
 COVER_PKGS ?= ./internal/tracing ./internal/metrics ./internal/runner ./internal/api ./internal/server ./internal/pmf ./internal/cache ./internal/events ./internal/store ./internal/sim ./internal/dls ./internal/sysmodel ./internal/ra ./internal/robustness
 
+# -benchtime of `make bench-stage2`; `make check` runs it at 1x.
+BENCHTIME ?= 1s
+
 # Listen address for `make serve`.
 SERVE_ADDR ?= 127.0.0.1:8080
 
 .PHONY: check build vet test race cover bench bench-pmf bench-stage1 bench-stage2 bench-cache bench-e2e fuzz serve smoke-sse smoke-dag test-e2ebench
 
 check: build vet test race cover test-e2ebench smoke-dag
+	$(MAKE) bench-stage2 BENCHTIME=1x
 
 build:
 	$(GO) build ./...
@@ -106,10 +114,11 @@ bench-stage1:
 
 # The Stage-II drill-down under the paper-scenario row of the end-to-end
 # benchmark: scenario 4 over the paper's four availability cases
-# (Figure6) and one simulated run of the paper's application 3 per DLS
-# technique (DLSTechnique).
+# (Figure6), its application-3 case-1 cell at 60 repetitions
+# (StageIICell) and one simulated run of the paper's application 3 per
+# DLS technique (DLSTechnique).
 bench-stage2:
-	$(GO) test -run=xxx -bench 'BenchmarkFigure6|BenchmarkDLSTechnique' -benchmem .
+	$(GO) test -run=xxx -bench 'BenchmarkFigure6|BenchmarkStageIICell|BenchmarkDLSTechnique' -benchmem -benchtime=$(BENCHTIME) .
 
 # The raw numbers feeding BENCH_CACHE.json: result-tier replay at the
 # service layer (cold solve vs byte-identical repeat), warm evaluation

@@ -25,6 +25,7 @@ import (
 	"cdsf/internal/batch"
 	"cdsf/internal/cache"
 	"cdsf/internal/config"
+	"cdsf/internal/core"
 	"cdsf/internal/dls"
 	"cdsf/internal/experiments"
 	"cdsf/internal/pmf"
@@ -176,6 +177,52 @@ func BenchmarkDLSTechnique(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkStageIICell is one Stage-II cell of the paper scenario as
+// core runs it (DefaultStageII): application 3 on its robust allocation
+// (8 processors of type 2) under case 1 availability, the robust set
+// {FAC, WF, AWF-B, AF} on shared draws for 60 repetitions. Scenario 4
+// meets the deadline in case 1, so every technique's mean makespan
+// must.
+func BenchmarkStageIICell(b *testing.B) {
+	f := experiments.Framework()
+	as := experiments.PaperRobustAllocation()[2]
+	app := f.Batch[2]
+	stage2 := core.DefaultStageII(f.Deadline, 0)
+	iterMean := app.ExecTime[as.Type].Mean() / float64(app.TotalIters())
+	cfg := sim.Config{
+		SerialIters:   app.SerialIters,
+		ParallelIters: app.ParallelIters,
+		Workers:       as.Procs,
+		IterTime: stats.Truncated{
+			Dist: stats.NewNormal(iterMean, stage2.IterCV*iterMean),
+			Lo:   iterMean * 1e-3,
+			Hi:   iterMean * 1e3,
+		},
+		Avail:            stage2.Model(experiments.Cases()[0].Avail[as.Type]),
+		Overhead:         stage2.Overhead,
+		WeightsFromAvail: true,
+		BestMaster:       true,
+	}
+	var arms []sim.Arm
+	for _, t := range core.RobustRAS() {
+		arms = append(arms, sim.Arm{Technique: t})
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cfg.Seed = uint64(i)
+		samples, err := sim.RunArmsContext(context.Background(), cfg, arms, stage2.Reps)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for a, s := range samples {
+			if len(s.Makespans) != stage2.Reps || !(s.Mean() > 0 && s.Mean() <= f.Deadline) {
+				b.Fatalf("%s: %d makespans of mean %v, want %d within the deadline %v",
+					arms[a].Technique.Name, len(s.Makespans), s.Mean(), stage2.Reps, f.Deadline)
+			}
+		}
 	}
 }
 

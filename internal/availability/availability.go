@@ -22,7 +22,9 @@
 // Process per processor. A Process answers two questions the simulator
 // asks: what is the availability now, and how long does it take to
 // complete a given amount of work starting now (integrating availability
-// over time).
+// over time). Processes builds a whole group's processes at once and
+// reuses the ones a previous run left, which is how the simulator keeps
+// its repetitions free of allocation.
 package availability
 
 import (
@@ -69,6 +71,43 @@ type GroupScoped interface {
 	ResetGroup()
 }
 
+// Processes sets ps to the processes len(ps) successive
+// m.NewProcess(r) calls return, drawing the same values from r. A
+// Static, Redraw or Markov process that a previous call left in ps is
+// rebuilt in place rather than allocated again, so a simulator that
+// runs many repetitions of one group builds its processes once. A
+// GroupScoped model's caller resets the group first, as it would before
+// calling NewProcess.
+func Processes(m Model, r *rng.Source, ps []Process) {
+	for i := range ps {
+		switch m := m.(type) {
+		case Static:
+			p, ok := ps[i].(*constProcess)
+			if !ok {
+				p = new(constProcess)
+				ps[i] = p
+			}
+			p.reset(m, r)
+		case Redraw:
+			p, ok := ps[i].(*redrawProcess)
+			if !ok {
+				p = new(redrawProcess)
+				ps[i] = p
+			}
+			p.reset(m, r)
+		case Markov:
+			p, ok := ps[i].(*markovProcess)
+			if !ok {
+				p = new(markovProcess)
+				ps[i] = p
+			}
+			p.reset(m, r)
+		default:
+			ps[i] = m.NewProcess(r)
+		}
+	}
+}
+
 // ---------------------------------------------------------------------
 // Static model
 
@@ -80,13 +119,18 @@ type Static struct {
 
 // NewProcess draws the constant availability.
 func (m Static) NewProcess(r *rng.Source) Process {
-	return constProcess(m.PMF.Sample(r))
+	p := new(constProcess)
+	p.reset(m, r)
+	return p
 }
 
 // Name returns "static".
 func (m Static) Name() string { return "static" }
 
 type constProcess float64
+
+// reset makes *p the process m.NewProcess(r) returns.
+func (p *constProcess) reset(m Static, r *rng.Source) { *p = constProcess(m.PMF.Sample(r)) }
 
 func (c constProcess) At(float64) float64 { return float64(c) }
 
@@ -108,16 +152,9 @@ type Redraw struct {
 
 // NewProcess returns an independent re-drawing process.
 func (m Redraw) NewProcess(r *rng.Source) Process {
-	if m.Interval <= 0 {
-		panic(fmt.Sprintf("availability: redraw interval %v not positive", m.Interval))
-	}
-	return &redrawProcess{
-		sampler:  m.PMF.Sampler(),
-		interval: m.Interval,
-		r:        r.Split(),
-		cur:      -1,
-		epoch:    -1,
-	}
+	p := new(redrawProcess)
+	p.reset(m, r)
+	return p
 }
 
 // Name returns "redraw".
@@ -126,9 +163,18 @@ func (m Redraw) Name() string { return fmt.Sprintf("redraw(%g)", m.Interval) }
 type redrawProcess struct {
 	sampler  *pmf.Sampler
 	interval float64
-	r        *rng.Source
+	r        rng.Source
 	epoch    int64 // index of the epoch cur belongs to; -1 before first use
 	cur      float64
+}
+
+// reset makes p the process m.NewProcess(r) returns.
+func (p *redrawProcess) reset(m Redraw, r *rng.Source) {
+	if m.Interval <= 0 {
+		panic(fmt.Sprintf("availability: redraw interval %v not positive", m.Interval))
+	}
+	*p = redrawProcess{sampler: m.PMF.Sampler(), interval: m.Interval, cur: -1, epoch: -1}
+	p.r.Seed(r.Uint64())
 }
 
 func (p *redrawProcess) avail(epoch int64) float64 {
@@ -141,7 +187,7 @@ func (p *redrawProcess) avail(epoch int64) float64 {
 		// Skip forward, drawing once per epoch so two processes with the
 		// same seed but different query patterns stay identical.
 		for p.epoch < epoch {
-			p.cur = p.sampler.Sample(p.r)
+			p.cur = p.sampler.Sample(&p.r)
 			p.epoch++
 		}
 	}
@@ -179,6 +225,10 @@ func (p *redrawProcess) FinishTime(t, work float64) float64 {
 // Persistence and otherwise jumps to a state drawn from the PMF. The
 // stationary distribution is exactly the PMF, while Persistence controls
 // burst length (0 reduces to Redraw).
+//
+// NewMarkov builds the PMF's alias sampler once and shares it with every
+// process of the model; a Markov literal works too, but each of its
+// processes builds its own sampler.
 type Markov struct {
 	PMF pmf.PMF
 	// Interval is the chain step length; it must be positive.
@@ -186,27 +236,25 @@ type Markov struct {
 	// Persistence in [0, 1) is the probability of keeping the current
 	// state at each step.
 	Persistence float64
+
+	// sampler is NewMarkov's sampler over PMF; nil in a literal.
+	sampler *pmf.Sampler
+}
+
+// NewMarkov returns the Markov model over p with its alias sampler
+// built once. The sampler is read-only, so processes of one model may
+// run on concurrent goroutines; a model whose PMF field is reassigned
+// afterwards keeps sampling the old PMF.
+func NewMarkov(p pmf.PMF, interval, persistence float64) Markov {
+	return Markov{PMF: p, Interval: interval, Persistence: persistence, sampler: p.Sampler()}
 }
 
 // NewProcess returns an independent chain started from the stationary
 // distribution.
 func (m Markov) NewProcess(r *rng.Source) Process {
-	if m.Interval <= 0 {
-		panic(fmt.Sprintf("availability: markov interval %v not positive", m.Interval))
-	}
-	if m.Persistence < 0 || m.Persistence >= 1 {
-		panic(fmt.Sprintf("availability: markov persistence %v outside [0,1)", m.Persistence))
-	}
-	src := r.Split()
-	sampler := m.PMF.Sampler()
-	return &markovProcess{
-		sampler:     sampler,
-		interval:    m.Interval,
-		persistence: m.Persistence,
-		r:           src,
-		epoch:       0,
-		cur:         sampler.Sample(src),
-	}
+	p := new(markovProcess)
+	p.reset(m, r)
+	return p
 }
 
 // Name returns "markov".
@@ -218,9 +266,27 @@ type markovProcess struct {
 	sampler     *pmf.Sampler
 	interval    float64
 	persistence float64
-	r           *rng.Source
+	r           rng.Source
 	epoch       int64
 	cur         float64
+}
+
+// reset makes p the process m.NewProcess(r) returns: a chain on its own
+// stream split from r, started from a stationary draw.
+func (p *markovProcess) reset(m Markov, r *rng.Source) {
+	if m.Interval <= 0 {
+		panic(fmt.Sprintf("availability: markov interval %v not positive", m.Interval))
+	}
+	if m.Persistence < 0 || m.Persistence >= 1 {
+		panic(fmt.Sprintf("availability: markov persistence %v outside [0,1)", m.Persistence))
+	}
+	sampler := m.sampler
+	if sampler == nil {
+		sampler = m.PMF.Sampler()
+	}
+	*p = markovProcess{sampler: sampler, interval: m.Interval, persistence: m.Persistence}
+	p.r.Seed(r.Uint64())
+	p.cur = sampler.Sample(&p.r)
 }
 
 func (p *markovProcess) avail(epoch int64) float64 {
@@ -229,7 +295,7 @@ func (p *markovProcess) avail(epoch int64) float64 {
 	}
 	for p.epoch < epoch {
 		if p.r.Float64() >= p.persistence {
-			p.cur = p.sampler.Sample(p.r)
+			p.cur = p.sampler.Sample(&p.r)
 		}
 		p.epoch++
 	}

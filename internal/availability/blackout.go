@@ -37,13 +37,14 @@ func (m Blackout) NewProcess(r *rng.Source) Process {
 	if m.Interval <= 0 {
 		panic(fmt.Sprintf("availability: blackout interval %v not positive", m.Interval))
 	}
-	return &blackoutProcess{
+	p := &blackoutProcess{
 		base:     m.Base.NewProcess(r),
-		r:        r.Split(),
 		prob:     m.Prob,
 		interval: m.Interval,
 		epoch:    -1,
 	}
+	p.r.Seed(r.Uint64())
+	return p
 }
 
 // Name identifies the model in reports.
@@ -53,7 +54,7 @@ func (m Blackout) Name() string {
 
 type blackoutProcess struct {
 	base     Process
-	r        *rng.Source
+	r        rng.Source
 	prob     float64
 	interval float64
 	epoch    int64

@@ -58,15 +58,8 @@ func (m *SharedLoad) NewProcess(r *rng.Source) Process {
 		panic(fmt.Sprintf("availability: shared-load persistence %v outside [0,1)", m.Persistence))
 	}
 	if m.shared == nil {
-		src := r.Split()
-		sampler := m.Shared.Sampler()
-		m.shared = &sharedChain{chain: markovProcess{
-			sampler:     sampler,
-			interval:    m.Interval,
-			persistence: m.Persistence,
-			r:           src,
-			cur:         sampler.Sample(src),
-		}}
+		m.shared = new(sharedChain)
+		m.shared.chain.reset(Markov{PMF: m.Shared, Interval: m.Interval, Persistence: m.Persistence}, r)
 	}
 	idio := Markov{PMF: m.Idio, Interval: m.Interval, Persistence: m.Persistence}.
 		NewProcess(r).(*markovProcess)

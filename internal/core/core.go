@@ -158,7 +158,7 @@ func DefaultStageII(deadline float64, seed uint64) StageIIConfig {
 		Overhead: 1,
 		IterCV:   0.3,
 		Model: func(p pmf.PMF) availability.Model {
-			return availability.Markov{PMF: p, Interval: deadline / 4, Persistence: 0.5}
+			return availability.NewMarkov(p, deadline/4, 0.5)
 		},
 		Seed: seed,
 	}

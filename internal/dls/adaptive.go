@@ -2,6 +2,7 @@ package dls
 
 import (
 	"math"
+	"math/bits"
 )
 
 // This file implements the adaptive techniques: the adaptive weighted
@@ -74,18 +75,18 @@ func (p *perfTracker) observe(w, size int, elapsed float64) {
 	p.iters[w] += size
 }
 
-// weights returns execution-rate-proportional weights normalized to sum
-// to the worker count. Workers without measurements receive the mean
-// measured rate (or 1 if nothing is measured yet), so early batches stay
-// close to equal shares.
-func (p *perfTracker) weights() []float64 {
+// weights sets w, one slot per worker, to execution-rate-proportional
+// weights normalized to sum to the worker count. Workers without
+// measurements receive the mean measured rate (or 1 if nothing is
+// measured yet), so early batches stay close to equal shares.
+func (p *perfTracker) weights(w []float64) {
 	n := len(p.time)
-	rates := make([]float64, n)
 	sum, measured := 0.0, 0
-	for i := range rates {
+	for i := range w {
+		w[i] = 0
 		if p.iters[i] > 0 && p.time[i] > 0 {
-			rates[i] = float64(p.iters[i]) / p.time[i]
-			sum += rates[i]
+			w[i] = float64(p.iters[i]) / p.time[i]
+			sum += w[i]
 			measured++
 		}
 	}
@@ -94,17 +95,15 @@ func (p *perfTracker) weights() []float64 {
 		fallback = sum / float64(measured)
 	}
 	total := 0.0
-	for i := range rates {
-		if rates[i] == 0 {
-			rates[i] = fallback
+	for i := range w {
+		if w[i] == 0 {
+			w[i] = fallback
 		}
-		total += rates[i]
+		total += w[i]
 	}
-	w := make([]float64, n)
-	for i := range rates {
-		w[i] = rates[i] * float64(n) / total
+	for i := range w {
+		w[i] = w[i] * float64(n) / total
 	}
-	return w
 }
 
 // measured reports whether any worker has reported a chunk.
@@ -146,7 +145,7 @@ func newAWF(s Setup, perBatch bool, overhead float64) (Scheduler, error) {
 
 func (a *awf) Next(worker int) int {
 	if a.perBatch && a.b.batchLeft <= 0 && a.b.remaining > 0 && a.perf.measured() {
-		a.weights = a.perf.weights()
+		a.perf.weights(a.weights)
 	}
 	return a.wf.Next(worker)
 }
@@ -154,7 +153,7 @@ func (a *awf) Next(worker int) int {
 func (a *awf) Report(w, size int, elapsed float64) {
 	a.perf.observe(w, size, elapsed+a.overhead)
 	if !a.perBatch {
-		a.weights = a.perf.weights()
+		a.perf.weights(a.weights)
 	}
 }
 
@@ -186,34 +185,39 @@ func (a *awfTimestep) Report(w, size int, elapsed float64) {
 // measured so far and re-arm the iteration space.
 func (a *awfTimestep) EndStep() {
 	if a.perf.measured() {
-		a.weights = a.perf.weights()
+		a.perf.weights(a.weights)
 	}
 	a.b = batcher{remaining: a.iterations, workers: a.b.workers}
 }
 
 // afChunk is one completed chunk's measurement: size and mean
-// per-iteration time.
+// per-iteration time, and the log index of the same worker's next
+// chunk (-1 for its latest).
 type afChunk struct {
-	k int
-	m float64
+	k    int
+	m    float64
+	next int
 }
 
-// afMoments is one worker's per-iteration (mu, sigma^2) estimate;
-// ok is false until the worker has reported a chunk.
-type afMoments struct {
-	mu, varc float64
-	ok       bool
+// afWorker is what AF keeps of one worker's completed chunks: the log
+// indices of its first and latest, their count, the running sums of k
+// and k·m over them in report order, and the per-iteration (mu,
+// sigma^2) estimate workerMoments makes of them.
+type afWorker struct {
+	first, last, n int
+	sumK, sumKM    float64
+	mu, varc       float64
 }
 
 // af implements adaptive factoring.
 type af struct {
 	remaining int
 	workers   int
-	chunks    [][]afChunk // per-worker completed-chunk measurements
-	est       []afMoments // workerMoments of each worker, refreshed in Report
-	mu, varc  []float64   // moments' result, reused by every Next
-	bootstrap int         // base chunk used before a worker has estimates
-	weights   []float64   // a-priori weights scaling the bootstrap chunks
+	log       []afChunk  // every worker's completed chunks in one backing array, in report order
+	ws        []afWorker // per-worker chunk links, sums and estimates, refreshed in Report
+	mu, varc  []float64  // moments' result, reused by every Next
+	bootstrap int        // base chunk used before a worker has estimates
+	weights   []float64  // a-priori weights scaling the bootstrap chunks
 }
 
 func newAF(s Setup) (Scheduler, error) {
@@ -224,11 +228,15 @@ func newAF(s Setup) (Scheduler, error) {
 	if boot < 1 {
 		boot = 1
 	}
+	// AF's chunks shrink about as factoring's batches do, so a worker
+	// reports about two per halving of its share of the loop: the log
+	// starts with room for that and grows by append past it.
+	logCap := min(s.Iterations, 2*s.Workers*bits.Len(uint(ceilDiv(s.Iterations, s.Workers))))
 	return &af{
 		remaining: s.Iterations,
 		workers:   s.Workers,
-		chunks:    make([][]afChunk, s.Workers),
-		est:       make([]afMoments, s.Workers),
+		log:       make([]afChunk, 0, logCap),
+		ws:        make([]afWorker, s.Workers),
 		mu:        make([]float64, s.Workers),
 		varc:      make([]float64, s.Workers),
 		bootstrap: boot,
@@ -246,35 +254,27 @@ func (a *af) bootChunk(worker int) int {
 
 func (a *af) Remaining() int { return a.remaining }
 
-// workerMoments estimates worker w's per-iteration mean and variance
+// workerMoments estimates a worker's per-iteration mean and variance
 // from its completed chunks. The mean is the iteration-weighted average
 // of the chunk means. Because a chunk of k iterations only exposes its
 // mean m (distributed with variance sigma^2/k), the per-iteration
 // variance is recovered as the chunk-count average of k*(m - mu)^2,
 // which is unbiased for i.i.d. iteration times.
-func (a *af) workerMoments(w int) (mu, varc float64, ok bool) {
-	cs := a.chunks[w]
-	if len(cs) == 0 {
-		return 0, 0, false
-	}
-	sumK, sumKM := 0.0, 0.0
-	for _, c := range cs {
-		sumK += float64(c.k)
-		sumKM += float64(c.k) * c.m
-	}
-	mu = sumKM / sumK
-	if len(cs) == 1 {
+func (a *af) workerMoments(ws *afWorker) (mu, varc float64) {
+	mu = ws.sumKM / ws.sumK
+	if ws.n == 1 {
 		// A single chunk cannot expose spread; assume a conservative
 		// 10% coefficient of variation until a second measurement lands.
 		sd := 0.1 * mu
-		return mu, sd * sd, true
+		return mu, sd * sd
 	}
 	s := 0.0
-	for _, c := range cs {
+	for i := ws.first; i >= 0; i = a.log[i].next {
+		c := &a.log[i]
 		d := c.m - mu
 		s += float64(c.k) * d * d
 	}
-	return mu, s / float64(len(cs)-1), true
+	return mu, s / float64(ws.n-1)
 }
 
 // moments returns the current (mu, sigma^2) estimates for all workers,
@@ -283,8 +283,8 @@ func (a *af) workerMoments(w int) (mu, varc float64, ok bool) {
 func (a *af) moments() (mu, varc []float64, haveAny bool) {
 	mu, varc = a.mu, a.varc
 	sumMu, sumVar, measured := 0.0, 0.0, 0
-	for i, e := range a.est {
-		if e.ok {
+	for i := range a.ws {
+		if e := &a.ws[i]; e.n > 0 {
 			mu[i], varc[i] = e.mu, e.varc
 			sumMu += e.mu
 			sumVar += e.varc
@@ -295,8 +295,8 @@ func (a *af) moments() (mu, varc []float64, haveAny bool) {
 		return mu, varc, false
 	}
 	mMu, mVar := sumMu/float64(measured), sumVar/float64(measured)
-	for i, e := range a.est {
-		if !e.ok {
+	for i := range a.ws {
+		if a.ws[i].n == 0 {
 			mu[i], varc[i] = mMu, mVar
 		}
 	}
@@ -350,7 +350,17 @@ func (a *af) Report(w, size int, elapsed float64) {
 	if size <= 0 || elapsed <= 0 {
 		return
 	}
-	a.chunks[w] = append(a.chunks[w], afChunk{k: size, m: elapsed / float64(size)})
-	e := &a.est[w]
-	e.mu, e.varc, e.ok = a.workerMoments(w)
+	c := afChunk{k: size, m: elapsed / float64(size), next: -1}
+	ws := &a.ws[w]
+	if ws.n == 0 {
+		ws.first = len(a.log)
+	} else {
+		a.log[ws.last].next = len(a.log)
+	}
+	ws.last = len(a.log)
+	a.log = append(a.log, c)
+	ws.n++
+	ws.sumK += float64(c.k)
+	ws.sumKM += float64(c.k) * c.m
+	ws.mu, ws.varc = a.workerMoments(ws)
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+	"sync"
 
 	"cdsf/internal/api"
 	"cdsf/internal/cache"
@@ -113,13 +114,21 @@ type problem struct {
 	echo     json.RawMessage
 }
 
+// paperProblem is the embedded paper example with the paper's four
+// availability cases, built once per process. Requests share its model
+// objects read-only: nothing mutates a System, a Batch or a case list
+// (System.WithAvailability copies).
+var paperProblem = sync.OnceValue(func() problem {
+	f := experiments.Framework()
+	return problem{sys: f.Sys, batch: f.Batch, deadline: f.Deadline, cases: experiments.Cases()}
+})
+
 // resolveProblem builds the model objects for a request. A nil instance
-// means the embedded paper example with the paper's four availability
-// cases; an instance without declared cases gets core.FallbackCases,
-// exactly like the cdsf CLI. Non-empty request edges (v1.1) override
-// the instance's own and become part of the canonical echo, so the
-// result document and the cache identity both carry the effective
-// topology.
+// means the embedded paper example (paperProblem); an instance without
+// declared cases gets core.FallbackCases, exactly like the cdsf CLI.
+// Non-empty request edges (v1.1) override the instance's own and become
+// part of the canonical echo, so the result document and the cache
+// identity both carry the effective topology.
 func resolveProblem(inst *config.Instance, edges []config.EdgeSpec) (*problem, error) {
 	if inst != nil && len(edges) > 0 {
 		clone := *inst
@@ -127,8 +136,7 @@ func resolveProblem(inst *config.Instance, edges []config.EdgeSpec) (*problem, e
 		inst = &clone
 	}
 	if inst == nil {
-		f := experiments.Framework()
-		p := &problem{sys: f.Sys, batch: f.Batch, deadline: f.Deadline, cases: experiments.Cases()}
+		p := paperProblem()
 		if len(edges) > 0 {
 			es := make([]sysmodel.Edge, len(edges))
 			for i, e := range edges {
@@ -139,7 +147,7 @@ func resolveProblem(inst *config.Instance, edges []config.EdgeSpec) (*problem, e
 			}
 			p.edges = es
 		}
-		return p, nil
+		return &p, nil
 	}
 	sys, batch, deadline, err := config.Build(inst)
 	if err != nil {

@@ -319,6 +319,44 @@ func TestScenarioJobMatchesLibrary(t *testing.T) {
 	}
 }
 
+// TestConcurrentPaperScenariosMatchSequential runs paper-instance
+// scenario jobs, which all share one embedded paper problem, on four
+// executors at once and checks each result document against the same
+// request run alone on a one-executor server. One request adds edges,
+// which must not leak into the shared problem.
+func TestConcurrentPaperScenariosMatchSequential(t *testing.T) {
+	reqs := []api.ScenarioRequest{
+		{Scenario: 4, Reps: 2, Seed: 1},
+		{Scenario: 3, Reps: 2, Seed: 2},
+		{Scenario: 4, Reps: 2, Seed: 3, Edges: []config.EdgeSpec{{From: 0, To: 2}}},
+		{Scenario: 2, Reps: 2, Seed: 4},
+		{Scenario: 4, Reps: 2, Seed: 1},
+		{Scenario: 1, Reps: 2, Seed: 5},
+	}
+	submit := func(base string, req api.ScenarioRequest) string {
+		var j api.Job
+		if resp := post(t, base+"/v1/scenario", req, &j); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit status %d, want 202", resp.StatusCode)
+		}
+		return j.ID
+	}
+	_, seq := newTestServer(t, Options{Executors: 1})
+	want := make([]json.RawMessage, len(reqs))
+	for i, req := range reqs {
+		want[i] = waitState(t, seq.URL, submit(seq.URL, req), api.JobDone).Result
+	}
+	_, par := newTestServer(t, Options{Executors: 4})
+	ids := make([]string, len(reqs))
+	for i, req := range reqs {
+		ids[i] = submit(par.URL, req)
+	}
+	for i, id := range ids {
+		if got := waitState(t, par.URL, id, api.JobDone).Result; !bytes.Equal(got, want[i]) {
+			t.Errorf("request %d: concurrent result\n%s\ndiffers from the sequential one\n%s", i, got, want[i])
+		}
+	}
+}
+
 func TestBackpressure429(t *testing.T) {
 	_, ts := newTestServer(t, Options{Queue: 1, Executors: 1})
 

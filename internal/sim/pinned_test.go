@@ -214,3 +214,49 @@ func TestArmsBitsPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestArmsRedrawBitsPinned pins the redraw of non-positive costs that
+// drawCosts keeps for a distribution that can yield them: a normal
+// truncated to [-5, 5] around 0.2 draws a non-positive value ~42 % of
+// the time, on the shared vector of a multi-arm cell and on a single
+// arm's windows. The digests are sampleBits of each arm in turn,
+// recorded before the run state was reused across repetitions.
+func TestArmsRedrawBitsPinned(t *testing.T) {
+	load := pmf.MustNew([]pmf.Pulse{{Value: 0.25, Prob: 0.25}, {Value: 0.5, Prob: 0.25}, {Value: 1, Prob: 0.5}})
+	cfg := Config{
+		SerialIters:      12,
+		ParallelIters:    240,
+		Workers:          4,
+		IterTime:         stats.Truncated{Dist: stats.NewNormal(0.2, 1), Lo: -5, Hi: 5},
+		Avail:            availability.Markov{PMF: load, Interval: 25, Persistence: 0.5},
+		Overhead:         0.5,
+		WeightsFromAvail: true,
+		BestMaster:       true,
+		Seed:             26,
+	}
+	for _, p := range []struct {
+		techs []string
+		want  string
+	}{
+		{[]string{"FAC", "WF", "AWF-B", "AF"}, "fcaefc632b1d93ab307c5f37aa83c21a9fbdb2cbb6a573088f73adc897c7a197"},
+		{[]string{"AF"}, "9c5949807af87f71fbd26e0b1ae523b34331437818aba1135b80f1625e6f0ff1"},
+	} {
+		arms := make([]Arm, len(p.techs))
+		for i, name := range p.techs {
+			arms[i].Technique = tech(t, name)
+		}
+		got, err := RunArmsContext(context.Background(), cfg, arms, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		for _, s := range got {
+			for _, x := range sampleBits(s) {
+				binary.Write(h, binary.LittleEndian, x)
+			}
+		}
+		if d := hex.EncodeToString(h.Sum(nil)); d != p.want {
+			t.Errorf("%v: digest %s, pinned %s", p.techs, d, p.want)
+		}
+	}
+}

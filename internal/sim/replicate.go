@@ -185,14 +185,18 @@ type Arm struct {
 // cfg.TraceScope are ignored in favour of the arms'.
 //
 // Repetitions fan out over a worker pool (sequentially for group-scoped
-// availability models), and a repetition runs its arms in order. With
-// more than one arm, a run of at most maxSharedCosts iterations has its
-// cost vector drawn once per repetition, into a buffer each pool worker
-// reuses, instead of once per arm; a larger run has every arm draw its
-// costs as it dispatches them, as a single run does, so memory stays
-// O(workers) whatever the instance size. Cancellation behaves as in
-// RunManyContext; the partial-progress count is the repetitions every
-// arm completed.
+// availability models), and a repetition runs its arms in order. Each
+// pool worker keeps one run state (rng streams, availability
+// processes, event queue, per-worker arrays, cost buffers, metric
+// handles) for every run it makes, and the call keeps only each run's
+// makespan, chunk count and imbalance, so a repetition allocates
+// little beyond its schedulers. With more than one arm, a run of at
+// most maxSharedCosts iterations has its cost vector drawn once per
+// repetition, into the pool worker's buffer, instead of once per arm;
+// a larger run has every arm draw its costs as it dispatches them, as
+// a single run does, so memory stays O(workers) whatever the instance
+// size. Cancellation behaves as in RunManyContext; the
+// partial-progress count is the repetitions every arm completed.
 func RunArmsContext(ctx context.Context, cfg Config, arms []Arm, reps int) ([]*Sample, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -223,10 +227,14 @@ func RunArmsContext(ctx context.Context, cfg Config, arms []Arm, reps int) ([]*S
 		runSeeds[i] = seeds.Uint64()
 	}
 
-	results := make([][]*Result, len(arms))
-	for a := range results {
-		results[a] = make([]*Result, reps)
+	// outs[a*reps+i] is what the cell keeps of arm a's repetition i;
+	// done[i] is set once every arm ran repetition i.
+	type outcome struct {
+		makespan, imbalance float64
+		chunks              int
 	}
+	outs := make([]outcome, len(arms)*reps)
+	done := make([]bool, reps)
 	errs := make([]error, reps)
 	share := len(arms) > 1 && sharedCostsFit(&cfg)
 	// A group-scoped model's shared state would race across concurrent
@@ -236,12 +244,12 @@ func RunArmsContext(ctx context.Context, cfg Config, arms []Arm, reps int) ([]*S
 	if _, groupScoped := cfg.Avail.(availability.GroupScoped); groupScoped || reps < 4 {
 		workers = 1
 	}
-	// bufs[w] is worker w's shared cost vector, refilled per repetition.
-	bufs := make([][]float64, workers)
+	states := make([]runState, workers)
 	if err := pool.ForEach(ctx, workers, reps, func(w, i int) {
+		s := &states[w]
 		if share {
-			_, work := streams(runSeeds[i])
-			bufs[w] = fillCosts(&cfg, work, bufs[w])
+			seedStreams(runSeeds[i], &s.avail, &s.work)
+			s.shared = fillCosts(&cfg, &s.work, s.shared)
 		}
 		for a, arm := range arms {
 			c := cfg
@@ -251,7 +259,7 @@ func RunArmsContext(ctx context.Context, cfg Config, arms []Arm, reps int) ([]*S
 			c.CollectChunks = false
 			c.Releases = nil
 			if share {
-				c.costs = bufs[w]
+				c.costs = s.shared
 			}
 			if arm.Releases != nil {
 				// Per-repetition release gate of a DAG batch: repetition i
@@ -265,22 +273,23 @@ func RunArmsContext(ctx context.Context, cfg Config, arms []Arm, reps int) ([]*S
 			if i != 0 {
 				c.Obs.Tracer = nil
 			}
-			r, err := RunContext(ctx, c)
+			r, err := s.run(ctx, &c)
 			prog.RepDone()
 			if err != nil {
 				errs[i] = err
-				break
+				return
 			}
-			results[a][i] = r
+			outs[a*reps+i] = outcome{makespan: r.Makespan, imbalance: r.Imbalance, chunks: r.NumChunks}
 		}
+		done[i] = true
 	}); err != nil {
-		done := 0
-		for i := 0; i < reps; i++ {
-			if errs[i] == nil && results[len(arms)-1][i] != nil {
-				done++
+		n := 0
+		for _, d := range done {
+			if d {
+				n++
 			}
 		}
-		return nil, fmt.Errorf("sim: canceled after %d/%d repetitions: %w", done, reps, err)
+		return nil, fmt.Errorf("sim: canceled after %d/%d repetitions: %w", n, reps, err)
 	}
 	for _, err := range errs {
 		if err != nil {
@@ -288,13 +297,13 @@ func RunArmsContext(ctx context.Context, cfg Config, arms []Arm, reps int) ([]*S
 		}
 	}
 	out := make([]*Sample, len(arms))
-	for a, rs := range results {
+	for a := range arms {
 		s := &Sample{Makespans: make([]float64, 0, reps)}
 		sumChunks, sumImb := 0.0, 0.0
-		for _, r := range rs {
-			s.Append(r.Makespan)
-			sumChunks += float64(r.NumChunks)
-			sumImb += r.Imbalance
+		for _, o := range outs[a*reps : (a+1)*reps] {
+			s.Append(o.makespan)
+			sumChunks += float64(o.chunks)
+			sumImb += o.imbalance
 		}
 		s.MeanChunks = sumChunks / float64(reps)
 		s.MeanImbalance = sumImb / float64(reps)

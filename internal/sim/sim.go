@@ -25,7 +25,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 	"time"
 
 	"cdsf/internal/availability"
@@ -235,13 +234,14 @@ func (q *eventQueue) pop() event {
 	return top
 }
 
-// streams splits a run seed into its two independent rng streams: the
-// availability processes draw from the first, the iteration costs from
-// the second.
-func streams(seed uint64) (avail, work *rng.Source) {
-	root := rng.New(seed)
-	avail = root.Split()
-	return avail, root.Split()
+// seedStreams sets avail and work, in place, to a run seed's two
+// independent rng streams: the availability processes draw from the
+// first, the iteration costs from the second.
+func seedStreams(seed uint64, avail, work *rng.Source) {
+	var root rng.Source
+	root.Seed(seed)
+	avail.Seed(root.Uint64())
+	work.Seed(root.Uint64())
 }
 
 // steps returns the number of sweeps over the iteration space.
@@ -263,27 +263,26 @@ func (c *Config) steps() int {
 // stream, so both give the same values, and next sums a chunk's
 // costs in layout order either way: the bits are the same.
 type costStream struct {
-	cfg    *Config
+	cfg    Config // a copy: keeping a pointer would move each run's Config to the heap
 	r      *rng.Source
 	vec    []float64 // the drawn costs not yet consumed
-	buf    []float64 // the window next draws into; nil when vec is the whole layout
+	buf    []float64 // the window next draws into, kept across runs
 	pos    int       // position in its sweep of the next cost a window draws
-	sweeps int       // sweeps with costs left to draw into windows
+	sweeps int       // sweeps with costs left to draw into windows; 0 when vec is the whole layout
 }
 
 // costBlock bounds the window a run draws its costs into, so its
 // memory stays constant whatever the instance size.
 const costBlock = 256
 
-// newCostStream returns the cost stream of one run: cfg.costs when
-// RunArmsContext drew them, else windows drawn from the work stream r.
-func newCostStream(cfg *Config, r *rng.Source) *costStream {
-	s := &costStream{cfg: cfg, r: r, vec: cfg.costs}
+// reset points s at one run's costs: cfg.costs when RunArmsContext drew
+// them, else windows drawn from the work stream r into s's buffer.
+func (s *costStream) reset(cfg *Config, r *rng.Source) {
+	*s = costStream{cfg: *cfg, r: r, vec: cfg.costs, buf: s.buf}
 	if s.vec == nil {
-		s.buf = make([]float64, min(costBlock, cfg.SerialIters+cfg.ParallelIters))
+		s.buf = grow(s.buf, min(costBlock, cfg.SerialIters+cfg.ParallelIters))
 		s.sweeps = cfg.steps()
 	}
-	return s
 }
 
 // next returns the summed cost of the run's next k iterations.
@@ -298,7 +297,7 @@ func (s *costStream) next(k int) float64 {
 			// a product of the client-sized sweep and iteration counts.
 			sweep := s.cfg.SerialIters + s.cfg.ParallelIters
 			s.vec = s.buf[:min(len(s.buf), sweep-s.pos)]
-			drawCosts(s.cfg, s.r, s.vec, s.pos)
+			drawCosts(&s.cfg, s.r, s.vec, s.pos)
 			if s.pos += len(s.vec); s.pos == sweep {
 				s.pos = 0
 				s.sweeps--
@@ -318,15 +317,21 @@ func (s *costStream) next(k int) float64 {
 // [pos, pos+len(xs)) from the work stream r, as successive IterTime
 // samples would give them: each iteration takes the next positive draw
 // (a shortfall is topped up from the same stream), and a parallel one
-// is then scaled by the profile multiplier of its index.
+// is then scaled by the profile multiplier of its index. A Truncated
+// with Lo > 0, which core gives every Stage-II cell, keeps its draws in
+// [Lo, Hi], so its one fill is the whole draw.
 func drawCosts(cfg *Config, r *rng.Source, xs []float64, pos int) {
-	for filled := 0; filled < len(xs); {
-		rest := xs[filled:]
-		stats.Fill(cfg.IterTime, r, rest)
-		for _, x := range rest {
-			if !(x <= 0) {
-				xs[filled] = x
-				filled++
+	if t, ok := cfg.IterTime.(stats.Truncated); ok && t.Lo > 0 {
+		stats.Fill(cfg.IterTime, r, xs)
+	} else {
+		for filled := 0; filled < len(xs); {
+			rest := xs[filled:]
+			stats.Fill(cfg.IterTime, r, rest)
+			for _, x := range rest {
+				if !(x <= 0) {
+					xs[filled] = x
+					filled++
+				}
 			}
 		}
 	}
@@ -348,10 +353,18 @@ func drawCosts(cfg *Config, r *rng.Source, xs []float64, pos int) {
 // buf, reusing its capacity. RunArmsContext calls it only on runs that
 // sharedCostsFit, so the layout's length cannot overflow.
 func fillCosts(cfg *Config, r *rng.Source, buf []float64) []float64 {
-	n := cfg.steps() * (cfg.SerialIters + cfg.ParallelIters)
-	buf = slices.Grow(buf[:0], n)[:n]
+	buf = grow(buf, cfg.steps()*(cfg.SerialIters+cfg.ParallelIters))
 	drawCosts(cfg, r, buf, 0)
 	return buf
+}
+
+// grow returns xs resized to n elements, reusing its backing array when
+// it is large enough. The elements are not cleared.
+func grow[T any](xs []T, n int) []T {
+	if cap(xs) < n {
+		return make([]T, n)
+	}
+	return xs[:n]
 }
 
 // simCheckStride is how many events the simulation loop processes
@@ -373,41 +386,73 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	return new(runState).run(ctx, &cfg)
+}
+
+// runState is what a goroutine's runs reuse: the rng streams, the
+// availability processes, the event queue, the per-worker arrays, the
+// cost window and the metric handles. RunContext runs on a fresh one;
+// RunArmsContext gives each pool worker one for every repetition and
+// arm it runs, so a repetition allocates little beyond its schedulers.
+// A run resets every field before reading it, so a reused state gives
+// a fresh state's bits.
+type runState struct {
+	avail, work rng.Source
+	procs       []availability.Process
+	weights     []float64
+	queue       eventQueue
+	finish      []float64
+	pending     []pendingChunk
+	costs       costStream
+	shared      []float64 // RunArmsContext's cost vector of the current repetition
+	res         Result
+	stats       runStats
+	metrics     runMetrics
+}
+
+// pendingChunk is the chunk a worker is executing (size 0: none); its
+// Report is delivered when the completion event is popped, so the
+// scheduler only ever sees measurements that have happened in
+// simulated time.
+type pendingChunk struct {
+	size    int
+	elapsed float64
+}
+
+// run executes one simulation of cfg, which the caller has validated.
+// The Result is s's own, valid until s runs again.
+func (s *runState) run(ctx context.Context, cfg *Config) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 	// An active tracer needs the chunk log to build the worker lanes;
-	// collect it internally and restore the caller's view afterwards so
-	// the returned Result is identical with tracing on or off.
+	// collect it internally and drop it afterwards unless the caller
+	// asked for it, so the Result is identical with tracing on or off.
 	tr := cfg.Obs.Tracer
-	collectRequested := cfg.CollectChunks
-	if tr != nil {
-		cfg.CollectChunks = true
-	}
+	collect := cfg.CollectChunks || tr != nil
 	reg := cfg.Obs.Metrics
 	var t0 time.Time
 	if reg != nil {
 		t0 = time.Now()
 	}
-	availRng, workRng := streams(cfg.Seed)
-	costs := newCostStream(&cfg, workRng)
+	seedStreams(cfg.Seed, &s.avail, &s.work)
+	s.costs.reset(cfg, &s.work)
 
 	// Group-scoped availability models (e.g. availability.SharedLoad)
 	// reset their shared state per run so repetitions stay independent.
 	if gr, ok := cfg.Avail.(availability.GroupScoped); ok {
 		gr.ResetGroup()
 	}
-	procs := make([]availability.Process, cfg.Workers)
-	for i := range procs {
-		procs[i] = cfg.Avail.NewProcess(availRng)
-	}
+	s.procs = grow(s.procs, cfg.Workers)
+	availability.Processes(cfg.Avail, &s.avail, s.procs)
 
 	var weights []float64
 	if cfg.WeightsFromAvail {
-		weights = make([]float64, cfg.Workers)
-		for i, p := range procs {
-			weights[i] = p.At(cfg.Release)
+		s.weights = grow(s.weights, cfg.Workers)
+		for i, p := range s.procs {
+			s.weights[i] = p.At(cfg.Release)
 		}
+		weights = s.weights
 	}
 
 	newSched := func() (dls.Scheduler, error) {
@@ -425,13 +470,15 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	res := &Result{
+	res := &s.res
+	*res = Result{
 		Release:     cfg.Release,
-		WorkerBusy:  make([]float64, cfg.Workers),
-		WorkerIters: make([]int, cfg.Workers),
+		WorkerBusy:  grow(res.WorkerBusy, cfg.Workers),
+		WorkerIters: grow(res.WorkerIters, cfg.Workers),
 	}
-
-	var st runStats
+	clear(res.WorkerBusy)
+	clear(res.WorkerIters)
+	s.stats = runStats{}
 	// A precedence-gated run starts its clock at the release time: the
 	// application was blocked until every predecessor finished, so the
 	// availability processes, the serial phase, and every chunk live at
@@ -454,18 +501,18 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		master := 0
 		if cfg.BestMaster {
 			for i := 1; i < cfg.Workers; i++ {
-				if procs[i].At(clock) > procs[master].At(clock) {
+				if s.procs[i].At(clock) > s.procs[master].At(clock) {
 					master = i
 				}
 			}
 		}
 		start := clock
 		if cfg.SerialIters > 0 {
-			start = procs[master].FinishTime(clock, costs.next(cfg.SerialIters))
+			start = s.procs[master].FinishTime(clock, s.costs.next(cfg.SerialIters))
 		}
 		res.SerialTime += start - clock
 
-		clock, err = runSweep(ctx, &cfg, sched, procs, costs, start, res, &st)
+		clock, err = s.sweep(ctx, cfg, sched, start, collect)
 		if err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
 		}
@@ -474,11 +521,11 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	res.Makespan = clock
 	res.ParallelTime = clock - cfg.Release - res.SerialTime
 	if reg != nil {
-		flushRunMetrics(reg, &cfg, res, &st, time.Since(t0))
+		s.metrics.flush(reg, cfg, res, &s.stats, time.Since(t0))
 	}
 	if tr != nil {
-		emitRunSpans(tr, &cfg, res)
-		if !collectRequested {
+		emitRunSpans(tr, cfg, res)
+		if !cfg.CollectChunks {
 			res.Chunks = nil
 		}
 	}
@@ -510,8 +557,8 @@ func emitRunSpans(tr *tracing.Tracer, cfg *Config, res *Result) {
 }
 
 // runStats accumulates one run's instrumentation counts in plain
-// integers; Run flushes them to the registry once at the end, keeping
-// atomic traffic out of the event loop.
+// integers; the run flushes them to the registry once at the end,
+// keeping atomic traffic out of the event loop.
 type runStats struct {
 	events  int64
 	heapOps int64
@@ -521,77 +568,110 @@ type runStats struct {
 // parallel phase.
 var utilizationBounds = []float64{0.25, 0.5, 0.75, 0.9, 1.0}
 
-// flushRunMetrics publishes one run's counts and times to reg. All
-// values derive from the finished Result, never from the simulation's
-// rng streams, so enabling metrics cannot perturb seeded outputs.
-func flushRunMetrics(reg *metrics.Registry, cfg *Config, res *Result, st *runStats, wall time.Duration) {
-	reg.Counter("sim.runs").Inc()
+// runMetrics holds the sim.* handles a run state publishes to. Each is
+// looked up in the registry the first time a run publishes it, so a
+// state's runs lock the registry once per name rather than once per
+// run, and the registry gains exactly the names per-run lookups would
+// create (no sim.dag.* entry for a run that is not gated).
+type runMetrics struct {
+	reg                                       *metrics.Registry
+	runs, events, heapOps, chunks, iterations *metrics.Counter
+	busy, overhead, serial                    *metrics.Gauge
+	wall                                      *metrics.Timer
+	dagReady                                  *metrics.Counter
+	dagBlocked, idle                          *metrics.Gauge
+	utilization                               *metrics.Histogram
+}
+
+// flush publishes one run's counts and times to reg. All values derive
+// from the finished Result, never from the simulation's rng streams, so
+// enabling metrics cannot perturb seeded outputs.
+func (m *runMetrics) flush(reg *metrics.Registry, cfg *Config, res *Result, st *runStats, wall time.Duration) {
+	if m.reg != reg {
+		*m = runMetrics{
+			reg:        reg,
+			runs:       reg.Counter("sim.runs"),
+			events:     reg.Counter("sim.events"),
+			heapOps:    reg.Counter("sim.heap_ops"),
+			chunks:     reg.Counter("sim.chunks"),
+			iterations: reg.Counter("sim.iterations"),
+			busy:       reg.Gauge("sim.busy_time"),
+			overhead:   reg.Gauge("sim.overhead_time"),
+			serial:     reg.Gauge("sim.serial_time"),
+			wall:       reg.Timer("sim.run_wall"),
+		}
+	}
+	m.runs.Inc()
 	if cfg.gated || cfg.Release > 0 {
 		// DAG release schedule: one "ready" event per gated run, plus
 		// the simulated time the application spent blocked on its
 		// predecessors before that.
-		reg.Counter("sim.dag.ready").Inc()
-		reg.Gauge("sim.dag.blocked_time").Add(cfg.Release)
+		if m.dagReady == nil {
+			m.dagReady, m.dagBlocked = reg.Counter("sim.dag.ready"), reg.Gauge("sim.dag.blocked_time")
+		}
+		m.dagReady.Inc()
+		m.dagBlocked.Add(cfg.Release)
 	}
-	reg.Counter("sim.events").Add(st.events)
-	reg.Counter("sim.heap_ops").Add(st.heapOps)
-	reg.Counter("sim.chunks").Add(int64(res.NumChunks))
+	m.events.Add(st.events)
+	m.heapOps.Add(st.heapOps)
+	m.chunks.Add(int64(res.NumChunks))
 	iters := 0
 	for _, k := range res.WorkerIters {
 		iters += k
 	}
-	reg.Counter("sim.iterations").Add(int64(iters))
+	m.iterations.Add(int64(iters))
 
 	busy := 0.0
 	for _, b := range res.WorkerBusy {
 		busy += b
 	}
 	overhead := float64(res.NumChunks) * cfg.Overhead
-	reg.Gauge("sim.busy_time").Add(busy)
-	reg.Gauge("sim.overhead_time").Add(overhead)
-	reg.Gauge("sim.serial_time").Add(res.SerialTime)
+	m.busy.Add(busy)
+	m.overhead.Add(overhead)
+	m.serial.Add(res.SerialTime)
 	// Idle time is what remains of the workers' parallel-phase wall
 	// clock after execution and dispatch overhead.
 	if idle := float64(cfg.Workers)*res.ParallelTime - busy - overhead; idle > 0 {
-		reg.Gauge("sim.idle_time").Add(idle)
+		if m.idle == nil {
+			m.idle = reg.Gauge("sim.idle_time")
+		}
+		m.idle.Add(idle)
 	}
 	if res.ParallelTime > 0 {
-		h := reg.Histogram("sim.worker_utilization", utilizationBounds)
+		if m.utilization == nil {
+			m.utilization = reg.Histogram("sim.worker_utilization", utilizationBounds)
+		}
 		for _, b := range res.WorkerBusy {
-			h.Observe(b / res.ParallelTime)
+			m.utilization.Observe(b / res.ParallelTime)
 		}
 	}
-	reg.Timer("sim.run_wall").Observe(wall)
+	m.wall.Observe(wall)
 }
 
-// runSweep executes one full pass of the parallel loop starting all
-// workers at `start`, returning the sweep's makespan; costs supplies
-// the sweep's parallel iteration costs. It updates the
-// aggregate counters and the Imbalance metric (of the latest sweep) in
-// res. Cancellation is checked every simCheckStride events; a cancelled
-// sweep abandons the event queue and returns ctx's error.
-func runSweep(ctx context.Context, cfg *Config, sched dls.Scheduler, procs []availability.Process, costs *costStream, start float64, res *Result, st *runStats) (float64, error) {
+// sweep executes one full pass of the parallel loop starting all
+// workers at `start`, returning the sweep's makespan; s.costs supplies
+// the sweep's parallel iteration costs. It updates the aggregate
+// counters, the chunk log when collect is set, and the Imbalance metric
+// (of the latest sweep) in s.res. Cancellation is checked every
+// simCheckStride events; a cancelled sweep abandons the event queue and
+// returns ctx's error.
+func (s *runState) sweep(ctx context.Context, cfg *Config, sched dls.Scheduler, start float64, collect bool) (float64, error) {
+	res, st := &s.res, &s.stats
 	// Every worker starts idle at start, in worker order: already a
 	// heap.
-	q := make(eventQueue, 0, cfg.Workers)
+	q := s.queue[:0]
 	for w := 0; w < cfg.Workers; w++ {
 		q = append(q, event{t: start, worker: w})
 	}
 	st.heapOps += int64(cfg.Workers)
 
-	finish := make([]float64, cfg.Workers)
+	finish := grow(s.finish, cfg.Workers)
 	for i := range finish {
 		finish[i] = start
 	}
-	// pending[w] holds the chunk worker w is executing (size 0: none);
-	// its Report is delivered when the completion event is popped, so
-	// the scheduler only ever sees measurements that have happened in
-	// simulated time.
-	type pendingChunk struct {
-		size    int
-		elapsed float64
-	}
-	pending := make([]pendingChunk, cfg.Workers)
+	pending := grow(s.pending, cfg.Workers)
+	clear(pending)
+	s.queue, s.finish, s.pending = q, finish, pending
 
 	makespan := start
 	nextIter := 0 // iterations are dispatched in index order
@@ -616,17 +696,17 @@ func runSweep(ctx context.Context, cfg *Config, sched dls.Scheduler, procs []ava
 		if k > cfg.ParallelIters-nextIter {
 			return 0, fmt.Errorf("technique %q dispatched %d iterations past the loop end", cfg.Technique.Name, k-(cfg.ParallelIters-nextIter))
 		}
-		work := costs.next(k)
+		work := s.costs.next(k)
 		nextIter += k
 		execStart := e.t + cfg.Overhead
-		end := procs[e.worker].FinishTime(execStart, work)
+		end := s.procs[e.worker].FinishTime(execStart, work)
 		elapsed := end - execStart
 		pending[e.worker] = pendingChunk{size: k, elapsed: elapsed}
 
 		res.NumChunks++
 		res.WorkerBusy[e.worker] += elapsed
 		res.WorkerIters[e.worker] += k
-		if cfg.CollectChunks {
+		if collect {
 			res.Chunks = append(res.Chunks, tracing.Chunk{
 				Worker: e.worker, Start: e.t, Size: k, Elapsed: elapsed,
 			})

@@ -9,6 +9,7 @@ import (
 	"cdsf/internal/availability"
 	"cdsf/internal/dls"
 	"cdsf/internal/pmf"
+	"cdsf/internal/rng"
 	"cdsf/internal/stats"
 )
 
@@ -19,6 +20,15 @@ func tech(t testing.TB, name string) dls.Technique {
 		t.Fatal(err)
 	}
 	return tc
+}
+
+// streams returns a run seed's two rng streams, as a run seeds them:
+// the availability processes draw from the first, the iteration costs
+// from the second.
+func streams(seed uint64) (avail, work *rng.Source) {
+	avail, work = new(rng.Source), new(rng.Source)
+	seedStreams(seed, avail, work)
+	return avail, work
 }
 
 func baseConfig(t testing.TB, techName string) Config {

@@ -247,10 +247,13 @@ func (t Truncated) CDF(x float64) float64 {
 	}
 }
 
-// Quantile returns the truncated p-quantile.
+// Quantile returns the truncated p-quantile, clamped to [Lo, Hi]: the
+// inner quantile transform can round a p next to an end of the
+// truncation out of it (over [1e-3, 1e3], Normal(1, 1e7) does for
+// p below ~1e-12, and Normal(1, 1e14) rounds small p to values <= 0).
 func (t Truncated) Quantile(p float64) float64 {
 	lo, hi := t.Dist.CDF(t.Lo), t.Dist.CDF(t.Hi)
-	return t.Dist.Quantile(lo + p*(hi-lo))
+	return min(max(t.Dist.Quantile(lo+p*(hi-lo)), t.Lo), t.Hi)
 }
 
 // truncAttempts is how many draws Truncated.Sample rejects before it
@@ -275,12 +278,22 @@ func (t Truncated) Sample(r *rng.Source) float64 {
 // block never holds more draws than slots are open, nor more than the
 // current slot has attempts left, so Sample would make every draw of
 // it, and the quantile fallback draws its uniform where Sample does.
+// Over a Normal the block holds standard normals and the accept loop
+// applies mu + sigma*z itself, so each draw is touched once.
 func (t Truncated) fill(r *rng.Source, dst []float64) {
+	n, normal := t.Dist.(Normal)
 	filled, tries := 0, 0
 	for filled < len(dst) {
 		block := dst[filled:min(len(dst), filled+truncAttempts-tries)]
-		Fill(t.Dist, r, block)
+		if normal {
+			r.NormFloat64s(block)
+		} else {
+			Fill(t.Dist, r, block)
+		}
 		for _, x := range block {
+			if normal {
+				x = n.Mu + n.Sigma*x
+			}
 			if x >= t.Lo && x <= t.Hi {
 				dst[filled] = x
 				filled++

@@ -19,7 +19,8 @@ type fillDist struct {
 // fillDists cover each of Fill's three routes (Normal's batched polar
 // method, Truncated's block rejection, one Sample at a time), with
 // Truncated loose, tight enough that about half its values fall back
-// to the quantile transform, and so tight that nearly all do.
+// to the quantile transform, and so tight that nearly all do, and with
+// a normal truncated on both sides of zero.
 func fillDists() []fillDist {
 	return []fillDist{
 		{"normal", NewNormal(2, 0.7), false},
@@ -31,6 +32,7 @@ func fillDists() []fillDist {
 		{"gamma", GammaFromMoments(1, 0.5), false},
 		{"gamma shape < 1", GammaFromMoments(1, 2), false},
 		{"exponential", NewExponential(2), false},
+		{"truncated below zero", Truncated{Dist: NewNormal(0.2, 1), Lo: -5, Hi: 5}, false},
 	}
 }
 
