@@ -20,11 +20,13 @@
 #   make bench   run the benchmark suite with allocation stats
 #   make bench-pmf  refresh the PMF backend comparison behind
 #                BENCH_PMF2.json (sparse vs grid kernels, solve) and
-#                the DAG drill-downs (sparse composition, warm grid and
-#                warm sparse table bytes per instance)
+#                the DAG drill-downs (sparse composition, the final
+#                evaluation cold against an evaluation-tier hit, warm
+#                grid and warm sparse table bytes per instance)
 #   make bench-stage1  the Stage-I drill-down behind BENCH_STAGE1.json:
-#                every registered heuristic on the paper instance and
-#                the exhaustive search from 1 application to 10x48
+#                every registered heuristic on the paper instance, the
+#                exhaustive search from 1 application to 10x48, and one
+#                tabu walk on the DAG service shape
 #   make bench-stage2  the Stage-II drill-down under the paper-scenario
 #                row: the paper's scenario 4 (Figure 6), one of its
 #                cells (application 3, case 1, 60 repetitions) and one
@@ -99,18 +101,21 @@ bench:
 # workloads (PMFBackends), and the end-to-end solve under each backend;
 # plus the DAG drill-downs: the sparse composition of one DAG-service
 # instance (ComposeDAG), its third layer's binned Add steps against the
-# Add-then-Compact fold (AddCompact), and the warm-tier bytes its grid
-# and sparse tables leave in the cache (WarmGridTable, WarmSparseTable,
-# reported as warm_KiB/instance).
+# Add-then-Compact fold (AddCompact), a DAG job's final evaluation
+# composed cold against read from the cache's evaluation tier
+# (EvaluateDAG), and the warm-tier bytes its grid and sparse tables
+# leave in the cache (WarmGridTable, WarmSparseTable, reported as
+# warm_KiB/instance).
 bench-pmf:
-	$(GO) test -run=xxx -bench 'BenchmarkPMFOps|BenchmarkPMFBackends|BenchmarkSolveBackends|BenchmarkEvalTableBuild|BenchmarkComposeDAG|BenchmarkAddCompact|BenchmarkWarmGridTable|BenchmarkWarmSparseTable' -benchmem .
+	$(GO) test -run=xxx -bench 'BenchmarkPMFOps|BenchmarkPMFBackends|BenchmarkSolveBackends|BenchmarkEvalTableBuild|BenchmarkComposeDAG|BenchmarkAddCompact|BenchmarkEvaluateDAG|BenchmarkWarmGridTable|BenchmarkWarmSparseTable' -benchmem .
 
 # The Stage-I drill-down behind BENCH_STAGE1.json: every registered
-# heuristic on the paper instance (RAHeuristic) and the exhaustive
-# search on the paper instance's first 1-3 applications and on 6x24 and
-# 10x48 synthetic instances (ExhaustiveEnumeration).
+# heuristic on the paper instance (RAHeuristic), the exhaustive search
+# on the paper instance's first 1-3 applications and on 6x24 and 10x48
+# synthetic instances (ExhaustiveEnumeration), and one tabu walk on the
+# DAG service shape, several seconds per op (TabuDAG).
 bench-stage1:
-	$(GO) test -run=xxx -bench 'BenchmarkRAHeuristic|BenchmarkExhaustiveEnumeration' -benchmem .
+	$(GO) test -run=xxx -bench 'BenchmarkRAHeuristic|BenchmarkExhaustiveEnumeration|BenchmarkTabuDAG' -benchmem .
 
 # The Stage-II drill-down under the paper-scenario row of the end-to-end
 # benchmark: scenario 4 over the paper's four availability cases

@@ -165,7 +165,7 @@ func BenchmarkDLSTechnique(b *testing.B) {
 					ParallelIters:    4104,
 					Workers:          8,
 					IterTime:         stats.NewNormal(1.852, 0.3*1.852),
-					Avail:            availability.Markov{PMF: avail, Interval: 812.5, Persistence: 0.5},
+					Avail:            availability.NewMarkov(avail, 812.5, 0.5),
 					Technique:        tech,
 					WeightsFromAvail: true,
 					BestMaster:       true,
@@ -298,7 +298,7 @@ func BenchmarkAvailabilityModel(b *testing.B) {
 	models := []availability.Model{
 		availability.Static{PMF: avail},
 		availability.Redraw{PMF: avail, Interval: 812.5},
-		availability.Markov{PMF: avail, Interval: 812.5, Persistence: 0.5},
+		availability.NewMarkov(avail, 812.5, 0.5),
 	}
 	for _, m := range models {
 		b.Run(m.Name(), func(b *testing.B) {
@@ -1002,4 +1002,80 @@ func BenchmarkWarmSparseTable(b *testing.B) {
 		bytes = c.Stats().Bytes
 	}
 	b.ReportMetric(float64(bytes)/1024, "warm_KiB/instance")
+}
+
+// BenchmarkEvaluateDAG measures the final Stage-I evaluation of a DAG
+// solve (ra.Problem.Evaluate) on the DAG service shape: cold composes
+// benchDAGAllocation's completion PMFs along the edges against an
+// empty cache and publishes the result to its evaluation tier (a
+// miss, as the first job to end on an allocation pays), hit reads it
+// back from a warm one. Both must report the same phi_1 bits.
+func BenchmarkEvaluateDAG(b *testing.B) {
+	sys, bat, edges, deadline := benchDAGInstance(b, 12)
+	problem := func(c *cache.Cache) *ra.Problem {
+		return &ra.Problem{Sys: sys, Batch: bat, Deadline: deadline, Edges: edges, Cache: c}
+	}
+	ref, err := robustness.EvaluateStageIDAG(sys, bat, edges, benchDAGAllocation, deadline)
+	if err != nil {
+		b.Fatal(err)
+	}
+	check := func(b *testing.B, st *robustness.StageIResult, err error) {
+		if err != nil {
+			b.Fatal(err)
+		}
+		if math.Float64bits(st.Phi1) != math.Float64bits(ref.Phi1) {
+			b.Fatalf("phi1 %x, reference %x", st.Phi1, ref.Phi1)
+		}
+	}
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			st, err := problem(cache.New(cache.Options{})).Evaluate(benchDAGAllocation)
+			check(b, st, err)
+		}
+	})
+	b.Run("hit", func(b *testing.B) {
+		prob := problem(cache.New(cache.Options{}))
+		st, err := prob.Evaluate(benchDAGAllocation)
+		check(b, st, err)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			st, err := prob.Evaluate(benchDAGAllocation)
+			check(b, st, err)
+		}
+	})
+}
+
+// BenchmarkTabuDAG measures one tabu walk (default seed, one worker)
+// on the DAG service shape, where every neighbor it scores is a
+// sparse composition along the edges; the evaluation table is built
+// before the timer starts. Every walk must return the same allocation,
+// and phi1 reports its DAG phi_1.
+func BenchmarkTabuDAG(b *testing.B) {
+	sys, bat, edges, deadline := benchDAGInstance(b, 11)
+	prob := &ra.Problem{Sys: sys, Batch: bat, Deadline: deadline, Edges: edges}
+	if err := prob.PrecomputeContext(context.Background(), 1); err != nil {
+		b.Fatal(err)
+	}
+	h := &ra.TabuSearch{Workers: 1}
+	var first sysmodel.Allocation
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		al, err := h.AllocateContext(context.Background(), prob)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if first == nil {
+			first = al
+		} else if al.String() != first.String() {
+			b.Fatalf("walk %d returned %s, walk 0 %s", i, al, first)
+		}
+	}
+	b.StopTimer()
+	phi, err := prob.Objective(first)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(phi, "phi1")
 }

@@ -124,7 +124,7 @@ func simulate(ctx context.Context, s *runner.Session, stdout io.Writer,
 	case "redraw":
 		availModel = availability.Redraw{PMF: availPMF, Interval: interval}
 	case "markov":
-		availModel = availability.Markov{PMF: availPMF, Interval: interval, Persistence: persistence}
+		availModel = availability.NewMarkov(availPMF, interval, persistence)
 	default:
 		return fmt.Errorf("unknown availability model %q", model)
 	}

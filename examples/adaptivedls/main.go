@@ -79,7 +79,7 @@ func main() {
 			ParallelIters:    iters,
 			Workers:          workers,
 			IterTime:         stats.NewNormal(iterMean, 0.3*iterMean),
-			Avail:            availability.Markov{PMF: l.pmf, Interval: 150, Persistence: 0.6},
+			Avail:            availability.NewMarkov(l.pmf, 150, 0.6),
 			WeightsFromAvail: true,
 			Overhead:         0.5,
 			Seed:             11,

@@ -165,7 +165,7 @@ func simOne(app sysmodel.Application, as sysmodel.Assignment, avail pmf.PMF, cfg
 		ParallelIters:    app.ParallelIters,
 		Workers:          as.Procs,
 		IterTime:         stats.NewNormal(iterMean, cfg.IterCV*iterMean),
-		Avail:            availability.Markov{PMF: avail, Interval: deadline / 4, Persistence: 0.5},
+		Avail:            availability.NewMarkov(avail, deadline/4, 0.5),
 		Technique:        af,
 		WeightsFromAvail: true,
 		BestMaster:       true,

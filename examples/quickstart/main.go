@@ -82,15 +82,11 @@ func main() {
 	as := alloc[2]
 	iterMean := app.ExecTime[as.Type].Mean() / float64(app.TotalIters())
 	sample, err := sim.RunManyContext(context.Background(), sim.Config{
-		SerialIters:   app.SerialIters,
-		ParallelIters: app.ParallelIters,
-		Workers:       as.Procs,
-		IterTime:      stats.NewNormal(iterMean, 0.3*iterMean),
-		Avail: availability.Markov{
-			PMF:         sys.Types[as.Type].Avail,
-			Interval:    deadline / 4,
-			Persistence: 0.5,
-		},
+		SerialIters:      app.SerialIters,
+		ParallelIters:    app.ParallelIters,
+		Workers:          as.Procs,
+		IterTime:         stats.NewNormal(iterMean, 0.3*iterMean),
+		Avail:            availability.NewMarkov(sys.Types[as.Type].Avail, deadline/4, 0.5),
 		Technique:        af,
 		WeightsFromAvail: true,
 		BestMaster:       true,

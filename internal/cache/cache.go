@@ -4,7 +4,7 @@
 // result. Seeded runs in this repository are bit-identical at every
 // layer, so replaying a cached artifact is exact, never approximate.
 //
-// The cache has two tiers sharing one LRU bound:
+// The cache has three tiers sharing one LRU bound:
 //
 //   - The result tier stores finished result documents (the marshaled
 //     JSON of a solve/simulate/scenario job) keyed by instance bytes
@@ -26,12 +26,22 @@
 //     with one cached-CDF PrLE read per cell (delta-solve) instead of
 //     recomputing the completion-time convolutions.
 //
-// Both tiers are exact: result keys hash the canonical instance bytes
+//   - The evaluation tier stores the final Stage-I evaluation of one
+//     allocation of a precedence-constrained batch: each application's
+//     composed Pr(C_i <= Delta) and E[C_i], and phi_1. Composing the
+//     completion PMFs along the edges is most of a DAG solve, and jobs
+//     that differ only in the heuristic or the PMF backend often end on
+//     the same allocation; the final evaluation is sparse for both
+//     backends, so they share one entry. It keeps the scalars only:
+//     the composed PMFs run to thousands of pulses per application,
+//     and no result document carries them.
+//
+// All tiers are exact: result keys hash the canonical instance bytes
 // (config.Marshal rejects non-finite floats, so NaN/Inf can never
-// reach the hasher), table keys frame the model's pulses directly
-// (TableKey rejects non-finite pulses itself), values are immutable
-// once inserted, and a cached replay is pinned bit-identical to the
-// uncached computation by the determinism tests.
+// reach the hasher), table and evaluation keys frame the model's
+// pulses directly (TableKey rejects non-finite pulses itself), values
+// are immutable once inserted, and a cached replay is pinned
+// bit-identical to the uncached computation by the determinism tests.
 package cache
 
 import (
@@ -233,13 +243,54 @@ func TableKey(sys *sysmodel.System, batch sysmodel.Batch, backend pmf.Backend, g
 	return h.Sum(), nil
 }
 
-// tier separates the key spaces (and the hit/miss counters) of the two
+// Eval is one evaluation-tier entry: the sparse Stage-I evaluation of
+// one allocation of a precedence-constrained batch under one deadline
+// (robustness.EvaluateStageIDAG without its composed PMFs). PerApp[i]
+// is Pr(C_i <= Delta) and ExpectedTimes[i] is E[C_i] of application
+// i's composed completion time; Phi1 is the product over the sinks. An
+// Eval is shared by every goroutine that hits it and must not be
+// mutated.
+type Eval struct {
+	PerApp        []float64
+	ExpectedTimes []float64
+	Phi1          float64
+}
+
+// footprint estimates the resident bytes of an evaluation entry.
+func (e *Eval) footprint() int64 {
+	return int64(16*len(e.PerApp)) + 64
+}
+
+// EvalKey returns the evaluation-tier identity of one allocation's
+// Stage-I evaluation on a precedence-constrained batch: the sparse
+// instance identity (TableKey under pmf.BackendSparse), the edges in their
+// order (it fixes the order in which predecessors are composed), the
+// deadline's exact bits and the allocation's (type, processors) pairs.
+// The heuristic that found the allocation and the backend it searched
+// on are left out: the final evaluation is sparse either way.
+func EvalKey(table Key, edges []sysmodel.Edge, deadline float64, alloc sysmodel.Allocation) Key {
+	h := NewHasher("cdsf-eval-v1")
+	h.Bytes(table[:])
+	h.Int(len(edges))
+	for _, e := range edges {
+		h.Int(e.From).Int(e.To)
+	}
+	h.Float64(deadline)
+	h.Int(len(alloc))
+	for _, as := range alloc {
+		h.Int(as.Type).Int(as.Procs)
+	}
+	return h.Sum()
+}
+
+// tier separates the key spaces (and the hit/miss counters) of the
 // value kinds sharing the LRU.
 type tier uint8
 
 const (
 	tierResult tier = iota
 	tierTable
+	tierEval
 )
 
 // entry is one LRU node. A result-tier entry holds its document
@@ -251,12 +302,13 @@ type entry struct {
 	result []byte
 	rawLen int
 	table  *Table
+	eval   *Eval
 }
 
 // Options configures a Cache.
 type Options struct {
 	// MaxBytes bounds the total estimated resident size of the cached
-	// values across both tiers; the least recently used entries are
+	// values across all tiers; the least recently used entries are
 	// evicted past it. Non-positive means 32 MiB: a workload reuses a
 	// few MiB at most (one DAG instance's sparse and grid tables are
 	// ~0.4 MiB, a synthetic Stage-I table ~2.5 MiB per deadline), and a
@@ -267,9 +319,9 @@ type Options struct {
 	MaxEntries int
 	// Metrics optionally mirrors the cache counters (cache.result_hits,
 	// cache.result_misses, cache.table_hits, cache.table_misses,
-	// cache.evictions) and gauges (cache.bytes, cache.entries) into a
-	// registry — the /metrics endpoint's view. Nil records only the
-	// internal Stats.
+	// cache.eval_hits, cache.eval_misses, cache.evictions) and gauges
+	// (cache.bytes, cache.entries) into a registry — the /metrics
+	// endpoint's view. Nil records only the internal Stats.
 	Metrics *metrics.Registry
 }
 
@@ -291,6 +343,7 @@ type Cache struct {
 type instr struct {
 	resultHits, resultMisses *metrics.Counter
 	tableHits, tableMisses   *metrics.Counter
+	evalHits, evalMisses     *metrics.Counter
 	evictions                *metrics.Counter
 	bytes, entries           *metrics.Gauge
 }
@@ -299,6 +352,7 @@ type instr struct {
 type Stats struct {
 	ResultHits, ResultMisses int64
 	TableHits, TableMisses   int64
+	EvalHits, EvalMisses     int64
 	Evictions                int64
 	Entries                  int
 	Bytes                    int64
@@ -323,6 +377,8 @@ func New(opts Options) *Cache {
 			resultMisses: reg.Counter("cache.result_misses"),
 			tableHits:    reg.Counter("cache.table_hits"),
 			tableMisses:  reg.Counter("cache.table_misses"),
+			evalHits:     reg.Counter("cache.eval_hits"),
+			evalMisses:   reg.Counter("cache.eval_misses"),
 			evictions:    reg.Counter("cache.evictions"),
 			bytes:        reg.Gauge("cache.bytes"),
 			entries:      reg.Gauge("cache.entries"),
@@ -504,6 +560,39 @@ func (c *Cache) PutTable(k Key, t *Table) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.put(&entry{tier: tierTable, key: k, size: t.footprint(), table: t})
+}
+
+// GetEval returns the cached evaluation for the key. It is shared and
+// must be treated as immutable.
+func (c *Cache) GetEval(k Key) (*Eval, bool) {
+	if c == nil {
+		return nil, false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e := c.get(tierEval, k); e != nil {
+		c.stats.EvalHits++
+		if c.instr != nil {
+			c.instr.evalHits.Inc()
+		}
+		return e.eval, true
+	}
+	c.stats.EvalMisses++
+	if c.instr != nil {
+		c.instr.evalMisses.Inc()
+	}
+	return nil, false
+}
+
+// PutEval stores an evaluation under the key. The cache takes shared
+// ownership: the Eval and its slices must not be mutated afterwards.
+func (c *Cache) PutEval(k Key, ev *Eval) {
+	if c == nil || ev == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.put(&entry{tier: tierEval, key: k, size: ev.footprint(), eval: ev})
 }
 
 // Stats returns a snapshot of the cache counters.

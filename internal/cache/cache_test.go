@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -257,9 +258,9 @@ func TestDuplicatePutRefreshesRecency(t *testing.T) {
 	}
 }
 
-// TestLRUBoundUnderParallelLoad drives mixed hits and misses from many
-// goroutines (run under -race) and checks the bounds hold at every
-// observation point.
+// TestLRUBoundUnderParallelLoad drives mixed hits and misses of the
+// result and evaluation tiers from many goroutines (run under -race)
+// and checks the bounds hold at every observation point.
 func TestLRUBoundUnderParallelLoad(t *testing.T) {
 	const (
 		workers    = 8
@@ -277,13 +278,27 @@ func TestLRUBoundUnderParallelLoad(t *testing.T) {
 			for i := 0; i < opsPer; i++ {
 				// Half the key space is shared across workers (hits),
 				// half is private (misses + evictions).
+				// Every third operation goes to the evaluation tier.
+				domain := "result"
+				if i%3 == 2 {
+					domain = "eval"
+				}
 				var k Key
 				if i%2 == 0 {
-					k = NewHasher("shared").Int(i % 16).Sum()
+					k = NewHasher("shared-" + domain).Int(i % 16).Sum()
 				} else {
-					k = NewHasher("private").Int(w).Int(i).Sum()
+					k = NewHasher("private-" + domain).Int(w).Int(i).Sum()
 				}
-				if doc, ok := c.GetResult(k); ok {
+				if domain == "eval" {
+					if ev, ok := c.GetEval(k); ok {
+						if ev.Phi1 != 0.5 || len(ev.PerApp) != 1 {
+							errs <- fmt.Sprintf("worker %d: cached evaluation %+v", w, ev)
+							return
+						}
+					} else {
+						c.PutEval(k, &Eval{PerApp: []float64{0.5}, ExpectedTimes: []float64{1}, Phi1: 0.5})
+					}
+				} else if doc, ok := c.GetResult(k); ok {
 					if len(doc) != 8 {
 						errs <- fmt.Sprintf("worker %d: cached doc has %d bytes", w, len(doc))
 						return
@@ -304,7 +319,7 @@ func TestLRUBoundUnderParallelLoad(t *testing.T) {
 		t.Error(e)
 	}
 	s := c.Stats()
-	if s.ResultHits == 0 || s.ResultMisses == 0 || s.Evictions == 0 {
+	if s.ResultHits == 0 || s.ResultMisses == 0 || s.EvalHits == 0 || s.EvalMisses == 0 || s.Evictions == 0 {
 		t.Errorf("load did not exercise all paths: %+v", s)
 	}
 }
@@ -458,5 +473,96 @@ func TestDistFootprint(t *testing.T) {
 	tbl := &Table{Types: 1, Logs: 1, Cells: []pmf.Dist{p, nil}}
 	if tbl.footprint() <= 0 {
 		t.Error("table footprint")
+	}
+}
+
+// TestEvalTierRoundTrip checks that an evaluation entry comes back as
+// stored, is counted by the tier's own hit and miss counters, and is
+// charged to the shared Entries and Bytes bounds.
+func TestEvalTierRoundTrip(t *testing.T) {
+	reg := metrics.NewRegistry()
+	c := New(Options{Metrics: reg})
+	k := EvalKey(NewHasher("t").Sum(), []sysmodel.Edge{{From: 0, To: 1}}, 100, sysmodel.Allocation{{Type: 0, Procs: 1}, {Type: 0, Procs: 2}})
+	if _, ok := c.GetEval(k); ok {
+		t.Fatal("empty cache hit")
+	}
+	ev := &Eval{PerApp: []float64{0.9, 0.5}, ExpectedTimes: []float64{40, 90}, Phi1: 0.5}
+	c.PutEval(k, ev)
+	got, ok := c.GetEval(k)
+	if !ok || got.Phi1 != 0.5 || got.PerApp[1] != 0.5 || got.ExpectedTimes[0] != 40 {
+		t.Fatalf("GetEval = %+v, %v", got, ok)
+	}
+	// A result or table lookup under the same key sees nothing.
+	if _, ok := c.GetTable(k); ok {
+		t.Error("table get returned an evaluation entry")
+	}
+	s := c.Stats()
+	if s.EvalHits != 1 || s.EvalMisses != 1 || s.Entries != 1 || s.Bytes != ev.footprint() {
+		t.Errorf("stats = %+v, want 1 eval hit, 1 miss, 1 entry of %d bytes", s, ev.footprint())
+	}
+	if h, m := reg.Counter("cache.eval_hits").Value(), reg.Counter("cache.eval_misses").Value(); h != 1 || m != 1 {
+		t.Errorf("cache.eval_hits/misses = %d/%d, want 1/1", h, m)
+	}
+	c.PutEval(k, nil)
+	var nilCache *Cache
+	nilCache.PutEval(k, ev)
+	if _, ok := nilCache.GetEval(k); ok || c.Len() != 1 {
+		t.Error("nil evaluation or nil cache stored an entry")
+	}
+}
+
+// TestEvalTierEvictedUnderBound fills a byte bound with evaluation
+// entries: the oldest go first, and the charged bytes never pass it.
+func TestEvalTierEvictedUnderBound(t *testing.T) {
+	ev := &Eval{PerApp: make([]float64, 8), ExpectedTimes: make([]float64, 8)}
+	c := New(Options{MaxBytes: 3 * ev.footprint()})
+	keyOf := func(i int) Key {
+		return EvalKey(Key{}, nil, float64(i), sysmodel.Allocation{{Type: 0, Procs: 1}})
+	}
+	for i := 0; i < 5; i++ {
+		c.PutEval(keyOf(i), ev)
+		if b := c.Stats().Bytes; b > 3*ev.footprint() {
+			t.Fatalf("after %d puts: %d bytes charged past the %d bound", i+1, b, 3*ev.footprint())
+		}
+	}
+	for i := 0; i < 5; i++ {
+		if _, ok := c.GetEval(keyOf(i)); ok != (i >= 2) {
+			t.Errorf("entry %d present %v, want %v", i, ok, i >= 2)
+		}
+	}
+	if s := c.Stats(); s.Entries != 3 || s.Evictions != 2 {
+		t.Errorf("entries %d evictions %d, want 3 and 2", s.Entries, s.Evictions)
+	}
+}
+
+// TestEvalKeyFields checks that every field of an evaluation key is
+// part of its identity: a key differing only in the instance, the
+// deadline, one edge, the edge order or one assignment misses.
+func TestEvalKeyFields(t *testing.T) {
+	sys, batch := testModel(t, 0)
+	tk, err := TableKey(sys, batch, pmf.BackendSparse, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := []sysmodel.Edge{{From: 0, To: 2}, {From: 1, To: 2}}
+	al := sysmodel.Allocation{{Type: 0, Procs: 1}, {Type: 1, Procs: 2}, {Type: 1, Procs: 4}}
+	c := New(Options{})
+	c.PutEval(EvalKey(tk, edges, 3000, al), &Eval{Phi1: 0.5})
+	if _, ok := c.GetEval(EvalKey(tk, slices.Clone(edges), 3000, al.Clone())); !ok {
+		t.Fatal("an equal key missed")
+	}
+	variants := map[string]Key{
+		"instance":   EvalKey(NewHasher("other").Sum(), edges, 3000, al),
+		"deadline":   EvalKey(tk, edges, math.Nextafter(3000, 4000), al),
+		"edge":       EvalKey(tk, []sysmodel.Edge{{From: 0, To: 2}, {From: 0, To: 1}}, 3000, al),
+		"edge order": EvalKey(tk, []sysmodel.Edge{{From: 1, To: 2}, {From: 0, To: 2}}, 3000, al),
+		"no edges":   EvalKey(tk, nil, 3000, al),
+		"type":       EvalKey(tk, edges, 3000, sysmodel.Allocation{{Type: 0, Procs: 1}, {Type: 0, Procs: 2}, {Type: 1, Procs: 4}}),
+		"procs":      EvalKey(tk, edges, 3000, sysmodel.Allocation{{Type: 0, Procs: 1}, {Type: 1, Procs: 2}, {Type: 1, Procs: 2}}),
+	}
+	for name, k := range variants {
+		if _, ok := c.GetEval(k); ok {
+			t.Errorf("a key differing only in its %s hit", name)
+		}
 	}
 }

@@ -142,8 +142,9 @@ type StageIIConfig struct {
 	// distributions across runs (see ra.Problem.Cache): scenarios over
 	// the same types and applications reuse one cached distribution set
 	// even when the deadline, heuristic, or availability cases differ.
-	// Results are bit-identical with or without it. Nil disables
-	// sharing.
+	// On a DAG batch it also shares the final Stage-I evaluation of an
+	// allocation (ra.Problem.Evaluate). Results are bit-identical with
+	// or without it. Nil disables sharing.
 	Cache *cache.Cache
 }
 
@@ -313,6 +314,8 @@ type CaseResult struct {
 type ScenarioResult struct {
 	Scenario string
 	// StageI carries the allocation, phi_1, and Table-V expected times.
+	// It comes from ra.Problem.Evaluate, so with a cfg.Cache on a DAG
+	// batch its Completion PMFs are nil.
 	StageI *robustness.StageIResult
 	// Cases holds one CaseResult per evaluated availability case.
 	Cases []CaseResult
@@ -355,7 +358,7 @@ func (f *Framework) RunScenarioContext(ctx context.Context, sc Scenario, cases [
 	if err != nil {
 		return nil, fmt.Errorf("core: stage I (%s): %w", sc.IM.Name(), err)
 	}
-	stage1, err := robustness.EvaluateStageIDAG(f.Sys, f.Batch, f.Edges, alloc, f.Deadline)
+	stage1, err := prob.Evaluate(alloc)
 	if err != nil {
 		return nil, err
 	}

@@ -11,7 +11,11 @@ import (
 
 	"cdsf/internal/api"
 	"cdsf/internal/core"
+	"cdsf/internal/pmf"
 	"cdsf/internal/ra"
+	"cdsf/internal/rng"
+	"cdsf/internal/stats"
+	"cdsf/internal/sysmodel"
 )
 
 // TestScenario4FirstTechniqueBitsPinned pins the outcome of the first
@@ -102,6 +106,81 @@ func TestMetaheuristicBitsPinned(t *testing.T) {
 			t.Errorf("%s %s seed %d: %s phi1 %x, pinned %s %x", c.inst, c.heuristic, c.seed, al, phi, c.alloc, c.phi1)
 		}
 	}
+}
+
+// TestTabuDAGBitsPinned pins the allocation and phi_1 that tabu
+// returns on a precedence-constrained batch, where every neighbor it
+// samples is scored by composing completion PMFs along the edges:
+// five applications of 6-pulse execution times in three layers
+// (LayeredEdges seed 3, density 0.5) over 4 + 8 processors, under
+// seeds 2 and 3, whose walks end in different allocations. The values
+// were recorded when tabu composed every sampled neighbor afresh, so a
+// walk that reuses scores must reproduce them bit for bit.
+func TestTabuDAGBitsPinned(t *testing.T) {
+	pinned := []struct {
+		seed  uint64
+		alloc string
+		phi1  float64
+	}{
+		{2, "app0->T1x4 app1->T0x2 app2->T1x2 app3->T0x2 app4->T1x2", 0x1.28f68ebabe059p-02},
+		{3, "app0->T0x2 app1->T1x4 app2->T0x2 app3->T1x2 app4->T1x2", 0x1.c9c17e118ef08p-02},
+	}
+	p := smallDAGProblem()
+	for _, c := range pinned {
+		h, err := ra.ByName("tabu")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ra.SetSeed(h, c.seed)
+		al, err := h.AllocateContext(context.Background(), p)
+		if err != nil {
+			t.Fatalf("seed %d: %v", c.seed, err)
+		}
+		phi, err := p.Objective(al)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if al.String() != c.alloc || math.Float64bits(phi) != math.Float64bits(c.phi1) {
+			t.Errorf("seed %d: %s phi1 %x, pinned %s %x", c.seed, al, phi, c.alloc, c.phi1)
+		}
+	}
+}
+
+// smallDAGProblem is TestTabuDAGBitsPinned's instance. Its deadline is
+// 1.3 times the critical path of expected completion times on four
+// processors of type 2.
+func smallDAGProblem() *ra.Problem {
+	const apps = 5
+	r := rng.New(5)
+	sys := &sysmodel.System{Types: []sysmodel.ProcType{
+		{Name: "Type 1", Count: 4, Avail: availCase1Type1},
+		{Name: "Type 2", Count: 8, Avail: pmf.Point(0.75)},
+	}}
+	batch := make(sysmodel.Batch, apps)
+	est := make([]float64, apps)
+	for i := range batch {
+		exec := make([]pmf.PMF, 2)
+		for j := range exec {
+			mu := 600 * (1 + 3*r.Float64())
+			exec[j] = pmf.Discretize(stats.NewNormal(mu, mu/10), 6)
+		}
+		batch[i] = sysmodel.Application{Name: fmt.Sprintf("App %d", i+1), SerialIters: 50, ParallelIters: 950, ExecTime: exec}
+		est[i] = batch[i].CompletionPMF(1, 4, sys.Types[1].Avail).Mean()
+	}
+	edges := LayeredEdges(3, apps, 3, 0.5)
+	finish := make([]float64, apps)
+	cp := 0.0
+	for i := range finish {
+		ready := 0.0
+		for _, e := range edges {
+			if e.To == i {
+				ready = math.Max(ready, finish[e.From])
+			}
+		}
+		finish[i] = ready + est[i]
+		cp = math.Max(cp, finish[i])
+	}
+	return &ra.Problem{Sys: sys, Batch: batch, Edges: edges, Deadline: math.Round(1.3 * cp)}
 }
 
 // TestStageIIDocumentsPinned pins every bit of paper scenario 4's

@@ -104,7 +104,7 @@ func GenerateOverheadSensitivity(seed uint64, reps int) (*report.Table, error) {
 		return nil, err
 	}
 	_, _, _, avail := sensApp()
-	model := availability.Markov{PMF: avail, Interval: Deadline / 4, Persistence: 0.5}
+	model := availability.NewMarkov(avail, Deadline/4, 0.5)
 	return techTable("Overhead sensitivity: mean makespan of App 3 (robust allocation, case-1 availability)",
 		techs, cols, reps, func(c int) sim.Config { return sensConfig(overheads[c], 0.3, model, seed) })
 }
@@ -119,7 +119,7 @@ func GenerateCVSensitivity(seed uint64, reps int) (*report.Table, error) {
 		cols[i] = fmt.Sprintf("cv=%g", cv)
 	}
 	_, _, _, avail := sensApp()
-	model := availability.Markov{PMF: avail, Interval: Deadline / 4, Persistence: 0.5}
+	model := availability.NewMarkov(avail, Deadline/4, 0.5)
 	return techTable("Iteration-variability sensitivity: mean makespan of App 3",
 		dls.PaperRobustSet(), cols, reps, func(c int) sim.Config { return sensConfig(1, cvs[c], model, seed) })
 }
@@ -132,9 +132,9 @@ func GenerateModelSensitivity(seed uint64, reps int) (*report.Table, error) {
 	models := []availability.Model{
 		availability.Static{PMF: avail},
 		availability.Redraw{PMF: avail, Interval: Deadline / 4},
-		availability.Markov{PMF: avail, Interval: Deadline / 4, Persistence: 0.25},
-		availability.Markov{PMF: avail, Interval: Deadline / 4, Persistence: 0.5},
-		availability.Markov{PMF: avail, Interval: Deadline / 4, Persistence: 0.9},
+		availability.NewMarkov(avail, Deadline/4, 0.25),
+		availability.NewMarkov(avail, Deadline/4, 0.5),
+		availability.NewMarkov(avail, Deadline/4, 0.9),
 	}
 	cols := make([]string, len(models))
 	for i, m := range models {

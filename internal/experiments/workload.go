@@ -32,7 +32,7 @@ func GenerateDistributionSensitivity(seed uint64, reps int) (*report.Table, erro
 	for i, d := range dists {
 		cols[i] = d.name
 	}
-	model := availability.Markov{PMF: avail, Interval: Deadline / 4, Persistence: 0.5}
+	model := availability.NewMarkov(avail, Deadline/4, 0.5)
 	return techTable("Iteration-time-distribution sensitivity: mean makespan of App 3 (same mean)",
 		dls.PaperRobustSet(), cols, reps, func(c int) sim.Config {
 			cfg := sensConfig(1, 0.3, model, seed)
@@ -56,7 +56,7 @@ func GenerateProfileSensitivity(seed uint64, reps int) (*report.Table, error) {
 		}
 		profiles[i] = p
 	}
-	model := availability.Markov{PMF: avail, Interval: Deadline / 4, Persistence: 0.5}
+	model := availability.NewMarkov(avail, Deadline/4, 0.5)
 	techs, err := techniques("STATIC", "FAC", "WF", "AWF-B", "AF")
 	if err != nil {
 		return nil, err

@@ -11,10 +11,16 @@ package ra
 // CDF-product MaxWith and index-shifted Add on the table's lattice —
 // and the per-cell distributions retained by PrecomputeContext make each
 // composition start from table reads (sparse PMFs directly, packed
-// grid cells through one Unpack each).
+// grid cells through one Unpack each). Evaluate is the final, sparse
+// evaluation of the allocation a search returns, answered from the
+// cache's evaluation tier when one is attached.
 
 import (
+	"slices"
+
+	"cdsf/internal/cache"
 	"cdsf/internal/pmf"
+	"cdsf/internal/robustness"
 	"cdsf/internal/sysmodel"
 )
 
@@ -78,4 +84,45 @@ func (p *Problem) dagPhi(al sysmodel.Allocation) float64 {
 		phi *= comp[s].PrLE(p.Deadline)
 	}
 	return phi
+}
+
+// Evaluate returns the final Stage-I evaluation of an allocation under
+// the Problem's deadline and edges: robustness.EvaluateStageIDAG, the
+// sparse reference, whatever Backend the search ran on. With a Cache
+// attached and edges present, the composition is answered from the
+// cache's evaluation tier when a Problem over the same instance, edges
+// and deadline evaluated the same allocation before, and published to
+// it otherwise; PerApp, ExpectedTimes and Phi1 carry the bits of the
+// reference either way, and Completion is nil, because the tier holds
+// no PMFs. An independent batch is n table reads, so it always takes
+// the reference path, as does a Problem without a Cache.
+func (p *Problem) Evaluate(al sysmodel.Allocation) (*robustness.StageIResult, error) {
+	if p.Cache == nil || len(p.Edges) == 0 {
+		return robustness.EvaluateStageIDAG(p.Sys, p.Batch, p.Edges, al, p.Deadline)
+	}
+	tk, err := cache.TableKey(p.Sys, p.Batch, pmf.BackendSparse, 0)
+	if err != nil {
+		// An unhashable instance: the reference reports the fault.
+		return robustness.EvaluateStageIDAG(p.Sys, p.Batch, p.Edges, al, p.Deadline)
+	}
+	key := cache.EvalKey(tk, p.Edges, p.Deadline, al)
+	if ev, ok := p.Cache.GetEval(key); ok {
+		return &robustness.StageIResult{
+			Alloc:         al.Clone(),
+			PerApp:        slices.Clone(ev.PerApp),
+			ExpectedTimes: slices.Clone(ev.ExpectedTimes),
+			Phi1:          ev.Phi1,
+		}, nil
+	}
+	res, err := robustness.EvaluateStageIDAG(p.Sys, p.Batch, p.Edges, al, p.Deadline)
+	if err != nil {
+		return nil, err
+	}
+	res.Completion = nil
+	p.Cache.PutEval(key, &cache.Eval{
+		PerApp:        slices.Clone(res.PerApp),
+		ExpectedTimes: slices.Clone(res.ExpectedTimes),
+		Phi1:          res.Phi1,
+	})
+	return res, nil
 }

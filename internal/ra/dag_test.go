@@ -4,8 +4,10 @@ import (
 	"context"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
+	"cdsf/internal/cache"
 	"cdsf/internal/pmf"
 	"cdsf/internal/robustness"
 	"cdsf/internal/stats"
@@ -202,4 +204,91 @@ func TestDAGPhiBackendsAgree(t *testing.T) {
 				topo, phiSparse, phiGrid, diff)
 		}
 	}
+}
+
+// TestEvaluateReadsEvalTier pins Evaluate's contract: with a cache on a
+// DAG, the first Problem to evaluate an allocation composes it and
+// publishes it, a later Problem on the other backend reads it back,
+// and both carry the reference's bits with no PMFs; a different
+// deadline misses, and an edge-free Problem or one without a cache
+// takes the reference path untouched.
+func TestEvaluateReadsEvalTier(t *testing.T) {
+	base := dagProblem()
+	base.Edges = forkJoin
+	al := sysmodel.Allocation{{Type: 0, Procs: 2}, {Type: 1, Procs: 2}, {Type: 0, Procs: 2}, {Type: 1, Procs: 4}}
+	ref, err := robustness.EvaluateStageIDAG(base.Sys, base.Batch, base.Edges, al, base.Deadline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(st *robustness.StageIResult) bool {
+		if math.Float64bits(st.Phi1) != math.Float64bits(ref.Phi1) || !st.Alloc.Equal(al) {
+			return false
+		}
+		for i := range ref.PerApp {
+			if math.Float64bits(st.PerApp[i]) != math.Float64bits(ref.PerApp[i]) ||
+				math.Float64bits(st.ExpectedTimes[i]) != math.Float64bits(ref.ExpectedTimes[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	c := cache.New(cache.Options{})
+	for k, backend := range []pmf.Backend{pmf.BackendSparse, pmf.BackendGrid} {
+		p := &Problem{Sys: base.Sys, Batch: base.Batch, Deadline: base.Deadline, Edges: base.Edges, Backend: backend, Cache: c}
+		st, err := p.Evaluate(al)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !same(st) || st.Completion != nil {
+			t.Errorf("%s: evaluation %+v differs from the reference or carries PMFs", backend, st)
+		}
+		if s := c.Stats(); s.EvalHits != int64(k) || s.EvalMisses != 1 {
+			t.Errorf("%s: eval hits/misses %d/%d, want %d/1", backend, s.EvalHits, s.EvalMisses, k)
+		}
+	}
+	later := &Problem{Sys: base.Sys, Batch: base.Batch, Deadline: base.Deadline + 1, Edges: base.Edges, Cache: c}
+	if _, err := later.Evaluate(al); err != nil {
+		t.Fatal(err)
+	}
+	if s := c.Stats(); s.EvalMisses != 2 {
+		t.Errorf("a different deadline hit the tier: %+v", s)
+	}
+	bad := sysmodel.Allocation{{Type: 0, Procs: 8}, {Type: 1, Procs: 2}, {Type: 0, Procs: 2}, {Type: 1, Procs: 4}}
+	if _, err := later.Evaluate(bad); err == nil {
+		t.Error("an infeasible allocation evaluated without error")
+	}
+	before := c.Stats()
+	for _, p := range []*Problem{
+		{Sys: base.Sys, Batch: base.Batch, Deadline: base.Deadline, Cache: c},
+		{Sys: base.Sys, Batch: base.Batch, Deadline: base.Deadline, Edges: base.Edges},
+	} {
+		st, err := p.Evaluate(al)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := robustness.EvaluateStageIDAG(p.Sys, p.Batch, p.Edges, al, p.Deadline)
+		if math.Float64bits(st.Phi1) != math.Float64bits(want.Phi1) || st.Completion == nil {
+			t.Errorf("edges %v, cache %v: not the reference path", p.Edges, p.Cache != nil)
+		}
+	}
+	if s := c.Stats(); s.EvalHits != before.EvalHits || s.EvalMisses != before.EvalMisses {
+		t.Errorf("the reference path looked the tier up: %+v -> %+v", before, s)
+	}
+
+	// Concurrent jobs read and fill one tier: a fresh cache, so some
+	// goroutines miss and publish while others hit.
+	shared := cache.New(cache.Options{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p := &Problem{Sys: base.Sys, Batch: base.Batch, Deadline: base.Deadline, Edges: base.Edges, Cache: shared}
+			st, err := p.Evaluate(al)
+			if err != nil || !same(st) {
+				t.Errorf("concurrent evaluation %+v, %v differs from the reference", st, err)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -214,6 +214,13 @@ func tabuSearch(ctx context.Context, p *Problem, r *rng.Source) (sysmodel.Alloca
 		return buf
 	}
 	tabu := map[string]bool{string(key(cur)): true}
+	// phi_1 is a deterministic function of the allocation, and a walk
+	// samples most neighbors more than once (on the DAG service shape,
+	// 8,000 samples hold ~2,400-3,200 distinct allocations), so each
+	// distinct neighbor is scored once: on a DAG a score is a whole
+	// composition. The memo lives only as long as the walk, since the
+	// spaces walks move through run to millions of allocations.
+	scores := map[string]float64{}
 	var order []string
 	for k := 0; k < tabuIterations; k++ {
 		if k%metaCheckStride == 0 {
@@ -228,13 +235,17 @@ func tabuSearch(ctx context.Context, p *Problem, r *rng.Source) (sysmodel.Alloca
 			if !ok {
 				continue
 			}
-			phi, err := p.Objective(cand)
-			if err != nil {
-				continue
+			ck := key(cand)
+			phi, ok := scores[string(ck)]
+			if !ok {
+				if phi, err = p.Objective(cand); err != nil {
+					continue
+				}
+				scores[string(ck)] = phi
 			}
 			// Aspiration: a tabu move is allowed if it beats the global
 			// best.
-			if phi <= bestPhi && tabu[string(key(cand))] {
+			if phi <= bestPhi && tabu[string(ck)] {
 				continue
 			}
 			if phi > stepPhi {

@@ -103,8 +103,10 @@ type Problem struct {
 	// deadline-invariant (under the sparse backend), so Problems that
 	// differ only in deadline, heuristic, or runtime availability cases
 	// share one warm entry. Cell values are bit-identical with the
-	// cache enabled, disabled, warm, or cold. Nil disables sharing.
-	// Set it before PrecomputeContext, like every other field.
+	// cache enabled, disabled, warm, or cold. With edges present,
+	// Evaluate also reads and fills the cache's evaluation tier. Nil
+	// disables sharing. Set it before PrecomputeContext, like every
+	// other field.
 	Cache *cache.Cache
 
 	// table is the eagerly built (application x type x log2(count))

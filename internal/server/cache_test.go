@@ -8,6 +8,7 @@ import (
 
 	"cdsf/internal/api"
 	"cdsf/internal/cache"
+	"cdsf/internal/config"
 	"cdsf/internal/metrics"
 )
 
@@ -280,5 +281,64 @@ func TestCachelessServerOmitsCacheBlock(t *testing.T) {
 	done := waitState(t, ts.URL, j.ID, api.JobDone)
 	if done.Cache != nil {
 		t.Errorf("cacheless job carries a cache block: %+v", done.Cache)
+	}
+}
+
+// TestEvalTierSharedBySolveAndScenario: on one DAG instance a heft
+// solve publishes its final Stage-I evaluation to the cache's
+// evaluation tier, and a heft scenario, which ends its Stage I on the
+// same allocation, reads it back instead of composing again (the two
+// jobs differ in kind, so the result tier cannot answer either). Both
+// result documents are byte-identical to a cache-off server's, and the
+// tier's counters reach /metrics.
+func TestEvalTierSharedBySolveAndScenario(t *testing.T) {
+	edges := []config.EdgeSpec{{From: 0, To: 2}, {From: 1, To: 2}}
+	run := func(opts Options) (solveDoc, scenarioDoc []byte) {
+		t.Helper()
+		_, ts := newTestServer(t, opts)
+		var j api.Job
+		post(t, ts.URL+"/v1/solve", api.SolveRequest{Heuristic: "heft", Edges: edges}, &j)
+		solveDoc = waitState(t, ts.URL, j.ID, api.JobDone).Result
+		post(t, ts.URL+"/v1/scenario", api.ScenarioRequest{IM: "heft", Edges: edges, Reps: 4, Seed: 3}, &j)
+		scenarioDoc = waitState(t, ts.URL, j.ID, api.JobDone).Result
+		if opts.Metrics != nil {
+			var snap struct {
+				Counters map[string]int64 `json:"counters"`
+			}
+			getInto(t, ts.URL+"/metrics", &snap)
+			if h, m := snap.Counters["cache.eval_hits"], snap.Counters["cache.eval_misses"]; h != 1 || m != 1 {
+				t.Errorf("/metrics cache.eval_hits/misses = %d/%d, want 1/1", h, m)
+			}
+		}
+		return solveDoc, scenarioDoc
+	}
+	reg := metrics.NewRegistry()
+	c := cache.New(cache.Options{Metrics: reg})
+	solveOn, scenarioOn := run(Options{Cache: c, Metrics: reg})
+	if s := c.Stats(); s.EvalHits != 1 || s.EvalMisses != 1 {
+		t.Errorf("eval hits/misses = %d/%d, want the solve's miss and the scenario's hit", s.EvalHits, s.EvalMisses)
+	}
+	solveOff, scenarioOff := run(Options{})
+	if !bytes.Equal(solveOn, solveOff) {
+		t.Errorf("solve documents differ with the cache on:\non  %s\noff %s", solveOn, solveOff)
+	}
+	if !bytes.Equal(scenarioOn, scenarioOff) {
+		t.Errorf("scenario documents differ with the cache on:\non  %s\noff %s", scenarioOn, scenarioOff)
+	}
+}
+
+// TestEvalTierBypassedWithoutEdges: an independent batch's final
+// evaluation is n table reads, so a paper-instance scenario and solve
+// never look the evaluation tier up.
+func TestEvalTierBypassedWithoutEdges(t *testing.T) {
+	c := cache.New(cache.Options{})
+	_, ts := newTestServer(t, Options{Cache: c})
+	var j api.Job
+	post(t, ts.URL+"/v1/scenario", api.ScenarioRequest{Scenario: 4, Reps: 4, Seed: 5}, &j)
+	waitState(t, ts.URL, j.ID, api.JobDone)
+	post(t, ts.URL+"/v1/solve", api.SolveRequest{Heuristic: "greedy"}, &j)
+	waitState(t, ts.URL, j.ID, api.JobDone)
+	if s := c.Stats(); s.EvalHits != 0 || s.EvalMisses != 0 {
+		t.Errorf("eval hits/misses = %d/%d on an independent batch, want 0/0", s.EvalHits, s.EvalMisses)
 	}
 }

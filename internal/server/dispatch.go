@@ -15,7 +15,6 @@ import (
 	"cdsf/internal/experiments"
 	"cdsf/internal/pmf"
 	"cdsf/internal/ra"
-	"cdsf/internal/robustness"
 	"cdsf/internal/sysmodel"
 	"cdsf/internal/tracing"
 )
@@ -293,7 +292,7 @@ func (s *Server) prepareSolve(req *api.SolveRequest) (*jobSpec, error) {
 		if info != nil {
 			info.WarmHits, info.WarmMisses = prob.CacheCounts()
 		}
-		st, err := robustness.EvaluateStageIDAG(p.sys, p.batch, p.edges, al, deadline)
+		st, err := prob.Evaluate(al)
 		if err != nil {
 			return nil, err
 		}
