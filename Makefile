@@ -34,6 +34,10 @@
 #   make bench-cache  refresh the solve-cache comparison behind
 #                BENCH_CACHE.json (result-tier replay, warm tables,
 #                delta-solve)
+#   make bench-store  the job-store drill-down under the peak_rss_mb
+#                row: one dag-service-sized job lifecycle per op on the
+#                memory and WAL stores, with the heap each finished
+#                job keeps (retained-B/job)
 #   make fuzz    run each fuzz target briefly (pmf kernels including
 #                the binned AddCompact, DAG validation, WAL replay, the
 #                batched Stage-II cost draws)
@@ -67,7 +71,7 @@ BENCHTIME ?= 1s
 # Listen address for `make serve`.
 SERVE_ADDR ?= 127.0.0.1:8080
 
-.PHONY: check build vet test race cover bench bench-pmf bench-stage1 bench-stage2 bench-cache bench-e2e fuzz serve smoke-sse smoke-dag test-e2ebench
+.PHONY: check build vet test race cover bench bench-pmf bench-stage1 bench-stage2 bench-cache bench-store bench-e2e fuzz serve smoke-sse smoke-dag test-e2ebench
 
 check: build vet test race cover test-e2ebench smoke-dag
 	$(MAKE) bench-stage2 BENCHTIME=1x
@@ -130,6 +134,13 @@ bench-stage2:
 # tables, and the delta-solve deadline sweep.
 bench-cache:
 	$(GO) test -run=xxx -bench 'BenchmarkCacheServer|BenchmarkCacheWarmTable|BenchmarkCacheDeltaSolve' -benchmem .
+
+# The job-store drill-down under the peak_rss_mb row of the end-to-end
+# benchmark: one dag-service-sized lifecycle (2.4 KB request, six
+# events, 3.6 KB result) per op on each backend (JobLifecycle), with
+# the live heap each finished job leaves behind as retained-B/job.
+bench-store:
+	$(GO) test -run=xxx -bench 'BenchmarkJobLifecycle' -benchmem ./internal/store
 
 fuzz:
 	$(GO) test -run=xxx -fuzz=FuzzNew -fuzztime=10s ./internal/pmf

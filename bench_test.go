@@ -1009,7 +1009,8 @@ func BenchmarkWarmSparseTable(b *testing.B) {
 // benchDAGAllocation's completion PMFs along the edges against an
 // empty cache and publishes the result to its evaluation tier (a
 // miss, as the first job to end on an allocation pays), hit reads it
-// back from a warm one. Both must report the same phi_1 bits.
+// back from a warm one through a precomputed Problem, as every service
+// path evaluates. Both must report the same phi_1 bits.
 func BenchmarkEvaluateDAG(b *testing.B) {
 	sys, bat, edges, deadline := benchDAGInstance(b, 12)
 	problem := func(c *cache.Cache) *ra.Problem {
@@ -1036,6 +1037,9 @@ func BenchmarkEvaluateDAG(b *testing.B) {
 	})
 	b.Run("hit", func(b *testing.B) {
 		prob := problem(cache.New(cache.Options{}))
+		if err := prob.PrecomputeContext(context.Background(), 1); err != nil {
+			b.Fatal(err)
+		}
 		st, err := prob.Evaluate(benchDAGAllocation)
 		check(b, st, err)
 		b.ReportAllocs()

@@ -95,15 +95,23 @@ func (p *Problem) dagPhi(al sysmodel.Allocation) float64 {
 // it otherwise; PerApp, ExpectedTimes and Phi1 carry the bits of the
 // reference either way, and Completion is nil, because the tier holds
 // no PMFs. An independent batch is n table reads, so it always takes
-// the reference path, as does a Problem without a Cache.
+// the reference path, as does a Problem without a Cache. The tier's
+// key starts from the instance's sparse TableKey, which a precomputed
+// Problem already holds; only an un-precomputed one hashes it here.
 func (p *Problem) Evaluate(al sysmodel.Allocation) (*robustness.StageIResult, error) {
 	if p.Cache == nil || len(p.Edges) == 0 {
 		return robustness.EvaluateStageIDAG(p.Sys, p.Batch, p.Edges, al, p.Deadline)
 	}
-	tk, err := cache.TableKey(p.Sys, p.Batch, pmf.BackendSparse, 0)
-	if err != nil {
-		// An unhashable instance: the reference reports the fault.
-		return robustness.EvaluateStageIDAG(p.Sys, p.Batch, p.Edges, al, p.Deadline)
+	var tk cache.Key
+	if t := p.table; t != nil && t.evalKey != nil {
+		tk = *t.evalKey
+	} else {
+		k, err := cache.TableKey(p.Sys, p.Batch, pmf.BackendSparse, 0)
+		if err != nil {
+			// An unhashable instance: the reference reports the fault.
+			return robustness.EvaluateStageIDAG(p.Sys, p.Batch, p.Edges, al, p.Deadline)
+		}
+		tk = k
 	}
 	key := cache.EvalKey(tk, p.Edges, p.Deadline, al)
 	if ev, ok := p.Cache.GetEval(key); ok {

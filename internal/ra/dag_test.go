@@ -292,3 +292,41 @@ func TestEvaluateReadsEvalTier(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestPrecomputedEvaluateKeepsTierKey checks that a precomputed
+// Problem keys the evaluation tier as an un-precomputed one does, on
+// either backend: its table holds the instance's sparse TableKey, and
+// its evaluation hits the entry the other published.
+func TestPrecomputedEvaluateKeepsTierKey(t *testing.T) {
+	base := dagProblem()
+	al := sysmodel.Allocation{{Type: 0, Procs: 2}, {Type: 1, Procs: 2}, {Type: 0, Procs: 2}, {Type: 1, Procs: 4}}
+	want, err := cache.TableKey(base.Sys, base.Batch, pmf.BackendSparse, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := cache.New(cache.Options{})
+	first := &Problem{Sys: base.Sys, Batch: base.Batch, Deadline: base.Deadline, Edges: forkJoin, Cache: c}
+	ref, err := first.Evaluate(al)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, backend := range []pmf.Backend{pmf.BackendSparse, pmf.BackendGrid} {
+		p := &Problem{Sys: base.Sys, Batch: base.Batch, Deadline: base.Deadline, Edges: forkJoin, Backend: backend, Cache: c}
+		if err := p.PrecomputeContext(context.Background(), 1); err != nil {
+			t.Fatal(err)
+		}
+		if p.table.evalKey == nil || *p.table.evalKey != want {
+			t.Errorf("%s: table keeps eval key %v, want the sparse TableKey %v", backend, p.table.evalKey, want)
+		}
+		st, err := p.Evaluate(al)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(st.Phi1) != math.Float64bits(ref.Phi1) {
+			t.Errorf("%s: phi1 %v, want %v", backend, st.Phi1, ref.Phi1)
+		}
+		if s := c.Stats(); s.EvalHits != int64(k+1) || s.EvalMisses != 1 {
+			t.Errorf("%s: eval hits/misses %d/%d, want %d/1", backend, s.EvalHits, s.EvalMisses, k+1)
+		}
+	}
+}

@@ -32,6 +32,11 @@ type evalTable struct {
 	// whole distributions, not just the (prob, expected) pair, so the
 	// table retains what it computed instead of discarding it.
 	dists []pmf.Dist
+	// evalKey is the instance's sparse cache.TableKey, under which
+	// Evaluate keys the cache's evaluation tier; nil unless the Problem
+	// has edges and a cache. PrecomputeContext hashes it once per
+	// Problem.
+	evalKey *cache.Key
 }
 
 // cell returns the cell of application i under a power-of-2
@@ -199,6 +204,17 @@ func (p *Problem) PrecomputeContext(ctx context.Context, workers int) error {
 		}
 		if len(p.Edges) > 0 {
 			t.dists = dists
+		}
+	}
+	if useCache && len(p.Edges) > 0 {
+		// A sparse Problem's warm key is the sparse TableKey itself.
+		k := warmKey
+		var err error
+		if p.Backend.IsGrid() {
+			k, err = cache.TableKey(p.Sys, p.Batch, pmf.BackendSparse, 0)
+		}
+		if err == nil {
+			t.evalKey = &k
 		}
 	}
 	p.table = t

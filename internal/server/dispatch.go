@@ -309,6 +309,12 @@ func (s *Server) prepareSolve(req *api.SolveRequest) (*jobSpec, error) {
 	return spec, nil
 }
 
+// maxIterCV bounds a simulate request's iteration-time CV. Above a CV
+// of about 1 a run's simulated makespan, and with it the run's cost,
+// grows linearly with the CV; at 10 it is about 8x the makespan at the
+// default 0.3 (DESIGN §8).
+const maxIterCV = 10
+
 // prepareSimulate validates a Stage-II request and builds the
 // Monte-Carlo job evaluating a fixed allocation under one case.
 func (s *Server) prepareSimulate(req *api.SimulateRequest) (*jobSpec, error) {
@@ -349,6 +355,10 @@ func (s *Server) prepareSimulate(req *api.SimulateRequest) (*jobSpec, error) {
 		cfg.Overhead = *req.Overhead
 	}
 	if req.IterCV != nil {
+		if cv := *req.IterCV; !(cv > 0 && cv <= maxIterCV) {
+			return nil, &core.FieldError{Field: "iterCV",
+				Err: fmt.Errorf("iterCV %v outside (0, %d]", cv, maxIterCV)}
+		}
 		cfg.IterCV = *req.IterCV
 	}
 	if req.TimeSteps > 0 {

@@ -284,6 +284,38 @@ func TestSimulateJobMatchesLibrary(t *testing.T) {
 	}
 }
 
+// TestSimulateIterCVBound pins the admission bound on a simulate
+// request's iteration CV: outside (0, 10] it answers 400 with field
+// "iterCV" before any job exists, and 10 itself runs.
+func TestSimulateIterCVBound(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	req := func(cv float64) api.SimulateRequest {
+		return api.SimulateRequest{
+			Allocation: []api.Assignment{{Type: 0, Procs: 4}, {Type: 1, Procs: 4}, {Type: 1, Procs: 4}},
+			Techniques: []string{"FAC"},
+			Reps:       2,
+			IterCV:     &cv,
+		}
+	}
+	for _, cv := range []float64{1e7, 0, -1} {
+		var apiErr api.Error
+		resp := post(t, ts.URL+"/v1/simulate", req(cv), &apiErr)
+		if resp.StatusCode != http.StatusBadRequest || apiErr.Code != api.ErrBadRequest || apiErr.Field != "iterCV" {
+			t.Errorf("iterCV %v: status %d, error %+v, want 400 bad_request on field iterCV", cv, resp.StatusCode, apiErr)
+		}
+	}
+	var j api.Job
+	if resp := post(t, ts.URL+"/v1/simulate", req(maxIterCV), &j); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("iterCV %v: status %d, want 202", float64(maxIterCV), resp.StatusCode)
+	}
+	waitState(t, ts.URL, j.ID, api.JobDone)
+	var list api.JobList
+	getInto(t, ts.URL+"/v1/jobs", &list)
+	if list.Total != 1 {
+		t.Errorf("%d jobs exist, want only the admitted one", list.Total)
+	}
+}
+
 func TestScenarioJobMatchesLibrary(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	req := api.ScenarioRequest{Scenario: 1, Reps: 2, Seed: 11}

@@ -19,8 +19,9 @@
 // The record schema is the internal/events lifecycle vocabulary: a
 // Record is a transition (accepted, queued, started, progress, done,
 // failed, cancelled, drained) plus the payloads the store must retain
-// — the original request document (so an interrupted job can be
-// re-dispatched after a crash) and the result document.
+// — the original request document, until the job is terminal (so an
+// interrupted job can be re-dispatched after a crash), and the result
+// document.
 //
 // Both stores materialize records into the same Job state machine
 // (apply), so WAL replay and live appends go through one code path.
@@ -30,6 +31,12 @@
 // not know, so a journal holding frames of a retired type (such as the
 // assigned leases of the removed coordinator/worker mode) still
 // replays.
+//
+// A finished job keeps only what is served: its envelope and its event
+// log, cut to its exact length once the terminal event lands (no event
+// follows it). Its request document is dropped at the terminal record,
+// since only the recovery of a non-terminal job reads it; the WAL still
+// journals it.
 package store
 
 import (
@@ -89,7 +96,7 @@ type frameRef struct {
 }
 
 // Job is the materialized state of one job: the wire envelope plus the
-// retained request document.
+// request document, which is kept until the job is terminal.
 type Job struct {
 	Env     api.Job
 	Request json.RawMessage
@@ -300,6 +307,9 @@ func (t *table) apply(rec Record) {
 		// A retired record type: no state change and no event.
 		return
 	}
+	if rec.Type.Terminal() {
+		j.Request = nil
+	}
 	e.derive(rec)
 }
 
@@ -326,7 +336,8 @@ func (e *entry) derive(rec Record) {
 }
 
 // push numbers one event, appends it to the bounded log, and wakes the
-// readers waiting for it.
+// readers waiting for it. A terminal event ends the log, so the log is
+// then copied into a slice of its exact length, dropping append's slack.
 func (e *entry) push(ev events.Event) {
 	e.last++
 	ev.Seq = e.last
@@ -334,6 +345,9 @@ func (e *entry) push(ev events.Event) {
 		e.evs = append(e.evs[:0], e.evs[1:]...)
 	}
 	e.evs = append(e.evs, ev)
+	if ev.Type.Terminal() {
+		e.evs = append(make([]events.Event, 0, len(e.evs)), e.evs...)
+	}
 	if e.wake != nil {
 		close(e.wake)
 		e.wake = nil
